@@ -4,10 +4,12 @@ Each traced module is one layer.  A layer's ``*_s`` metrics are self
 times (a call's duration minus the timed calls nested in it) summed
 over the named callables, except ``citywide.boot_s`` and
 ``citywide.displace_s``, which are the inclusive times of those two
-entry points.  Counts come from the wrappers or from the report's own
-stats.  :data:`LAYER_MAP` is the prediction each metric is held to:
-the end-to-end metric it should move, on the workload that exercises
-it, and the workload where it should show no effect.
+entry points.  Times are net of the tracer's own per-call cost, which
+is estimated once per run and reported as ``tracer.overhead_s``.
+Counts come from the wrappers or from the report's own stats.
+:data:`LAYER_MAP` is the prediction each metric is held to: the
+end-to-end metric it should move, on the workload that exercises it,
+and the workload where it should show no effect.
 """
 
 from __future__ import annotations
@@ -137,6 +139,7 @@ LAYER_MAP = {
     "tick.max_ms": ("ms", "lower", "client_ticks_per_s", "all", "none"),
     "coverage": ("ratio", "higher", "all", "all", "none"),
     "trace_overhead": ("ratio", "lower", "all", "all", "none"),
+    "tracer.overhead_s": ("s", "lower", "all", "all", "none"),
 }
 
 
@@ -145,7 +148,7 @@ def _ratio(num: float, den: float) -> float:
 
 
 def per_layer(
-    agg: dict[str, tuple[int, float, float]],
+    agg: dict[str, tuple[int, float, float, float]],
     report: dict[str, Any],
     tick_returns: list[float],
     traced_wall_s: float,
@@ -154,19 +157,21 @@ def per_layer(
     """Every :data:`LAYER_MAP` metric from one traced session.
 
     *agg* is :meth:`Tracer.by_name` (``name -> (calls, total_s,
-    self_s)``); *report* the traced session's report.
+    self_s, overhead_s)``); *report* the traced session's report.
+    ``coverage`` is the self time of every non-driver layer ÷ the traced
+    wall time net of the tracer's own cost.
     """
 
     def pick(layer: str, *qualnames: str, field: int = 2) -> float:
         module = LAYERS[layer].__name__
-        return sum(agg.get(f"{module}:{q}", (0, 0.0, 0.0))[field] for q in qualnames)
+        return sum(agg.get(f"{module}:{q}", (0, 0.0, 0.0, 0.0))[field] for q in qualnames)
 
     def calls(layer: str, *qualnames: str) -> int:
         return int(pick(layer, *qualnames, field=0))
 
     def layer_self(layer: str, exclude: tuple[str, ...] = ()) -> float:
         return sum(
-            s for name, (_, _, s) in agg.items()
+            row[2] for name, row in agg.items()
             if group(name) == layer and name.split(":", 1)[1] not in exclude
         )
 
@@ -181,7 +186,8 @@ def per_layer(
     frontend_s = layer_self("frontend")
     ticks_ms = [(b - a) * 1e3 for a, b in zip(tick_returns, tick_returns[1:])]
     tick_deciles = statistics.quantiles(ticks_ms, n=10, method="inclusive")
-    attributed = sum(s for name, (_, _, s) in agg.items() if group(name) != "driver")
+    attributed = sum(row[2] for name, row in agg.items() if group(name) != "driver")
+    overhead_s = sum(row[3] for row in agg.values())
 
     out = {
         "mobility.spawn_s": pick("mobility", "spawn_clients"),
@@ -231,17 +237,19 @@ def per_layer(
         "tick.p50_ms": statistics.median(ticks_ms),
         "tick.p90_ms": tick_deciles[8],
         "tick.max_ms": max(ticks_ms),
-        "coverage": attributed / traced_wall_s,
+        "coverage": attributed / (traced_wall_s - overhead_s),
         "trace_overhead": traced_wall_s / untraced_wall_s,
+        "tracer.overhead_s": overhead_s,
     }
     if out.keys() != LAYER_MAP.keys():
         raise RuntimeError(f"per-layer metrics drifted from LAYER_MAP: {out.keys() ^ LAYER_MAP.keys()}")
     return out
 
 
-def self_times_by_layer(agg: dict[str, tuple[int, float, float]]) -> dict[str, float]:
-    """Self seconds per layer (the split the record line prints)."""
+def by_layer(agg: dict[str, tuple[int, float, float, float]], field: int) -> dict[str, float]:
+    """One :meth:`Tracer.by_name` column summed per layer, largest first
+    (``field`` 2: self seconds; 3: the tracer's overhead charged there)."""
     out: dict[str, float] = {}
-    for name, (_, _, s) in agg.items():
-        out[group(name)] = out.get(group(name), 0.0) + s
+    for name, row in agg.items():
+        out[group(name)] = out.get(group(name), 0.0) + row[field]
     return dict(sorted(out.items(), key=lambda kv: -kv[1]))

@@ -8,7 +8,11 @@ no thread or process fan-out.
 
 ``--trace 0`` measures the end-to-end metrics with tracing off: a few
 set-up-only sessions, then whole sessions (same seed, so identical
-reports) until ``--seconds`` is spent; times are medians over them.
+reports, tick for tick) until ``--seconds`` is spent.  Set-up time is
+the median over every set-up.  The loop time behind both throughputs is
+the fastest each tick ran in any session, summed over the ticks: the
+same work timed several times, with a busy host's slow stretches left
+out at the grain of one tick.
 ``--trace 1`` runs untraced sessions for about half the time, then one
 session with every public callable of the traced modules wrapped
 (see ``tracer.py`` / ``layers.py``), and prints the per-layer split;
@@ -21,7 +25,9 @@ scalar == vector at a reduced client count.  A failure prints
 ``"correct": false``, counts every request as unanswered, and exits 1.
 The line before the result is a JSON record with host facts, the wall
 and CPU seconds of every session, the report's sha256 and the
-workload's measured shares.
+workload's measured shares.  ``attempted`` counts the session reports
+checked plus the scalar-vs-vector pair, and ``failed`` those of them
+that failed a check.
 """
 
 from __future__ import annotations
@@ -38,7 +44,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Set-up-only sessions: at least this many, and more while they take
+#: under SETUP_SHARE of the run.
 SETUP_ONLY_RUNS = 3
+SETUP_SHARE = 0.1
 
 
 def import_program() -> None:
@@ -74,7 +83,7 @@ def measure(shape, seed: int, seconds: float, clock, workloads) -> tuple[list, l
     """
     start = time.perf_counter()
     setups = []
-    for _ in range(SETUP_ONLY_RUNS):
+    while len(setups) < SETUP_ONLY_RUNS or time.perf_counter() - start < SETUP_SHARE * seconds:
         gc.collect()
         setups.append(workloads.setup_only(shape, seed, clock))
     runs = []
@@ -88,9 +97,22 @@ def measure(shape, seed: int, seconds: float, clock, workloads) -> tuple[list, l
             return setups, runs, peak_rss_mb
 
 
+def fastest_loop_s(runs: list[dict]) -> float:
+    """The fastest time of each tick over *runs*, summed over the ticks.
+
+    Every session of a run does the same work tick for tick, so each
+    tick's fastest time is the host's least-disturbed measure of it.  A
+    session with another tick count failed the correctness gate and is
+    left out.
+    """
+    first = runs[0]["segments"]
+    segments = [r["segments"] for r in runs if len(r["segments"]) == len(first)]
+    return sum(min(times) for times in zip(*segments))
+
+
 def traced_session(shape, seed: int, clock, workloads, layers, tracer_mod):
     """One session with every traced module wrapped; originals restored."""
-    tracer = tracer_mod.Tracer()
+    tracer = tracer_mod.Tracer(costs=tracer_mod.calibrate())
     tracer.instrument(
         layers.LAYERS.values(),
         counted=layers.COUNTED,
@@ -126,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
               "trace": args.trace, "shape": vars(shape), "host": host_facts()}
     tracer_mod.self_test()
 
-    clock = workloads.SetupClock()
+    clock = workloads.SessionClock()
     clock.install()
     try:
         if args.trace:
@@ -135,16 +157,23 @@ def main(argv: list[str] | None = None) -> int:
             tracer, traced = traced_session(shape, args.seed, clock, workloads, layers, tracer_mod)
         else:
             setups, runs, peak_rss_mb = measure(shape, args.seed, args.seconds, clock, workloads)
+        # One check per session report (its invariants, and its digest
+        # against the first session's), plus the scalar-vs-vector pair.
         failures = []
+        failed = 0
         reports = [r["report"] for r in runs]
         if args.trace:
             reports.append(traced["report"])
-        for i, report in enumerate(reports):
-            failures += [f"session {i}: {m}" for m in workloads.invariant_failures(report)]
         digests = [workloads.digest(r) for r in reports]
-        if len(set(digests)) != 1:
-            failures.append(f"repeated sessions disagree: {sorted(set(digests))}")
-        failures += [f"parity: {m}" for m in workloads.parity_failures(shape, args.seed)]
+        for i, (report, digest) in enumerate(zip(reports, digests)):
+            bad = workloads.invariant_failures(report)
+            if digest != digests[0]:
+                bad.append(f"report {digest} differs from session 0's {digests[0]}")
+            failures += [f"session {i}: {m}" for m in bad]
+            failed += bool(bad)
+        parity = workloads.parity_failures(shape, args.seed)
+        failures += [f"parity: {m}" for m in parity]
+        failed += bool(parity)
     finally:
         clock.uninstall()
 
@@ -156,32 +185,33 @@ def main(argv: list[str] | None = None) -> int:
         shares=workloads.shares(report),
         failures=failures,
         setup_only=[{"wall_s": w, "cpu_s": c} for w, c in setups],
-        sessions=[{k: v for k, v in r.items() if k != "report"} for r in runs],
+        sessions=[{k: v for k, v in r.items() if k not in ("report", "segments")} for r in runs],
     )
     if args.trace:
         agg = tracer.by_name()
+        untraced_wall_s = statistics.median(r["wall_s"] for r in runs)
         metrics = layers.per_layer(
-            agg,
-            traced["report"],
-            tracer.returns[layers.TICK],
-            traced["wall_s"],
-            statistics.median(r["wall_s"] for r in runs),
+            agg, traced["report"], tracer.returns[layers.TICK], traced["wall_s"], untraced_wall_s
         )
         units = {name: spec[0] for name, spec in layers.LAYER_MAP.items()}
         trace_path = ROOT / ".perfbench_out" / f"{shape.name}-seed{args.seed}.trace.json"
         tracer.write_chrome(trace_path, {"workload": shape.name, "seed": args.seed})
         record.update(
-            traced_session={k: v for k, v in traced.items() if k != "report"},
-            self_s_by_layer=layers.self_times_by_layer(agg),
+            traced_session={k: v for k, v in traced.items() if k not in ("report", "segments")},
+            untraced_wall_s=untraced_wall_s,
+            wrapper_costs_s=tracer.costs._asdict(),
+            self_s_by_layer=layers.by_layer(agg, field=2),
+            overhead_s_by_layer=layers.by_layer(agg, field=3),
             trace_file=str(trace_path.relative_to(ROOT)),
         )
     else:
         setup_s = [w for w, _ in setups] + [r["setup_s"] for r in runs]
-        ticks = workloads.client_ticks(report)
+        loop_s = fastest_loop_s(runs)
+        record.update(fastest_loop_s=loop_s)
         metrics = {
             "setup_s": statistics.median(setup_s),
-            "client_ticks_per_s": statistics.median(ticks / r["loop_s"] for r in runs),
-            "requests_per_s": statistics.median(answered / r["loop_s"] for r in runs),
+            "client_ticks_per_s": workloads.client_ticks(report) / loop_s,
+            "requests_per_s": answered / loop_s,
             "peak_rss_mb": peak_rss_mb,
             "answered_frac": answered / attempted if correct else 0.0,
         }
@@ -191,9 +221,8 @@ def main(argv: list[str] | None = None) -> int:
     print(json.dumps({"record": record}, sort_keys=True, default=repr))
     print(json.dumps({
         "correct": correct,
-        # One check per session report, plus the scalar-vs-vector pair.
         "attempted": len(reports) + 1,
-        "failed": len({f.split(":")[0] for f in failures}),
+        "failed": failed,
         "metrics": {name: {"value": value, "unit": units[name]} for name, value in metrics.items()},
     }))
     return 0 if correct else 1

@@ -9,6 +9,7 @@ streams of the same seed.  The program receives only these inputs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -22,6 +23,11 @@ from repro.wsdb.cluster import querystorm, router
 #: TV-occupied UHF indices of every workload's metro (the dial
 #: ``benchmarks/bench_scale.py`` uses).
 OCCUPIED = range(12, 30)
+#: One transmitter site per occupied channel: a seed moves the sites and
+#: draws their powers but does not change their number.  With the
+#: default one-or-two per channel, the count (18 to 36) moved a run's
+#: index work by up to a quarter from seed to seed.
+SITES_PER_CHANNEL = (1, 1)
 #: 121 evaluated ticks at the default 1 s tick: TTL edges (60 s) at
 #: ticks 0, 60 and 120 make three re-check waves.
 DURATION_US = 120e6
@@ -67,7 +73,7 @@ WORKLOADS = {
         Shape(
             "roam-dense",
             "fleet and cache-hit path do nearly all the work; frontend, router, push and index do none",
-            clients=48_000, extent_m=3_000.0, aps=12, mics=3,
+            clients=32_000, extent_m=3_000.0, aps=12, mics=3,
         ),
         Shape(
             "roam-sparse",
@@ -77,8 +83,8 @@ WORKLOADS = {
         Shape(
             "storm",
             "cluster read path (storm generation, admission, coalescing, per-shard batching) dominates over a small fleet",
-            clients=5_000, extent_m=3_000.0, aps=12, mics=3,
-            shards=16, qps=5_000.0, rate_limit_qps=6_000.0, policy="reject",
+            clients=3_000, extent_m=3_000.0, aps=12, mics=3,
+            shards=16, qps=3_000.0, rate_limit_qps=3_600.0, policy="reject",
         ),
         Shape(
             "churn-observed",
@@ -95,38 +101,54 @@ class SetupDone(Exception):
     """Raised from the fleet-construction hook to stop a setup-only run."""
 
 
-class SetupClock:
-    """Stamps the end of fleet construction, the last step before tick 0.
+class SessionClock:
+    """Stamps the end of fleet construction and the end of every tick.
 
-    Installed on ``VectorFleet.__init__`` (the class attribute, where
-    the drivers look it up).  With ``abort`` set the hook raises
-    :class:`SetupDone`, so a setup-only run pays exactly the driver's
-    own set-up path and nothing after it.
+    Installed on ``VectorFleet.__init__`` and
+    ``VectorFleet.associate_and_score`` (the class attributes, where the
+    drivers look them up; the latter runs once per tick).  ``stamp`` is
+    the (wall, cpu) time set-up ended, the last step before tick 0, and
+    ``ticks`` the wall time each tick ended.  With ``abort`` set the
+    set-up hook raises :class:`SetupDone`, so a setup-only run pays
+    exactly the driver's own set-up path and nothing after it.
     """
 
     def __init__(self) -> None:
         self.stamp: tuple[float, float] | None = None
+        self.ticks: list[float] = []
         self.abort = False
-        self._original = vector.VectorFleet.__init__
+        self._init = vector.VectorFleet.__init__
+        self._tick = vector.VectorFleet.associate_and_score
 
     def install(self) -> None:
-        original = self._original
+        init, tick, ticks = self._init, self._tick, self.ticks
 
-        def init(fleet, *args, **kwargs):
-            original(fleet, *args, **kwargs)
+        @functools.wraps(init)
+        def timed_init(fleet, *args, **kwargs):
+            init(fleet, *args, **kwargs)
             self.stamp = (time.perf_counter(), time.process_time())
             if self.abort:
                 raise SetupDone
 
-        vector.VectorFleet.__init__ = init
+        @functools.wraps(tick)
+        def timed_tick(fleet, *args, **kwargs):
+            out = tick(fleet, *args, **kwargs)
+            ticks.append(time.perf_counter())
+            return out
+
+        vector.VectorFleet.__init__ = timed_init
+        vector.VectorFleet.associate_and_score = timed_tick
 
     def uninstall(self) -> None:
-        vector.VectorFleet.__init__ = self._original
+        vector.VectorFleet.__init__ = self._init
+        vector.VectorFleet.associate_and_score = self._tick
 
 
 def simulate(shape: Shape, seed: int, engine: str = "vector") -> dict[str, Any]:
     """Build the world from ``(seed, shape)`` and run one session."""
-    metro = model.generate_metro(OCCUPIED, seed=seed, extent_m=shape.extent_m)
+    metro = model.generate_metro(
+        OCCUPIED, seed=seed, extent_m=shape.extent_m, sites_per_channel=SITES_PER_CHANNEL
+    )
     observers = {}
     if shape.observed:
         observers = {
@@ -154,18 +176,22 @@ def simulate(shape: Shape, seed: int, engine: str = "vector") -> dict[str, Any]:
     )
 
 
-def timed_run(shape: Shape, seed: int, clock: SetupClock) -> dict[str, Any]:
+def timed_run(shape: Shape, seed: int, clock: SessionClock) -> dict[str, Any]:
     """One vector session, timed; returns its report and its times.
 
     ``setup`` runs from workload start to the end of fleet
     construction; ``loop`` from there to the driver's return (ticks
     plus report building).  Each carries wall and CPU seconds.
+    ``segments`` splits the loop's wall time at every tick's end: one
+    per tick, then report building.
     """
     clock.stamp = None
+    clock.ticks.clear()
     w0, c0 = time.perf_counter(), time.process_time()
     report = simulate(shape, seed)
     w2, c2 = time.perf_counter(), time.process_time()
     w1, c1 = clock.stamp
+    edges = [w1, *clock.ticks, w2]
     return {
         "report": report,
         "setup_s": w1 - w0,
@@ -173,10 +199,11 @@ def timed_run(shape: Shape, seed: int, clock: SetupClock) -> dict[str, Any]:
         "loop_s": w2 - w1,
         "loop_cpu_s": c2 - c1,
         "wall_s": w2 - w0,
+        "segments": [b - a for a, b in zip(edges, edges[1:])],
     }
 
 
-def setup_only(shape: Shape, seed: int, clock: SetupClock) -> tuple[float, float]:
+def setup_only(shape: Shape, seed: int, clock: SessionClock) -> tuple[float, float]:
     """The driver's set-up path alone: (wall, cpu) seconds."""
     clock.abort = True
     w0, c0 = time.perf_counter(), time.process_time()
