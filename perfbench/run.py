@@ -8,11 +8,11 @@ no thread or process fan-out.
 
 ``--trace 0`` measures the end-to-end metrics with tracing off: a few
 set-up-only sessions, then whole sessions (same seed, so identical
-reports, tick for tick) until ``--seconds`` is spent.  Set-up time is
-the median over every set-up.  The loop time behind both throughputs is
-the fastest each tick ran in any session, summed over the ticks: the
-same work timed several times, with a busy host's slow stretches left
-out at the grain of one tick.
+reports, tick for tick) until ``--seconds`` is spent.  Set-up time and
+the loop time behind both throughputs are each the fastest any
+repetition ran each millisecond-long stretch of the work, summed over
+the stretches (:func:`fastest_s`): the same work timed several times,
+with a busy host's slow moments left out.
 ``--trace 1`` runs untraced sessions for about half the time, then one
 session with every public callable of the traced modules wrapped
 (see ``tracer.py`` / ``layers.py``), and prints the per-layer split;
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import os
 import platform
@@ -43,11 +44,18 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+#: Session keys kept out of the record: the report, and the pieces
+#: :func:`fastest_s` reads.
+TIMES_ONLY = ("report", "setup_pieces", "loop_pieces")
 #: Set-up-only sessions: at least this many, and more while they take
 #: under SETUP_SHARE of the run.
 SETUP_ONLY_RUNS = 3
 SETUP_SHARE = 0.1
+#: The grain at which :func:`fastest_s` takes minima over repetitions.
+STRETCH_S = 1e-3
 
 
 def import_program() -> None:
@@ -80,34 +88,55 @@ def measure(shape, seed: int, seconds: float, clock, workloads) -> tuple[list, l
     Also returns the peak RSS (MB) once the first whole session is done:
     later sessions only re-allocate the same world, and reading the
     high-water mark there keeps it independent of how many fit.
+
+    Successive sessions are pinned to the process's CPUs in turn: on a
+    shared host one CPU is often slowed by a neighbour while another is
+    not, and :func:`fastest_s` then finds each stretch's undisturbed
+    time on whichever CPU had it.
     """
+    allowed = os.sched_getaffinity(0)
+    cpus = itertools.cycle(sorted(allowed))
+
+    def session(run):
+        cpu = next(cpus)
+        os.sched_setaffinity(0, {cpu})
+        gc.collect()
+        return {**run(shape, seed, clock), "cpu": cpu}
+
     start = time.perf_counter()
-    setups = []
-    while len(setups) < SETUP_ONLY_RUNS or time.perf_counter() - start < SETUP_SHARE * seconds:
-        gc.collect()
-        setups.append(workloads.setup_only(shape, seed, clock))
-    runs = []
-    while True:
-        gc.collect()
-        runs.append(workloads.timed_run(shape, seed, clock))
-        if len(runs) == 1:
-            peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        elapsed = time.perf_counter() - start
-        if elapsed + statistics.median(r["wall_s"] for r in runs) > seconds:
-            return setups, runs, peak_rss_mb
+    setups, runs = [], []
+    try:
+        while len(setups) < SETUP_ONLY_RUNS or time.perf_counter() - start < SETUP_SHARE * seconds:
+            setups.append(session(workloads.setup_only))
+        while True:
+            runs.append(session(workloads.timed_run))
+            if len(runs) == 1:
+                peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            elapsed = time.perf_counter() - start
+            if elapsed + statistics.median(r["wall_s"] for r in runs) > seconds:
+                return setups, runs, peak_rss_mb
+    finally:
+        os.sched_setaffinity(0, allowed)
 
 
-def fastest_loop_s(runs: list[dict]) -> float:
-    """The fastest time of each tick over *runs*, summed over the ticks.
+def fastest_s(pieces: list[np.ndarray]) -> float:
+    """The fastest time of each stretch of work over *pieces*, summed.
 
-    Every session of a run does the same work tick for tick, so each
-    tick's fastest time is the host's least-disturbed measure of it.  A
-    session with another tick count failed the correctness gate and is
-    left out.
+    Each array is one repetition of the same work (a set-up or a loop)
+    cut at the same checkpoints, so piece *i* is the same work in every
+    array.  Pieces are grouped, by the first repetition's times, into
+    stretches of about :data:`STRETCH_S`: a grain set in time, so it
+    does not follow how often the program happens to pass a checkpoint.
+    Each stretch's fastest time is the host's least-disturbed measure of
+    it.  A repetition with another piece count failed the correctness
+    gate and is left out.
     """
-    first = runs[0]["segments"]
-    segments = [r["segments"] for r in runs if len(r["segments"]) == len(first)]
-    return sum(min(times) for times in zip(*segments))
+    first = pieces[0]
+    same = np.array([p for p in pieces if len(p) == len(first)])
+    begins = first.cumsum() - first
+    stretch = np.floor(begins / STRETCH_S)
+    starts = np.flatnonzero(np.diff(stretch, prepend=-1.0))
+    return float(np.add.reduceat(same, starts, axis=1).min(axis=0).sum())
 
 
 def traced_session(shape, seed: int, clock, workloads, layers, tracer_mod):
@@ -184,8 +213,8 @@ def main(argv: list[str] | None = None) -> int:
         sha256=digests[0],
         shares=workloads.shares(report),
         failures=failures,
-        setup_only=[{"wall_s": w, "cpu_s": c} for w, c in setups],
-        sessions=[{k: v for k, v in r.items() if k not in ("report", "segments")} for r in runs],
+        setup_only=[{k: s[k] for k in ("wall_s", "cpu_s", "cpu")} for s in setups],
+        sessions=[{k: v for k, v in r.items() if k not in TIMES_ONLY} for r in runs],
     )
     if args.trace:
         agg = tracer.by_name()
@@ -197,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
         trace_path = ROOT / ".perfbench_out" / f"{shape.name}-seed{args.seed}.trace.json"
         tracer.write_chrome(trace_path, {"workload": shape.name, "seed": args.seed})
         record.update(
-            traced_session={k: v for k, v in traced.items() if k not in ("report", "segments")},
+            traced_session={k: v for k, v in traced.items() if k not in TIMES_ONLY},
             untraced_wall_s=untraced_wall_s,
             wrapper_costs_s=tracer.costs._asdict(),
             self_s_by_layer=layers.by_layer(agg, field=2),
@@ -205,11 +234,11 @@ def main(argv: list[str] | None = None) -> int:
             trace_file=str(trace_path.relative_to(ROOT)),
         )
     else:
-        setup_s = [w for w, _ in setups] + [r["setup_s"] for r in runs]
-        loop_s = fastest_loop_s(runs)
-        record.update(fastest_loop_s=loop_s)
+        setup_s = fastest_s([s["setup_pieces"] for s in setups + runs])
+        loop_s = fastest_s([r["loop_pieces"] for r in runs])
+        record.update(fastest_setup_s=setup_s, fastest_loop_s=loop_s)
         metrics = {
-            "setup_s": statistics.median(setup_s),
+            "setup_s": setup_s,
             "client_ticks_per_s": workloads.client_ticks(report) / loop_s,
             "requests_per_s": answered / loop_s,
             "peak_rss_mb": peak_rss_mb,

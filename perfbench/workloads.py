@@ -8,6 +8,7 @@ streams of the same seed.  The program receives only these inputs.
 
 from __future__ import annotations
 
+import array
 import dataclasses
 import functools
 import hashlib
@@ -15,10 +16,12 @@ import json
 import time
 from typing import Any
 
+import numpy as np
+
 from repro.telemetry import metrics as tmetrics
 from repro.telemetry import spans as tspans
 from repro.wsdb import mobility, model, service, vector
-from repro.wsdb.cluster import querystorm, router
+from repro.wsdb.cluster import frontend, querystorm, router
 
 #: TV-occupied UHF indices of every workload's metro (the dial
 #: ``benchmarks/bench_scale.py`` uses).
@@ -101,47 +104,89 @@ class SetupDone(Exception):
     """Raised from the fleet-construction hook to stop a setup-only run."""
 
 
-class SessionClock:
-    """Stamps the end of fleet construction and the end of every tick.
+#: The callables whose every return the session clock stamps, as
+#: ``(owner, attribute)`` where the program looks them up: the tick's
+#: phases, a cache miss's cell computation, a frontend batch, and the
+#: per-client stream seed of fleet spawning.  Together they cut a
+#: session into pieces of tens of microseconds to a few milliseconds.
+CHECKPOINTS = (
+    *((vector.VectorFleet, name) for name in (
+        "advance", "recheck_due", "commit_recheck", "set_snapshot", "associate_and_score")),
+    (service.WhiteSpaceDatabase, "_compute_cell"),
+    (frontend.BatchFrontend, "query_batch"),
+    (mobility, "stream_seed"),
+)
 
-    Installed on ``VectorFleet.__init__`` and
-    ``VectorFleet.associate_and_score`` (the class attributes, where the
-    drivers look them up; the latter runs once per tick).  ``stamp`` is
-    the (wall, cpu) time set-up ended, the last step before tick 0, and
-    ``ticks`` the wall time each tick ended.  With ``abort`` set the
-    set-up hook raises :class:`SetupDone`, so a setup-only run pays
-    exactly the driver's own set-up path and nothing after it.
+
+class SessionClock:
+    """Stamps the wall time at fleet construction and at every checkpoint.
+
+    Installed on ``VectorFleet.__init__`` and every :data:`CHECKPOINTS`
+    attribute.  ``stamps`` holds the wall time of each return in call
+    order; ``setup_end`` is the index just past the stamp of
+    ``VectorFleet.__init__``, the last step before tick 0, and
+    ``setup_cpu`` the CPU time there.  With ``abort`` set the set-up
+    hook raises :class:`SetupDone`, so a setup-only run pays exactly the
+    driver's own set-up path and nothing after it.
     """
 
     def __init__(self) -> None:
-        self.stamp: tuple[float, float] | None = None
-        self.ticks: list[float] = []
+        self.stamps = array.array("d")
+        self.setup_end: int | None = None
+        self.setup_cpu = 0.0
         self.abort = False
-        self._init = vector.VectorFleet.__init__
-        self._tick = vector.VectorFleet.associate_and_score
+        # A checkpoint the program no longer has is skipped: the pieces
+        # get longer, and fastest_s's stretches keep their grain.
+        self._checkpoints = [(o, a) for o, a in CHECKPOINTS if hasattr(o, a)]
+        targets = [(vector.VectorFleet, "__init__"), *self._checkpoints]
+        self._originals = [(owner, attr, getattr(owner, attr)) for owner, attr in targets]
+
+    def start(self) -> None:
+        """Forget the last session's stamps."""
+        del self.stamps[:]
+        self.setup_end = None
 
     def install(self) -> None:
-        init, tick, ticks = self._init, self._tick, self.ticks
+        stamps, now = self.stamps, time.perf_counter
+        init = vector.VectorFleet.__init__
 
         @functools.wraps(init)
         def timed_init(fleet, *args, **kwargs):
             init(fleet, *args, **kwargs)
-            self.stamp = (time.perf_counter(), time.process_time())
+            stamps.append(now())
+            self.setup_end = len(stamps)
+            self.setup_cpu = time.process_time()
             if self.abort:
                 raise SetupDone
 
-        @functools.wraps(tick)
-        def timed_tick(fleet, *args, **kwargs):
-            out = tick(fleet, *args, **kwargs)
-            ticks.append(time.perf_counter())
-            return out
+        def stamped(f):
+            @functools.wraps(f)
+            def wrapper(*args, **kwargs):
+                out = f(*args, **kwargs)
+                stamps.append(now())
+                return out
+
+            return wrapper
 
         vector.VectorFleet.__init__ = timed_init
-        vector.VectorFleet.associate_and_score = timed_tick
+        for owner, attr in self._checkpoints:
+            setattr(owner, attr, stamped(getattr(owner, attr)))
 
     def uninstall(self) -> None:
-        vector.VectorFleet.__init__ = self._init
-        vector.VectorFleet.associate_and_score = self._tick
+        for owner, attr, original in self._originals:
+            setattr(owner, attr, original)
+
+    def pieces(self, start: float, end: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(set-up pieces, loop pieces): the seconds between successive stamps.
+
+        Set-up runs from *start* to the end of fleet construction; the
+        loop from there to *end* (no pieces when *end* is None).
+        """
+        stamps = np.array(self.stamps, dtype=float)
+        setup = np.diff(np.concatenate(([start], stamps[: self.setup_end])))
+        if end is None:
+            return setup, np.empty(0)
+        return setup, np.diff(np.concatenate((stamps[self.setup_end - 1:], [end])))
 
 
 def simulate(shape: Shape, seed: int, engine: str = "vector") -> dict[str, Any]:
@@ -182,16 +227,15 @@ def timed_run(shape: Shape, seed: int, clock: SessionClock) -> dict[str, Any]:
     ``setup`` runs from workload start to the end of fleet
     construction; ``loop`` from there to the driver's return (ticks
     plus report building).  Each carries wall and CPU seconds.
-    ``segments`` splits the loop's wall time at every tick's end: one
-    per tick, then report building.
+    ``setup_pieces`` and ``loop_pieces`` split the two wall times at
+    every checkpoint (see :meth:`SessionClock.pieces`).
     """
-    clock.stamp = None
-    clock.ticks.clear()
+    clock.start()
     w0, c0 = time.perf_counter(), time.process_time()
     report = simulate(shape, seed)
     w2, c2 = time.perf_counter(), time.process_time()
-    w1, c1 = clock.stamp
-    edges = [w1, *clock.ticks, w2]
+    w1, c1 = clock.stamps[clock.setup_end - 1], clock.setup_cpu
+    setup_pieces, loop_pieces = clock.pieces(w0, w2)
     return {
         "report": report,
         "setup_s": w1 - w0,
@@ -199,12 +243,14 @@ def timed_run(shape: Shape, seed: int, clock: SessionClock) -> dict[str, Any]:
         "loop_s": w2 - w1,
         "loop_cpu_s": c2 - c1,
         "wall_s": w2 - w0,
-        "segments": [b - a for a, b in zip(edges, edges[1:])],
+        "setup_pieces": setup_pieces,
+        "loop_pieces": loop_pieces,
     }
 
 
-def setup_only(shape: Shape, seed: int, clock: SessionClock) -> tuple[float, float]:
-    """The driver's set-up path alone: (wall, cpu) seconds."""
+def setup_only(shape: Shape, seed: int, clock: SessionClock) -> dict[str, Any]:
+    """The driver's set-up path alone: its wall and CPU seconds and pieces."""
+    clock.start()
     clock.abort = True
     w0, c0 = time.perf_counter(), time.process_time()
     try:
@@ -213,8 +259,11 @@ def setup_only(shape: Shape, seed: int, clock: SessionClock) -> tuple[float, flo
         pass
     finally:
         clock.abort = False
-    w1, c1 = clock.stamp
-    return w1 - w0, c1 - c0
+    return {
+        "wall_s": clock.stamps[clock.setup_end - 1] - w0,
+        "cpu_s": clock.setup_cpu - c0,
+        "setup_pieces": clock.pieces(w0)[0],
+    }
 
 
 # -- what a report says --------------------------------------------------------
