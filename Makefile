@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: check test fast bench bench-smoke bench-trend trace-diff profile lint detlint detlint-report
+.PHONY: check test fast bench bench-smoke perfbench-smoke bench-trend trace-diff profile lint detlint detlint-report
 
 ## The tier-1 gate: full unit suite + lint + determinism linter.
 check: test lint detlint
@@ -45,6 +45,20 @@ bench-smoke:
 	    benchmarks/results/telemetry-smoke.metrics.json
 	python scripts/span_report.py \
 	    benchmarks/results/telemetry-smoke.spans.jsonl
+
+## Smoke-run the repository benchmark (perfbench/, BENCHMARK.json): the
+## tracer's self-test, then a 1-second untraced run of every workload.
+## run.py exits non-zero when a report breaks an invariant, sessions
+## disagree on the report digest, or the scalar and vector engines
+## diverge, so a src/ change that breaks the benchmark fails here.
+PERFBENCH_WORKLOADS := roam-dense roam-sparse storm churn-observed
+perfbench-smoke:
+	python3 perfbench/tracer.py
+	@for w in $(PERFBENCH_WORKLOADS); do \
+		echo "perfbench $$w"; \
+		python3 perfbench/run.py --workload $$w --seed 2009 \
+		    --seconds 1 --trace 0 || exit 1; \
+	done
 
 ## Profile a 10k-client vector roaming run: per-phase wall-clock
 ## breakdown (JSON + Chrome trace-event timeline), the sim-clock

@@ -360,10 +360,10 @@ class BatchFrontend:
         for shard_id in sorted(by_shard):
             self.stats.shard_batches += 1
             shard = self.router.shards[shard_id]
-            for cell in by_shard[shard_id]:
-                responses[cell] = shard.channels_in_cell(*cell, t_us)
-                if span_on:
-                    hit, scanned = shard.last_outcomes[0]
+            cells = by_shard[shard_id]
+            responses.update(zip(cells, shard.channels_in_cells(cells, t_us)))
+            if span_on:
+                for cell, (hit, scanned) in zip(cells, shard.last_outcomes):
                     lookups[cell] = (shard_id, hit, scanned)
         for cell, channels in responses.items():
             self._stale[cell] = (self._bucket_now, channels)

@@ -12,14 +12,16 @@ benchmarks can report cache behavior alongside throughput.
 responses: the FCC requires a device to re-query after moving ~100 m,
 so a response is computed for — and valid anywhere inside — a whole
 quantization square of ``cache_resolution_m`` on a side.
-:meth:`channels_in_cell` is that protocol's primitive: it computes the
-channels free throughout one square (a channel is denied when any
-active incumbent's protected contour intersects the square — the
-conservative area semantics a protection regime requires) and caches
-the response under the (cell, TTL bucket) key.  :meth:`channels_at` and
-:meth:`channels_at_many` are point-shaped conveniences that quantize
-the coordinate and ride the cell path, which is why dense or mobile
-deployments hit the cache instead of recomputing per coordinate.
+:meth:`channels_in_cells` (one response per cell of a batch;
+:meth:`channels_in_cell` is its one-cell form) is that protocol's
+primitive: it computes the channels free throughout each square (a
+channel is denied when any active incumbent's protected contour
+intersects the square — the conservative area semantics a protection
+regime requires) and caches the response under the (cell, TTL bucket)
+key.  :meth:`channels_at` and :meth:`channels_at_many` are
+point-shaped conveniences that quantize the coordinate and ride the
+cell path, which is why dense or mobile deployments hit the cache
+instead of recomputing per coordinate.
 
 Because the computation itself is per-cell (not per first-querying
 coordinate), a response is a pure function of (metro state, cell,
@@ -198,15 +200,6 @@ class WsdbStats:
         }
 
 
-@dataclass(frozen=True)
-class _CacheKey:
-    """One response-cache slot: a quantization cell + TTL bucket."""
-
-    qx: int
-    qy: int
-    bucket: int
-
-
 class WhiteSpaceDatabase:
     """A queryable, cacheable geolocation white-space database.
 
@@ -249,7 +242,13 @@ class WhiteSpaceDatabase:
         self.ttl_us = ttl_us
         self.cache_resolution_m = cache_resolution_m
         self.cache_capacity = cache_capacity
-        self._cache: OrderedDict[_CacheKey, tuple[int, ...]] = OrderedDict()
+        # The response LRU, least recently used first.  A key is the
+        # plain tuple (qx, qy, bucket): quantization cell + TTL bucket.
+        # A tuple hashes and compares in C, which is most of what a
+        # cache hit costs on the re-check path.
+        self._cache: OrderedDict[tuple[int, int, int], tuple[int, ...]] = (
+            OrderedDict()
+        )
         self._latest_bucket = 0
         self.stats = WsdbStats()
         # The last query call's per-cell outcomes, one (cache_hit,
@@ -269,16 +268,9 @@ class WhiteSpaceDatabase:
         """
         return quantize_cell(x_m, y_m, self.cache_resolution_m)
 
-    def _bucket_of(self, t_us: float) -> int:
-        return ttl_bucket(t_us, self.ttl_us)
-
-    def _lookup(self, key: _CacheKey) -> tuple[int, ...] | None:
-        channels = self._cache.get(key)
-        if channels is not None:
-            self._cache.move_to_end(key)
-        return channels
-
-    def _store(self, key: _CacheKey, channels: tuple[int, ...]) -> None:
+    def _store(
+        self, key: tuple[int, int, int], channels: tuple[int, ...]
+    ) -> None:
         if self.cache_capacity == 0:
             return
         self._cache[key] = channels
@@ -301,7 +293,7 @@ class WhiteSpaceDatabase:
         if bucket <= self._latest_bucket:
             return
         self._latest_bucket = bucket
-        stale = [key for key in self._cache if key.bucket < bucket]
+        stale = [key for key in self._cache if key[2] < bucket]
         for key in stale:
             del self._cache[key]
         self.stats.expirations += len(stale)
@@ -337,28 +329,12 @@ class WhiteSpaceDatabase:
     ) -> tuple[int, ...]:
         """The cell-granular response: channels free throughout a cell.
 
-        This is the protocol primitive every query path rides.  The
-        response is valid anywhere inside quantization cell (qx, qy)
+        The response is valid anywhere inside quantization cell (qx, qy)
         for the remainder of the TTL bucket containing *t_us*; it is
-        cached under that (cell, bucket) key.
+        cached under that (cell, bucket) key.  A one-cell
+        :meth:`channels_in_cells` batch.
         """
-        self.stats.queries += 1
-        bucket = self._bucket_of(t_us)
-        self._purge_expired(bucket)
-        key = _CacheKey(qx=qx, qy=qy, bucket=bucket)
-        cached = self._lookup(key)
-        if cached is not None:
-            self.stats.cache_hits += 1
-            self.last_outcomes = ((True, 0),)
-            return cached
-        self.stats.cache_misses += 1
-        scanned_before = self.stats.candidates_scanned
-        channels = self._compute_cell(qx, qy, t_us)
-        self._store(key, channels)
-        self.last_outcomes = (
-            (False, self.stats.candidates_scanned - scanned_before),
-        )
-        return channels
+        return self.channels_in_cells(((qx, qy),), t_us)[0]
 
     def channels_in_cells(
         self,
@@ -367,26 +343,27 @@ class WhiteSpaceDatabase:
     ) -> list[tuple[int, ...]]:
         """Batch cell-granular responses: one per cell, in cell order.
 
-        Semantically exactly a :meth:`channels_in_cell` loop — same
-        answers, same cache mutations, same counter totals for the same
-        cell sequence (duplicates included; each counts as one query) —
-        but with the per-call overhead paid once: the TTL purge runs
-        once (every cell in a batch shares *t_us*'s bucket), the stats
-        counters are accumulated locally and flushed in one pass, and
-        the attribute lookups are hoisted out of the loop.  This is the
-        vectorized roaming engine's entry point: a tick's worth of
-        re-checks arrives as one batch in client order, and N clients
-        re-checking in one cell cost one :meth:`_compute_cell`.
+        The protocol primitive every query path rides.  Each cell is
+        looked up in order, so a batch leaves exactly the answers,
+        cache recency order, and counter totals of a one-cell-at-a-time
+        :meth:`channels_in_cell` loop over the same sequence
+        (duplicates included; each counts as one query) — with the
+        per-call overhead paid once: the TTL purge runs once (every
+        cell in a batch shares *t_us*'s bucket) and the stats counters
+        are flushed in one pass.  The vectorized roaming engine sends a
+        tick's re-checks as one batch in client order and the cluster
+        frontend one batch per shard per burst; N requests in one cell
+        cost one :meth:`_compute_cell`.
         """
         self.stats.queries += len(cells)
-        bucket = self._bucket_of(t_us)
+        bucket = ttl_bucket(t_us, self.ttl_us)
         self._purge_expired(bucket)
         cache = self._cache
         hits = misses = 0
         responses: list[tuple[int, ...]] = []
         outcomes: list[tuple[bool, int]] = []
         for qx, qy in cells:
-            key = _CacheKey(qx=qx, qy=qy, bucket=bucket)
+            key = (qx, qy, bucket)
             channels = cache.get(key)
             if channels is not None:
                 cache.move_to_end(key)
@@ -475,7 +452,7 @@ class WhiteSpaceDatabase:
         return self._zone_touches_cell(registration, qx, qy)
 
     def _zone_touches_key_cell(
-        self, registration: MicRegistration, key: _CacheKey
+        self, registration: MicRegistration, key: tuple[int, int, int]
     ) -> bool:
         """True when *registration* can change the response cached at *key*.
 
@@ -487,7 +464,7 @@ class WhiteSpaceDatabase:
         invalidating it would only force a recompute to the same
         answer (and misreport ``stats.invalidations``).
         """
-        bucket_start = key.bucket * self.ttl_us
+        bucket_start = key[2] * self.ttl_us
         bucket_end = bucket_start + self.ttl_us
         # Both intervals are half-open ([start, end) sessions against
         # [bucket_start, bucket_end) buckets), so both edges test
@@ -498,7 +475,7 @@ class WhiteSpaceDatabase:
             for session in registration.microphone.sessions
         ):
             return False
-        return self._zone_touches_cell(registration, key.qx, key.qy)
+        return self._zone_touches_cell(registration, key[0], key[1])
 
     def register_mic(self, registration: MicRegistration) -> int:
         """Accept a mic registration; invalidate the affected responses.

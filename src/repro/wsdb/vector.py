@@ -27,11 +27,15 @@ the per-tick hot path as array ops:
   ids; eligibility (``ap_spans <= response``) is a (responses x APs)
   bool table rebuilt only when the AP snapshot changes, and a tick's
   per-client eligibility is one fancy-index into it.
-* **Association** — nearest eligible AP by running elementwise minimum
-  over the live-AP columns in ascending ``ap_id`` order with a strict
-  ``<`` update: exactly the scalar ``min`` under the squared-distance
-  + ``ap_id`` key.  Mic-zone vacation is the same eligibility table
-  applied to the previous tick's AP column, as one mask.
+* **Association** — nearest eligible AP by a masked running minimum
+  over the live-AP columns in ascending ``ap_id`` order: per column,
+  in-place ufuncs write the squared distance into preallocated
+  length-m buffers, and ``np.copyto(..., where=better)`` adopts it
+  where it is strictly ``<`` the best so far *and* the column's row of
+  the transposed eligibility table permits the AP — exactly the scalar
+  ``min`` under the squared-distance + ``ap_id`` key, with no
+  (clients x APs) matrix.  Mic-zone vacation reads the same table at
+  the previous tick's AP column, as one mask.
 * **Compliance** — per active incumbent, a squared-form coverage mask
   (:func:`~repro.wsdb.model.point_in_circle`'s algebra, elementwise)
   ANDed with "the client's AP spans this incumbent's channel".
@@ -290,7 +294,9 @@ class VectorFleet:
         with prof.phase("associate"):
             n_live = len(self._live_spans)
             m = self.n
-            elig = self._elig[self.resp_id]  # (m, n_live) bool
+            # Per-client eligibility, transposed and contiguous: row
+            # ``col`` says which clients may associate with that AP.
+            elig_t = np.take(self._elig.T, self.resp_id, axis=1)
             prev = self.prev_ap
 
             # Vacation: the previous AP (still assigned this snapshot)
@@ -301,20 +307,28 @@ class VectorFleet:
             prev_ok = np.zeros(m, dtype=bool)
             pi = np.flatnonzero(has_prev)
             if pi.size:
-                prev_ok[pi] = elig[pi, prev_col[pi]]
+                prev_ok[pi] = elig_t[prev_col[pi], pi]
             self.vacations[has_prev & ~prev_ok] += 1
 
-            # Association: running elementwise min over live-AP columns.
+            # Association: running elementwise min over live-AP columns,
+            # in place into preallocated length-m buffers; a client whose
+            # response denies the column's AP is masked out of the update.
+            x, y = self.x, self.y
             best = np.full(m, np.inf)
             best_col = np.full(m, -1, dtype=np.int64)
+            d2 = np.empty(m)
+            ddy = np.empty(m)
+            better = np.empty(m, dtype=bool)
             for col in range(n_live):
-                ddx = self._ap_x[col] - self.x
-                ddy = self._ap_y[col] - self.y
-                d2 = ddx * ddx + ddy * ddy
-                d2[~elig[:, col]] = np.inf
-                better = d2 < best
-                best[better] = d2[better]
-                best_col[better] = col
+                np.subtract(self._ap_x[col], x, out=d2)
+                np.multiply(d2, d2, out=d2)
+                np.subtract(self._ap_y[col], y, out=ddy)
+                np.multiply(ddy, ddy, out=ddy)
+                np.add(d2, ddy, out=d2)
+                np.less(d2, best, out=better)
+                better &= elig_t[col]
+                np.copyto(best, d2, where=better)
+                np.copyto(best_col, col, where=better)
             connected = best_col >= 0
             if n_live:
                 new_ap = np.where(

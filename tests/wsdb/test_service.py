@@ -372,6 +372,7 @@ class TestBatchCellQueries:
         assert got == want
         assert batched.stats.evictions > 0
         assert batched.stats.as_dict() == sequential.stats.as_dict()
+        assert list(batched._cache) == list(sequential._cache)
 
     def test_batch_purges_expired_buckets_once(self):
         db = WhiteSpaceDatabase(one_station_metro())

@@ -5,18 +5,27 @@ included — across seeds, fleet sizes, speeds, and cluster policies."""
 import pytest
 
 from repro.errors import SimulationError
+from repro.spectrum.channels import WhiteFiChannel
+from repro.wsdb.citywide import CityAp, snapshot_assigned_aps
 from repro.wsdb.cluster.querystorm import simulate_querystorm
 from repro.wsdb.cluster.router import ShardRouter
-from repro.wsdb.mobility import ENGINES, simulate_roaming
-from repro.wsdb.model import generate_metro
+from repro.wsdb.mobility import (
+    ENGINES,
+    associate_nearest,
+    simulate_roaming,
+    spawn_clients,
+)
+from repro.wsdb.model import Metro, generate_metro
 from repro.wsdb.service import WhiteSpaceDatabase
 
 np = pytest.importorskip("numpy")
 
 
-def fresh_db(seed: int, **kwargs) -> WhiteSpaceDatabase:
+def fresh_db(
+    seed: int, extent_m: float = 3_000.0, **kwargs
+) -> WhiteSpaceDatabase:
     # A fresh database per run: engines must not share cache state.
-    metro = generate_metro(range(0, 10), seed=seed, extent_m=3_000.0)
+    metro = generate_metro(range(0, 10), seed=seed, extent_m=extent_m)
     return WhiteSpaceDatabase(metro, **kwargs)
 
 
@@ -116,6 +125,21 @@ class TestRoamingEquivalence:
             mic_events=2,
         )
         assert scalar["db"]["evictions"] > 0
+        assert_identical(scalar, vector)
+
+    def test_dense_fleet_shares_cells(self):
+        # 400 clients on a 1 km metro (100 response cells): most of a
+        # tick's re-checks share a cell with another client's, so the
+        # batch lookup and the association loop run on crowded columns.
+        scalar, vector = roaming_pair(
+            5,
+            db_kwargs=dict(extent_m=1_000.0),
+            num_aps=8,
+            num_clients=400,
+            duration_us=90e6,
+            mic_events=3,
+        )
+        assert scalar["db"]["hit_rate"] > 0.9
         assert_identical(scalar, vector)
 
     def test_per_client_and_final_cells_are_tracked(self):
@@ -247,3 +271,79 @@ class TestVectorFleetInternals:
         qx, qy = fleet.cells(100.0)
         for i, c in enumerate(clients):
             assert (qx[i], qy[i]) == quantize_cell(c.x_m, c.y_m, 100.0)
+
+
+def _ap(
+    ap_id: int, x_m: float, y_m: float, center: int | None = 14
+) -> CityAp:
+    channel = None if center is None else WhiteFiChannel(center, 5.0)
+    return CityAp(ap_id, x_m, y_m, channel=channel)
+
+
+#: Free channels that permit every ``_ap`` at the default center.
+_FREE = tuple(range(10, 20))
+
+
+class TestVectorAssociation:
+    """``VectorFleet.associate_and_score`` on hand-built AP snapshots.
+
+    The cases the scalar ``associate_nearest`` tests pin, run through
+    the columnar masked running minimum and checked client by client
+    against the scalar rule.
+    """
+
+    POINTS = [(0.0, 0.0), (60.0, 40.0), (450.0, 10.0)]
+
+    @pytest.mark.parametrize(
+        "aps, response, want",
+        [
+            pytest.param(
+                [_ap(3, 100.0, 0.0), _ap(7, 0.0, 100.0)],
+                _FREE,
+                [3, 3, 3],
+                id="equidistant-aps-resolve-to-lower-id",
+            ),
+            pytest.param(
+                [
+                    _ap(0, 10.0, 0.0, center=None),
+                    _ap(1, 90.0, 0.0, center=None),
+                ],
+                _FREE,
+                [-1, -1, -1],
+                id="no-live-aps",
+            ),
+            pytest.param(
+                [_ap(0, 10.0, 0.0), _ap(1, 500.0, 0.0)],
+                (),
+                [-1, -1, -1],
+                id="response-permits-no-ap",
+            ),
+            pytest.param(
+                [_ap(0, 10.0, 0.0, center=5), _ap(1, 500.0, 0.0)],
+                _FREE,
+                [1, 1, 1],
+                id="denied-nearest-ap-is-skipped",
+            ),
+        ],
+    )
+    def test_matches_scalar_rule(self, aps, response, want):
+        from repro.wsdb.vector import VectorFleet
+
+        fleet = VectorFleet(
+            spawn_clients(len(self.POINTS), 0, "t", 1_000.0), 1_000.0
+        )
+        fleet.x[:] = [x for x, _ in self.POINTS]
+        fleet.y[:] = [y for _, y in self.POINTS]
+        live, _ = snapshot_assigned_aps(aps)
+        fleet.set_snapshot(live, 1 + max(ap.ap_id for ap in aps))
+        fleet.resp_id[:] = fleet.intern(response)
+
+        connected, new_ap, *_ = fleet.associate_and_score(
+            Metro(extent_m=1_000.0, num_channels=30), 0.0
+        )
+
+        assert new_ap.tolist() == want
+        assert connected.tolist() == [ap_id >= 0 for ap_id in want]
+        for (x, y), got in zip(self.POINTS, new_ap.tolist()):
+            ap = associate_nearest(x, y, frozenset(response), live)
+            assert got == (-1 if ap is None else ap.ap_id)
