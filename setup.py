@@ -32,9 +32,8 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=[
-        # The columnar roaming engine (repro.wsdb.vector) needs numpy;
-        # scalar simulation paths import it lazily and run without it,
-        # but the package is not feature-complete unless it is present.
+        # The columnar engine (repro.wsdb.vector), the cluster request
+        # path (repro.wsdb.cluster) and trace replay use numpy arrays.
         "numpy>=1.24",
     ],
 )

@@ -51,7 +51,13 @@ from repro.errors import (
 # with tail attribution) and the `spans` / `span_sample` spec knobs —
 # every spec hash changes, so the version bump retires caches that
 # predate the knobs.
-__version__ = "1.9.0"
+# 1.10.0: the cluster request path runs on arrays and each querystorm
+# tick sends its re-checkers as one frontend burst.  Answers, admission
+# and recorded traces are unchanged, but querystorm counters change
+# (frontend batches/coalesced, shard queries and cache hits, re-check
+# span trees), so the version bump retires ResultCache entries that
+# hold the old counters.
+__version__ = "1.10.0"
 
 __all__ = [
     "constants",

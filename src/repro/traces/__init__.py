@@ -51,8 +51,9 @@ value pairs ``cell_mask``/``cell_x``/``cell_y``, ``xy_mask``/``x``/
 ``header`` and per-column ``{min, max, count}`` ``stats`` as 0-d
 string entries.  JSONL -> columnar -> JSONL round-trips losslessly.
 
-Importing :mod:`repro.traces` (or recording/replaying) does not
-require numpy; the columnar names load lazily on first use.
+Recording does not use numpy; replay builds numpy coordinate blocks
+(the storm seam's shape), and the columnar names load lazily on first
+use.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ _COLUMNAR_NAMES = frozenset(
 
 
 def __getattr__(name: str):
-    # Lazy so that recording/replay (and the scalar drivers that import
-    # them) never pull numpy in; only columnar conversion needs it.
+    # Lazy: the columnar layer is only loaded when a caller converts.
     if name in _COLUMNAR_NAMES:
         from repro.traces import columnar
 

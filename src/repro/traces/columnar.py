@@ -32,8 +32,8 @@ The conversion is lossless: :func:`from_columnar` regenerates a JSONL
 trace byte-identical to the source (both writers emit canonical JSON
 and a zeroed gzip mtime).
 
-This module is the only part of ``repro.traces`` that needs numpy;
-recording and replay stay importable without it.
+Recording never touches this module; it loads only when a caller
+converts or reads an archive.
 """
 
 from __future__ import annotations

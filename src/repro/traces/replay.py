@@ -1,10 +1,11 @@
 """Trace replay: feed a recorded storm's query stream back as workload.
 
 :class:`TraceWorkload` extracts the ``query`` events from a trace and
-iterates them as ``(t_us, x, y)`` triples — the exact shape the storm
-seam (``repro.wsdb.cluster.querystorm.synthetic_storm`` /
-``StormFeed``) produces for synthetic traffic, so a replayed storm runs
-through ``BatchFrontend`` on the same code path as a generated one.
+iterates them as ``(t_us, xy)`` blocks — one (n, 2) float64 coordinate
+array per run of equal stamps, the exact shape the storm seam
+(``repro.wsdb.cluster.querystorm.synthetic_storm`` / ``StormFeed``)
+produces for synthetic traffic, so a replayed storm runs through
+``BatchFrontend`` on the same code path as a generated one.
 
 Determinism chain: ``query`` events record the *exact* request floats
 (JSON round-trips Python floats bit-for-bit) and sort canonically by
@@ -19,6 +20,8 @@ from __future__ import annotations
 import pathlib
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.traces.record import TraceEvent, read_trace
 
@@ -26,13 +29,13 @@ __all__ = ["TraceWorkload"]
 
 
 class TraceWorkload:
-    """The replayable ``(t_us, x, y)`` query stream of a recorded run.
+    """The replayable ``(t_us, xy)`` query blocks of a recorded run.
 
     Build one with :meth:`open` (reads ``.jsonl``/``.jsonl.gz`` traces,
-    or ``.npz`` columnar archives when numpy is available) and pass it
-    to ``simulate_querystorm(..., storm_source=workload)`` — or set the
+    or ``.npz`` columnar archives) and pass it to
+    ``simulate_querystorm(..., storm_source=workload)`` — or set the
     ``storm_trace`` spec knob and let the ``querystorm``/``replay`` run
-    kinds do exactly that.
+    kinds do exactly that.  ``len()`` counts queries, not blocks.
     """
 
     def __init__(
@@ -41,7 +44,8 @@ class TraceWorkload:
         path: str | pathlib.Path | None = None,
     ):
         self.path = None if path is None else pathlib.Path(path)
-        self._queries: list[tuple[float, float, float]] = []
+        stamps: list[float] = []
+        coords: list[tuple[float, float]] = []
         for event in events:
             if event.kind != "query":
                 continue
@@ -50,7 +54,17 @@ class TraceWorkload:
                     f"query event at t_us={event.t_us} has no coordinates; "
                     f"not a replayable trace"
                 )
-            self._queries.append((event.t_us, event.x, event.y))
+            stamps.append(event.t_us)
+            coords.append((event.x, event.y))
+        xy = np.array(coords, dtype=np.float64).reshape(-1, 2)
+        # One block per run of equal stamps, in event order.
+        cuts = [i for i in range(1, len(stamps)) if stamps[i] != stamps[i - 1]]
+        self._blocks: list[tuple[float, np.ndarray]] = [
+            (stamps[lo], xy[lo:hi])
+            for lo, hi in zip([0, *cuts], [*cuts, len(stamps)])
+            if hi > lo
+        ]
+        self._queries = len(stamps)
 
     @classmethod
     def open(cls, path: str | pathlib.Path) -> "TraceWorkload":
@@ -65,18 +79,18 @@ class TraceWorkload:
         return cls(events, path)
 
     def __len__(self) -> int:
-        return len(self._queries)
+        return self._queries
 
-    def __iter__(self) -> Iterator[tuple[float, float, float]]:
-        return iter(self._queries)
+    def __iter__(self) -> Iterator[tuple[float, np.ndarray]]:
+        return iter(self._blocks)
 
     def __repr__(self) -> str:
         origin = "" if self.path is None else f" from {self.path}"
-        return f"<TraceWorkload {len(self._queries)} queries{origin}>"
+        return f"<TraceWorkload {self._queries} queries{origin}>"
 
     def to_meta(self) -> dict[str, Any]:
         """A small JSON-plain description (for recorder meta headers)."""
         return {
             "source": None if self.path is None else str(self.path),
-            "queries": len(self._queries),
+            "queries": self._queries,
         }

@@ -25,8 +25,7 @@ missing layer as a deterministic, seedable simulation component:
 * :mod:`repro.wsdb.vector` — the columnar numpy twin of the mobility
   engine (``engine="vector"`` on the roaming/querystorm kinds):
   whole-fleet array ops per tick, bit-identical reports, scales to
-  millions of clients.  Imported lazily so the scalar paths never
-  require numpy.
+  millions of clients.
 * :mod:`repro.wsdb.cluster` — the service tier: ``ShardRouter`` (K
   cell-aligned shards, each its own database), ``BatchFrontend``
   (per-shard batching, token-bucket admission, pluggable shed

@@ -6,12 +6,14 @@ client in a commuter flow crossing cells in the same tick, a survey
 sweep.  :class:`BatchFrontend` is the service tier's front end for that
 shape of traffic:
 
-* **Coalescing.**  A burst handed to :meth:`query_batch` is grouped by
-  owning shard and deduplicated by quantization cell before any shard
-  is touched: N requests in one cell become one shard lookup whose
-  response every requester shares (the counters record how many
-  requests coalesced away).  Each shard then sees one batched call per
-  burst, not one call per request.
+* **Coalescing.**  A burst handed to :meth:`query_batch` — an (n, 2)
+  coordinate array: a tick's whole storm, or a tick's whole set of
+  re-checking clients — is quantized, deduplicated by cell and grouped
+  by owning shard as array operations before any shard is touched: N
+  admitted requests in one cell become one shard lookup whose response
+  every requester shares (the counters record how many requests
+  coalesced away).  Each shard then sees one batched call per burst,
+  not one call per request.
 * **Token-bucket rate limiting.**  The frontend admits requests against
   a bucket refilled at ``rate_limit_qps`` (burst capacity
   ``burst_size``), clocked by *simulation* time — admission is a pure
@@ -37,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError, SpectrumMapError
 from repro.telemetry.metrics import (
@@ -92,25 +96,34 @@ class TokenBucket:
         self._tokens = self.burst_size
         self._last_t_us = 0.0
 
-    def admit(self, t_us: float) -> bool:
-        """Consume one token at *t_us*; False when the bucket is dry.
+    def admit_many(self, t_us: float, n: int) -> int:
+        """Offer *n* requests at *t_us*; returns how many are admitted.
 
-        Time never runs backwards here: a *t_us* behind the last
-        observed clock refills nothing (out-of-order queries cannot
-        mint tokens).
+        The admitted requests are always the first ``k`` of the *n*:
+        the bucket refills once per timestamp, so *n* sequential
+        one-token admissions at one *t_us* admit exactly the prefix
+        ``k = min(n, floor(tokens))``, and subtracting ``k`` at once
+        leaves the same float as ``k`` subtractions of 1.0 (each is
+        exact on a token count below 2**53).  Time never runs
+        backwards here: a *t_us* behind the last observed clock refills
+        nothing (out-of-order queries cannot mint tokens).  ``n == 0``
+        touches nothing, exactly like zero :meth:`admit` calls.
         """
-        if self.rate_qps is None:
-            return True
+        if self.rate_qps is None or n == 0:
+            return n
         if t_us > self._last_t_us:
             self._tokens = min(
                 self.burst_size,
                 self._tokens + (t_us - self._last_t_us) * self.rate_qps / 1e6,
             )
             self._last_t_us = t_us
-        if self._tokens >= 1.0:
-            self._tokens -= 1.0
-            return True
-        return False
+        k = min(n, int(self._tokens))
+        self._tokens -= k
+        return k
+
+    def admit(self, t_us: float) -> bool:
+        """Consume one token at *t_us*; False when the bucket is dry."""
+        return self.admit_many(t_us, 1) == 1
 
 
 @dataclass
@@ -270,12 +283,6 @@ class BatchFrontend:
         # cell -> (TTL bucket the response was computed in, channels).
         self._stale: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
         self._bucket_now = 0
-        # The last burst's admission plan, one (cell, admitted) entry
-        # per request in request order.  A serve-stale shed returns
-        # channels just like an admitted request, so the return value
-        # alone can't tell callers (e.g. trace recorders) what the
-        # admission outcome was — the plan can.
-        self.last_plan: list[tuple[tuple[int, int], bool]] = []
 
     def stale_response(self, qx: int, qy: int) -> tuple[int, ...] | None:
         """The cell's last response, if it is still inside its TTL bucket.
@@ -293,18 +300,33 @@ class BatchFrontend:
 
     def query_batch(
         self,
-        points: Sequence[tuple[float, float]],
+        points: Any,
         t_us: float = 0.0,
         enqueue_t_us: Sequence[float] | None = None,
         span_refs: Sequence[tuple[str, Any]] | None = None,
     ) -> list[tuple[int, ...] | None]:
         """Answer a burst: admit, coalesce by cell, batch per shard.
 
+        ``points`` is an (n, 2) float array of request coordinates (a
+        sequence of ``(x, y)`` pairs converts through ``np.asarray``).
         Returns one entry per point in point order — a channel tuple,
-        or None for a request shed without a stale fallback.  Admission
-        is evaluated per request in order (the bucket sees the burst
-        the way a wire would deliver it), then admitted requests
-        deduplicate to one shard lookup per distinct cell.
+        or None for a request shed without a stale fallback.
+
+        The burst is processed as arrays, with exactly the outcome of
+        evaluating it one request at a time in order:
+
+        1. cells are ``floor(x / res)`` per axis (the IEEE operations of
+           :func:`~repro.wsdb.service.quantize_cell`);
+        2. the token bucket admits the prefix of the first ``k``
+           requests (:meth:`TokenBucket.admit_many`), so the shed
+           requests are always the suffix;
+        3. the admitted cells deduplicate (``np.unique`` on one int64
+           cell key) and each owning shard gets one batched call, in
+           ascending shard order with its cells in first-occurrence
+           order — the cache recency order and stats sequence of a
+           request-by-request pass;
+        4. shed requests go through the policy in request order (which
+           may read the just-refreshed stale store).
 
         ``enqueue_t_us`` optionally stamps each request's enqueue time
         (storm-event generation, or the first attempt of a deferred
@@ -320,81 +342,103 @@ class BatchFrontend:
         (e.g. ``("storm", sequence)`` / ``("recheck", client_id)``);
         trace ids derive from the label plus the enqueue stamp, so a
         deferred request's retries accumulate into one trace.
+
+        Callers that need each request's admission outcome read it off
+        ``stats.admitted`` across the call: the first ``admitted``
+        delta requests were admitted, the rest shed.
         """
-        if not points:
+        xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        n = len(xy)
+        if n == 0:
             return []
-        self.stats.batches += 1
-        self.stats.requests += len(points)
+        stats = self.stats
+        stats.batches += 1
+        stats.requests += n
         self._bucket_now = ttl_bucket(t_us, self.router.ttl_us)
-        # Pass 1: admission.  Each entry is (cell, admitted).
-        plan: list[tuple[tuple[int, int], bool]] = []
-        for x_m, y_m in points:
-            cell = self.router.cell_of(x_m, y_m)
-            admitted = self.bucket.admit(t_us)
-            if admitted:
-                self.stats.admitted += 1
-            else:
-                self.stats.shed += 1
-            plan.append((cell, admitted))
-        self.last_plan = plan
-        # Pass 2: group the admitted cells by owning shard, deduped.
-        by_shard: dict[int, list[tuple[int, int]]] = {}
-        seen: set[tuple[int, int]] = set()
-        admitted_count = 0
-        for cell, admitted in plan:
-            if not admitted:
-                continue
-            admitted_count += 1
-            if cell in seen:
-                continue
-            seen.add(cell)
-            by_shard.setdefault(self.router.shard_of_cell(*cell), []).append(
-                cell
-            )
-        self.stats.coalesced += admitted_count - len(seen)
-        # Pass 3: one batched call per shard, in shard order (the
-        # deterministic order the parallel/sequential contract needs).
+        res = self.router.cache_resolution_m
+        qx = np.floor(xy[:, 0] / res).astype(np.int64)
+        qy = np.floor(xy[:, 1] / res).astype(np.int64)
+        k = self.bucket.admit_many(t_us, n)
+        stats.admitted += k
+        stats.shed += n - k
+        answers: list[tuple[int, ...] | None] = []
         span_on = self.spans.enabled and span_refs is not None
         lookups: dict[tuple[int, int], tuple[int, bool, int]] = {}
-        responses: dict[tuple[int, int], tuple[int, ...]] = {}
-        for shard_id in sorted(by_shard):
-            self.stats.shard_batches += 1
-            shard = self.router.shards[shard_id]
-            cells = by_shard[shard_id]
-            responses.update(zip(cells, shard.channels_in_cells(cells, t_us)))
-            if span_on:
-                for cell, (hit, scanned) in zip(cells, shard.last_outcomes):
-                    lookups[cell] = (shard_id, hit, scanned)
-        for cell, channels in responses.items():
-            self._stale[cell] = (self._bucket_now, channels)
-        # Pass 4: answer in request order; shed requests go through the
-        # policy (which may read the just-refreshed stale store).
-        answers = [
-            responses[cell] if admitted else self.policy.shed(self, *cell)
-            for cell, admitted in plan
-        ]
-        if span_on:
-            self._record_spans(
-                plan, answers, lookups, t_us, enqueue_t_us, span_refs
+        first = np.zeros(0, dtype=np.int64)
+        if k:
+            ax, ay = qx[:k], qy[:k]
+            y0 = ay.min()
+            key = (ax - ax.min()) * (int(ay.max() - y0) + 1) + (ay - y0)
+            _, first, inverse = np.unique(
+                key, return_index=True, return_inverse=True
+            )
+            ux = ax[first].tolist()
+            uy = ay[first].tolist()
+            owner = self.router.shards_of_cells(ax[first], ay[first])
+            stats.coalesced += k - len(first)
+            # Shards ascending, each shard's cells in first-occurrence
+            # order (the deterministic order the parallel/sequential
+            # contract needs).
+            order = np.lexsort((first, owner))
+            ranked = owner[order]
+            cut = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+            order = order.tolist()
+            responses: list[tuple[int, ...]] = [()] * len(order)
+            stale = self._stale
+            for lo, hi in zip([0, *cut], [*cut, len(order)]):
+                group = order[lo:hi]
+                shard_id = int(ranked[lo])
+                shard = self.router.shards[shard_id]
+                cells = [(ux[u], uy[u]) for u in group]
+                stats.shard_batches += 1
+                for u, cell, channels in zip(
+                    group, cells, shard.channels_in_cells(cells, t_us)
+                ):
+                    responses[u] = channels
+                    stale[cell] = (self._bucket_now, channels)
+                if span_on:
+                    for cell, (hit, scanned) in zip(cells, shard.last_outcomes):
+                        lookups[cell] = (shard_id, hit, scanned)
+            answers = [responses[u] for u in inverse.tolist()]
+        if k < n:
+            shed = self.policy.shed
+            answers.extend(
+                shed(self, cx, cy)
+                for cx, cy in zip(qx[k:].tolist(), qy[k:].tolist())
             )
         tel = self.telemetry
+        if not (span_on or tel.enabled):
+            return answers
+        stamps = (
+            enqueue_t_us.tolist()
+            if isinstance(enqueue_t_us, np.ndarray)
+            else enqueue_t_us
+        )
+        if span_on:
+            self._record_spans(
+                qx.tolist(), qy.tolist(), k, set(first.tolist()), answers,
+                lookups, t_us, stamps, span_refs,
+            )
         if tel.enabled:
             tel.histogram(
                 "frontend_batch_requests", DEFAULT_BATCH_BOUNDS
-            ).observe(float(len(points)))
+            ).observe(float(n))
             latency = tel.histogram(
                 "frontend_latency_us", DEFAULT_LATENCY_BOUNDS_US
             )
             for i, answer in enumerate(answers):
                 if answer is None:
                     continue
-                enqueued = t_us if enqueue_t_us is None else enqueue_t_us[i]
+                enqueued = t_us if stamps is None else stamps[i]
                 latency.observe(t_us - enqueued)
         return answers
 
     def _record_spans(
         self,
-        plan: list[tuple[tuple[int, int], bool]],
+        qx: list[int],
+        qy: list[int],
+        admitted: int,
+        primaries: set[int],
         answers: list[tuple[int, ...] | None],
         lookups: dict[tuple[int, int], tuple[int, bool, int]],
         t_us: float,
@@ -404,19 +448,18 @@ class BatchFrontend:
         """Record one span tree (or a defer) per request of the burst.
 
         Replays the batch's own classification in request order: the
-        first admitted request per cell is the *primary* (it carries
-        the shard lookup's cache-hit/scan spans), later admitted
-        requests for the same cell are ``coalesced``, and shed
-        requests either defer (answer None) or serve from the stale
-        store.
+        first *admitted* requests are admitted, and the first of them
+        per cell (its index is in *primaries*) carries the shard
+        lookup's cache-hit/scan spans; later admitted requests for the
+        same cell are ``coalesced``, and shed requests either defer
+        (answer None) or serve from the stale store.
         """
         sp = self.spans
-        primary: set[tuple[int, int]] = set()
-        for i, ((cell, admitted), answer) in enumerate(zip(plan, answers)):
+        for i, answer in enumerate(answers):
             req, subject = span_refs[i]
             enq = t_us if enqueue_t_us is None else enqueue_t_us[i]
             tid = sp.request_begin(req, subject, enq)
-            if not admitted:
+            if i >= admitted:
                 sp.request_defer(tid, t_us)
                 if answer is None:
                     continue
@@ -425,9 +468,8 @@ class BatchFrontend:
                     [("stale_serve", "frontend", {}, ())],
                 )
                 continue
-            if cell in lookups and cell not in primary:
-                primary.add(cell)
-                shard_id, hit, scanned = lookups[cell]
+            if i in primaries:
+                shard_id, hit, scanned = lookups[(qx[i], qy[i])]
                 steps = [
                     ("admission", "frontend", {}, ()),
                     lookup_steps(hit, scanned, f"shard{shard_id}", shard=True),

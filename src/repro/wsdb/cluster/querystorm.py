@@ -38,6 +38,8 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Iterator
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.sim.rng import stream_seed
 from repro.telemetry.metrics import NULL_TELEMETRY
@@ -64,6 +66,7 @@ from repro.wsdb.mobility import (
     spawn_clients,
 )
 from repro.wsdb.service import quantize_cell, ttl_bucket
+from repro.wsdb.vector import simulate_querystorm_vector
 
 __all__ = ["StormFeed", "simulate_querystorm", "synthetic_storm"]
 
@@ -74,62 +77,100 @@ def synthetic_storm(
     ticks: int,
     extent_m: float,
     rng: random.Random,
-) -> Iterator[tuple[float, float, float]]:
-    """The synthetic poisson-ish storm as a ``(t_us, x, y)`` stream.
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The synthetic poisson-ish storm as ``(t_us, xy)`` blocks.
 
     This is the workload-source seam both storm engines consume (via
     :class:`StormFeed`): per tick, a fractional request budget of
     ``offered_qps * tick_us / 1e6`` accrues and its integer part is
-    drained as uniformly placed requests — the exact accrual arithmetic
-    and RNG draw order the drivers used inline before the seam existed,
-    so synthetic output is pinned unchanged.  A recorded trace's
-    :class:`~repro.traces.replay.TraceWorkload` yields the same triple
+    drained as uniformly placed requests, yielded as one (n, 2) float64
+    block per tick that has any.  Each coordinate is
+    ``0.0 + (extent_m - 0.0) * rng.random()`` — what
+    ``rng.uniform(0.0, extent_m)`` computes — drawn x then y per
+    request, so the points are bit-identical to a per-request
+    ``uniform`` stream.  Blocks are generated tick by tick; the whole
+    storm is never held at once.  A recorded trace's
+    :class:`~repro.traces.replay.TraceWorkload` yields the same block
     shape, which is all it takes to replay captured traffic through the
     same path.
     """
+    # rng.random() never returns the -1.0 sentinel: an endless stream
+    # of draws, consumed 2n at a time.
+    draws = iter(rng.random, -1.0)
     budget = 0.0
     for k in range(ticks + 1):
         t_us = k * tick_us
         budget += offered_qps * tick_us / 1e6
         n = int(budget)
         budget -= n
-        for _ in range(n):
-            yield (
-                t_us,
-                rng.uniform(0.0, extent_m),
-                rng.uniform(0.0, extent_m),
-            )
+        if n:
+            u = np.fromiter(draws, np.float64, 2 * n).reshape(n, 2)
+            yield t_us, 0.0 + (extent_m - 0.0) * u
 
 
 class StormFeed:
-    """One-event-lookahead consumer of a ``(t_us, x, y)`` storm source.
+    """One-block-lookahead consumer of a ``(t_us, xy)`` storm source.
 
-    :meth:`burst` drains every pending request stamped at or before the
+    :meth:`burst` drains every pending block stamped at or before the
     tick fence, preserving source order — the burst shape the frontend
     admits and coalesces.
     """
 
-    def __init__(self, source: Iterable[tuple[float, float, float]]):
+    def __init__(self, source: Iterable[tuple[float, np.ndarray]]):
         self._it = iter(source)
         self._pending = next(self._it, None)
         #: The last burst's source timestamps, one per returned point —
         #: the enqueue stamps the frontend's latency histogram observes
         #: (a replayed trace carries sub-tick stamps; the synthetic
-        #: storm stamps on the fence).
+        #: storm stamps on the fence).  A plain list, so each stamp
+        #: keeps its source's Python type (span trace ids hash its text).
         self.last_times: list[float] = []
 
-    def burst(self, t_us: float) -> list[tuple[float, float]]:
-        """All queued ``(x, y)`` points due at or before ``t_us``."""
-        points: list[tuple[float, float]] = []
+    def burst(self, t_us: float) -> np.ndarray:
+        """All queued points due at or before ``t_us``, as (n, 2)."""
         times: list[float] = []
+        blocks: list[np.ndarray] = []
         pending = self._pending
         while pending is not None and pending[0] <= t_us:
-            points.append((pending[1], pending[2]))
-            times.append(pending[0])
+            times.extend([pending[0]] * len(pending[1]))
+            blocks.append(pending[1])
             pending = next(self._it, None)
         self._pending = pending
         self.last_times = times
-        return points
+        if not blocks:
+            return np.zeros((0, 2))
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def record_requests(
+    recorder: Any,
+    kind: str,
+    t_us: float,
+    subjects: Iterable[int],
+    xy: Any,
+    answers: list[tuple[int, ...] | None],
+    admitted: int,
+    cell_of: Any,
+) -> None:
+    """Emit one ``query``/``recheck`` trace event per request of a burst.
+
+    *admitted* is the burst's admitted-prefix length (the frontend's
+    ``stats.admitted`` delta across the call); *cell_of* the router's
+    cell convention.
+    """
+    for i, (subject, (x_m, y_m), answer) in enumerate(
+        zip(subjects, np.asarray(xy).tolist(), answers)
+    ):
+        recorder.emit(
+            kind,
+            t_us,
+            subject=subject,
+            cell=cell_of(x_m, y_m),
+            channels=answer,
+            x=x_m,
+            y=y_m,
+            aux=int(i < admitted),
+        )
 
 
 def simulate_querystorm(
@@ -187,8 +228,9 @@ def simulate_querystorm(
             :mod:`repro.wsdb.vector`).  Both produce bit-identical
             reports; "vector" is the one that scales to millions of
             clients.
-        storm_source: an explicit ``(t_us, x, y)`` workload stream in
-            place of the synthetic generator — typically a
+        storm_source: an explicit ``(t_us, xy)`` block stream (``xy``
+            an (n, 2) float array per stamp) in place of the synthetic
+            generator — typically a
             :class:`~repro.traces.replay.TraceWorkload` replaying a
             recorded storm.  ``offered_qps`` is then only echoed in the
             report (pass the source run's value to make the reports
@@ -248,9 +290,6 @@ def simulate_querystorm(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
     if engine == "vector":
-        # Imported lazily: the scalar path must not require numpy.
-        from repro.wsdb.vector import simulate_querystorm_vector
-
         return simulate_querystorm_vector(
             router,
             num_aps=num_aps,
@@ -376,7 +415,6 @@ def simulate_querystorm(
             random.Random(stream_seed(seed, "querystorm-load")),
         )
     feed = StormFeed(storm_source)
-    storm_seq = 0
     viol_open = [False] * num_clients
     # Undelivered push notifications: a notified client leaves this set
     # only once its refresh query is actually admitted, so admission
@@ -401,35 +439,29 @@ def simulate_querystorm(
         # admission tokens ahead of the clients' re-checks, which is
         # the starvation scenario shed policies exist for.
         points = feed.burst(t_us)
-        if points:
-            span_refs = (
-                [("storm", storm_queries + j) for j in range(len(points))]
-                if sp_on
-                else None
-            )
+        if len(points):
+            seqs = range(storm_queries, storm_queries + len(points))
             storm_queries += len(points)
+            admitted = frontend.stats.admitted
             responses = frontend.query_batch(
                 points,
                 t_us,
                 enqueue_t_us=feed.last_times,
-                span_refs=span_refs,
+                span_refs=[("storm", j) for j in seqs] if sp_on else None,
             )
             if recording:
-                for (x_m, y_m), response, (qcell, admitted) in zip(
-                    points, responses, frontend.last_plan
-                ):
-                    recorder.emit(
-                        "query",
-                        t_us,
-                        subject=storm_seq,
-                        cell=qcell,
-                        channels=response,
-                        x=x_m,
-                        y=y_m,
-                        aux=int(admitted),
-                    )
-                    storm_seq += 1
+                record_requests(
+                    recorder, "query", t_us, seqs, points, responses,
+                    frontend.stats.admitted - admitted, router.cell_of,
+                )
 
+        # Pass 1: advance, subscribe, and detect.  The re-check rule,
+        # plus the push escape hatch: a client notified this tick
+        # refreshes immediately instead of riding its stale response
+        # to the next crossing/expiry.
+        bucket = ttl_bucket(t_us, router.ttl_us)
+        cells: list[tuple[int, int]] = []
+        due: list[Any] = []
         for client in clients:
             if k > 0:
                 advance_client(client, step_m, extent_m)
@@ -438,56 +470,59 @@ def simulate_querystorm(
                     client.client_id,
                     *router.cell_of(client.x_m, client.y_m),
                 )
-            # The re-check rule, plus the push escape hatch: a client
-            # notified this tick refreshes immediately instead of
-            # riding its stale response to the next crossing/expiry.
             cell = quantize_cell(client.x_m, client.y_m, recheck_m)
-            bucket = ttl_bucket(t_us, router.ttl_us)
-            was_pushed = client.client_id in pushed
+            cells.append(cell)
             if (
                 cell != client.last_cell
                 or bucket != client.last_bucket
-                or was_pushed
+                or client.client_id in pushed
             ):
-                since = pending_since[client.client_id]
-                response = frontend.query(
-                    client.x_m,
-                    client.y_m,
-                    t_us,
-                    enqueue_t_us=t_us if since is None else since,
-                    span_ref=(
-                        ("recheck", client.client_id) if sp_on else None
-                    ),
+                due.append(client)
+
+        # The tick's re-checkers go to the frontend as one burst in
+        # client order, each stamped with its first attempt's time.
+        if due:
+            stamps = [
+                t_us if pending_since[c.client_id] is None
+                else pending_since[c.client_id]
+                for c in due
+            ]
+            xy = [(c.x_m, c.y_m) for c in due]
+            admitted = frontend.stats.admitted
+            responses = frontend.query_batch(
+                xy,
+                t_us,
+                enqueue_t_us=stamps,
+                span_refs=(
+                    [("recheck", c.client_id) for c in due] if sp_on else None
+                ),
+            )
+            if recording:
+                record_requests(
+                    recorder, "recheck", t_us, [c.client_id for c in due],
+                    xy, responses, frontend.stats.admitted - admitted,
+                    router.cell_of,
                 )
-                if recording:
-                    qcell, admitted = frontend.last_plan[0]
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=client.client_id,
-                        cell=qcell,
-                        channels=response,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=int(admitted),
-                    )
+            for client, since, response in zip(due, stamps, responses):
+                cid = client.client_id
                 if response is None:
                     # Shed without a stale fallback: keep the old
                     # response and retry next tick (the deferral the
                     # reject policy produces under storm starvation).
                     deferred_requeries += 1
-                    if since is None:
-                        pending_since[client.client_id] = t_us
+                    pending_since[cid] = since
                 else:
                     client.known_free = frozenset(response)
-                    client.last_cell = cell
+                    client.last_cell = cells[cid]
                     client.last_bucket = bucket
-                    requeries[client.client_id] += 1
-                    pending_since[client.client_id] = None
-                    if was_pushed:
+                    requeries[cid] += 1
+                    pending_since[cid] = None
+                    if cid in pushed:
                         push_refreshes += 1
-                        pushed.discard(client.client_id)
+                        pushed.discard(cid)
 
+        # Pass 2: associate and score.
+        for client, cell in zip(clients, cells):
             prev = client.ap
             prev_spans = (
                 spans_by_id.get(prev.ap_id) if prev is not None else None

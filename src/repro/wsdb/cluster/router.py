@@ -38,6 +38,8 @@ import math
 from bisect import bisect_right
 from typing import Sequence
 
+import numpy as np
+
 from repro.errors import SpectrumMapError
 from repro.spectrum.spectrum_map import SpectrumMap
 from repro.wsdb.index import circle_intersects_rect
@@ -252,6 +254,18 @@ class ShardRouter:
             self._axis_group(qy, self._y_bounds) * cols
             + self._axis_group(qx, self._x_bounds)
         )
+
+    def shards_of_cells(self, qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+        """The serving shard of every cell ``(qx[i], qy[i])``, as an array.
+
+        :meth:`shard_of_cell` elementwise: the same clamp to the plane's
+        cells, then ``searchsorted(side="right")`` over the axis bounds
+        (``bisect_right``'s convention).
+        """
+        last = self.cells_per_side - 1
+        gx = np.searchsorted(self._x_bounds, np.clip(qx, 0, last), "right")
+        gy = np.searchsorted(self._y_bounds, np.clip(qy, 0, last), "right")
+        return (gy - 1) * self.grid[0] + (gx - 1)
 
     def shard_of(self, x_m: float, y_m: float) -> int:
         """The shard serving coordinate (x, y)."""

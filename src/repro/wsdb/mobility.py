@@ -316,7 +316,7 @@ def simulate_roaming(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
     if engine == "vector":
-        # Imported lazily: the scalar path must not require numpy.
+        # Imported here: repro.wsdb.vector imports this module.
         from repro.wsdb.vector import simulate_roaming_vector
 
         return simulate_roaming_vector(

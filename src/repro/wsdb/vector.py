@@ -735,26 +735,32 @@ def simulate_querystorm_vector(
 
     Movement, re-check detection, association, and compliance are the
     batched fleet stages; everything whose *order* the cluster tier can
-    observe stays sequential in the scalar engine's exact order — the
-    storm burst, per-re-checker ``frontend.query`` calls (token-bucket
-    admission is order-sensitive), and push-registry subscriptions
-    (movers only: a same-cell re-subscribe is a stats-free no-op, so
-    skipping it is unobservable).  Reached via
+    observe follows the scalar engine's exact order — the storm burst,
+    then the tick's re-checkers as one ``query_batch`` burst in client
+    order (token-bucket admission is order-sensitive), and push-registry
+    subscriptions (movers only: a same-cell re-subscribe is a
+    stats-free no-op, so skipping it is unobservable).  Reached via
     ``simulate_querystorm(..., engine="vector")``.
 
     ``storm_source`` and ``recorder`` behave exactly as on the scalar
-    driver: an explicit ``(t_us, x, y)`` workload replaces the
+    driver: an explicit ``(t_us, xy)`` block workload replaces the
     synthetic generator, and a recorder captures the identical event
     stream the scalar engine would emit.  ``telemetry`` and
     ``profiler`` behave as on the vector roaming driver: deterministic
     sim-clock metrics (snapshot-identical to the scalar engine's) and
-    a wall-clock phase breakdown, both observation-only.  ``spans``
-    records the identical span set the scalar engine emits (burst and
-    re-check submission order are already sequential here).
+    a wall-clock phase breakdown, both observation-only; the storm
+    adds the ``storm-gen`` (feed burst) and ``frontend`` (storm
+    ``query_batch``) phases, and the re-check burst runs in
+    ``batch-lookup``.  ``spans`` records the identical span set the
+    scalar engine emits (both send the same two bursts per tick).
     """
     from repro.wsdb.cluster.frontend import BatchFrontend
     from repro.wsdb.cluster.push import PushRegistry
-    from repro.wsdb.cluster.querystorm import StormFeed, synthetic_storm
+    from repro.wsdb.cluster.querystorm import (
+        StormFeed,
+        record_requests,
+        synthetic_storm,
+    )
 
     if recheck_m is None:
         recheck_m = router.cache_resolution_m
@@ -843,11 +849,11 @@ def simulate_querystorm_vector(
             random.Random(stream_seed(seed, "querystorm-load")),
         )
     feed = StormFeed(storm_source)
-    storm_seq = 0
     viol_open = np.zeros(fleet.n, dtype=bool)
     # First-attempt timestamps for deferred re-checks: latency is
     # measured from the tick a client first needed a refresh, exactly
-    # as in the scalar driver.
+    # as in the scalar driver.  A plain list, so each stamp keeps the
+    # scalar engine's Python type (span trace ids hash its text).
     pending_since: list[float | None] = [None] * fleet.n
     # Undelivered push notifications (cleared only once the refresh
     # query is admitted) and the registry-subscription shadow cells
@@ -871,35 +877,24 @@ def simulate_querystorm_vector(
         # The storm burst goes first, exactly as in the scalar driver:
         # background load contends for admission tokens ahead of the
         # clients' re-checks.
-        points = feed.burst(t_us)
-        if points:
-            span_refs = (
-                [("storm", storm_queries + j) for j in range(len(points))]
-                if sp_on
-                else None
-            )
+        with prof.phase("storm-gen"):
+            points = feed.burst(t_us)
+        if len(points):
+            seqs = range(storm_queries, storm_queries + len(points))
             storm_queries += len(points)
-            responses = frontend.query_batch(
-                points,
-                t_us,
-                enqueue_t_us=feed.last_times,
-                span_refs=span_refs,
-            )
+            admitted = frontend.stats.admitted
+            with prof.phase("frontend"):
+                responses = frontend.query_batch(
+                    points,
+                    t_us,
+                    enqueue_t_us=feed.last_times,
+                    span_refs=[("storm", j) for j in seqs] if sp_on else None,
+                )
             if recording:
-                for (x_m, y_m), response, (qcell, admitted) in zip(
-                    points, responses, frontend.last_plan
-                ):
-                    recorder.emit(
-                        "query",
-                        t_us,
-                        subject=storm_seq,
-                        cell=qcell,
-                        channels=response,
-                        x=x_m,
-                        y=y_m,
-                        aux=int(admitted),
-                    )
-                    storm_seq += 1
+                record_requests(
+                    recorder, "query", t_us, seqs, points, responses,
+                    frontend.stats.admitted - admitted, router.cell_of,
+                )
 
         if k > 0:
             with prof.phase("advance"):
@@ -916,54 +911,48 @@ def simulate_querystorm_vector(
         with prof.phase("recheck-detect"):
             trig_x, trig_y = fleet.cells(recheck_m)
             bucket = ttl_bucket(t_us, router.ttl_us)
-            need = (
+            due = np.flatnonzero(
                 (trig_x != fleet.last_tx)
                 | (trig_y != fleet.last_ty)
                 | (fleet.last_bucket != bucket)
                 | pushed
             )
-        # Admission is order-sensitive, so re-checkers query one at a
-        # time in client order — the exact request sequence (and
-        # FrontendStats accounting) of the scalar loop.
-        x, y = fleet.x, fleet.y
-        with prof.phase("batch-lookup"):
-            for i in np.flatnonzero(need).tolist():
-                since = pending_since[i]
-                response = frontend.query(
-                    float(x[i]),
-                    float(y[i]),
+        # The tick's re-checkers go to the frontend as one burst in
+        # client order — the request sequence (and token-bucket
+        # admission) of the scalar engine's burst.
+        if len(due):
+            idx = due.tolist()
+            with prof.phase("batch-lookup"):
+                stamps = [
+                    t_us if pending_since[i] is None else pending_since[i]
+                    for i in idx
+                ]
+                xy = np.column_stack((fleet.x[due], fleet.y[due]))
+                admitted = frontend.stats.admitted
+                responses = frontend.query_batch(
+                    xy,
                     t_us,
-                    enqueue_t_us=t_us if since is None else since,
-                    span_ref=("recheck", i) if sp_on else None,
+                    enqueue_t_us=stamps,
+                    span_refs=[("recheck", i) for i in idx] if sp_on else None,
                 )
-                if recording:
-                    qcell, admitted = frontend.last_plan[0]
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=i,
-                        cell=qcell,
-                        channels=response,
-                        x=float(x[i]),
-                        y=float(y[i]),
-                        aux=int(admitted),
-                    )
-                if response is None:
-                    # Shed without a stale fallback: keep the old
-                    # response and retry next tick.
-                    deferred_requeries += 1
-                    if since is None:
-                        pending_since[i] = t_us
-                else:
-                    pending_since[i] = None
-                    fleet.resp_id[i] = fleet.intern(response)
-                    fleet.last_tx[i] = trig_x[i]
-                    fleet.last_ty[i] = trig_y[i]
-                    fleet.last_bucket[i] = bucket
-                    fleet.requeries[i] += 1
-                    if pushed[i]:
-                        push_refreshes += 1
-                        pushed[i] = False
+            if recording:
+                record_requests(
+                    recorder, "recheck", t_us, idx, xy, responses,
+                    frontend.stats.admitted - admitted, router.cell_of,
+                )
+            served = np.array([r is not None for r in responses])
+            done = due[served]
+            fleet.commit_recheck(
+                done, trig_x, trig_y, bucket,
+                [r for r in responses if r is not None],
+            )
+            push_refreshes += int(pushed[done].sum())
+            pushed[done] = False
+            # Shed without a stale fallback: keep the old response and
+            # retry next tick, stamped with the first attempt.
+            deferred_requeries += len(idx) - len(done)
+            for i, since, response in zip(idx, stamps, responses):
+                pending_since[i] = since if response is None else None
 
         tick = fleet.associate_and_score(router.metro, t_us, profiler=prof)
         if recording:

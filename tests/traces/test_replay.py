@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -62,8 +63,9 @@ def record_storm(path, engine="scalar", **overrides):
 class TestSyntheticStormSeam:
     def test_matches_inline_budget_algorithm(self):
         rng_seed = stream_seed(11, "querystorm-load")
-        offered_qps, tick_us, ticks, extent_m = 40.0, 1e6, 40, 2_500.0
-        # The pre-seam inline algorithm, reimplemented independently.
+        offered_qps, tick_us, ticks, extent_m = 40.5, 1e6, 40, 2_500.0
+        # The pre-seam inline algorithm, reimplemented independently:
+        # one uniform() draw per coordinate, x then y, per request.
         rng = random.Random(rng_seed)
         expected, budget = [], 0.0
         for tick in range(ticks + 1):
@@ -78,20 +80,51 @@ class TestSyntheticStormSeam:
                         rng.uniform(0.0, extent_m),
                     )
                 )
-        produced = list(
+        blocks = list(
             synthetic_storm(
                 offered_qps, tick_us, ticks, extent_m, random.Random(rng_seed)
             )
         )
+        # One (n, 2) float64 block per tick with requests ...
+        stamps = [t_us for t_us, _ in blocks]
+        assert stamps == sorted(set(stamps))
+        assert all(xy.dtype == np.float64 and xy.shape[1] == 2 for _, xy in blocks)
+        # ... whose flattened points equal the oracle's, bit for bit.
+        produced = [
+            (t_us, x, y) for t_us, xy in blocks for x, y in xy.tolist()
+        ]
         assert produced == expected
 
     def test_storm_feed_drains_in_fence_order(self):
-        points = [(0.0, 1.0, 1.0), (0.0, 2.0, 2.0), (2e6, 3.0, 3.0)]
-        feed = StormFeed(iter(points))
-        assert feed.burst(0.0) == [(1.0, 1.0), (2.0, 2.0)]
-        assert feed.burst(1e6) == []
-        assert feed.burst(2e6) == [(3.0, 3.0)]
-        assert feed.burst(3e6) == []
+        blocks = [
+            (0.0, np.array([[1.0, 1.0], [2.0, 2.0]])),
+            (2e6, np.array([[3.0, 3.0]])),
+            # A replayed trace can carry sub-tick stamps: this block is
+            # due at the 3 s fence and keeps its own stamp.
+            (2.5e6, np.array([[4.0, 4.0], [5.0, 5.0]])),
+        ]
+        feed = StormFeed(iter(blocks))
+        assert feed.burst(0.0).tolist() == [[1.0, 1.0], [2.0, 2.0]]
+        assert feed.last_times == [0.0, 0.0]
+        assert feed.burst(1e6).shape == (0, 2)
+        assert feed.last_times == []
+        assert feed.burst(3e6).tolist() == [[3.0, 3.0], [4.0, 4.0], [5.0, 5.0]]
+        assert feed.last_times == [2e6, 2.5e6, 2.5e6]
+        assert len(feed.burst(4e6)) == 0
+
+    def test_trace_workload_yields_one_block_per_stamp(self):
+        events = [
+            TraceEvent(t_us=0.0, kind="query", subject=0, x=1.0, y=2.0),
+            TraceEvent(t_us=0.0, kind="query", subject=1, x=3.0, y=4.0),
+            TraceEvent(t_us=0.0, kind="recheck", subject=0, x=9.0, y=9.0),
+            TraceEvent(t_us=1.5e6, kind="query", subject=2, x=5.0, y=6.0),
+        ]
+        workload = TraceWorkload(events)
+        assert len(workload) == 3
+        assert [(t, xy.tolist()) for t, xy in workload] == [
+            (0.0, [[1.0, 2.0], [3.0, 4.0]]),
+            (1.5e6, [[5.0, 6.0]]),
+        ]
 
 
 class TestRecordingIsObservational:

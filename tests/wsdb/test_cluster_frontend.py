@@ -1,6 +1,10 @@
 """Tests for the BatchFrontend: token-bucket admission, burst
-coalescing, shed policies, and stale-store invalidation."""
+coalescing, shed policies, stale-store invalidation, and the array
+request path's equivalence to its request-by-request reference."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError, SpectrumMapError
@@ -13,7 +17,7 @@ from repro.wsdb.cluster.frontend import (
 from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.model import Metro, MicRegistration, generate_metro
-from repro.wsdb.service import WhiteSpaceDatabase
+from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell, ttl_bucket
 
 
 def dense_router(num_shards: int = 4) -> ShardRouter:
@@ -200,3 +204,132 @@ class TestStaleInvalidation:
         )
         frontend = BatchFrontend(router)
         assert frontend.query(1_000.0, 1_000.0, 0.0) == tuple(range(10))
+
+
+class TestAdmitMany:
+    """``admit_many(t, n)`` is exactly n sequential ``admit(t)`` calls."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "rate_qps, burst_size",
+        [(None, None), (7.3, None), (2.5, 4.5), (1_000.0, 37.0), (0.4, None)],
+    )
+    def test_matches_sequential_admits(self, seed, rate_qps, burst_size):
+        rng = random.Random(seed)
+        many = TokenBucket(rate_qps, burst_size)
+        one = TokenBucket(rate_qps, burst_size)
+        t_us = 0.0
+        for _ in range(300):
+            # Mostly forward in time by fractional-token steps, with
+            # repeated stamps, out-of-order stamps and empty offers.
+            step = rng.choice([0.0, 0.0, -2.5e5, 1.7e4, 3.3e5, 1.25e6])
+            t_us = max(0.0, t_us + step)
+            n = rng.choice([0, 0, 1, 2, 5, 17, 60])
+            expected = sum(one.admit(t_us) for _ in range(n))
+            assert many.admit_many(t_us, n) == expected
+            assert many._tokens == one._tokens
+            assert many._last_t_us == one._last_t_us
+
+    def test_zero_offer_touches_nothing(self):
+        bucket = TokenBucket(rate_qps=10.0, burst_size=3)
+        assert bucket.admit_many(0.0, 3) == 3
+        assert bucket.admit_many(5e5, 0) == 0
+        assert bucket._last_t_us == 0.0 and bucket._tokens == 0.0
+
+
+class TestShardsOfCells:
+    @pytest.mark.parametrize("num_shards", [1, 5, 6, 16])
+    def test_matches_shard_of_cell(self, num_shards):
+        router = dense_router(num_shards=num_shards)
+        expected_grid = {1: (1, 1), 5: (1, 5), 6: (2, 3), 16: (4, 4)}
+        assert router.grid == expected_grid[num_shards]
+        side = router.cells_per_side
+        # Every on-plane cell plus a frame of off-plane (negative and
+        # past-the-edge) cells around it.
+        span = np.arange(-3, side + 3)
+        qx, qy = (a.ravel() for a in np.meshgrid(span, span))
+        got = router.shards_of_cells(qx, qy)
+        assert got.tolist() == [
+            router.shard_of_cell(x, y) for x, y in zip(qx.tolist(), qy.tolist())
+        ]
+
+
+def reference_query_batch(frontend, points, t_us):
+    """The request-by-request burst algorithm the array path replaces.
+
+    Admission per request in order, then the admitted cells grouped by
+    shard in first-occurrence order, shards called in ascending order,
+    the stale store refreshed, and shed requests answered through the
+    policy in request order.
+    """
+    router = frontend.router
+    stats = frontend.stats
+    stats.batches += 1
+    stats.requests += len(points)
+    frontend._bucket_now = ttl_bucket(t_us, router.ttl_us)
+    plan = []
+    for x_m, y_m in points:
+        admitted = frontend.bucket.admit(t_us)
+        stats.admitted += admitted
+        stats.shed += not admitted
+        plan.append((quantize_cell(x_m, y_m, router.cache_resolution_m), admitted))
+    by_shard, seen = {}, set()
+    for cell, admitted in plan:
+        if admitted and cell not in seen:
+            seen.add(cell)
+            by_shard.setdefault(router.shard_of_cell(*cell), []).append(cell)
+    stats.coalesced += sum(a for _, a in plan) - len(seen)
+    responses = {}
+    for shard_id in sorted(by_shard):
+        stats.shard_batches += 1
+        cells = by_shard[shard_id]
+        responses.update(
+            zip(cells, router.shards[shard_id].channels_in_cells(cells, t_us))
+        )
+    for cell, channels in responses.items():
+        frontend._stale[cell] = (frontend._bucket_now, channels)
+    return [
+        responses[cell] if admitted else frontend.policy.shed(frontend, *cell)
+        for cell, admitted in plan
+    ]
+
+
+class TestArrayQueryBatchEquivalence:
+    @pytest.mark.parametrize("policy", ["reject", "serve-stale"])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_matches_per_request_reference(self, policy, seed):
+        rng = random.Random(seed)
+        params = dict(rate_limit_qps=40.0, burst_size=25, policy=policy)
+        array_fe = BatchFrontend(dense_router(6), **params)
+        ref_fe = BatchFrontend(dense_router(6), **params)
+        t_us = 0.0
+        for _ in range(12):
+            t_us += rng.choice([0.0, 2e5, 7.5e5, 61e6])
+            # A burst that straddles the token limit, with duplicate
+            # cells (a small pool of hot spots) and off-plane points.
+            hot = [(rng.uniform(-200.0, 4_200.0), rng.uniform(-200.0, 4_200.0))
+                   for _ in range(6)]
+            points = [
+                rng.choice(hot) if rng.random() < 0.5
+                else (rng.uniform(0.0, 4_000.0), rng.uniform(0.0, 4_000.0))
+                for _ in range(rng.choice([1, 10, 30, 45]))
+            ]
+            got = array_fe.query_batch(np.array(points), t_us)
+            assert got == reference_query_batch(ref_fe, points, t_us)
+            assert array_fe.stats == ref_fe.stats
+            assert array_fe._stale == ref_fe._stale
+            assert list(array_fe._stale) == list(ref_fe._stale)
+            for a, b in zip(array_fe.router.shards, ref_fe.router.shards):
+                assert a.stats == b.stats
+                assert list(a._cache.items()) == list(b._cache.items())
+        assert array_fe.stats.shed > 0 and array_fe.stats.coalesced > 0
+        if policy == "serve-stale":
+            assert array_fe.stats.served_stale > 0
+
+    def test_list_of_pairs_equals_array(self):
+        points = [(100.0, 100.0), (2_900.0, 100.0), (100.0, 100.0)]
+        from_list = BatchFrontend(dense_router()).query_batch(points, 0.0)
+        from_array = BatchFrontend(dense_router()).query_batch(
+            np.array(points), 0.0
+        )
+        assert from_list == from_array

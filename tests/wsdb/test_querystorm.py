@@ -229,3 +229,40 @@ class TestSeedStreams:
         assert storm["requeries"] != roam["requeries"] or (
             storm["handoffs"] != roam["handoffs"]
         )
+
+
+class TestRequestBursts:
+    def run(self, engine, **extra):
+        return simulate_querystorm(
+            dense_router(),
+            num_aps=6,
+            num_clients=40,
+            duration_us=60e6,
+            seed=5,
+            offered_qps=50.0,
+            mic_events=2,
+            engine=engine,
+            **extra,
+        )
+
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_at_most_two_frontend_bursts_per_tick(self, engine):
+        # The storm burst, then the tick's re-checkers as one burst.
+        report = self.run(engine)
+        front = report["frontend"]
+        assert front["batches"] <= 2 * 61
+        assert front["requests"] == (
+            report["storm_queries"]
+            + report["requeries"]
+            + report["deferred_requeries"]
+        )
+
+    def test_profiler_phases_observe_only(self):
+        pytest.importorskip("numpy")
+        from repro.telemetry import PhaseProfiler
+
+        profiler = PhaseProfiler()
+        assert self.run("vector", profiler=profiler) == self.run("vector")
+        assert {"storm-gen", "frontend", "batch-lookup"} <= set(
+            profiler.seconds()
+        )
