@@ -41,6 +41,7 @@ ENTRY_KEYS = frozenset(
     {
         "created",
         "version",
+        "host",
         "smoke",
         "duration_us",
         "runs",
@@ -49,11 +50,9 @@ ENTRY_KEYS = frozenset(
         "headline_clients_per_sec",
     }
 )
-#: "host" arrived after the first entries were recorded, so it stays
-#: optional; entries without it only ever compare with each other.
 #: "observability" (the anchor-size telemetry+spans A/B row) arrived
-#: later still, so it is optional for the same reason.
-ENTRY_OPTIONAL_KEYS = frozenset({"host", "observability"})
+#: after the first host-stamped entry was recorded, so it is optional.
+ENTRY_OPTIONAL_KEYS = frozenset({"observability"})
 
 #: The exact key set of one measured run row ("phases" — the vector
 #: engine's wall-clock breakdown — is the one optional key).
@@ -161,16 +160,16 @@ def comparable_pair(entries: list[dict]) -> tuple[dict, dict] | None:
     coverage.
 
     Wall-clock throughput only compares on the same machine, so an
-    entry recorded on a different (or unrecorded) host never judges
-    this one — the first entry on a new host starts a fresh baseline.
+    entry recorded on a different host never judges this one — the
+    first entry on a new host starts a fresh baseline.
     """
     if not entries:
         return None
     latest = entries[-1]
     for prev in reversed(entries[:-1]):
         if (
-            prev.get("host") == latest.get("host")
-            and prev.get("smoke") == latest.get("smoke")
+            prev["host"] == latest["host"]
+            and prev["smoke"] == latest["smoke"]
             and sweep_coverage(prev) == sweep_coverage(latest)
         ):
             return prev, latest

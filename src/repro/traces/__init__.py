@@ -2,8 +2,9 @@
 
 WhiteFi's evaluation is built on *measured traces*; this subsystem
 gives the simulation the same spine.  Every wsdb driver
-(``wsdb.citywide``, ``wsdb.mobility``, ``wsdb.vector``, and
-``wsdb.cluster.querystorm`` — scalar and vector engines alike) accepts
+(``wsdb.citywide``, and ``wsdb.mobility`` and
+``wsdb.cluster.querystorm`` through the ``wsdb.session`` tick loop —
+scalar and vector engines alike) accepts
 a ``recorder`` and emits one dense event stream per run: queries,
 re-checks, handoffs, mic registrations, push notifications, admission
 outcomes, and violation-window open/close — each stamped ``t_us`` x

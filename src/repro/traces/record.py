@@ -37,14 +37,14 @@ is replayable bit-for-bit because JSON round-trips Python floats
 exactly).  The admission outcome (*shed/admit*) rides the ``query`` and
 ``recheck`` events' ``aux`` flag rather than being its own kind.
 
-**Canonical order.**  Within one run the scalar and vector engines
-reach the same per-tick outcomes but interleave their hook calls
-differently (the scalar loop finishes one client before the next; the
-vector engine finishes one *stage* before the next).  The recorder
-therefore buffers events and sorts them by ``(t_us, kind rank,
-subject)`` on :meth:`TraceRecorder.close` — a total order both engines
-produce identically, which is what makes "both engines emit identical
-streams" checkable with a byte compare.
+**Canonical order.**  Drivers emit events one *stage* at a time
+(a tick's re-checks, then its handoffs and violation windows; mic and
+push events when a registration fires), not in stamp order.  The
+recorder therefore buffers events and sorts them by ``(t_us, kind
+rank, subject)`` on :meth:`TraceRecorder.close` — a total order that
+does not depend on how a driver interleaves its hooks, which is what
+makes "both engines emit identical streams" checkable with a byte
+compare.
 
 The writer zeroes the gzip mtime field, so identical event streams
 produce identical *bytes* — trace files diff like content, not like

@@ -22,10 +22,14 @@ missing layer as a deterministic, seedable simulation component:
   ``roaming`` run kind: seeded waypoint paths, the FCC 100 m re-check
   rule (re-query on cell crossing or TTL expiry), nearest-AP
   association with handoffs, and mic-zone channel vacation.
-* :mod:`repro.wsdb.vector` — the columnar numpy twin of the mobility
-  engine (``engine="vector"`` on the roaming/querystorm kinds):
-  whole-fleet array ops per tick, bit-identical reports, scales to
-  millions of clients.
+* :mod:`repro.wsdb.session` — the one tick loop the roaming and
+  querystorm drivers share, run over a fleet (the per-client
+  ``ScalarFleet`` oracle or the columnar ``VectorFleet``) and a query
+  path (the database directly, or the cluster frontend).
+* :mod:`repro.wsdb.vector` — the columnar numpy fleet
+  (``engine="vector"`` on the roaming/querystorm kinds): whole-fleet
+  array ops per tick, bit-identical reports, scales to millions of
+  clients.
 * :mod:`repro.wsdb.cluster` — the service tier: ``ShardRouter`` (K
   cell-aligned shards, each its own database), ``BatchFrontend``
   (per-shard batching, token-bucket admission, pluggable shed

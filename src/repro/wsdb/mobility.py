@@ -34,6 +34,11 @@ Everything derives from the master seed through labelled
 :func:`~repro.sim.rng.stream_seed` streams, so a run is byte-identical
 in any process — the contract the ``roaming`` run kind and
 ``ParallelRunner`` rely on.
+
+This module holds the client model (spawning, waypoint kinematics,
+association, compliance) and the roaming entry point; the tick loop
+itself is :func:`~repro.wsdb.session.run_session`, shared with the
+querystorm driver and both engines.
 """
 
 from __future__ import annotations
@@ -45,23 +50,11 @@ from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.rng import stream_seed
-from repro.telemetry.metrics import NULL_TELEMETRY
-from repro.telemetry.spans import NULL_SPANS, lookup_steps
-from repro.traces.record import NULL_RECORDER
-from repro.wsdb.citywide import (
-    DEFAULT_INTERFERENCE_RADIUS_M,
-    CityAp,
-    MicEvent,
-    boot_aps,
-    displace_covered_aps,
-    generate_mic_events,
-    snapshot_assigned_aps,
-)
-from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell, ttl_bucket
+from repro.wsdb.citywide import DEFAULT_INTERFERENCE_RADIUS_M, CityAp
+from repro.wsdb.service import WhiteSpaceDatabase
 
 __all__ = [
     "RoamingClient",
-    "advance_client",
     "advance_position",
     "associate_nearest",
     "in_violation",
@@ -69,10 +62,11 @@ __all__ = [
     "spawn_clients",
 ]
 
-#: The mobile-engine implementations the roaming and querystorm
-#: drivers dispatch between.  "scalar" is the reference per-client
-#: loop below; "vector" is the columnar numpy engine
-#: (:mod:`repro.wsdb.vector`), bit-identical to it by construction.
+#: The mobile-fleet engines the roaming and querystorm sessions run
+#: on.  "scalar" is the per-client reference fleet
+#: (:class:`~repro.wsdb.session.ScalarFleet`); "vector" is the
+#: columnar numpy fleet (:mod:`repro.wsdb.vector`), bit-identical to
+#: it by construction.
 ENGINES = ("scalar", "vector")
 
 #: Default client speed (meters/second): ~50 km/h, a metro vehicle.
@@ -85,7 +79,7 @@ DEFAULT_TICK_US = 1_000_000.0
 
 @dataclass
 class RoamingClient:
-    """One mobile client: a position, a path, and a cached response."""
+    """One mobile client as spawned: a position, a path, and its RNG."""
 
     client_id: int
     x_m: float
@@ -94,10 +88,6 @@ class RoamingClient:
     # Required, not defaulted: an implicit `random.Random()` fallback
     # would seed from OS entropy and break run reproducibility.
     rng: random.Random = field(repr=False)
-    known_free: frozenset[int] = frozenset()
-    last_cell: tuple[int, int] | None = None
-    last_bucket: int = -1
-    ap: CityAp | None = None
 
 
 def associate_nearest(
@@ -139,8 +129,8 @@ def advance_position(
 ) -> tuple[float, float, float, float]:
     """Advance one waypoint walker by *distance_m*; returns (x, y, wx, wy).
 
-    The pure kinematics core of :func:`advance_client`, shared verbatim
-    with the vectorized engine's waypoint-crossing fallback so both
+    The kinematics of one client's tick, shared verbatim by the scalar
+    fleet and the vectorized engine's waypoint-crossing fallback, so both
     engines draw the same waypoints from the same per-client streams
     and land on bit-identical coordinates.  Leg lengths use
     ``sqrt(dx*dx + dy*dy)`` — correctly-rounded IEEE-754 throughout —
@@ -166,22 +156,6 @@ def advance_position(
             y_m += dy / leg * remaining
             remaining = 0.0
     return x_m, y_m, wx, wy
-
-
-def advance_client(
-    client: RoamingClient, distance_m: float, extent_m: float
-) -> None:
-    """Move *client* along its waypoint path by *distance_m* meters.
-
-    Public driver plumbing: the roaming and querystorm drivers both
-    step their fleets through this, so path kinematics stay identical
-    across kinds by construction.
-    """
-    wx, wy = client.waypoint
-    client.x_m, client.y_m, wx, wy = advance_position(
-        client.x_m, client.y_m, wx, wy, client.rng, distance_m, extent_m
-    )
-    client.waypoint = (wx, wy)
 
 
 def spawn_clients(
@@ -262,11 +236,11 @@ def simulate_roaming(
         tick_us: simulation step; movement, re-checks, association,
             and compliance are evaluated per tick.
         interference_radius_m: AP mutual-interference radius.
-        engine: "scalar" (the reference per-client loop here) or
-            "vector" (the columnar numpy engine,
-            :mod:`repro.wsdb.vector`).  Both produce bit-identical
-            reports; "vector" is the one that scales to millions of
-            clients.
+        engine: "scalar" (the per-client reference fleet,
+            :class:`~repro.wsdb.session.ScalarFleet`) or "vector" (the
+            columnar numpy engine, :mod:`repro.wsdb.vector`).  Both
+            produce bit-identical reports; "vector" is the one that
+            scales to millions of clients.
         recorder: a :class:`~repro.traces.record.TraceRecorder` to
             stream dense run events into (None: the zero-overhead null
             recorder).  Recording observes only — reports are
@@ -282,10 +256,11 @@ def simulate_roaming(
             byte-identical to a pre-telemetry run.
         profiler: a wall-clock
             :class:`~repro.telemetry.profiler.PhaseProfiler` (None: the
-            no-op profiler).  Phase instrumentation lives in the vector
-            engine's batched tick stages; the scalar reference loop
-            accepts the argument for signature parity but does not
-            profile.  Never affects the report.
+            no-op profiler).  The tick loop both engines share times
+            its stages as phases (``advance``, ``recheck-detect``,
+            ``batch-lookup``, ``associate``, ``compliance``), so either
+            engine reports the same phase names.  Never affects the
+            report.
         spans: a sim-clock
             :class:`~repro.telemetry.spans.SpanRecorder` (None: the
             zero-overhead null recorder).  When attached, every client
@@ -315,312 +290,23 @@ def simulate_roaming(
         raise SimulationError(
             f"unknown engine {engine!r}; expected one of {ENGINES}"
         )
-    if engine == "vector":
-        # Imported here: repro.wsdb.vector imports this module.
-        from repro.wsdb.vector import simulate_roaming_vector
+    # Imported here: the session module imports this one.
+    from repro.wsdb.session import DatabasePath, run_session
 
-        return simulate_roaming_vector(
-            db,
-            num_aps=num_aps,
-            num_clients=num_clients,
-            duration_us=duration_us,
-            seed=seed,
-            speed_mps=speed_mps,
-            recheck_m=recheck_m,
-            mic_events=mic_events,
-            tick_us=tick_us,
-            interference_radius_m=interference_radius_m,
-            recorder=recorder,
-            telemetry=telemetry,
-            profiler=profiler,
-            spans=spans,
-        )
-
-    if recorder is None:
-        recorder = NULL_RECORDER
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
-    tel_on = tel.enabled
-    sp = NULL_SPANS if spans is None else spans
-    sp_on = sp.enabled
-    extent_m = db.metro.extent_m
-    aps = boot_aps(db, num_aps, seed, "roaming-aps", interference_radius_m)
-    clients = spawn_clients(num_clients, seed, "roaming-client", extent_m)
-
-    events = generate_mic_events(
-        mic_events,
-        duration_us,
-        extent_m,
-        db.metro.num_channels,
-        stream_seed(seed, "roaming-mics"),
+    return run_session(
+        DatabasePath(db, recheck_m),
+        engine,
+        num_aps=num_aps,
+        num_clients=num_clients,
+        duration_us=duration_us,
+        seed=seed,
+        speed_mps=speed_mps,
+        recheck_m=recheck_m,
+        mic_events=mic_events,
+        tick_us=tick_us,
+        interference_radius_m=interference_radius_m,
+        recorder=recorder,
+        telemetry=telemetry,
+        profiler=profiler,
+        spans=spans,
     )
-    next_event = 0
-    displaced = backup_recoveries = full_reassignments = outages = 0
-
-    requeries = [0] * num_clients
-    handoffs = [0] * num_clients
-    vacations = [0] * num_clients
-    connected = [0] * num_clients
-    violations = [0] * num_clients
-    disconnected_ticks = 0
-    total_requeries = 0
-    total_handoffs = 0
-
-    def register_event(event: MicEvent, index: int) -> None:
-        nonlocal displaced, backup_recoveries, full_reassignments, outages
-        registration = event.registration()
-        invalidated = db.register_mic(registration)
-        if sp_on:
-            sp.record_tree(
-                "mic_register",
-                "mic",
-                index,
-                event.t_us,
-                "db",
-                [("invalidate", "db", {"entries": int(invalidated)}, ())],
-            )
-        if recording:
-            recorder.emit(
-                "mic",
-                event.t_us,
-                subject=index,
-                cell=quantize_cell(
-                    event.x_m, event.y_m, db.cache_resolution_m
-                ),
-                channels=(event.uhf_index,),
-                x=event.x_m,
-                y=event.y_m,
-                aux=event.uhf_index,
-            )
-        d, b, r, o = displace_covered_aps(
-            db, aps, event, registration, interference_radius_m
-        )
-        displaced += d
-        backup_recoveries += b
-        full_reassignments += r
-        outages += o
-
-    live_aps, spans_by_id = snapshot_assigned_aps(aps)
-
-    step_m = speed_mps * tick_us / 1e6
-    ticks = int(duration_us // tick_us)
-    viol_open = [False] * num_clients
-    for k in range(ticks + 1):
-        t_us = k * tick_us
-        tick_violating = 0
-        # Registrations whose session starts by this tick go live:
-        # cached responses inside the zone are invalidated and covered
-        # APs walk their backups, exactly as in the citywide driver.
-        fired = False
-        while next_event < len(events) and events[next_event].t_us <= t_us:
-            register_event(events[next_event], next_event)
-            next_event += 1
-            fired = True
-        if fired:
-            live_aps, spans_by_id = snapshot_assigned_aps(aps)
-
-        for client in clients:
-            if k > 0:
-                advance_client(client, step_m, extent_m)
-            # The re-check rule: query only on crossing a
-            # quantization-square boundary or on TTL expiry — never
-            # merely because time passed within a valid response.
-            cell = quantize_cell(client.x_m, client.y_m, recheck_m)
-            bucket = ttl_bucket(t_us, db.ttl_us)
-            if cell != client.last_cell or bucket != client.last_bucket:
-                response = db.channels_at(client.x_m, client.y_m, t_us)
-                if sp_on:
-                    hit, scanned = db.last_outcomes[0]
-                    sp.record_tree(
-                        "request",
-                        "roam",
-                        client.client_id,
-                        t_us,
-                        "db",
-                        [lookup_steps(hit, scanned, "db")],
-                    )
-                client.known_free = frozenset(response)
-                client.last_cell = cell
-                client.last_bucket = bucket
-                requeries[client.client_id] += 1
-                total_requeries += 1
-                if recording:
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=client.client_id,
-                        cell=quantize_cell(
-                            client.x_m, client.y_m, db.cache_resolution_m
-                        ),
-                        channels=response,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=1,
-                    )
-
-            # Association: nearest assigned AP whose channel the
-            # client's response permits here.  A previously-associated
-            # AP whose channel the response now denies forces a
-            # channel vacation (the path entered a protection zone).
-            prev = client.ap
-            prev_spans = (
-                spans_by_id.get(prev.ap_id) if prev is not None else None
-            )
-            if prev_spans is not None and not prev_spans <= client.known_free:
-                vacations[client.client_id] += 1
-            client.ap = associate_nearest(
-                client.x_m, client.y_m, client.known_free, live_aps
-            )
-            if client.ap is None:
-                disconnected_ticks += 1
-                if recording and viol_open[client.client_id]:
-                    recorder.emit(
-                        "violation_close",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=0,
-                    )
-                    viol_open[client.client_id] = False
-                continue
-            if prev is not None and client.ap.ap_id != prev.ap_id:
-                handoffs[client.client_id] += 1
-                total_handoffs += 1
-                if recording:
-                    recorder.emit(
-                        "handoff",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        channels=tuple(
-                            sorted(client.ap.channel.spanned_indices)
-                        ),
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=client.ap.ap_id,
-                    )
-            connected[client.client_id] += 1
-            # A violation means the client transmitted on a protected
-            # channel between re-checks.
-            violating = in_violation(
-                db.metro,
-                client.x_m,
-                client.y_m,
-                t_us,
-                client.ap.channel.spanned_indices,
-            )
-            if violating:
-                violations[client.client_id] += 1
-                tick_violating += 1
-            if recording:
-                if violating and not viol_open[client.client_id]:
-                    recorder.emit(
-                        "violation_open",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        channels=tuple(
-                            sorted(client.ap.channel.spanned_indices)
-                        ),
-                        x=client.x_m,
-                        y=client.y_m,
-                    )
-                    viol_open[client.client_id] = True
-                elif not violating and viol_open[client.client_id]:
-                    recorder.emit(
-                        "violation_close",
-                        t_us,
-                        subject=client.client_id,
-                        cell=cell,
-                        x=client.x_m,
-                        y=client.y_m,
-                        aux=0,
-                    )
-                    viol_open[client.client_id] = False
-
-        if tel_on:
-            tel.sample_tick(
-                t_us,
-                queries=db.stats.queries,
-                cache_hits=db.stats.cache_hits,
-                requeries=total_requeries,
-                handoffs=total_handoffs,
-                violating=tick_violating,
-            )
-
-    if recording:
-        # Still-open violation windows close at the end of the run,
-        # marked aux=1 so analyses can tell truncation from recovery.
-        end_us = ticks * tick_us
-        for client in clients:
-            if viol_open[client.client_id]:
-                recorder.emit(
-                    "violation_close",
-                    end_us,
-                    subject=client.client_id,
-                    cell=quantize_cell(client.x_m, client.y_m, recheck_m),
-                    x=client.x_m,
-                    y=client.y_m,
-                    aux=1,
-                )
-
-    # When duration_us is not a tick multiple, events can start after
-    # the last evaluated tick; register them anyway so the database,
-    # the displacement accounting, and the reported event count agree
-    # with simulate_citywide's process-every-event semantics.
-    while next_event < len(events):
-        register_event(events[next_event], next_event)
-        next_event += 1
-
-    connected_ticks = sum(connected)
-    violation_ticks = sum(violations)
-    client_ticks = num_clients * (ticks + 1)
-    if tel_on:
-        db.publish_metrics(tel)
-        tel.counter("requeries").inc(total_requeries)
-        tel.counter("handoffs").inc(total_handoffs)
-        tel.counter("vacations").inc(sum(vacations))
-        tel.counter("violation_ticks").inc(violation_ticks)
-        tel.counter("connected_ticks").inc(connected_ticks)
-        tel.counter("disconnected_ticks").inc(disconnected_ticks)
-    report = {
-        "num_aps": num_aps,
-        "num_clients": num_clients,
-        "duration_us": duration_us,
-        "tick_us": tick_us,
-        "speed_mps": speed_mps,
-        "recheck_m": recheck_m,
-        "extent_m": extent_m,
-        "assigned_aps": sum(1 for ap in aps if ap.channel is not None),
-        "requeries": sum(requeries),
-        "requeries_per_client": sum(requeries) / num_clients,
-        "handoffs": sum(handoffs),
-        "vacations": sum(vacations),
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": disconnected_ticks,
-        "connected_fraction": connected_ticks / client_ticks,
-        "violation_ticks": violation_ticks,
-        "violation_free_fraction": (
-            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
-        ),
-        "mic_events": len(events),
-        "displaced_aps": displaced,
-        "backup_recoveries": backup_recoveries,
-        "full_reassignments": full_reassignments,
-        "outages": outages,
-        "per_client": tuple(
-            (i, requeries[i], handoffs[i], vacations[i], connected[i])
-            for i in range(num_clients)
-        ),
-        "final_cells": tuple(
-            quantize_cell(c.x_m, c.y_m, recheck_m) for c in clients
-        ),
-        "db": db.stats.as_dict(),
-    }
-    if tel_on:
-        report["telemetry"] = tel.snapshot()
-    if sp_on:
-        report["spans"] = sp.snapshot()
-    return report

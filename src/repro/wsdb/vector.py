@@ -1,12 +1,12 @@
 """The columnar mobile-client engine: million-client fleets on numpy.
 
-The scalar drivers (:func:`~repro.wsdb.mobility.simulate_roaming`,
-:func:`~repro.wsdb.cluster.querystorm.simulate_querystorm`) walk a
-Python object per client per tick — perfectly clear, and capped around
-10^3 clients.  This module holds the whole fleet in columns instead
-(positions, waypoints, cached-response ids, trigger cells, TTL buckets,
-assigned APs, per-client counters — one numpy array each) and batches
-the per-tick hot path as array ops:
+:class:`VectorFleet` is the fleet :func:`~repro.wsdb.session.run_session`
+runs when ``engine="vector"``.  Its per-client twin,
+:class:`~repro.wsdb.session.ScalarFleet`, walks one client at a time —
+perfectly clear, and capped around 10^3 clients.  This module holds the
+whole fleet in columns instead (positions, waypoints, cached-response
+ids, trigger cells, TTL buckets, assigned APs, per-client counters —
+one numpy array each) and batches the per-tick hot path as array ops:
 
 * **Waypoint advance** — the common case (the tick ends before the
   current leg does) is one fused array expression; the rare
@@ -16,13 +16,13 @@ the per-tick hot path as array ops:
 * **Re-check detection** — 100 m square crossings and TTL expiry via
   integer cell arithmetic (``floor(x / recheck_m)`` per axis), one
   compare per trigger.
-* **Grouped DB lookups** — the tick's re-checkers submit their cells in
-  client order through
-  :meth:`~repro.wsdb.service.WhiteSpaceDatabase.channels_in_cells`; the
-  (cell, TTL-bucket) response cache is the memoization, so N clients in
-  one cell cost one computed response, and the database sees the exact
-  query sequence the scalar loop would send (cache stats match to the
-  eviction).
+* **Grouped DB lookups** — the session loop submits a tick's
+  re-checkers' cells in client order as one batch (straight to
+  :meth:`~repro.wsdb.service.WhiteSpaceDatabase.channels_in_cells`, or
+  as one frontend burst); the (cell, TTL-bucket) response cache is the
+  memoization, so N clients in one cell cost one computed response,
+  and the database sees the exact query sequence of the scalar fleet
+  (cache stats match to the eviction).
 * **Response interning** — distinct response tuples intern to small
   ids; eligibility (``ap_spans <= response``) is a (responses x APs)
   bool table rebuilt only when the AP snapshot changes, and a tick's
@@ -42,53 +42,28 @@ the per-tick hot path as array ops:
 
 **The bit-identity contract.**  Every float the hot path produces goes
 through +, -, *, /, sqrt, and floor only — all correctly-rounded
-IEEE-754 operations — in the same operand order as the scalar engine,
+IEEE-754 operations — in the same operand order as the scalar fleet,
 so positions, distances, and cell ids are bit-identical, not merely
-close.  Everything order-sensitive on the service side (LRU cache,
-token-bucket admission, push subscribe/notify) is driven in the scalar
-engine's exact call order.  The reports returned here compare equal
-(``==``) to the scalar engine's, field for field, including the nested
-db/frontend/push stats — the property ``tests/wsdb/test_vector.py``
-sweeps seeds x fleet sizes x speeds to pin.
+close.  The session reports compare equal (``==``) across the two
+fleets, field for field, including the nested db/frontend/push stats —
+the property ``tests/wsdb/test_vector.py`` sweeps seeds x fleet sizes
+x speeds to pin.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Any
 
 import numpy as np
 
-from repro.sim.rng import stream_seed
-from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.telemetry.profiler import NULL_PROFILER
-from repro.telemetry.spans import NULL_SPANS, lookup_steps
-from repro.wsdb.citywide import (
-    DEFAULT_INTERFERENCE_RADIUS_M,
-    boot_aps,
-    displace_covered_aps,
-    generate_mic_events,
-    snapshot_assigned_aps,
-)
-from repro.wsdb.mobility import (
-    DEFAULT_SPEED_MPS,
-    DEFAULT_TICK_US,
-    RoamingClient,
-    advance_position,
-    spawn_clients,
-)
-from repro.traces.record import NULL_RECORDER
-from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell, ttl_bucket
+from repro.wsdb.mobility import RoamingClient, advance_position
 
-__all__ = [
-    "VectorFleet",
-    "simulate_querystorm_vector",
-    "simulate_roaming_vector",
-]
+__all__ = ["VectorFleet"]
 
 #: Sentinel for "no cell observed yet" in the trigger-cell columns;
 #: far outside any reachable quantization cell, so the first tick's
-#: comparison always fires (the scalar engine's ``last_cell = None``).
+#: comparison always fires (every client queries at tick 0).
 _NO_CELL = np.iinfo(np.int64).min
 
 
@@ -96,7 +71,7 @@ class VectorFleet:
     """Columnar state for a fleet of waypoint-walking mobile clients.
 
     Built from the same :func:`~repro.wsdb.mobility.spawn_clients`
-    output the scalar engine iterates, so initial positions, waypoints,
+    output the scalar fleet starts from, so initial positions, waypoints,
     and the per-client RNG objects (kept for waypoint-crossing draws)
     are shared by construction.
     """
@@ -197,8 +172,9 @@ class VectorFleet:
     def advance(self, step_m: float) -> None:
         """Advance every walker by *step_m* along its waypoint path.
 
-        The non-crossing fast path is the scalar loop's else-branch
-        arithmetic (``pos += delta / leg * step``) elementwise; walkers
+        The non-crossing fast path is :func:`advance_position`'s
+        else-branch arithmetic (``pos += delta / leg * step``)
+        elementwise; walkers
         whose leg ends within the tick replay the exact scalar
         :func:`advance_position` (their RNG draws must consume the same
         stream values the scalar engine would).
@@ -276,7 +252,7 @@ class VectorFleet:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One tick of vacation, association, handoff, and compliance.
 
-        Mirrors the scalar loop's per-client sequence exactly: vacate
+        Mirrors the scalar fleet's per-client sequence exactly: vacate
         when the previous AP's spans are no longer permitted, associate
         with the nearest eligible AP (running min over ascending
         ``ap_id`` columns with strict ``<`` — the scalar tie-break),
@@ -363,690 +339,3 @@ class VectorFleet:
                 violating[cand[covered]] = True
             self.violations[violating] += 1
         return connected, new_ap, best_col, handoff_mask, violating
-
-
-def _record_mic_event(recorder, event, index: int, resolution_m: float):
-    """The mic emission shared with the scalar drivers (same stamps)."""
-    mic_cell = quantize_cell(event.x_m, event.y_m, resolution_m)
-    recorder.emit(
-        "mic",
-        event.t_us,
-        subject=index,
-        cell=mic_cell,
-        channels=(event.uhf_index,),
-        x=event.x_m,
-        y=event.y_m,
-        aux=event.uhf_index,
-    )
-    return mic_cell
-
-
-def _record_association_tick(
-    recorder,
-    fleet: VectorFleet,
-    tick,
-    trig_x: np.ndarray,
-    trig_y: np.ndarray,
-    t_us: float,
-    viol_open: np.ndarray,
-) -> None:
-    """Emit handoff and violation-window events for one fleet tick.
-
-    The stamps (trigger cell, exact position, sorted AP spans) match
-    the scalar loop's emissions value-for-value, so both engines'
-    sorted streams are identical.
-    """
-    _connected, new_ap, best_col, handoff_mask, violating = tick
-    x, y = fleet.x, fleet.y
-    for i in np.flatnonzero(handoff_mask).tolist():
-        recorder.emit(
-            "handoff",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            channels=tuple(sorted(fleet._live_spans[int(best_col[i])])),
-            x=float(x[i]),
-            y=float(y[i]),
-            aux=int(new_ap[i]),
-        )
-    opens = np.flatnonzero(violating & ~viol_open)
-    closes = np.flatnonzero(viol_open & ~violating)
-    for i in opens.tolist():
-        recorder.emit(
-            "violation_open",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            channels=tuple(sorted(fleet._live_spans[int(best_col[i])])),
-            x=float(x[i]),
-            y=float(y[i]),
-        )
-    for i in closes.tolist():
-        recorder.emit(
-            "violation_close",
-            t_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            x=float(x[i]),
-            y=float(y[i]),
-            aux=0,
-        )
-    viol_open[opens] = True
-    viol_open[closes] = False
-
-
-def _record_end_closes(
-    recorder,
-    fleet: VectorFleet,
-    viol_open: np.ndarray,
-    end_us: float,
-    recheck_m: float,
-) -> None:
-    """Close still-open violation windows at end of run (aux=1)."""
-    trig_x, trig_y = fleet.cells(recheck_m)
-    for i in np.flatnonzero(viol_open).tolist():
-        recorder.emit(
-            "violation_close",
-            end_us,
-            subject=i,
-            cell=(int(trig_x[i]), int(trig_y[i])),
-            x=float(fleet.x[i]),
-            y=float(fleet.y[i]),
-            aux=1,
-        )
-
-
-def _fleet_report(
-    fleet: VectorFleet, ticks: int, recheck_m: float
-) -> dict[str, Any]:
-    """The per-client accounting block shared by both vector drivers."""
-    requeries = fleet.requeries.tolist()
-    handoffs = fleet.handoffs.tolist()
-    vacations = fleet.vacations.tolist()
-    connected = fleet.connected.tolist()
-    connected_ticks = sum(connected)
-    violation_ticks = int(fleet.violations.sum())
-    client_ticks = fleet.n * (ticks + 1)
-    qx, qy = fleet.cells(recheck_m)
-    return {
-        "requeries": sum(requeries),
-        "handoffs": sum(handoffs),
-        "vacations": sum(vacations),
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": fleet.disconnected_ticks,
-        "violation_ticks": violation_ticks,
-        "client_ticks": client_ticks,
-        "per_client": tuple(
-            (i, requeries[i], handoffs[i], vacations[i], connected[i])
-            for i in range(fleet.n)
-        ),
-        "final_cells": tuple(zip(qx.tolist(), qy.tolist())),
-    }
-
-
-# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_determinism.py)
-def simulate_roaming_vector(
-    db: WhiteSpaceDatabase,
-    num_aps: int,
-    num_clients: int,
-    duration_us: float,
-    seed: int,
-    speed_mps: float = DEFAULT_SPEED_MPS,
-    recheck_m: float | None = None,
-    mic_events: int = 0,
-    tick_us: float = DEFAULT_TICK_US,
-    interference_radius_m: float = DEFAULT_INTERFERENCE_RADIUS_M,
-    recorder: Any = None,
-    telemetry: Any = None,
-    profiler: Any = None,
-    spans: Any = None,
-) -> dict[str, Any]:
-    """The columnar twin of :func:`~repro.wsdb.mobility.simulate_roaming`.
-
-    Same world construction (shared ``boot_aps`` / ``spawn_clients`` /
-    ``generate_mic_events`` off the same labelled streams), same tick
-    semantics, bit-identical report — and, given a ``recorder``, the
-    identical trace event stream (the scalar loop interleaves its hooks
-    per client, this engine per stage; canonical trace ordering makes
-    the sorted streams equal).  Reached via
-    ``simulate_roaming(..., engine="vector")``; calling it directly
-    skips nothing but the argument validation.
-
-    ``telemetry`` (sim-clock, deterministic, snapshot-identical to the
-    scalar engine's) and ``profiler`` (wall-clock phase breakdown of
-    the batched tick stages: advance / recheck-detect / batch-lookup /
-    associate / compliance) both observe only — the report is
-    unchanged except for the ``"telemetry"`` snapshot key.  ``spans``
-    records the identical span set the scalar engine emits (the batch
-    lookup's per-cell outcomes are replayed per client in client
-    order).
-    """
-    if recheck_m is None:
-        recheck_m = db.cache_resolution_m
-    if recorder is None:
-        recorder = NULL_RECORDER
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
-    tel_on = tel.enabled
-    sp = NULL_SPANS if spans is None else spans
-    sp_on = sp.enabled
-    prof = NULL_PROFILER if profiler is None else profiler
-    extent_m = db.metro.extent_m
-    aps = boot_aps(db, num_aps, seed, "roaming-aps", interference_radius_m)
-    fleet = VectorFleet(
-        spawn_clients(num_clients, seed, "roaming-client", extent_m), extent_m
-    )
-
-    events = generate_mic_events(
-        mic_events,
-        duration_us,
-        extent_m,
-        db.metro.num_channels,
-        stream_seed(seed, "roaming-mics"),
-    )
-    next_event = 0
-    displaced = backup_recoveries = full_reassignments = outages = 0
-
-    def register_event(event, index: int) -> None:
-        nonlocal displaced, backup_recoveries, full_reassignments, outages
-        registration = event.registration()
-        invalidated = db.register_mic(registration)
-        if sp_on:
-            sp.record_tree(
-                "mic_register",
-                "mic",
-                index,
-                event.t_us,
-                "db",
-                [("invalidate", "db", {"entries": int(invalidated)}, ())],
-            )
-        if recording:
-            _record_mic_event(recorder, event, index, db.cache_resolution_m)
-        d, b, r, o = displace_covered_aps(
-            db, aps, event, registration, interference_radius_m
-        )
-        displaced += d
-        backup_recoveries += b
-        full_reassignments += r
-        outages += o
-
-    live_aps, _ = snapshot_assigned_aps(aps)
-    fleet.set_snapshot(live_aps, num_aps)
-
-    aligned = recheck_m == db.cache_resolution_m
-    step_m = speed_mps * tick_us / 1e6
-    ticks = int(duration_us // tick_us)
-    viol_open = np.zeros(fleet.n, dtype=bool)
-    for k in range(ticks + 1):
-        t_us = k * tick_us
-        fired = False
-        while next_event < len(events) and events[next_event].t_us <= t_us:
-            register_event(events[next_event], next_event)
-            next_event += 1
-            fired = True
-        if fired:
-            live_aps, _ = snapshot_assigned_aps(aps)
-            fleet.set_snapshot(live_aps, num_aps)
-
-        if k > 0:
-            with prof.phase("advance"):
-                fleet.advance(step_m)
-
-        # The re-check rule, batched: due clients submit their *query*
-        # cells (the database's own resolution, which the trigger
-        # granularity need not match) in client order — the exact
-        # sequence the scalar per-client loop sends.
-        with prof.phase("recheck-detect"):
-            trig_x, trig_y = fleet.cells(recheck_m)
-            bucket = ttl_bucket(t_us, db.ttl_us)
-            idx = fleet.recheck_due(trig_x, trig_y, bucket)
-        if idx.size:
-            with prof.phase("batch-lookup"):
-                if aligned:
-                    qx, qy = trig_x, trig_y
-                else:
-                    qx, qy = fleet.cells(db.cache_resolution_m)
-                cells = list(zip(qx[idx].tolist(), qy[idx].tolist()))
-                responses = db.channels_in_cells(cells, t_us)
-                fleet.commit_recheck(idx, trig_x, trig_y, bucket, responses)
-            if sp_on:
-                # Replay the batch's per-cell outcomes per client in
-                # client order — the scalar loop's exact span sequence.
-                outs = db.last_outcomes
-                for j, i in enumerate(idx.tolist()):
-                    hit, scanned = outs[j]
-                    sp.record_tree(
-                        "request",
-                        "roam",
-                        i,
-                        t_us,
-                        "db",
-                        [lookup_steps(hit, scanned, "db")],
-                    )
-            if recording:
-                for j, i in enumerate(idx.tolist()):
-                    recorder.emit(
-                        "recheck",
-                        t_us,
-                        subject=i,
-                        cell=cells[j],
-                        channels=responses[j],
-                        x=float(fleet.x[i]),
-                        y=float(fleet.y[i]),
-                        aux=1,
-                    )
-
-        tick = fleet.associate_and_score(db.metro, t_us, profiler=prof)
-        if recording:
-            _record_association_tick(
-                recorder, fleet, tick, trig_x, trig_y, t_us, viol_open
-            )
-
-        if tel_on:
-            tel.sample_tick(
-                t_us,
-                queries=db.stats.queries,
-                cache_hits=db.stats.cache_hits,
-                requeries=int(fleet.requeries.sum()),
-                handoffs=int(fleet.handoffs.sum()),
-                violating=int(tick[4].sum()),
-            )
-
-    if recording:
-        _record_end_closes(
-            recorder, fleet, viol_open, ticks * tick_us, recheck_m
-        )
-
-    while next_event < len(events):
-        register_event(events[next_event], next_event)
-        next_event += 1
-
-    tallies = _fleet_report(fleet, ticks, recheck_m)
-    connected_ticks = tallies["connected_ticks"]
-    violation_ticks = tallies["violation_ticks"]
-    if tel_on:
-        db.publish_metrics(tel)
-        tel.counter("requeries").inc(tallies["requeries"])
-        tel.counter("handoffs").inc(tallies["handoffs"])
-        tel.counter("vacations").inc(tallies["vacations"])
-        tel.counter("violation_ticks").inc(violation_ticks)
-        tel.counter("connected_ticks").inc(connected_ticks)
-        tel.counter("disconnected_ticks").inc(tallies["disconnected_ticks"])
-    report = {
-        "num_aps": num_aps,
-        "num_clients": num_clients,
-        "duration_us": duration_us,
-        "tick_us": tick_us,
-        "speed_mps": speed_mps,
-        "recheck_m": recheck_m,
-        "extent_m": extent_m,
-        "assigned_aps": sum(1 for ap in aps if ap.channel is not None),
-        "requeries": tallies["requeries"],
-        "requeries_per_client": tallies["requeries"] / num_clients,
-        "handoffs": tallies["handoffs"],
-        "vacations": tallies["vacations"],
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": tallies["disconnected_ticks"],
-        "connected_fraction": connected_ticks / tallies["client_ticks"],
-        "violation_ticks": violation_ticks,
-        "violation_free_fraction": (
-            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
-        ),
-        "mic_events": len(events),
-        "displaced_aps": displaced,
-        "backup_recoveries": backup_recoveries,
-        "full_reassignments": full_reassignments,
-        "outages": outages,
-        "per_client": tallies["per_client"],
-        "final_cells": tallies["final_cells"],
-        "db": db.stats.as_dict(),
-    }
-    if tel_on:
-        report["telemetry"] = tel.snapshot()
-    if sp_on:
-        report["spans"] = sp.snapshot()
-    return report
-
-
-# detlint: ok[DET005] profiler times tick phases only; every published metric value is sim-clock data and reports are byte-identical with profiling on (tests/telemetry/test_determinism.py)
-def simulate_querystorm_vector(
-    router,
-    num_aps: int,
-    num_clients: int,
-    duration_us: float,
-    seed: int,
-    offered_qps: float = 0.0,
-    push: bool = False,
-    speed_mps: float = DEFAULT_SPEED_MPS,
-    recheck_m: float | None = None,
-    mic_events: int = 0,
-    tick_us: float = DEFAULT_TICK_US,
-    rate_limit_qps: float | None = None,
-    burst_size: float | None = None,
-    policy: str = "reject",
-    interference_radius_m: float = DEFAULT_INTERFERENCE_RADIUS_M,
-    storm_source: Any = None,
-    recorder: Any = None,
-    telemetry: Any = None,
-    profiler: Any = None,
-    spans: Any = None,
-) -> dict[str, Any]:
-    """The columnar twin of the cluster's ``simulate_querystorm``.
-
-    Movement, re-check detection, association, and compliance are the
-    batched fleet stages; everything whose *order* the cluster tier can
-    observe follows the scalar engine's exact order — the storm burst,
-    then the tick's re-checkers as one ``query_batch`` burst in client
-    order (token-bucket admission is order-sensitive), and push-registry
-    subscriptions (movers only: a same-cell re-subscribe is a
-    stats-free no-op, so skipping it is unobservable).  Reached via
-    ``simulate_querystorm(..., engine="vector")``.
-
-    ``storm_source`` and ``recorder`` behave exactly as on the scalar
-    driver: an explicit ``(t_us, xy)`` block workload replaces the
-    synthetic generator, and a recorder captures the identical event
-    stream the scalar engine would emit.  ``telemetry`` and
-    ``profiler`` behave as on the vector roaming driver: deterministic
-    sim-clock metrics (snapshot-identical to the scalar engine's) and
-    a wall-clock phase breakdown, both observation-only; the storm
-    adds the ``storm-gen`` (feed burst) and ``frontend`` (storm
-    ``query_batch``) phases, and the re-check burst runs in
-    ``batch-lookup``.  ``spans`` records the identical span set the
-    scalar engine emits (both send the same two bursts per tick).
-    """
-    from repro.wsdb.cluster.frontend import BatchFrontend
-    from repro.wsdb.cluster.push import PushRegistry
-    from repro.wsdb.cluster.querystorm import (
-        StormFeed,
-        record_requests,
-        synthetic_storm,
-    )
-
-    if recheck_m is None:
-        recheck_m = router.cache_resolution_m
-    if recorder is None:
-        recorder = NULL_RECORDER
-    recording = recorder.enabled
-    tel = NULL_TELEMETRY if telemetry is None else telemetry
-    tel_on = tel.enabled
-    sp = NULL_SPANS if spans is None else spans
-    sp_on = sp.enabled
-    prof = NULL_PROFILER if profiler is None else profiler
-
-    registry = PushRegistry(router.cache_resolution_m) if push else None
-    frontend = BatchFrontend(
-        router,
-        rate_limit_qps=rate_limit_qps,
-        burst_size=burst_size,
-        policy=policy,
-        push=registry,
-        telemetry=tel,
-        spans=sp,
-    )
-
-    extent_m = router.metro.extent_m
-    aps = boot_aps(
-        router, num_aps, seed, "querystorm-aps", interference_radius_m
-    )
-    fleet = VectorFleet(
-        spawn_clients(num_clients, seed, "querystorm-client", extent_m),
-        extent_m,
-    )
-
-    events = generate_mic_events(
-        mic_events,
-        duration_us,
-        extent_m,
-        router.metro.num_channels,
-        stream_seed(seed, "querystorm-mics"),
-    )
-    next_event = 0
-    displaced = backup_recoveries = full_reassignments = outages = 0
-    deferred_requeries = 0
-    push_refreshes = 0
-    storm_queries = 0
-
-    def register_event(event, index: int) -> tuple[int, ...]:
-        nonlocal displaced, backup_recoveries, full_reassignments, outages
-        registration = event.registration()
-        notified = frontend.register_mic(
-            registration,
-            span_ref=(index, event.t_us) if sp_on else None,
-        )
-        if recording:
-            mic_cell = _record_mic_event(
-                recorder, event, index, router.cache_resolution_m
-            )
-            for device in notified:
-                recorder.emit(
-                    "push",
-                    event.t_us,
-                    subject=device,
-                    cell=mic_cell,
-                    channels=(event.uhf_index,),
-                    aux=index,
-                )
-        d, b, r, o = displace_covered_aps(
-            router, aps, event, registration, interference_radius_m
-        )
-        displaced += d
-        backup_recoveries += b
-        full_reassignments += r
-        outages += o
-        return notified
-
-    live_aps, _ = snapshot_assigned_aps(aps)
-    fleet.set_snapshot(live_aps, num_aps)
-
-    step_m = speed_mps * tick_us / 1e6
-    ticks = int(duration_us // tick_us)
-    if storm_source is None:
-        storm_source = synthetic_storm(
-            offered_qps,
-            tick_us,
-            ticks,
-            extent_m,
-            random.Random(stream_seed(seed, "querystorm-load")),
-        )
-    feed = StormFeed(storm_source)
-    viol_open = np.zeros(fleet.n, dtype=bool)
-    # First-attempt timestamps for deferred re-checks: latency is
-    # measured from the tick a client first needed a refresh, exactly
-    # as in the scalar driver.  A plain list, so each stamp keeps the
-    # scalar engine's Python type (span trace ids hash its text).
-    pending_since: list[float | None] = [None] * fleet.n
-    # Undelivered push notifications (cleared only once the refresh
-    # query is admitted) and the registry-subscription shadow cells
-    # (movers-only subscribe needs to know who moved).
-    pushed = np.zeros(fleet.n, dtype=bool)
-    sub_x = np.full(fleet.n, _NO_CELL, dtype=np.int64)
-    sub_y = np.full(fleet.n, _NO_CELL, dtype=np.int64)
-    for k in range(ticks + 1):
-        t_us = k * tick_us
-        fired = False
-        while next_event < len(events) and events[next_event].t_us <= t_us:
-            notified = register_event(events[next_event], next_event)
-            if notified:
-                pushed[list(notified)] = True
-            next_event += 1
-            fired = True
-        if fired:
-            live_aps, _ = snapshot_assigned_aps(aps)
-            fleet.set_snapshot(live_aps, num_aps)
-
-        # The storm burst goes first, exactly as in the scalar driver:
-        # background load contends for admission tokens ahead of the
-        # clients' re-checks.
-        with prof.phase("storm-gen"):
-            points = feed.burst(t_us)
-        if len(points):
-            seqs = range(storm_queries, storm_queries + len(points))
-            storm_queries += len(points)
-            admitted = frontend.stats.admitted
-            with prof.phase("frontend"):
-                responses = frontend.query_batch(
-                    points,
-                    t_us,
-                    enqueue_t_us=feed.last_times,
-                    span_refs=[("storm", j) for j in seqs] if sp_on else None,
-                )
-            if recording:
-                record_requests(
-                    recorder, "query", t_us, seqs, points, responses,
-                    frontend.stats.admitted - admitted, router.cell_of,
-                )
-
-        if k > 0:
-            with prof.phase("advance"):
-                fleet.advance(step_m)
-
-        if registry is not None:
-            rcx, rcy = fleet.cells(router.cache_resolution_m)
-            moved = np.flatnonzero((rcx != sub_x) | (rcy != sub_y))
-            for i in moved.tolist():
-                registry.subscribe(i, int(rcx[i]), int(rcy[i]))
-            sub_x[moved] = rcx[moved]
-            sub_y[moved] = rcy[moved]
-
-        with prof.phase("recheck-detect"):
-            trig_x, trig_y = fleet.cells(recheck_m)
-            bucket = ttl_bucket(t_us, router.ttl_us)
-            due = np.flatnonzero(
-                (trig_x != fleet.last_tx)
-                | (trig_y != fleet.last_ty)
-                | (fleet.last_bucket != bucket)
-                | pushed
-            )
-        # The tick's re-checkers go to the frontend as one burst in
-        # client order — the request sequence (and token-bucket
-        # admission) of the scalar engine's burst.
-        if len(due):
-            idx = due.tolist()
-            with prof.phase("batch-lookup"):
-                stamps = [
-                    t_us if pending_since[i] is None else pending_since[i]
-                    for i in idx
-                ]
-                xy = np.column_stack((fleet.x[due], fleet.y[due]))
-                admitted = frontend.stats.admitted
-                responses = frontend.query_batch(
-                    xy,
-                    t_us,
-                    enqueue_t_us=stamps,
-                    span_refs=[("recheck", i) for i in idx] if sp_on else None,
-                )
-            if recording:
-                record_requests(
-                    recorder, "recheck", t_us, idx, xy, responses,
-                    frontend.stats.admitted - admitted, router.cell_of,
-                )
-            served = np.array([r is not None for r in responses])
-            done = due[served]
-            fleet.commit_recheck(
-                done, trig_x, trig_y, bucket,
-                [r for r in responses if r is not None],
-            )
-            push_refreshes += int(pushed[done].sum())
-            pushed[done] = False
-            # Shed without a stale fallback: keep the old response and
-            # retry next tick, stamped with the first attempt.
-            deferred_requeries += len(idx) - len(done)
-            for i, since, response in zip(idx, stamps, responses):
-                pending_since[i] = since if response is None else None
-
-        tick = fleet.associate_and_score(router.metro, t_us, profiler=prof)
-        if recording:
-            _record_association_tick(
-                recorder, fleet, tick, trig_x, trig_y, t_us, viol_open
-            )
-        if tel_on:
-            agg = router.aggregate_stats()
-            tel.sample_tick(
-                t_us,
-                queries=agg.queries,
-                cache_hits=agg.cache_hits,
-                requests=frontend.stats.requests,
-                shed=frontend.stats.shed,
-                pushes=(
-                    registry.stats.notifications
-                    if registry is not None
-                    else 0
-                ),
-                handoffs=int(fleet.handoffs.sum()),
-                violating=int(tick[4].sum()),
-            )
-
-    if recording:
-        _record_end_closes(
-            recorder, fleet, viol_open, ticks * tick_us, recheck_m
-        )
-
-    while next_event < len(events):
-        register_event(events[next_event], next_event)
-        next_event += 1
-
-    tallies = _fleet_report(fleet, ticks, recheck_m)
-    connected_ticks = tallies["connected_ticks"]
-    violation_ticks = tallies["violation_ticks"]
-    client_ticks = tallies["client_ticks"]
-    if tel_on:
-        frontend.publish_metrics(tel)
-        tel.counter("storm_queries").inc(storm_queries)
-        tel.counter("requeries").inc(tallies["requeries"])
-        tel.counter("deferred_requeries").inc(deferred_requeries)
-        tel.counter("push_refreshes").inc(push_refreshes)
-        tel.counter("handoffs").inc(tallies["handoffs"])
-        tel.counter("vacations").inc(tallies["vacations"])
-        tel.counter("violation_ticks").inc(violation_ticks)
-        tel.counter("connected_ticks").inc(connected_ticks)
-        tel.counter("disconnected_ticks").inc(tallies["disconnected_ticks"])
-    report = {
-        "num_aps": num_aps,
-        "num_clients": num_clients,
-        "num_shards": router.num_shards,
-        "shard_grid": router.grid,
-        "duration_us": duration_us,
-        "tick_us": tick_us,
-        "speed_mps": speed_mps,
-        "recheck_m": recheck_m,
-        "extent_m": extent_m,
-        "offered_qps": offered_qps,
-        "push": push,
-        "rate_limit_qps": rate_limit_qps,
-        "shed_policy": policy,
-        "storm_queries": storm_queries,
-        "assigned_aps": sum(1 for ap in aps if ap.channel is not None),
-        "requeries": tallies["requeries"],
-        "deferred_requeries": deferred_requeries,
-        "push_refreshes": push_refreshes,
-        "handoffs": tallies["handoffs"],
-        "vacations": tallies["vacations"],
-        "connected_ticks": connected_ticks,
-        "disconnected_ticks": tallies["disconnected_ticks"],
-        "connected_fraction": (
-            connected_ticks / client_ticks if client_ticks else 0.0
-        ),
-        "violation_ticks": violation_ticks,
-        "violation_us": violation_ticks * tick_us,
-        "violation_free_fraction": (
-            1.0 - violation_ticks / connected_ticks if connected_ticks else 1.0
-        ),
-        "mic_events": len(events),
-        "displaced_aps": displaced,
-        "backup_recoveries": backup_recoveries,
-        "full_reassignments": full_reassignments,
-        "outages": outages,
-        "per_client": tallies["per_client"],
-        "final_cells": tallies["final_cells"],
-        "frontend": frontend.stats.as_dict(),
-        "push_stats": (
-            registry.stats.as_dict() if registry is not None else None
-        ),
-        "db": router.stats_dict(),
-        "per_shard": router.per_shard_stats(),
-    }
-    if tel_on:
-        report["telemetry"] = tel.snapshot()
-    if sp_on:
-        report["spans"] = sp.snapshot()
-    return report

@@ -173,22 +173,33 @@ class TestAggregation:
 def test_workers_beat_sequential_wall_clock():
     # On multi-core hosts the fan-out must pay for itself.  (Single-CPU
     # containers exercise only the byte-identical equivalence above.)
+    # Workers are capped at the CPU count: more only contend for the
+    # same cores.  Each side is timed as the best of three alternating
+    # repetitions, so a busy moment on the host lands on both sides and
+    # the minimum is each side's least-disturbed time.
+    import os
     import time
 
     spec = quick_spec(
         kind="whitefi", duration_us=1_500_000.0, backgrounds=()
     )
     seeds = sweep_seeds(77, 4)
+    workers = min(4, os.cpu_count())
 
-    start = time.perf_counter()
-    sequential = ParallelRunner(max_workers=1).run_grid(spec, seeds)
-    sequential_s = time.perf_counter() - start
+    def timed(max_workers):
+        start = time.perf_counter()
+        results = ParallelRunner(max_workers=max_workers).run_grid(
+            spec, seeds
+        )
+        return time.perf_counter() - start, [r.to_json() for r in results]
 
-    start = time.perf_counter()
-    parallel = ParallelRunner(max_workers=4).run_grid(spec, seeds)
-    parallel_s = time.perf_counter() - start
-
-    assert [r.to_json() for r in sequential] == [r.to_json() for r in parallel]
+    sequential_s = parallel_s = float("inf")
+    for _ in range(3):
+        elapsed, sequential = timed(1)
+        sequential_s = min(sequential_s, elapsed)
+        elapsed, parallel = timed(workers)
+        parallel_s = min(parallel_s, elapsed)
+        assert sequential == parallel
     assert parallel_s < sequential_s, (parallel_s, sequential_s)
 
 

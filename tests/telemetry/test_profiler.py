@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+
 from repro.telemetry import NULL_PROFILER, NullProfiler, PhaseProfiler
+from repro.wsdb.mobility import simulate_roaming
+from repro.wsdb.model import generate_metro
+from repro.wsdb.service import WhiteSpaceDatabase
 
 
 class FakeClock:
@@ -98,3 +103,33 @@ class TestNullProfiler:
                 pass
         with NULL_PROFILER.phase("a"):
             pass
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_roaming_phases_observe_only(engine):
+    # The roaming twin of the querystorm profiler test: profiling never
+    # changes the report, and both engines time the same tick phases.
+    pytest.importorskip("numpy")
+
+    def run(**extra):
+        metro = generate_metro(range(10), extent_m=3_000.0, seed=7)
+        return simulate_roaming(
+            WhiteSpaceDatabase(metro),
+            num_aps=6,
+            num_clients=20,
+            duration_us=30e6,
+            seed=7,
+            mic_events=2,
+            engine=engine,
+            **extra,
+        )
+
+    profiler = PhaseProfiler()
+    assert run(profiler=profiler) == run()
+    assert set(profiler.seconds()) == {
+        "advance",
+        "associate",
+        "batch-lookup",
+        "compliance",
+        "recheck-detect",
+    }

@@ -39,6 +39,7 @@ def entry(**overrides) -> dict:
     base = {
         "created": "2026-08-08T00:00:00Z",
         "version": "1.7.0",
+        "host": "ci-runner-3",
         "smoke": False,
         "duration_us": 10_000_000.0,
         "runs": [measured_run()],
@@ -57,11 +58,6 @@ class TestValidEntries:
     def test_optional_phases_key_accepted(self):
         run = measured_run(phases={"advance": 0.1, "batch-lookup": 0.9})
         bench_trend.validate_entry(entry(runs=[run]), 0)
-
-    def test_optional_host_key_accepted(self):
-        # Entries predating the host stamp stay valid without it.
-        bench_trend.validate_entry(entry(host="ci-runner-3"), 0)
-        bench_trend.validate_entry(entry(), 0)
 
     def test_skipped_stub_row_passes(self):
         stub = {"engine": "vector", "clients": 100_000, "skipped": "budget"}
@@ -90,6 +86,14 @@ class TestRejectedEntries:
     def test_unknown_entry_key_named_in_error(self):
         with pytest.raises(bench_trend.SchemaError, match="surprise"):
             bench_trend.validate_entry(entry(surprise=1), 3)
+
+    def test_missing_host_rejected(self):
+        # Throughput only compares on one machine, so every entry must
+        # say which machine measured it.
+        bad = entry()
+        del bad["host"]
+        with pytest.raises(bench_trend.SchemaError, match="host"):
+            bench_trend.validate_entry(bad, 0)
 
     def test_missing_entry_key_named_in_error(self):
         bad = entry()
@@ -158,13 +162,6 @@ class TestComparablePair:
         assert bench_trend.comparable_pair(
             [entry(host="fast-box"), entry(host="vm")]
         ) is None
-
-    def test_unstamped_legacy_entry_does_not_judge_stamped_one(self):
-        assert bench_trend.comparable_pair([entry(), entry(host="vm")]) is None
-
-    def test_unstamped_legacy_entries_still_compare_with_each_other(self):
-        a, b = entry(), entry()
-        assert bench_trend.comparable_pair([a, b]) == (a, b)
 
 
 class TestRepoLog:

@@ -1,13 +1,15 @@
-"""A pinned recorded querystorm trace.
+"""Pinned recorded querystorm and roaming traces.
 
-The digest below is the sha256 of the decompressed JSONL of one small
+The storm digest is the sha256 of the decompressed JSONL of one small
 recorded storm: push on, ``serve-stale``, rate-limited far below the
 offered load, so the trace carries shed, stale-served, deferred and
-push-refreshed requests.  Performance work on the request path (storm
-generation, admission, coalescing, re-check batching) must leave every
-recorded event unchanged; this test checks that instead of asserting
-it.  Hashing the decompressed text keeps the pin independent of the
-zlib build.
+push-refreshed requests.  The roaming digest is one small recorded
+roaming session with mic events, whose trace carries re-checks,
+handoffs and violation windows.  Performance work on the request path
+(storm generation, admission, coalescing, re-check batching) and on
+the tick loop must leave every recorded event unchanged; these tests
+check that instead of asserting it.  Hashing the decompressed text
+keeps the pins independent of the zlib build.
 """
 
 import gzip
@@ -15,9 +17,11 @@ import hashlib
 
 import pytest
 
-from repro.traces.record import TraceRecorder
+from repro.traces.record import TraceRecorder, read_trace
 from repro.wsdb.cluster import ShardRouter, simulate_querystorm
+from repro.wsdb.mobility import simulate_roaming
 from repro.wsdb.model import generate_metro
+from repro.wsdb.service import WhiteSpaceDatabase
 
 PINNED_SHA256 = (
     "d9a3169d8139b657bafa08784dc4b1a70021d6dba8b2adf84f1cd1f48e608c37"
@@ -61,3 +65,44 @@ def test_recorded_storm_trace_is_pinned(tmp_path, engine):
     assert report["deferred_requeries"] > 0 and report["push_refreshes"] > 0
     digest = hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
     assert digest == PINNED_SHA256
+
+
+ROAMING_SHA256 = (
+    "3ac299cb60a45c5b82ba4bb20debb1d96ac3c360e3d42ff2e151df8c7aff1c52"
+)
+
+
+def record_pinned_roaming(path, engine):
+    metro = generate_metro(range(10), extent_m=3_000.0, seed=26)
+    recorder = TraceRecorder(path)
+    report = simulate_roaming(
+        WhiteSpaceDatabase(metro),
+        num_aps=8,
+        num_clients=30,
+        duration_us=72.5e6,
+        seed=26,
+        speed_mps=9.0,
+        recheck_m=150.0,
+        mic_events=6,
+        engine=engine,
+        recorder=recorder,
+    )
+    recorder.close()
+    return report
+
+
+@pytest.mark.parametrize("engine", ["scalar", "vector"])
+def test_recorded_roaming_trace_is_pinned(tmp_path, engine):
+    if engine == "vector":
+        pytest.importorskip("numpy")
+    path = tmp_path / "roaming.jsonl.gz"
+    report = record_pinned_roaming(path, engine)
+    # Every per-stage hook fires: re-checks, handoffs, and violation
+    # windows opened by the mic events, one still open at the end.
+    assert report["requeries"] > 0 and report["handoffs"] > 0
+    assert report["displaced_aps"] > 0 and report["violation_ticks"] > 0
+    _, events = read_trace(path)
+    closes = [e.aux for e in events if e.kind == "violation_close"]
+    assert 0 in closes and 1 in closes
+    digest = hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
+    assert digest == ROAMING_SHA256

@@ -257,12 +257,20 @@ class TestRequestBursts:
             + report["deferred_requeries"]
         )
 
-    def test_profiler_phases_observe_only(self):
+    @pytest.mark.parametrize("engine", ["scalar", "vector"])
+    def test_profiler_phases_observe_only(self, engine):
         pytest.importorskip("numpy")
         from repro.telemetry import PhaseProfiler
 
         profiler = PhaseProfiler()
-        assert self.run("vector", profiler=profiler) == self.run("vector")
-        assert {"storm-gen", "frontend", "batch-lookup"} <= set(
-            profiler.seconds()
-        )
+        assert self.run(engine, profiler=profiler) == self.run(engine)
+        # Both engines run the one tick loop, so both time its phases.
+        assert set(profiler.seconds()) == {
+            "advance",
+            "associate",
+            "batch-lookup",
+            "compliance",
+            "frontend",
+            "recheck-detect",
+            "storm-gen",
+        }

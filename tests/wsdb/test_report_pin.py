@@ -1,0 +1,103 @@
+"""Pinned full reports of one roaming and one querystorm session.
+
+Each digest is the sha256 of a report's canonical JSON (sorted keys,
+compact separators — the form ``perfbench/workloads.digest`` hashes),
+with a :class:`~repro.telemetry.metrics.MetricsRegistry` and an
+unsampled :class:`~repro.telemetry.spans.SpanRecorder` (the
+``spans="on"`` setting) attached, so the telemetry snapshot and the
+span table are pinned along with every counter.  Both engines must
+reproduce the same bytes.  Refactoring the mobile drivers must leave
+these digests unchanged; a deliberate behaviour change re-pins them
+and says why.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.telemetry import MetricsRegistry, SpanRecorder
+from repro.wsdb.cluster import ShardRouter, simulate_querystorm
+from repro.wsdb.mobility import ENGINES, simulate_roaming
+from repro.wsdb.model import generate_metro
+from repro.wsdb.service import WhiteSpaceDatabase
+
+pytest.importorskip("numpy")
+
+ROAMING_SHA256 = (
+    "2af0cd5052075edc078d22984d89c383dcee61282e09c037da4668f01931ce3b"
+)
+QUERYSTORM_SHA256 = (
+    "e4ce6bc77e268907c5ba4a5fc8f323648d0a511aec5168cf68f498dfe6a3f6ed"
+)
+
+
+def canonical_digest(report):
+    text = json.dumps(
+        report, sort_keys=True, separators=(",", ":"), default=repr
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pinned_roaming(engine):
+    # recheck_m (150 m) differs from the 100 m cache resolution, so
+    # trigger and query cells differ; 12 cache entries force evictions.
+    metro = generate_metro(range(10), extent_m=3_000.0, seed=26)
+    return simulate_roaming(
+        WhiteSpaceDatabase(metro, cache_capacity=12),
+        num_aps=8,
+        num_clients=30,
+        duration_us=90e6,
+        seed=26,
+        speed_mps=9.0,
+        recheck_m=150.0,
+        mic_events=6,
+        engine=engine,
+        telemetry=MetricsRegistry(),
+        spans=SpanRecorder(),
+    )
+
+
+def pinned_querystorm(engine):
+    metro = generate_metro(
+        range(12), extent_m=2_500.0, seed=31, num_channels=30
+    )
+    return simulate_querystorm(
+        ShardRouter(metro, num_shards=4),
+        10,
+        num_clients=30,
+        duration_us=80e6,
+        seed=31,
+        offered_qps=30.0,
+        push=True,
+        mic_events=6,
+        speed_mps=8.0,
+        rate_limit_qps=20.0,
+        burst_size=25.0,
+        policy="serve-stale",
+        engine=engine,
+        telemetry=MetricsRegistry(),
+        spans=SpanRecorder(),
+    )
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_roaming_report_is_pinned(engine):
+    report = pinned_roaming(engine)
+    # The pin is only meaningful if the run exercises what it claims.
+    assert report["db"]["evictions"] > 0
+    assert report["mic_events"] == 6 and report["displaced_aps"] > 0
+    assert report["vacations"] > 0 and report["violation_ticks"] > 0
+    assert report["telemetry"] and report["spans"]
+    assert canonical_digest(report) == ROAMING_SHA256
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_querystorm_report_is_pinned(engine):
+    report = pinned_querystorm(engine)
+    fe = report["frontend"]
+    assert fe["shed"] > 0 and fe["served_stale"] > 0
+    assert report["deferred_requeries"] > 0 and report["push_refreshes"] > 0
+    assert report["mic_events"] == 6 and report["violation_ticks"] > 0
+    assert report["telemetry"] and report["spans"]
+    assert canonical_digest(report) == QUERYSTORM_SHA256
