@@ -4,7 +4,7 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: check test fast bench bench-smoke perfbench-smoke bench-trend trace-diff profile lint detlint detlint-report
+.PHONY: check test fast bench bench-smoke bench-layers perfbench-smoke bench-trend trace-diff profile lint detlint detlint-report
 
 ## The tier-1 gate: full unit suite + lint + determinism linter.
 check: test lint detlint
@@ -37,7 +37,8 @@ bench-smoke:
 	WHITEFI_BENCH_WORKERS="$(WORKERS)" \
 	$(PYTEST) -q benchmarks/bench_citywide_wsdb.py \
 	    benchmarks/bench_roaming_wsdb.py benchmarks/bench_wsdb_cluster.py \
-	    benchmarks/bench_scale.py benchmarks/bench_trace_replay.py
+	    benchmarks/bench_scale.py benchmarks/bench_trace_replay.py \
+	    benchmarks/bench_layers.py
 	PYTHONPATH=$(PYTHONPATH) python scripts/profile_run.py \
 	    --kind querystorm --clients 300 --duration-us 20e6 \
 	    --out benchmarks/results/telemetry-smoke
@@ -45,6 +46,13 @@ bench-smoke:
 	    benchmarks/results/telemetry-smoke.metrics.json
 	python scripts/span_report.py \
 	    benchmarks/results/telemetry-smoke.spans.jsonl
+
+## Layer microbenchmark: ns per cell of WhiteSpaceDatabase.channels_in_cells
+## at 0% and 99% hit rate and batch sizes 1/8/64/512 on the roam-sparse
+## metro; appends a host-stamped entry to BENCH_layers.json (its smoke
+## variant runs in bench-smoke and writes only a -smoke file).
+bench-layers:
+	$(PYTEST) -q benchmarks/bench_layers.py
 
 ## Smoke-run the repository benchmark (perfbench/, BENCHMARK.json): the
 ## tracer's self-test, then a 1-second untraced run of every workload.

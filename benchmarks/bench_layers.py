@@ -1,0 +1,184 @@
+"""Layer microbenchmarks: ns per cell of the database's batch lookup.
+
+The end-to-end benchmark (``perfbench/``) says how fast a workload runs;
+this one isolates one layer — ``WhiteSpaceDatabase.channels_in_cells``,
+the call every query path rides — and states its cost per cell at the
+two hit rates that bracket the workloads (0%: every cell a miss, so
+the index's miss kernel does the work; 99%: the cache-hit path) and at
+batch sizes 1, 8, 64 and 512, on the ``roam-sparse``-shaped metro
+(a 20 km plane, one TV site on each of channels 12-29, six registered
+microphones, default service parameters).
+
+Every row is timed over at least five repeats and records the median
+and minimum wall ns per cell (the minimum is the least-disturbed
+figure on a shared host) and the median CPU ns per cell.  Each repeat
+runs in a fresh TTL bucket, so its misses are real misses; the bucket
+change (and the purge it triggers) happens before the clock starts.
+
+Each invocation appends one host-stamped entry to the trajectory log
+``BENCH_layers.json`` at the repo root.  Under ``WHITEFI_BENCH_SMOKE``
+the cell counts shrink and the entry goes to the gitignored
+``benchmarks/results/BENCH_layers-smoke.json`` instead.
+
+Run it with ``make bench-layers``.
+"""
+
+from __future__ import annotations
+
+import datetime
+import json
+import os
+import pathlib
+import platform
+import random
+import statistics
+import time
+
+import numpy as np
+
+import repro
+from repro.wsdb.model import MicRegistration, generate_metro
+from repro.wsdb.service import WhiteSpaceDatabase
+
+from _runner import smoke_mode
+
+SMOKE = smoke_mode()
+REPO_ROOT = pathlib.Path(__file__).parent.parent
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+SEED = 2009
+EXTENT_M = 20_000.0
+OCCUPIED = range(12, 30)
+MICS = 6
+BATCH_SIZES = (1, 8, 64, 512)
+REPEATS = 5
+#: Cells timed per repeat, by hit rate (multiples of every batch size).
+CELLS = {0.0: 512, 0.99: 5_120} if SMOKE else {0.0: 4_096, 0.99: 51_200}
+#: Cached cells the 99% rows draw their hits from.
+WARM_CELLS = 1_024
+
+
+def trajectory_log(smoke: bool) -> pathlib.Path:
+    """The checked-in ``BENCH_layers.json``, or its gitignored smoke twin."""
+    if smoke:
+        return RESULTS_DIR / "BENCH_layers-smoke.json"
+    return REPO_ROOT / "BENCH_layers.json"
+
+
+def sparse_db() -> WhiteSpaceDatabase:
+    """The roam-sparse-shaped database: TV sites plus six live mics."""
+    metro = generate_metro(
+        OCCUPIED, seed=SEED, extent_m=EXTENT_M, sites_per_channel=(1, 1)
+    )
+    db = WhiteSpaceDatabase(metro)
+    rng = random.Random(SEED)
+    for _ in range(MICS):
+        db.register_mic(
+            MicRegistration.single_session(
+                rng.choice(OCCUPIED),
+                rng.uniform(0.0, EXTENT_M),
+                rng.uniform(0.0, EXTENT_M),
+                0.0,
+                1e15,
+            )
+        )
+    return db
+
+
+def cell_sequence(
+    db: WhiteSpaceDatabase, hit_rate: float, rng: random.Random
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """(warm cells, timed cells): every 100th timed cell is fresh at 99%,
+    every one at 0%; fresh cells never repeat within a repeat."""
+    side = int(EXTENT_M // db.cache_resolution_m)
+    plane = [(qx, qy) for qx in range(side) for qy in range(side)]
+    rng.shuffle(plane)
+    n = CELLS[hit_rate]
+    if hit_rate == 0.0:
+        return [], plane[:n]
+    warm, fresh = plane[:WARM_CELLS], iter(plane[WARM_CELLS:])
+    return warm, [
+        next(fresh) if i % 100 == 99 else warm[i % WARM_CELLS] for i in range(n)
+    ]
+
+
+def measure_row(hit_rate: float, batch: int) -> dict:
+    """One (hit rate, batch size) row over REPEATS fresh TTL buckets."""
+    db = sparse_db()
+    rng = random.Random(f"{SEED}-{hit_rate}-{batch}")
+    wall_ns, cpu_ns, hits = [], [], []
+    for repeat in range(REPEATS):
+        t_us = (repeat + 1) * db.ttl_us
+        warm, cells = cell_sequence(db, hit_rate, rng)
+        db.channels_in_cells(warm, t_us)  # new bucket: purge + warm-up
+        batches = [cells[i : i + batch] for i in range(0, len(cells), batch)]
+        hits_before = db.stats.cache_hits
+        wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+        for chunk in batches:
+            db.channels_in_cells(chunk, t_us)
+        wall_ns.append((time.perf_counter_ns() - wall0) / len(cells))
+        cpu_ns.append((time.process_time_ns() - cpu0) / len(cells))
+        hits.append((db.stats.cache_hits - hits_before) / len(cells))
+    return {
+        "hit_rate": hit_rate,
+        "batch": batch,
+        "cells": len(cells),
+        "repeats": REPEATS,
+        "measured_hit_rate": statistics.median(hits),
+        "ns_per_cell_median": statistics.median(wall_ns),
+        "ns_per_cell_min": min(wall_ns),
+        "cpu_ns_per_cell_median": statistics.median(cpu_ns),
+        "ns_per_cell": wall_ns,
+    }
+
+
+def append_log_entry(entry: dict) -> None:
+    """Append one invocation entry to its trajectory log."""
+    path = trajectory_log(entry["smoke"])
+    log = json.loads(path.read_text()) if path.exists() else {"entries": []}
+    log["entries"].append(entry)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(log, indent=2) + "\n")
+
+
+def test_channels_in_cells_ns_per_cell(record_table):
+    rows = [
+        measure_row(hit_rate, batch)
+        for hit_rate in CELLS
+        for batch in BATCH_SIZES
+    ]
+    for row in rows:
+        assert abs(row["measured_hit_rate"] - row["hit_rate"]) < 0.005, row
+    entry = {
+        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
+            timespec="seconds"
+        ),
+        "version": repro.__version__,
+        "host": {
+            "node": platform.node() or "unknown",
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "nproc": len(os.sched_getaffinity(0)),
+        },
+        "smoke": SMOKE,
+        "layer": "WhiteSpaceDatabase.channels_in_cells",
+        "shape": {
+            "extent_m": EXTENT_M,
+            "tv_channels": [OCCUPIED.start, OCCUPIED.stop - 1],
+            "mics": MICS,
+            "seed": SEED,
+        },
+        "rows": rows,
+    }
+    append_log_entry(entry)
+    lines = [
+        f"{'hit':>5} {'batch':>6} {'ns/cell med':>12} {'ns/cell min':>12} "
+        f"{'cpu ns med':>11}"
+    ]
+    lines += [
+        f"{r['hit_rate']:>5.0%} {r['batch']:>6} {r['ns_per_cell_median']:>12.0f} "
+        f"{r['ns_per_cell_min']:>12.0f} {r['cpu_ns_per_cell_median']:>11.0f}"
+        for r in rows
+    ]
+    record_table("bench_layers", lines, data=entry)

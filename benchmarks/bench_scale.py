@@ -35,9 +35,11 @@ extrapolation from the last run) still fits the budget
 rejects are still *recorded* — as ``{"skipped": "budget"}`` run stubs —
 so every entry states its full intended sweep and the trend tool can
 refuse to compare entries whose realized coverage differs.  Under
-``WHITEFI_BENCH_SMOKE`` everything shrinks to a driver-rot check and
-the entry is flagged ``smoke`` so the trend tool never compares it
-against a paper-scale entry.
+``WHITEFI_BENCH_SMOKE`` everything shrinks to a driver-rot check: the
+entry is flagged ``smoke`` and appended to a gitignored smoke-stem log,
+``benchmarks/results/BENCH_scale-smoke.json``, never to the checked-in
+trajectory, so a local smoke run leaves the tree clean and a smoke
+entry never becomes a committed trend baseline.
 """
 
 from __future__ import annotations
@@ -63,14 +65,11 @@ from _runner import smoke_mode
 pytest.importorskip("numpy")
 
 SMOKE = smoke_mode()
-BENCH_LOG = pathlib.Path(__file__).parent.parent / "BENCH_scale.json"
+REPO_ROOT = pathlib.Path(__file__).parent.parent
+RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 # Smoke runs write under their own stem so they never clobber the
 # checked-in paper-scale profile (same convention as record_table).
-PROFILE_PATH = (
-    pathlib.Path(__file__).parent
-    / "results"
-    / f"bench_scale-profile{'-smoke' if SMOKE else ''}.json"
-)
+PROFILE_PATH = RESULTS_DIR / f"bench_scale-profile{'-smoke' if SMOKE else ''}.json"
 BUDGET_ENV = "WHITEFI_BENCH_SCALE_BUDGET_S"
 
 SEED = 2009
@@ -170,14 +169,25 @@ def observed_run(num_clients: int) -> tuple[dict, dict]:
     return report, measurement
 
 
+def trajectory_log(smoke: bool) -> pathlib.Path:
+    """The log an invocation appends its entry to: the checked-in
+    ``BENCH_scale.json``, or for a smoke run its smoke-stem twin under
+    ``benchmarks/results/`` (gitignored)."""
+    if smoke:
+        return RESULTS_DIR / "BENCH_scale-smoke.json"
+    return REPO_ROOT / "BENCH_scale.json"
+
+
 def append_log_entry(entry: dict) -> None:
-    """Append one invocation entry to the BENCH_scale.json trajectory."""
-    if BENCH_LOG.exists():
-        log = json.loads(BENCH_LOG.read_text())
+    """Append one invocation entry to its trajectory log."""
+    path = trajectory_log(entry["smoke"])
+    if path.exists():
+        log = json.loads(path.read_text())
     else:
         log = {"entries": []}
     log["entries"].append(entry)
-    BENCH_LOG.write_text(json.dumps(log, indent=2) + "\n")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(log, indent=2) + "\n")
 
 
 def test_scale_trajectory(record_table):

@@ -177,8 +177,18 @@ def assign_ap(
     Also refreshes the AP's ranked backup list.  Returns False (and
     leaves the AP unserved) when no candidate span is available.
     """
-    num_channels = db.metro.num_channels
     avail = db.spectrum_map_at(ap.x_m, ap.y_m, t_us)
+    return _assign(ap, avail, aps, interference_radius_m)
+
+
+def _assign(
+    ap: CityAp,
+    avail: SpectrumMap,
+    aps: list[CityAp],
+    interference_radius_m: float,
+) -> bool:
+    """:func:`assign_ap` on an availability map already fetched."""
+    num_channels = len(avail)
     obs = _neighbor_observation(ap, aps, num_channels, interference_radius_m)
     assigner = ChannelAssigner(num_channels)
     try:
@@ -230,8 +240,14 @@ def boot_aps(
         )
         for i in range(num_aps)
     ]
-    for ap in aps:
-        assign_ap(ap, db, aps, 0.0, interference_radius_m)
+    # The availability queries depend on no assignment, so the whole
+    # boot asks them as one batch (one index pass for all its misses),
+    # with the answers, counters and cache state of one query per AP.
+    num_channels = db.metro.num_channels
+    answers = db.channels_at_many([(ap.x_m, ap.y_m) for ap in aps], 0.0)
+    for ap, free in zip(aps, answers):
+        avail = SpectrumMap.from_free(free, num_channels)
+        _assign(ap, avail, aps, interference_radius_m)
     return aps
 
 

@@ -18,9 +18,12 @@ so the candidates a query scans shrink as K grows — the aggregate
 ``bench_wsdb_cluster`` measures.  Correctness is unchanged: a query
 cell lies inside its shard's territory, the shard indexes every contour
 intersecting that territory (border territories extend off-plane, so
-clamped routing and off-plane contours stay exact), and
-``GridIndex.covering_rect`` is conservative over the cell — therefore a
-shard's cell response equals the unsharded database's, bit for bit.
+clamped routing and off-plane contours stay exact), and a cell response
+denies every channel whose contour intersects the cell (the miss
+kernel, ``GridIndex.occupied_in_rects``, decides each contour by
+``circle_intersects_rect`` exactly as ``GridIndex.covering_rect``
+does) — therefore a shard's cell response equals the unsharded
+database's, bit for bit.
 
 Mic registrations fan out: a new protection zone is routed to every
 shard whose territory it touches (each invalidates its own cached

@@ -1,12 +1,24 @@
-"""A uniform-grid spatial index over protected contours.
+"""A uniform-grid spatial index over protected contours, stored as columns.
 
 The naive way to answer "which channels are denied at (x, y)?" scans
 every incumbent — O(stations) per query, O(stations x queries) for the
 batch workloads a city-scale database serves (hundreds of APs, periodic
-re-queries, coverage surveys).  The grid index buckets each contour into
-the cells its bounding box overlaps; a point query then inspects only
-the incumbents bucketed in the *one* cell containing the point, and an
-exact distance check filters bounding-box false positives.
+re-queries, coverage surveys).  The grid index gives each contour the
+range of grid cells its bounding box overlaps, ``lo_cx..hi_cx x
+lo_cy..hi_cy`` (clamped to the plane by :meth:`GridIndex.cell_of`): an
+entry lies in cell (cx, cy) exactly when cx and cy fall in its range.
+A query inspects only the entries whose range overlaps the query's
+cells, and an exact distance check filters bounding-box false
+positives.
+
+The index's only storage is columnar.  At insert each contour's
+position, radius (computed once, not per query), channel and cell range
+are appended to numpy columns, next to the entry object itself, which
+is kept for what the queries yield and for its ``active_at`` schedule.
+"Candidate of a rectangle" is then a range-overlap test over the
+columns, and :meth:`GridIndex.occupied_in_rects` — the database's
+cache-miss kernel — resolves a whole batch of rectangles in one array
+pass.
 
 The index keeps two counters — ``queries`` and ``candidates_scanned`` —
 so tests (and benchmarks) can prove the pruning actually happened: for a
@@ -19,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, Protocol, Sequence
 
+import numpy as np
+
 from repro.errors import SpectrumMapError
 
 __all__ = [
@@ -27,6 +41,20 @@ __all__ = [
     "circle_intersects_cell",
     "circle_intersects_rect",
 ]
+
+#: Relative band around a contour's radius inside which the kernel's
+#: ``np.hypot`` distance is not trusted to fall on the same side as
+#: ``math.hypot``'s (the two may round differently by an ulp or two);
+#: pairs inside it are re-decided by :func:`circle_intersects_rect`.
+_TIE_BAND = 1e-9
+
+#: Rectangle x entry pairs the kernel evaluates per array pass; larger
+#: batches are cut into passes of this size so memory stays bounded.
+_PAIRS_PER_PASS = 1 << 18
+
+#: Signs that turn a query's reversed cell range (hi_cy, hi_cx, lo_cy,
+#: lo_cx) into the row the area-query ``bounds`` are compared against.
+_QUERY_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def circle_intersects_rect(
@@ -99,15 +127,19 @@ class SpatialEntry(Protocol):
 
 
 class GridIndex:
-    """Uniform grid of square cells bucketing circular contours.
+    """Uniform grid of square cells over circular contours.
 
     Args:
         extent_m: plane edge length (cells tile ``[0, extent_m]^2``;
             out-of-range coordinates clamp to the border cells, so
             contours centered off-plane still index correctly).
-        cell_m: cell edge length.  Smaller cells prune harder but cost
-            more buckets per inserted contour; ~the typical contour
-            radius is a good default.
+        cell_m: cell edge length.  Smaller cells prune harder; ~the
+            typical contour radius is a good default.
+
+    An entry inserted twice lies twice in its cells: it counts twice in
+    ``len``, :meth:`candidates` and :meth:`covering`, while the area
+    queries (:meth:`covering_rect`, :meth:`occupied_in_rects`) dedupe
+    by identity and scan it once.
     """
 
     def __init__(self, extent_m: float, cell_m: float = 1_000.0):
@@ -119,8 +151,25 @@ class GridIndex:
         self.extent_m = extent_m
         self.cell_m = cell_m
         self.cells_per_side = max(1, math.ceil(extent_m / cell_m))
-        self._buckets: dict[tuple[int, int], list[SpatialEntry]] = {}
-        self._num_entries = 0
+        self._entries: list[SpatialEntry] = []
+        self._ids: set[int] = set()
+        # The columns, one row per insert, with spare capacity (doubled
+        # when full) so an insert is an amortised O(1) write.  A float
+        # table holds, per entry:
+        #   0-2   x, y, radius;
+        #   3-6   the clamped bbox cell range lo_cx, lo_cy, hi_cx, hi_cy;
+        #   7-10  the same range in the form the area queries test,
+        #         ``bounds <= (hi_cy, hi_cx, -lo_cy, -lo_cx)`` of the
+        #         query: lo_cy, lo_cx, -hi_cy, -hi_cx, with a border side
+        #         left open (-inf) so unclamped query cells test as
+        #         clamped ones, and +inf for a repeat insertion of an
+        #         object (never a candidate: area queries dedupe by
+        #         identity);
+        #   11    the tie band around the radius (see _TIE_BAND);
+        # and an int column the channel.
+        self._table = np.empty((12, 0))
+        self._uhfs = np.empty(0, dtype=np.int64)
+        self._set_views()
         #: Point queries answered since construction.
         self.queries = 0
         #: Candidate entries inspected across all queries (the number a
@@ -128,7 +177,17 @@ class GridIndex:
         self.candidates_scanned = 0
 
     def __len__(self) -> int:
-        return self._num_entries
+        return len(self._entries)
+
+    def _set_views(self) -> None:
+        # The live rows, sliced once per insert rather than per query.
+        n = len(self._entries)
+        self._centers = self._table[0:2, :n]
+        self._radius = self._table[2, :n]
+        self._cell = self._table[3:7, :n]
+        self._bound = self._table[7:11, :n]
+        self._near = self._table[11, :n]
+        self._uhf = self._uhfs[:n]
 
     def _axis_cell(self, coord_m: float) -> int:
         return min(self.cells_per_side - 1, max(0, int(coord_m // self.cell_m)))
@@ -137,45 +196,78 @@ class GridIndex:
         """The (column, row) cell containing — or clamped to — (x, y)."""
         return (self._axis_cell(x_m), self._axis_cell(y_m))
 
-    def cells_overlapping(
-        self, x_m: float, y_m: float, radius_m: float
-    ) -> Iterator[tuple[int, int]]:
-        """Cells whose area intersects the circle's bounding box."""
-        lo_cx, lo_cy = self.cell_of(x_m - radius_m, y_m - radius_m)
-        hi_cx, hi_cy = self.cell_of(x_m + radius_m, y_m + radius_m)
-        for cx in range(lo_cx, hi_cx + 1):
-            for cy in range(lo_cy, hi_cy + 1):
-                yield (cx, cy)
-
     def insert(self, entry: SpatialEntry) -> None:
-        """Bucket *entry* into every cell its contour's bbox overlaps."""
-        for cell in self.cells_overlapping(
-            entry.x_m, entry.y_m, entry.radius_m
-        ):
-            self._buckets.setdefault(cell, []).append(entry)
-        self._num_entries += 1
+        """Add *entry*, with the cell range its contour's bbox overlaps."""
+        self.extend((entry,))
 
     def extend(self, entries: Iterable[SpatialEntry]) -> None:
-        """Insert many entries."""
-        for entry in entries:
-            self.insert(entry)
+        """Insert many entries, writing all of their rows in one step.
+
+        The cell ranges are :meth:`cell_of`'s, computed on arrays
+        (``np.floor_divide`` is Python's float ``//``).
+        """
+        new = list(entries)
+        if not new:
+            return
+        start = len(self._entries)
+        end = start + len(new)
+        if end > self._uhfs.size:
+            capacity = max(end, 2 * self._uhfs.size, 16)
+            self._table = _grown(self._table, start, capacity)
+            self._uhfs = _grown(self._uhfs, start, capacity)
+        rows = self._table[:, start:end]
+        rows[0:3] = np.array([(e.x_m, e.y_m, e.radius_m) for e in new]).T
+        centers, radius = rows[0:2], rows[2]
+        cells = rows[3:7]
+        np.floor_divide(centers - radius, self.cell_m, out=cells[0:2])
+        np.floor_divide(centers + radius, self.cell_m, out=cells[2:4])
+        np.minimum(np.maximum(cells, 0, out=cells), self.cells_per_side - 1, out=cells)
+        # (lo_cy, lo_cx) and (hi_cy, hi_cx), open on the plane's border.
+        lo, hi = cells[1::-1], cells[:1:-1]
+        rows[7:9] = np.where(lo == 0, -math.inf, lo)
+        rows[9:11] = -np.where(hi == self.cells_per_side - 1, math.inf, hi)
+        rows[11] = np.abs(radius) * _TIE_BAND
+        for k, entry in enumerate(new):
+            if id(entry) in self._ids:
+                rows[7:11, k] = math.inf
+            self._ids.add(id(entry))
+        self._uhfs[start:end] = [entry.uhf_index for entry in new]
+        self._entries.extend(new)
+        self._set_views()
+
+    def _candidates_of(self, cells: np.ndarray) -> np.ndarray:
+        """(m, n) mask: entry j is a candidate of area query i.
+
+        *cells* is (m, 4): the query's cell range ``lo_cx, lo_cy,
+        hi_cx, hi_cy``, clamped or not.  A candidate's own range
+        overlaps it, and the row is its object's first insertion.
+        """
+        query = cells[:, ::-1] * _QUERY_SIGN
+        return np.logical_and.reduce(self._bound <= query[:, :, None], 1)
+
+    def _rows_at(self, x_m: float, y_m: float) -> list[int]:
+        """Rows (repeats included) whose cell range holds (x, y)'s cell."""
+        cx, cy = self.cell_of(x_m, y_m)
+        lo_cx, lo_cy, hi_cx, hi_cy = self._cell
+        return np.flatnonzero(
+            (lo_cx <= cx) & (cx <= hi_cx) & (lo_cy <= cy) & (cy <= hi_cy)
+        ).tolist()
 
     def candidates(self, x_m: float, y_m: float) -> Sequence[SpatialEntry]:
         """Entries whose contour *might* cover (x, y) — one cell's bucket.
 
-        Returned as a tuple: the buckets are live internal state, and a
-        caller mutating the returned sequence must not be able to
-        corrupt them (the query paths read the buckets directly and
-        skip this defensive copy).
+        Returned as a tuple, in insertion order.
         """
-        return tuple(self._buckets.get(self.cell_of(x_m, y_m), ()))
+        entries = self._entries
+        return tuple(entries[j] for j in self._rows_at(x_m, y_m))
 
     def covering(self, x_m: float, y_m: float) -> Iterator[SpatialEntry]:
         """Entries whose contour exactly covers (x, y); counts the scan."""
-        bucket = self._buckets.get(self.cell_of(x_m, y_m), ())
+        rows = self._rows_at(x_m, y_m)
         self.queries += 1
-        self.candidates_scanned += len(bucket)
-        for entry in bucket:
+        self.candidates_scanned += len(rows)
+        for j in rows:
+            entry = self._entries[j]
             if entry.covers(x_m, y_m):
                 yield entry
 
@@ -184,26 +276,105 @@ class GridIndex:
     ) -> Iterator[SpatialEntry]:
         """Entries whose contour intersects the rectangle; counts the scan.
 
-        The area-query twin of :meth:`covering`, used for cell-granular
-        database responses: an entry qualifies when any point of
-        ``[x0, x1] x [y0, y1]`` lies inside its contour (exact test via
-        the clamped nearest point).  A contour bucketed into several of
-        the rectangle's cells is scanned — and yielded — once.
+        The area-query twin of :meth:`covering`: an entry qualifies when
+        any point of ``[x0, x1] x [y0, y1]`` lies inside its contour
+        (exact test via the clamped nearest point).  Each contour is
+        scanned — and yielded — once, in insertion order, however many
+        of the rectangle's cells it lies in or times it was inserted.
         """
-        lo_cx, lo_cy = self.cell_of(x0_m, y0_m)
-        hi_cx, hi_cy = self.cell_of(x1_m, y1_m)
-        candidates: list[SpatialEntry] = []
-        seen: set[int] = set()
-        for cx in range(lo_cx, hi_cx + 1):
-            for cy in range(lo_cy, hi_cy + 1):
-                for entry in self._buckets.get((cx, cy), ()):
-                    if id(entry) not in seen:
-                        seen.add(id(entry))
-                        candidates.append(entry)
+        cells = np.array(
+            [[*self.cell_of(x0_m, y0_m), *self.cell_of(x1_m, y1_m)]], dtype=float
+        )
+        rows = np.flatnonzero(self._candidates_of(cells)[0])
         self.queries += 1
-        self.candidates_scanned += len(candidates)
-        for entry in candidates:
-            if circle_intersects_rect(
-                entry.x_m, entry.y_m, entry.radius_m, x0_m, y0_m, x1_m, y1_m
-            ):
-                yield entry
+        self.candidates_scanned += rows.size
+        x, y = self._centers[:, rows].tolist()
+        for j, cx, cy, radius in zip(
+            rows.tolist(), x, y, self._radius[rows].tolist()
+        ):
+            if circle_intersects_rect(cx, cy, radius, x0_m, y0_m, x1_m, y1_m):
+                yield self._entries[j]
+
+    def occupied_in_rects(
+        self, rects: np.ndarray, t_us: float
+    ) -> tuple[list[frozenset[int]], list[int]]:
+        """The cache-miss kernel: the occupied channels of many rectangles.
+
+        *rects* is (m, 4): ``x0, y0, x1, y1`` per row, with ``x0 <= x1``
+        and ``y0 <= y1``.  Returns, per
+        rectangle, the channels of the entries active at *t_us* whose
+        contour intersects it — the entries :meth:`covering_rect`
+        yields, filtered by ``active_at`` — and its candidate count.
+        ``queries`` and ``candidates_scanned`` move exactly as m
+        :meth:`covering_rect` calls would move them.  Rectangles with
+        the same set share one frozenset.
+
+        One array pass decides every rectangle x entry pair.  The cell
+        floor is :meth:`cell_of`'s (``np.floor_divide`` is Python's
+        float ``//``; the clamp is folded into the open border ranges);
+        the nearest-point distance is ``np.hypot``, and a pair whose
+        distance lies within ``_TIE_BAND`` (relative) of the radius is
+        re-decided by :func:`circle_intersects_rect` itself, so each
+        verdict is that predicate's, bit for bit.  ``active_at`` is
+        asked once per call of each entry that intersects some
+        rectangle.
+        """
+        rects = np.asarray(rects, dtype=float)
+        m, n = len(rects), len(self._entries)
+        self.queries += m
+        if not n:
+            return [frozenset()] * m, [0] * m
+        occupied: list[frozenset[int]] = []
+        scanned: list[int] = []
+        step = max(1, _PAIRS_PER_PASS // n)
+        for lo in range(0, m, step):
+            self._occupied_pass(rects[lo : lo + step], t_us, occupied, scanned)
+        self.candidates_scanned += sum(scanned)
+        return occupied, scanned
+
+    def _occupied_pass(
+        self,
+        rects: np.ndarray,
+        t_us: float,
+        occupied: list[frozenset[int]],
+        scanned: list[int],
+    ) -> None:
+        candidate = self._candidates_of(np.floor_divide(rects, self.cell_m))
+        centers = self._centers
+        # (m, 2, n): each center minus its nearest point of each rectangle.
+        offset = centers - np.minimum(
+            np.maximum(centers, rects[:, :2, None]), rects[:, 2:, None]
+        )
+        excess = np.hypot(offset[:, 0], offset[:, 1]) - self._radius
+        inside = excess <= -self._near
+        hit = candidate & inside
+        within_band = excess <= self._near
+        if within_band.tobytes() != inside.tobytes():
+            for i, j in zip(*np.nonzero(candidate & within_band & ~inside)):
+                x, y = centers[:, j].tolist()
+                hit[i, j] = circle_intersects_rect(
+                    x, y, float(self._radius[j]), *rects[i].tolist()
+                )
+        entries = self._entries
+        for j in np.logical_or.reduce(hit, 0).nonzero()[0].tolist():
+            if not entries[j].active_at(t_us):
+                hit[:, j] = False
+        # Rectangles hit by the same entries share one channel set; a
+        # row of the hit matrix, as bytes, is the key.
+        n = len(entries)
+        raw = hit.tobytes()
+        by_key: dict[bytes, frozenset[int]] = {}
+        for i, lo in enumerate(range(0, len(raw), n)):
+            key = raw[lo : lo + n]
+            channels = by_key.get(key)
+            if channels is None:
+                channels = by_key[key] = frozenset(self._uhf[hit[i]].tolist())
+            occupied.append(channels)
+        scanned += np.add.reduce(candidate, 1).tolist()
+
+
+def _grown(column: np.ndarray, rows: int, capacity: int) -> np.ndarray:
+    """*column* (rows along its last axis) copied into *capacity* rows."""
+    grown = np.empty((*column.shape[:-1], capacity), dtype=column.dtype)
+    grown[..., :rows] = column[..., :rows]
+    return grown

@@ -17,11 +17,12 @@ quantization square of ``cache_resolution_m`` on a side.
 primitive: it computes the channels free throughout each square (a
 channel is denied when any active incumbent's protected contour
 intersects the square — the conservative area semantics a protection
-regime requires) and caches the response under the (cell, TTL bucket)
-key.  :meth:`channels_at` and :meth:`channels_at_many` are
-point-shaped conveniences that quantize the coordinate and ride the
-cell path, which is why dense or mobile deployments hit the cache
-instead of recomputing per coordinate.
+regime requires), every miss of a call in one batched index pass
+(:meth:`GridIndex.occupied_in_rects`), and caches the response under
+the (cell, TTL bucket) key.  :meth:`channels_at` and
+:meth:`channels_at_many` are point-shaped conveniences that quantize
+the coordinate and ride the cell path, which is why dense or mobile
+deployments hit the cache instead of recomputing per coordinate.
 
 Because the computation itself is per-cell (not per first-querying
 coordinate), a response is a pure function of (metro state, cell,
@@ -56,6 +57,8 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from repro.errors import SpectrumMapError
 from repro.spectrum.spectrum_map import SpectrumMap
@@ -129,6 +132,10 @@ class AvailabilityService(Protocol):
         self, x_m: float, y_m: float, t_us: float = 0.0
     ) -> tuple[int, ...]: ...
 
+    def channels_at_many(
+        self, points: Sequence[tuple[float, float]], t_us: float = 0.0
+    ) -> list[tuple[int, ...]]: ...
+
     def spectrum_map_at(
         self, x_m: float, y_m: float, t_us: float = 0.0
     ) -> SpectrumMap: ...
@@ -200,6 +207,18 @@ class WsdbStats:
         }
 
 
+class _Pending:
+    """A missed cell's cache placeholder until its batch computes it.
+
+    ``slot`` is the miss's position in the batch's list of misses.
+    """
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+
 class WhiteSpaceDatabase:
     """A queryable, cacheable geolocation white-space database.
 
@@ -250,6 +269,9 @@ class WhiteSpaceDatabase:
             OrderedDict()
         )
         self._latest_bucket = 0
+        # Every channel of the dial, for turning occupied sets into
+        # free-channel responses.
+        self._channels = frozenset(range(metro.num_channels))
         self.stats = WsdbStats()
         # The last query call's per-cell outcomes, one (cache_hit,
         # candidates_scanned) entry per requested cell in request
@@ -300,30 +322,6 @@ class WhiteSpaceDatabase:
 
     # -- queries -------------------------------------------------------------
 
-    def _compute_cell(self, qx: int, qy: int, t_us: float) -> tuple[int, ...]:
-        """Channels free throughout cell (qx, qy) at *t_us*.
-
-        Conservative area semantics: a channel is denied when any
-        active incumbent's contour intersects the cell square, so the
-        response is safe to act on from any coordinate inside the cell.
-        """
-        res = self.cache_resolution_m
-        x0, y0 = qx * res, qy * res
-        scanned_before = self.index.candidates_scanned
-        occupied = set()
-        for entry in self.index.covering_rect(x0, y0, x0 + res, y0 + res):
-            if entry.active_at(t_us):
-                occupied.add(entry.uhf_index)
-        # Accumulate the delta (not the index's running total): the
-        # index is a public attribute, and direct use of it must not
-        # leak into the service's own counters.
-        self.stats.candidates_scanned += (
-            self.index.candidates_scanned - scanned_before
-        )
-        return tuple(
-            i for i in range(self.metro.num_channels) if i not in occupied
-        )
-
     def channels_in_cell(
         self, qx: int, qy: int, t_us: float = 0.0
     ) -> tuple[int, ...]:
@@ -343,45 +341,92 @@ class WhiteSpaceDatabase:
     ) -> list[tuple[int, ...]]:
         """Batch cell-granular responses: one per cell, in cell order.
 
-        The protocol primitive every query path rides.  Each cell is
-        looked up in order, so a batch leaves exactly the answers,
-        cache recency order, and counter totals of a one-cell-at-a-time
-        :meth:`channels_in_cell` loop over the same sequence
-        (duplicates included; each counts as one query) — with the
-        per-call overhead paid once: the TTL purge runs once (every
-        cell in a batch shares *t_us*'s bucket) and the stats counters
-        are flushed in one pass.  The vectorized roaming engine sends a
-        tick's re-checks as one batch in client order and the cluster
-        frontend one batch per shard per burst; N requests in one cell
-        cost one :meth:`_compute_cell`.
+        The protocol primitive every query path rides.  A batch leaves
+        exactly the answers, cache recency order, and counter totals of
+        a one-cell-at-a-time :meth:`channels_in_cell` loop over the same
+        sequence (duplicates included; each counts as one query).  It
+        runs in two passes:
+
+        1. The cells walk the LRU in order.  A miss stores a per-miss
+           placeholder, so a repeat of the cell later in the batch is a
+           hit, and evictions, recency and counters run as in the loop.
+        2. One :meth:`GridIndex.occupied_in_rects` call computes every
+           miss; each answer is written over its placeholder if the key
+           still holds it (assigning to a cached key does not move it).
+
+        The per-call overhead is paid once: the TTL purge runs once
+        (every cell in a batch shares *t_us*'s bucket), the stats
+        counters are flushed in one pass, and the index is entered
+        once.  The roaming loop sends a tick's re-checks as one batch
+        in client order and the cluster frontend one batch per shard
+        per burst.
         """
         self.stats.queries += len(cells)
         bucket = ttl_bucket(t_us, self.ttl_us)
         self._purge_expired(bucket)
         cache = self._cache
-        hits = misses = 0
-        responses: list[tuple[int, ...]] = []
-        outcomes: list[tuple[bool, int]] = []
+        responses: list = []
+        outcomes: list = []
+        missed: list[tuple[tuple[int, int, int], _Pending]] = []
         for qx, qy in cells:
             key = (qx, qy, bucket)
             channels = cache.get(key)
             if channels is not None:
                 cache.move_to_end(key)
-                hits += 1
                 outcomes.append((True, 0))
             else:
-                misses += 1
-                scanned_before = self.stats.candidates_scanned
-                channels = self._compute_cell(qx, qy, t_us)
+                channels = _Pending(len(missed))
+                missed.append((key, channels))
                 self._store(key, channels)
-                outcomes.append(
-                    (False, self.stats.candidates_scanned - scanned_before)
-                )
+                outcomes.append(None)
             responses.append(channels)
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += misses
+        self.stats.cache_hits += len(cells) - len(missed)
+        self.stats.cache_misses += len(missed)
+        if missed:
+            answers, scanned = self._compute_misses(missed, t_us)
+            responses = [
+                answers[r.slot] if type(r) is _Pending else r for r in responses
+            ]
+            scans = iter(scanned)
+            outcomes = [
+                (False, next(scans)) if o is None else o for o in outcomes
+            ]
         self.last_outcomes = tuple(outcomes)
         return responses
+
+    def _compute_misses(
+        self, missed: list[tuple[tuple[int, int, int], _Pending]], t_us: float
+    ) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Channels free throughout each missed cell at *t_us*.
+
+        Conservative area semantics: a channel is denied when any
+        active incumbent's contour intersects the cell square, so the
+        response is safe to act on from any coordinate inside the cell.
+        Each answer replaces its miss's placeholder if that is still
+        cached.  Returns (answers, candidates scanned), one per miss.
+        """
+        res = self.cache_resolution_m
+        rects = []
+        for (qx, qy, _), _ in missed:
+            x0, y0 = qx * res, qy * res
+            rects.append((x0, y0, x0 + res, y0 + res))
+        occupied, scanned = self.index.occupied_in_rects(np.array(rects), t_us)
+        # Counted from the kernel's return (not the index's running
+        # total): the index is a public attribute, and direct use of it
+        # must not leak into the service's own counters.
+        self.stats.candidates_scanned += sum(scanned)
+        cache = self._cache
+        channels = self._channels
+        free_of: dict[frozenset[int], tuple[int, ...]] = {}
+        answers = []
+        for (key, pending), occ in zip(missed, occupied):
+            free = free_of.get(occ)
+            if free is None:
+                free = free_of[occ] = tuple(sorted(channels - occ))
+            answers.append(free)
+            if cache.get(key) is pending:
+                cache[key] = free
+        return answers, scanned
 
     def channels_at(
         self, x_m: float, y_m: float, t_us: float = 0.0
@@ -424,9 +469,10 @@ class WhiteSpaceDatabase:
     ) -> bool:
         """True when the protection zone intersects quantization cell (qx, qy).
 
-        Uses the same geometry predicate as :meth:`_compute_cell` (via
-        ``GridIndex.covering_rect``), so invalidation drops exactly the
-        cells whose responses the new zone can change.
+        Uses the predicate the miss kernel's verdicts equal bit for bit
+        (``circle_intersects_rect``; see
+        :meth:`GridIndex.occupied_in_rects`), so invalidation drops
+        exactly the cells whose responses the new zone can change.
         """
         return circle_intersects_cell(
             registration.x_m,

@@ -4,14 +4,21 @@ dense query grid must come off the index (candidates inspected far below
 the full-scan count) while agreeing exactly with the reference linear
 scan, deterministically per seed."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SpectrumMapError
-from repro.spectrum.incumbents import TvStation
-from repro.wsdb.index import GridIndex
-from repro.wsdb.model import Metro, TvTransmitterSite, generate_metro
+from repro.spectrum.incumbents import MicSession, TvStation, WirelessMicrophone
+from repro.wsdb.index import GridIndex, circle_intersects_rect
+from repro.wsdb.model import (
+    Metro,
+    MicRegistration,
+    TvTransmitterSite,
+    generate_metro,
+)
 from repro.wsdb.service import WhiteSpaceDatabase
 
 
@@ -216,3 +223,250 @@ class TestCandidatesMutationSafety:
         mutated.clear()
         assert len(index.candidates(5_500.0, 5_500.0)) == 1
         assert list(index.covering(5_500.0, 5_500.0)) == [site]
+
+
+class TestRepeatInsertion:
+    """An object inserted twice lies twice in its cells for the point
+    queries, and is scanned once by the area queries (identity dedupe)."""
+
+    def test_repeat_counts_twice_for_points_once_for_areas(self):
+        index = GridIndex(extent_m=10_000.0, cell_m=1_000.0)
+        site = small_site(4, 5_000.0, 5_000.0)
+        other = small_site(5, 5_200.0, 5_000.0)
+        index.insert(site)
+        index.extend([other, site])
+        assert len(index) == 3
+        assert index.candidates(5_500.0, 5_500.0) == (site, other, site)
+        assert list(index.covering(5_500.0, 5_500.0)) == [site, other, site]
+        assert index.candidates_scanned == 3
+        rect = (5_000.0, 5_000.0, 5_100.0, 5_100.0)
+        assert list(index.covering_rect(*rect)) == [site, other]
+        assert index.candidates_scanned == 5
+        occupied, scanned = index.occupied_in_rects(np.array([rect]), 0.0)
+        assert occupied == [frozenset({4, 5})]
+        assert scanned == [2]
+        assert (index.queries, index.candidates_scanned) == (3, 7)
+
+
+def _reference(index, entries, rect, t_us):
+    """Brute force over every entry: its bucket range recomputed from
+    ``cell_of``, identity dedupe, ``circle_intersects_rect``.  Returns
+    (yielded entries, occupied channels, candidates scanned)."""
+    x0, y0, x1, y1 = rect
+    lo_cx, lo_cy = index.cell_of(x0, y0)
+    hi_cx, hi_cy = index.cell_of(x1, y1)
+    seen, yielded, occupied = set(), [], set()
+    for entry in entries:
+        r = entry.radius_m
+        e_lo = index.cell_of(entry.x_m - r, entry.y_m - r)
+        e_hi = index.cell_of(entry.x_m + r, entry.y_m + r)
+        if id(entry) in seen or not (
+            e_lo[0] <= hi_cx and e_hi[0] >= lo_cx
+            and e_lo[1] <= hi_cy and e_hi[1] >= lo_cy
+        ):
+            continue
+        seen.add(id(entry))
+        if circle_intersects_rect(entry.x_m, entry.y_m, r, x0, y0, x1, y1):
+            yielded.append(entry)
+            if entry.active_at(t_us):
+                occupied.add(entry.uhf_index)
+    return yielded, occupied, len(seen)
+
+
+def _point_reference(index, entries, x, y):
+    """Every insertion whose bucket range holds (x, y)'s cell."""
+    cx, cy = index.cell_of(x, y)
+    rows = []
+    for entry in entries:
+        r = entry.radius_m
+        e_lo = index.cell_of(entry.x_m - r, entry.y_m - r)
+        e_hi = index.cell_of(entry.x_m + r, entry.y_m + r)
+        if e_lo[0] <= cx <= e_hi[0] and e_lo[1] <= cy <= e_hi[1]:
+            rows.append(entry)
+    return rows
+
+
+def _mic(uhf, x, y, radius, sessions):
+    return MicRegistration(
+        WirelessMicrophone(uhf, [MicSession(a, b) for a, b in sessions]),
+        x,
+        y,
+        radius,
+    )
+
+
+class TestMissKernelDifferential:
+    """``occupied_in_rects`` (and ``covering_rect``/``covering``) against
+    a brute-force reference, on random and constructed edge cases."""
+
+    @staticmethod
+    def check(index, entries, rects, t_us):
+        rects = [tuple(map(float, r)) for r in rects]
+        want = [_reference(index, entries, r, t_us) for r in rects]
+        queries, scanned_total = index.queries, index.candidates_scanned
+        occupied, scanned = index.occupied_in_rects(np.array(rects), t_us)
+        assert occupied == [w[1] for w in want]
+        assert scanned == [w[2] for w in want]
+        assert index.queries - queries == len(rects)
+        assert index.candidates_scanned - scanned_total == sum(scanned)
+        for rect, (yielded, _, count) in zip(rects, want):
+            before = index.candidates_scanned
+            assert {id(e) for e in index.covering_rect(*rect)} == {
+                id(e) for e in yielded
+            }
+            assert index.candidates_scanned - before == count
+        assert index.queries - queries == 2 * len(rects)
+
+    def test_random_metros(self):
+        rng = random.Random(15_2009)
+        for _ in range(60):
+            extent = rng.uniform(2_000.0, 30_000.0)
+            index = GridIndex(extent_m=extent, cell_m=rng.uniform(150.0, 5_000.0))
+            entries = [
+                TvTransmitterSite(
+                    TvStation(rng.randrange(30), power_dbm=rng.uniform(-12.0, 14.0)),
+                    rng.uniform(-0.2 * extent, 1.2 * extent),
+                    rng.uniform(-0.2 * extent, 1.2 * extent),
+                )
+                for _ in range(rng.randrange(0, 30))
+            ]
+            entries += [
+                _mic(
+                    rng.randrange(30),
+                    rng.uniform(-0.1 * extent, 1.1 * extent),
+                    rng.uniform(-0.1 * extent, 1.1 * extent),
+                    rng.uniform(10.0, 2_000.0),
+                    [(s, s + rng.uniform(0.0, 50.0)) for s in
+                     sorted(rng.uniform(0.0, 100.0) for _ in range(rng.randrange(3)))],
+                )
+                for _ in range(rng.randrange(0, 6))
+            ]
+            rng.shuffle(entries)
+            if entries and rng.random() < 0.3:
+                entries.append(rng.choice(entries))
+            half = rng.randrange(len(entries) + 1)
+            index.extend(entries[:half])
+            for entry in entries[half:]:
+                index.insert(entry)
+            res = rng.uniform(20.0, 1_000.0)
+            rects = []
+            for _ in range(rng.randrange(1, 40)):
+                qx = rng.randrange(-3, int(extent // res) + 3)
+                qy = rng.randrange(-3, int(extent // res) + 3)
+                x0, y0 = qx * res, qy * res
+                rects.append((x0, y0, x0 + res, y0 + res))
+            for _ in range(5):
+                x0 = rng.uniform(-0.3 * extent, 1.1 * extent)
+                y0 = rng.uniform(-0.3 * extent, 1.1 * extent)
+                x1 = x0 + rng.uniform(0.0, extent)
+                rects.append((x0, y0, x1, y0 + rng.uniform(0.0, 0.2 * extent)))
+            self.check(index, entries, rects, rng.uniform(0.0, 120.0))
+            for _ in range(10):
+                px = rng.uniform(-0.2 * extent, 1.2 * extent)
+                py = rng.uniform(-0.2 * extent, 1.2 * extent)
+                rows = _point_reference(index, entries, px, py)
+                assert list(index.candidates(px, py)) == rows
+                before = index.candidates_scanned
+                assert list(index.covering(px, py)) == [
+                    e for e in rows if e.covers(px, py)
+                ]
+                assert index.candidates_scanned - before == len(rows)
+
+    def test_rect_edges_on_grid_lines(self):
+        index = GridIndex(extent_m=10_000.0, cell_m=1_000.0)
+        entries = [
+            _mic(1, 2_999.0, 5_000.0, 1.0, [(0.0, 10.0)]),  # bbox ends on x=3000
+            _mic(2, 7_001.0, 5_000.0, 1.0, [(0.0, 10.0)]),  # bbox starts on x=7000
+            _mic(3, 5_000.0, 5_000.0, 2_000.0, [(0.0, 10.0)]),
+            _mic(4, 10_000.0, 10_000.0, 500.0, [(0.0, 10.0)]),  # plane corner
+        ]
+        index.extend(entries)
+        rects = [
+            (3_000.0, 4_000.0, 7_000.0, 6_000.0),
+            (3_000.0, 3_000.0, 3_000.0, 3_000.0),
+            (7_000.0, 5_000.0, 8_000.0, 6_000.0),
+            (9_000.0, 9_000.0, 10_000.0, 10_000.0),
+            (10_000.0, 10_000.0, 11_000.0, 11_000.0),
+            (0.0, 0.0, 1_000.0, 1_000.0),
+        ]
+        self.check(index, entries, rects, 5.0)
+
+    def test_cell_floor_is_python_floor_division(self):
+        # 1.0 // 0.1 is 9.0 while floor(1.0 / 0.1) is 10.0: a rectangle
+        # ending at x = 1.0 stops at cell 9, short of the mic's range.
+        index = GridIndex(extent_m=10.0, cell_m=0.1)
+        entries = [_mic(1, 1.5, 0.5, 0.45, [(0.0, 10.0)])]
+        index.extend(entries)
+        assert index.cell_of(1.0, 0.0) == (9, 0)
+        self.check(index, entries, [(0.5, 0.5, 1.0, 1.0)], 0.0)
+        assert index.occupied_in_rects(np.array([(0.5, 0.5, 1.0, 1.0)]), 0.0)[1] == [0]
+
+    def test_tangent_circles(self):
+        # Exactly representable tangents (edge and 3-4-5 corner), then
+        # corner offsets whose distance ``np.hypot`` and ``math.hypot``
+        # round differently (where there are any) plus random ones, each
+        # with the radius at the Python distance and one ulp either
+        # side: the verdicts the array distance alone could get wrong.
+        rng = random.Random(1_729)
+        x0, y0, x1, y1 = 1_000.0, 2_000.0, 1_100.0, 2_100.0
+        entries = [
+            _mic(0, x0 - 500.0, 2_050.0, 500.0, [(0.0, 10.0)]),
+            _mic(1, x1 + 300.0, y1 + 400.0, 500.0, [(0.0, 10.0)]),
+            _mic(2, x1 + 300.0, y1 + 400.0, math.nextafter(500.0, 0.0), [(0.0, 10.0)]),
+        ]
+        centers = [
+            (x1 + rng.uniform(1.0, 3_000.0), y0 - rng.uniform(1.0, 3_000.0))
+            for _ in range(5_000)
+        ]
+        differing = [
+            (cx, cy) for cx, cy in centers
+            if float(np.hypot(cx - x1, cy - y0)) != math.hypot(cx - x1, cy - y0)
+        ]
+        for k, (cx, cy) in enumerate(differing[:40] + centers[:40]):
+            distance = math.hypot(cx - x1, cy - y0)
+            for radius in (
+                distance,
+                math.nextafter(distance, 0.0),
+                math.nextafter(distance, math.inf),
+            ):
+                entries.append(_mic(k % 30, cx, cy, radius, [(0.0, 10.0)]))
+        for entry in entries:
+            index = GridIndex(extent_m=10_000.0, cell_m=700.0)
+            index.insert(entry)
+            self.check(index, [entry], [(x0, y0, x1, y1)], 5.0)
+        index = GridIndex(extent_m=10_000.0, cell_m=700.0)
+        index.extend(entries)
+        self.check(index, entries, [(x0, y0, x1, y1)], 5.0)
+
+    def test_sessions_starting_or_ending_at_t(self):
+        index = GridIndex(extent_m=10_000.0, cell_m=1_000.0)
+        entries = [
+            _mic(1, 5_000.0, 5_000.0, 800.0, [(10.0, 20.0)]),  # starts at t
+            _mic(2, 5_100.0, 5_000.0, 800.0, [(0.0, 10.0)]),  # ends at t
+            _mic(3, 5_200.0, 5_000.0, 800.0, [(0.0, 10.0), (10.0, 11.0)]),
+            small_site(4, 5_000.0, 5_300.0),
+        ]
+        index.extend(entries)
+        rects = [
+            (5_000.0, 5_000.0, 5_100.0, 5_100.0),
+            (9_000.0, 9_000.0, 9_100.0, 9_100.0),
+        ]
+        for t_us in (0.0, 10.0, 20.0):
+            self.check(index, entries, rects, t_us)
+        occupied, _ = index.occupied_in_rects(np.array(rects[:1]), 10.0)
+        assert occupied == [frozenset({1, 3, 4})]
+
+    def test_repeat_insertion(self):
+        index = GridIndex(extent_m=10_000.0, cell_m=1_000.0)
+        site = small_site(4, 5_000.0, 5_000.0)
+        entries = [site, small_site(5, 1_000.0, 1_000.0), site]
+        index.extend(entries[:2])
+        index.insert(site)
+        rects = [(5_000.0, 5_000.0, 5_100.0, 5_100.0), (0.0, 0.0, 9_000.0, 9_000.0)]
+        self.check(index, entries, rects, 0.0)
+
+    def test_empty_index(self):
+        index = GridIndex(extent_m=10_000.0, cell_m=1_000.0)
+        self.check(index, [], [(0.0, 0.0, 100.0, 100.0), (-50.0, 0.0, 0.0, 50.0)], 0.0)
+        assert index.candidates(10.0, 10.0) == ()
+        assert list(index.covering(10.0, 10.0)) == []

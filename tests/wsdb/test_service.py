@@ -1,6 +1,8 @@
 """Tests for the WhiteSpaceDatabase façade: cell-granular responses,
 caching, TTL-bucket expiry, and time-aware invalidation."""
 
+import random
+
 import pytest
 
 from repro.errors import SpectrumMapError
@@ -373,6 +375,60 @@ class TestBatchCellQueries:
         assert batched.stats.evictions > 0
         assert batched.stats.as_dict() == sequential.stats.as_dict()
         assert list(batched._cache) == list(sequential._cache)
+
+    @staticmethod
+    def two_pass_metro() -> Metro:
+        metro = one_station_metro()
+        metro.add_registration(
+            MicRegistration.single_session(5, 2_000.0, 2_000.0, 0.0, 100.0)
+        )
+        return metro
+
+    @pytest.mark.parametrize("capacity", [0, 1, 3])
+    def test_two_pass_batch_equals_cell_loop(self, capacity):
+        # Distinct cells exceed the capacity: (50, 50) is missed, evicted
+        # and missed again inside the batch; (75, 50) and (20, 20)
+        # repeat back to back (a hit on a placeholder, or at capacity 0
+        # a second miss).
+        cells = [
+            (50, 50), (75, 50), (75, 50), (20, 20), (10, 10), (50, 50),
+            (20, 20), (20, 20), (-1, -1), (50, 50), (75, 51), (50, 50),
+        ]
+        batched = WhiteSpaceDatabase(self.two_pass_metro(), cache_capacity=capacity)
+        sequential = WhiteSpaceDatabase(self.two_pass_metro(), cache_capacity=capacity)
+        got = batched.channels_in_cells(cells, t_us=5.0)
+        want, outcomes = [], []
+        for qx, qy in cells:
+            want.append(sequential.channels_in_cell(qx, qy, 5.0))
+            outcomes.extend(sequential.last_outcomes)
+        assert got == want
+        assert len(set(want)) >= 3
+        assert batched.stats.as_dict() == sequential.stats.as_dict()
+        assert batched.last_outcomes == tuple(outcomes)
+        assert list(batched._cache.items()) == list(sequential._cache.items())
+        if capacity:
+            assert batched.stats.evictions > 0
+        # Some cell was missed twice.
+        assert batched.stats.cache_misses > len(set(cells))
+
+    @pytest.mark.parametrize("capacity", [0, 2])
+    def test_two_pass_batch_equals_cell_loop_on_a_router(self, capacity):
+        from repro.wsdb.cluster.router import ShardRouter
+
+        rng = random.Random(7)
+        cells = [(rng.randrange(40, 60), rng.randrange(40, 60)) for _ in range(60)]
+        cells += cells[:10]
+        batched = ShardRouter(self.two_pass_metro(), 4, cache_capacity=capacity)
+        sequential = ShardRouter(self.two_pass_metro(), 4, cache_capacity=capacity)
+        got = batched.channels_in_cells(cells, t_us=5.0)
+        want = [sequential.channels_in_cell(qx, qy, 5.0) for qx, qy in cells]
+        assert got == want
+        assert batched.per_shard_stats() == sequential.per_shard_stats()
+        assert batched.stats_dict() == sequential.stats_dict()
+        for a, b in zip(batched.shards, sequential.shards):
+            assert list(a._cache.items()) == list(b._cache.items())
+        if capacity:
+            assert batched.aggregate_stats().evictions > 0
 
     def test_batch_purges_expired_buckets_once(self):
         db = WhiteSpaceDatabase(one_station_metro())
