@@ -1,13 +1,23 @@
 """Layer microbenchmarks: ns per cell of the database's batch lookup.
 
 The end-to-end benchmark (``perfbench/``) says how fast a workload runs;
-this one isolates one layer — ``WhiteSpaceDatabase.channels_in_cells``,
-the call every query path rides — and states its cost per cell at the
-two hit rates that bracket the workloads (0%: every cell a miss, so
-the index's miss kernel does the work; 99%: the cache-hit path) and at
+this one isolates one layer — the database's batch cell lookup, the
+call every query path rides — and states its cost per cell at the
+hit rates that bracket the workloads (0%: every cell a miss, so the
+index's miss kernel does the work; 99%: the cache-hit path with the
+odd miss; 100%: the hit path alone) and at
 batch sizes 1, 8, 64 and 512, on the ``roam-sparse``-shaped metro
 (a 20 km plane, one TV site on each of channels 12-29, six registered
-microphones, default service parameters).
+microphones, default service parameters).  Each (hit rate, batch) row
+is measured twice: through the array entry point
+``WhiteSpaceDatabase.response_ids_in_cells`` ((n, 2) cell array in, id
+array out) and through its list-of-tuples wrapper
+``WhiteSpaceDatabase.channels_in_cells``.
+
+One more row times ``ShardRouter.channels_in_cells`` on 512 scattered
+cells of the 16-shard, 3 km ``storm`` metro, each repeat in a fresh TTL
+bucket (so every cell's first touch misses), and records how many shard
+calls the batch made.
 
 Every row is timed over at least five repeats and records the median
 and minimum wall ns per cell (the minimum is the least-disturbed
@@ -37,6 +47,7 @@ import time
 import numpy as np
 
 import repro
+from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.model import MicRegistration, generate_metro
 from repro.wsdb.service import WhiteSpaceDatabase
 
@@ -53,9 +64,23 @@ MICS = 6
 BATCH_SIZES = (1, 8, 64, 512)
 REPEATS = 5
 #: Cells timed per repeat, by hit rate (multiples of every batch size).
-CELLS = {0.0: 512, 0.99: 5_120} if SMOKE else {0.0: 4_096, 0.99: 51_200}
+#: The 100% rows isolate the hit path: no index kernel call at all.
+CELLS = (
+    {0.0: 512, 0.99: 5_120, 1.0: 5_120}
+    if SMOKE
+    else {0.0: 4_096, 0.99: 51_200, 1.0: 51_200}
+)
 #: Cached cells the 99% rows draw their hits from.
 WARM_CELLS = 1_024
+#: The two forms of the database's batch lookup every row is timed on.
+ENTRY_POINTS = (
+    "WhiteSpaceDatabase.response_ids_in_cells",
+    "WhiteSpaceDatabase.channels_in_cells",
+)
+#: The router row: the storm workload's metro and shard count.
+STORM_EXTENT_M = 3_000.0
+STORM_SHARDS = 16
+ROUTER_CELLS = 512
 
 
 def trajectory_log(smoke: bool) -> pathlib.Path:
@@ -89,7 +114,8 @@ def cell_sequence(
     db: WhiteSpaceDatabase, hit_rate: float, rng: random.Random
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """(warm cells, timed cells): every 100th timed cell is fresh at 99%,
-    every one at 0%; fresh cells never repeat within a repeat."""
+    every one at 0%, none at 100%; fresh cells never repeat within a
+    repeat."""
     side = int(EXTENT_M // db.cache_resolution_m)
     plane = [(qx, qy) for qx in range(side) for qy in range(side)]
     rng.shuffle(plane)
@@ -98,32 +124,92 @@ def cell_sequence(
         return [], plane[:n]
     warm, fresh = plane[:WARM_CELLS], iter(plane[WARM_CELLS:])
     return warm, [
-        next(fresh) if i % 100 == 99 else warm[i % WARM_CELLS] for i in range(n)
+        next(fresh) if i % 100 == 99 and hit_rate < 1.0 else warm[i % WARM_CELLS]
+        for i in range(n)
     ]
 
 
-def measure_row(hit_rate: float, batch: int) -> dict:
-    """One (hit rate, batch size) row over REPEATS fresh TTL buckets."""
+def measure_row(layer: str, hit_rate: float, batch: int) -> dict:
+    """One (entry point, hit rate, batch size) row over REPEATS fresh
+    TTL buckets."""
     db = sparse_db()
     rng = random.Random(f"{SEED}-{hit_rate}-{batch}")
+    arrays = layer.endswith("response_ids_in_cells")
+    lookup = db.response_ids_in_cells if arrays else db.channels_in_cells
     wall_ns, cpu_ns, hits = [], [], []
     for repeat in range(REPEATS):
         t_us = (repeat + 1) * db.ttl_us
         warm, cells = cell_sequence(db, hit_rate, rng)
         db.channels_in_cells(warm, t_us)  # new bucket: purge + warm-up
         batches = [cells[i : i + batch] for i in range(0, len(cells), batch)]
+        if arrays:
+            batches = [np.array(chunk, dtype=np.int64) for chunk in batches]
         hits_before = db.stats.cache_hits
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
         for chunk in batches:
-            db.channels_in_cells(chunk, t_us)
+            lookup(chunk, t_us)
         wall_ns.append((time.perf_counter_ns() - wall0) / len(cells))
         cpu_ns.append((time.process_time_ns() - cpu0) / len(cells))
         hits.append((db.stats.cache_hits - hits_before) / len(cells))
     return {
+        "layer": layer,
         "hit_rate": hit_rate,
         "batch": batch,
         "cells": len(cells),
         "repeats": REPEATS,
+        "measured_hit_rate": statistics.median(hits),
+        "ns_per_cell_median": statistics.median(wall_ns),
+        "ns_per_cell_min": min(wall_ns),
+        "cpu_ns_per_cell_median": statistics.median(cpu_ns),
+        "ns_per_cell": wall_ns,
+    }
+
+
+def router_row() -> dict:
+    """``ShardRouter.channels_in_cells`` on scattered storm-metro cells.
+
+    Each repeat asks ROUTER_CELLS seeded points' cells as one batch in
+    a fresh TTL bucket; the shard calls are counted by wrapping each
+    shard's array entry point.
+    """
+    metro = generate_metro(
+        OCCUPIED, seed=SEED, extent_m=STORM_EXTENT_M, sites_per_channel=(1, 1)
+    )
+    router = ShardRouter(metro, STORM_SHARDS)
+    calls = []
+    for shard in router.shards:
+        def counted(cells, t_us=0.0, _lookup=shard.response_ids_in_cells):
+            calls.append(len(cells))
+            return _lookup(cells, t_us)
+
+        shard.response_ids_in_cells = counted
+    rng = random.Random(f"{SEED}-router")
+    wall_ns, cpu_ns, hits, shard_calls = [], [], [], []
+    for repeat in range(REPEATS):
+        t_us = (repeat + 1) * router.ttl_us
+        router.channels_in_cell(0, 0, t_us)  # new bucket: purge
+        cells = [
+            router.cell_of(
+                rng.uniform(0.0, STORM_EXTENT_M), rng.uniform(0.0, STORM_EXTENT_M)
+            )
+            for _ in range(ROUTER_CELLS)
+        ]
+        hits_before = router.aggregate_stats().cache_hits
+        del calls[:]
+        wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+        router.channels_in_cells(cells, t_us)
+        wall_ns.append((time.perf_counter_ns() - wall0) / len(cells))
+        cpu_ns.append((time.process_time_ns() - cpu0) / len(cells))
+        hits.append((router.aggregate_stats().cache_hits - hits_before) / len(cells))
+        shard_calls.append(len(calls))
+    return {
+        "layer": "ShardRouter.channels_in_cells",
+        "shards": STORM_SHARDS,
+        "extent_m": STORM_EXTENT_M,
+        "batch": ROUTER_CELLS,
+        "cells": ROUTER_CELLS,
+        "repeats": REPEATS,
+        "shard_calls": max(shard_calls),
         "measured_hit_rate": statistics.median(hits),
         "ns_per_cell_median": statistics.median(wall_ns),
         "ns_per_cell_min": min(wall_ns),
@@ -143,12 +229,16 @@ def append_log_entry(entry: dict) -> None:
 
 def test_channels_in_cells_ns_per_cell(record_table):
     rows = [
-        measure_row(hit_rate, batch)
+        measure_row(layer, hit_rate, batch)
         for hit_rate in CELLS
         for batch in BATCH_SIZES
+        for layer in ENTRY_POINTS
     ]
     for row in rows:
         assert abs(row["measured_hit_rate"] - row["hit_rate"]) < 0.005, row
+    routed = router_row()
+    assert routed["shard_calls"] <= STORM_SHARDS, routed
+    rows.append(routed)
     entry = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -162,7 +252,7 @@ def test_channels_in_cells_ns_per_cell(record_table):
             "nproc": len(os.sched_getaffinity(0)),
         },
         "smoke": SMOKE,
-        "layer": "WhiteSpaceDatabase.channels_in_cells",
+        "layers": [*ENTRY_POINTS, routed["layer"]],
         "shape": {
             "extent_m": EXTENT_M,
             "tv_channels": [OCCUPIED.start, OCCUPIED.stop - 1],
@@ -173,12 +263,14 @@ def test_channels_in_cells_ns_per_cell(record_table):
     }
     append_log_entry(entry)
     lines = [
-        f"{'hit':>5} {'batch':>6} {'ns/cell med':>12} {'ns/cell min':>12} "
-        f"{'cpu ns med':>11}"
+        f"{'layer':<42} {'hit':>5} {'batch':>6} {'ns/cell med':>12} "
+        f"{'ns/cell min':>12} {'cpu ns med':>11}"
     ]
     lines += [
-        f"{r['hit_rate']:>5.0%} {r['batch']:>6} {r['ns_per_cell_median']:>12.0f} "
-        f"{r['ns_per_cell_min']:>12.0f} {r['cpu_ns_per_cell_median']:>11.0f}"
+        f"{r['layer']:<42} {r['measured_hit_rate']:>5.0%} {r['batch']:>6} "
+        f"{r['ns_per_cell_median']:>12.0f} {r['ns_per_cell_min']:>12.0f} "
+        f"{r['cpu_ns_per_cell_median']:>11.0f}"
         for r in rows
     ]
+    lines.append(f"router shard calls per {ROUTER_CELLS}-cell batch: {routed['shard_calls']}")
     record_table("bench_layers", lines, data=entry)

@@ -38,6 +38,7 @@ a response the pull protocol itself would no longer honor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Protocol, Sequence
 
 import numpy as np
@@ -51,7 +52,7 @@ from repro.telemetry.metrics import (
 from repro.telemetry.spans import NULL_SPANS, lookup_steps
 from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
-from repro.wsdb.index import circle_intersects_cell
+from repro.wsdb.index import circle_intersects_cells
 from repro.wsdb.model import MicRegistration
 from repro.wsdb.service import ttl_bucket
 
@@ -372,33 +373,37 @@ class BatchFrontend:
             _, first, inverse = np.unique(
                 key, return_index=True, return_inverse=True
             )
-            ux = ax[first].tolist()
-            uy = ay[first].tolist()
             owner = self.router.shards_of_cells(ax[first], ay[first])
             stats.coalesced += k - len(first)
             # Shards ascending, each shard's cells in first-occurrence
             # order (the deterministic order the parallel/sequential
             # contract needs).
-            order = np.lexsort((first, owner))
-            ranked = owner[order]
+            by_shard = np.lexsort((first, owner))
+            ranked = owner[by_shard]
             cut = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-            order = order.tolist()
-            responses: list[tuple[int, ...]] = [()] * len(order)
-            stale = self._stale
-            for lo, hi in zip([0, *cut], [*cut, len(order)]):
-                group = order[lo:hi]
-                shard_id = int(ranked[lo])
-                shard = self.router.shards[shard_id]
-                cells = [(ux[u], uy[u]) for u in group]
+            # The unique cells as (qx, qy) rows in shard-call order.
+            cell_rows = np.column_stack((ax, ay)).take(first[by_shard], axis=0)
+            ids = np.empty(len(cell_rows), dtype=np.int64)
+            hits = np.empty(len(cell_rows), dtype=bool)
+            scans = np.empty(len(cell_rows), dtype=np.int64)
+            for lo, hi in zip([0, *cut], [*cut, len(cell_rows)]):
+                shard = self.router.shards[int(ranked[lo])]
                 stats.shard_batches += 1
-                for u, cell, channels in zip(
-                    group, cells, shard.channels_in_cells(cells, t_us)
-                ):
-                    responses[u] = channels
-                    stale[cell] = (self._bucket_now, channels)
+                ids[lo:hi] = shard.response_ids_in_cells(cell_rows[lo:hi], t_us)
                 if span_on:
-                    for cell, (hit, scanned) in zip(cells, shard.last_outcomes):
-                        lookups[cell] = (shard_id, hit, scanned)
+                    hits[lo:hi] = shard.last_hit
+                    scans[lo:hi] = shard.last_scanned
+            tuples = self.router.responses.tuples
+            responses: list[tuple[int, ...]] = [()] * len(cell_rows)
+            stale = self._stale
+            cells = list(zip(*cell_rows.T.tolist()))
+            for u, cell, rid in zip(by_shard.tolist(), cells, ids.tolist()):
+                responses[u] = channels = tuples[rid]
+                stale[cell] = (self._bucket_now, channels)
+            if span_on:
+                lookups = dict(
+                    zip(cells, zip(ranked.tolist(), hits.tolist(), scans.tolist()))
+                )
             answers = [responses[u] for u in inverse.tolist()]
         if k < n:
             shed = self.policy.shed
@@ -518,19 +523,21 @@ class BatchFrontend:
         can record the invalidation + push fan-out tree.
         """
         invalidated = self.router.register_mic(registration)
-        purged = [
-            cell
-            for cell in self._stale
-            if circle_intersects_cell(
-                registration.x_m,
-                registration.y_m,
-                registration.radius_m,
-                *cell,
-                self.router.cache_resolution_m,
-            )
-        ]
+        stale = self._stale
+        cells = np.fromiter(
+            chain.from_iterable(stale), dtype=np.int64, count=2 * len(stale)
+        ).reshape(-1, 2)
+        touched = circle_intersects_cells(
+            registration.x_m,
+            registration.y_m,
+            registration.radius_m,
+            cells[:, 0],
+            cells[:, 1],
+            self.router.cache_resolution_m,
+        )
+        purged = [cell for cell, t in zip(stale, touched.tolist()) if t]
         for cell in purged:
-            del self._stale[cell]
+            del stale[cell]
         notified = (
             () if self.push is None else self.push.notify_zone(registration)
         )

@@ -26,9 +26,12 @@ byte-identical parallel/sequential contract.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from repro.errors import SpectrumMapError
-from repro.wsdb.index import circle_intersects_cell
+from repro.wsdb.index import circle_intersects_cells
 from repro.wsdb.model import MicRegistration
 from repro.wsdb.service import DEFAULT_CACHE_RESOLUTION_M
 
@@ -135,16 +138,21 @@ class PushRegistry:
         invalidation geometry, so the notified set is exactly the
         devices whose cached response the registration can change.
         """
+        by_cell = self._devices_in_cell
+        cells = np.fromiter(
+            chain.from_iterable(by_cell), dtype=np.int64, count=2 * len(by_cell)
+        ).reshape(-1, 2)
+        touched = circle_intersects_cells(
+            registration.x_m,
+            registration.y_m,
+            registration.radius_m,
+            cells[:, 0],
+            cells[:, 1],
+            self.cache_resolution_m,
+        )
         notified: list[int] = []
-        for (qx, qy), devices in self._devices_in_cell.items():
-            if circle_intersects_cell(
-                registration.x_m,
-                registration.y_m,
-                registration.radius_m,
-                qx,
-                qy,
-                self.cache_resolution_m,
-            ):
+        for devices, t in zip(by_cell.values(), touched.tolist()):
+            if t:
                 notified.extend(devices)
         notified.sort()
         if notified:

@@ -25,6 +25,11 @@ kernel, ``GridIndex.occupied_in_rects``, decides each contour by
 does) — therefore a shard's cell response equals the unsharded
 database's, bit for bit.
 
+All shards answer in one shared
+:class:`~repro.wsdb.service.ResponseTable`, so a response id means the
+same channels whichever shard served it, and a batch reaches each
+shard as one call (:meth:`ShardRouter.response_ids_in_cells`).
+
 Mic registrations fan out: a new protection zone is routed to every
 shard whose territory it touches (each invalidates its own cached
 responses), and to the base metro so ground-truth compliance scoring
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -51,6 +57,7 @@ from repro.wsdb.service import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_CACHE_RESOLUTION_M,
     DEFAULT_TTL_US,
+    ResponseTable,
     WhiteSpaceDatabase,
     WsdbStats,
     default_cell_m,
@@ -196,6 +203,9 @@ class ShardRouter:
             for j in range(rows)
             for i in range(cols)
         )
+        #: The response intern table every shard answers in, so a
+        #: response id means the same channels cluster-wide.
+        self.responses = ResponseTable()
         shards: list[WhiteSpaceDatabase] = []
         scale = math.sqrt(num_shards)
         for territory in self.territories:
@@ -227,6 +237,7 @@ class ShardRouter:
                     ttl_us=ttl_us,
                     cache_resolution_m=cache_resolution_m,
                     cache_capacity=cache_capacity,
+                    responses=self.responses,
                 )
             )
         self.shards: tuple[WhiteSpaceDatabase, ...] = tuple(shards)
@@ -295,32 +306,45 @@ class ShardRouter:
         cells: Sequence[tuple[int, int]],
         t_us: float = 0.0,
     ) -> list[tuple[int, ...]]:
-        """Batch cell-granular responses: one per cell, in cell order.
+        """Batch cell-granular responses: one tuple per cell, in order.
+
+        :meth:`response_ids_in_cells` with ``(qx, qy)`` pairs in and the
+        shared table's channel tuples out.
+        """
+        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64)
+        ids = self.response_ids_in_cells(flat.reshape(-1, 2), t_us)
+        tuples = self.responses.tuples
+        return [tuples[i] for i in ids.tolist()]
+
+    def response_ids_in_cells(
+        self, cells: np.ndarray, t_us: float = 0.0
+    ) -> np.ndarray:
+        """Batch cell-granular response ids: one per ``(qx, qy)`` row.
 
         Protocol parity with
-        :meth:`WhiteSpaceDatabase.channels_in_cells`: runs of
-        consecutive cells owned by one shard forward to that shard's
-        own batch path (one stats pass per run), so answers, cache
-        mutations, and counter totals are exactly those of a
-        :meth:`channels_in_cell` loop over the same sequence.
+        :meth:`WhiteSpaceDatabase.response_ids_in_cells`: one
+        :meth:`shards_of_cells` pass and a stable sort group each
+        shard's cells, in request order, into one call to that shard
+        (at most K calls per batch, in ascending shard order).  A
+        shard's cache sees exactly the subsequence of cells it owns, so
+        answers, cache contents and order, and per-shard counters are
+        those of a :meth:`channels_in_cell` loop over the same
+        sequence.  The ids index the :attr:`responses` table every
+        shard shares.
         """
-        responses: list[tuple[int, ...]] = []
-        run: list[tuple[int, int]] = []
-        run_shard = -1
-        for cell in cells:
-            shard_id = self.shard_of_cell(*cell)
-            if shard_id != run_shard and run:
-                responses.extend(
-                    self.shards[run_shard].channels_in_cells(run, t_us)
-                )
-                run = []
-            run_shard = shard_id
-            run.append(cell)
-        if run:
-            responses.extend(
-                self.shards[run_shard].channels_in_cells(run, t_us)
-            )
-        return responses
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        ids = np.empty(len(cells), dtype=np.int64)
+        if not len(cells):
+            return ids
+        owner = self.shards_of_cells(cells[:, 0], cells[:, 1])
+        order = np.argsort(owner, kind="stable")
+        ranked = owner[order]
+        cut = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cut], [*cut, len(order)]):
+            group = order[lo:hi]
+            shard = self.shards[int(ranked[lo])]
+            ids[group] = shard.response_ids_in_cells(cells[group], t_us)
+        return ids
 
     def channels_at_many(
         self,

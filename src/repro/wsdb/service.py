@@ -12,17 +12,57 @@ benchmarks can report cache behavior alongside throughput.
 responses: the FCC requires a device to re-query after moving ~100 m,
 so a response is computed for — and valid anywhere inside — a whole
 quantization square of ``cache_resolution_m`` on a side.
-:meth:`channels_in_cells` (one response per cell of a batch;
-:meth:`channels_in_cell` is its one-cell form) is that protocol's
-primitive: it computes the channels free throughout each square (a
+:meth:`~WhiteSpaceDatabase.response_ids_in_cells` (an (n, 2) cell array
+in, one response id per cell out) is that protocol's primitive;
+:meth:`~WhiteSpaceDatabase.channels_in_cells` is its list-of-tuples
+form and :meth:`~WhiteSpaceDatabase.channels_in_cell` its one-cell
+form.  A response is the channels free throughout each square (a
 channel is denied when any active incumbent's protected contour
 intersects the square — the conservative area semantics a protection
-regime requires), every miss of a call in one batched index pass
-(:meth:`GridIndex.occupied_in_rects`), and caches the response under
-the (cell, TTL bucket) key.  :meth:`channels_at` and
-:meth:`channels_at_many` are point-shaped conveniences that quantize
-the coordinate and ride the cell path, which is why dense or mobile
-deployments hit the cache instead of recomputing per coordinate.
+regime requires), every miss of a call computed in one batched index
+pass (:meth:`GridIndex.occupied_in_rects`), and cached under the
+(cell, TTL bucket) key.  :meth:`~WhiteSpaceDatabase.channels_at` and
+:meth:`~WhiteSpaceDatabase.channels_at_many` are point-shaped
+conveniences that quantize the coordinate and ride the cell path,
+which is why dense or mobile deployments hit the cache instead of
+recomputing per coordinate.
+
+**Response ids.**  Responses are interned in a :class:`ResponseTable`:
+each distinct channel tuple gets one small int id, id 0 being the empty
+response ``()``.  The cache stores ids, and a fleet keeps the ids it
+was answered with, so neither side hashes a tuple per cell.  A
+:class:`~repro.wsdb.cluster.router.ShardRouter` hands one table to all
+of its shards, so ids are global across a cluster.
+
+**The cache as slot columns.**  The LRU is one int64 array of six rows
+— packed key, ``qx``, ``qy``, TTL bucket, response id and recency stamp
+— with one column per live response, kept sorted by packed key, so a
+batch's lookups are one ``np.searchsorted``.  A key packs ``qx`` and
+``qy`` into 26 bits each (the packable cells are ``-2**25 <= q <
+2**25`` per axis, :data:`PACKABLE_CELLS`) and the bucket as its age
+behind the newest observed bucket into 11 bits; a query outside that
+range raises :class:`~repro.errors.SpectrumMapError`.  (Every advance
+of the newest bucket purges the whole cache, so the age base never
+moves under a live key.)  The call's *p*-th cell stamps its slot with
+``clock + p``, so a repeated key keeps its last position and the
+oldest stamp is the least recently used response.
+
+**Exact LRU in safe prefixes.**  A batch leaves exactly the answers,
+LRU contents and order, evictions and counters of a
+one-cell-at-a-time loop.  The batch is walked in *safe prefixes*: with
+``L`` live responses, capacity ``C``, ``u(q)`` the first-seen absent
+keys up to position ``q`` and ``e(q) = max(0, L + u(q) - C)`` the
+evictions the loop has made by then, a prefix is one exact array step
+while ``e(q) <= L`` and ``e(q)`` is at most the smallest old-LRU rank
+of any live response the prefix touches.  Then no victim is a response
+the prefix touches or inserts, so the loop's victims are exactly the
+``e`` oldest, in stamp order.  Both sides are monotone in ``q``, so
+the first break is one ``np.minimum.accumulate``; the walk commits the
+prefix and continues from the break, and a one-cell prefix is always
+safe.  A miss's slot holds a pending id (``-1 - m`` for the call's
+*m*-th miss) until the index answers; each answer is written only to a
+slot still holding its pending id.  Capacity 0 stores nothing: every
+cell is a miss.
 
 Because the computation itself is per-cell (not per first-querying
 coordinate), a response is a pure function of (metro state, cell,
@@ -32,16 +72,20 @@ remaining cache-visible effect is the TTL staleness contract: within a
 TTL bucket a cached response may lag a mic *session* edge of an
 already-registered incumbent by up to the TTL, while a cache-disabled
 service re-evaluates the schedule at every query.  An explicit
-:meth:`register_mic` invalidates the affected cells immediately, so
-newly registered incumbents are never served stale.
+:meth:`~WhiteSpaceDatabase.register_mic` invalidates the affected cells
+immediately, so newly registered incumbents are never served stale.
 
 Invalidation is cell-exact and time-aware: a registration drops exactly
 the cached responses whose quantization square intersects the new
 protection zone *and* whose TTL bucket overlaps one of the mic's
 sessions — a response whose bucket ends before the session starts (or
 begins after it ends) is still valid for every query it can legally
-serve.  Expired buckets are purged as simulation time advances, so the
-LRU holds live responses only.
+serve.  It is one array pass over the live slots: the session test
+runs once per distinct bucket, and the geometry is
+:func:`~repro.wsdb.index.circle_intersects_cells`, the array form of
+``circle_intersects_cell`` (near ties are re-decided by that predicate
+itself).  Expired buckets are purged as simulation time advances, so
+the LRU holds live responses only.
 
 Determinism: for a fixed query sequence the service is a pure function
 of (metro state, sequence) — the property the citywide and roaming run
@@ -54,19 +98,25 @@ baseline the roaming benchmark compares against.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from itertools import chain
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import SpectrumMapError
 from repro.spectrum.spectrum_map import SpectrumMap
-from repro.wsdb.index import GridIndex, circle_intersects_cell
+from repro.wsdb.index import (
+    GridIndex,
+    circle_intersects_cell,
+    circle_intersects_cells,
+)
 from repro.wsdb.model import Metro, MicRegistration
 
 __all__ = [
     "AvailabilityService",
+    "PACKABLE_CELLS",
+    "ResponseTable",
     "WhiteSpaceDatabase",
     "WsdbStats",
     "default_cell_m",
@@ -86,6 +136,27 @@ DEFAULT_CACHE_RESOLUTION_M = 100.0
 
 #: Default LRU capacity (responses).
 DEFAULT_CACHE_CAPACITY = 8_192
+
+#: Packed cache keys: ``qx`` and ``qy`` offset into ``_CELL_BITS``
+#: unsigned bits each, then the bucket's age behind the newest observed
+#: bucket in ``_AGE_BITS`` — 63 bits, a non-negative int64.
+_CELL_BITS = 26
+_AGE_BITS = 11
+_CELL_OFFSET = 1 << (_CELL_BITS - 1)
+
+#: The cells the cache can key, per axis: ``lo <= q < hi``.
+PACKABLE_CELLS = (-_CELL_OFFSET, _CELL_OFFSET)
+
+#: ``(qx + offset, qy + offset) . _KEY_WEIGHTS + age`` is the packed key.
+_KEY_WEIGHTS = np.array(
+    [1 << (_CELL_BITS + _AGE_BITS), 1 << _AGE_BITS], dtype=np.int64
+)
+
+#: Batches longer than this look their keys up in sorted order.
+_SORTED_LOOKUP = 64
+
+#: The rows of the slot table (one column per cached response).
+_KEY, _QX, _QY, _BUCKET, _RID, _STAMP = range(6)
 
 
 def quantize_cell(
@@ -207,16 +278,35 @@ class WsdbStats:
         }
 
 
-class _Pending:
-    """A missed cell's cache placeholder until its batch computes it.
+class ResponseTable:
+    """Interned channel responses: the ids a service tier answers in.
 
-    ``slot`` is the miss's position in the batch's list of misses.
+    Each distinct response tuple gets one small int id, in first-seen
+    order; id 0 is the empty response ``()`` (a fleet's "never queried"
+    answer).  ``tuples[i]`` is response *i* and ``sets[i]`` its
+    frozenset.  The table only grows, so an id never changes meaning.
     """
 
-    __slots__ = ("slot",)
+    def __init__(self) -> None:
+        self.tuples: list[tuple[int, ...]] = [()]
+        self.sets: list[frozenset[int]] = [frozenset()]
+        self._ids: dict[tuple[int, ...], int] = {(): 0}
 
-    def __init__(self, slot: int):
-        self.slot = slot
+    def __len__(self) -> int:
+        return len(self.tuples)
+
+    def ids(self, responses: Iterable[tuple[int, ...]]) -> np.ndarray:
+        """The id of every response, in order, interning new ones."""
+        known = self._ids
+        out = []
+        for response in responses:
+            rid = known.get(response)
+            if rid is None:
+                rid = known[response] = len(self.tuples)
+                self.tuples.append(response)
+                self.sets.append(frozenset(response))
+            out.append(rid)
+        return np.array(out, dtype=np.int64)
 
 
 class WhiteSpaceDatabase:
@@ -232,6 +322,8 @@ class WhiteSpaceDatabase:
         cache_capacity: LRU capacity; 0 disables response caching (the
             spatial index still serves every query, and answers are
             identical to a caching service's).
+        responses: the response intern table to answer in (None: a
+            table of its own; a cluster shares one across its shards).
     """
 
     def __init__(
@@ -241,6 +333,7 @@ class WhiteSpaceDatabase:
         ttl_us: float = DEFAULT_TTL_US,
         cache_resolution_m: float = DEFAULT_CACHE_RESOLUTION_M,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
+        responses: ResponseTable | None = None,
     ):
         if ttl_us <= 0:
             raise SpectrumMapError(f"ttl_us must be > 0, got {ttl_us!r}")
@@ -261,23 +354,33 @@ class WhiteSpaceDatabase:
         self.ttl_us = ttl_us
         self.cache_resolution_m = cache_resolution_m
         self.cache_capacity = cache_capacity
-        # The response LRU, least recently used first.  A key is the
-        # plain tuple (qx, qy, bucket): quantization cell + TTL bucket.
-        # A tuple hashes and compares in C, which is most of what a
-        # cache hit costs on the re-check path.
-        self._cache: OrderedDict[tuple[int, int, int], tuple[int, ...]] = (
-            OrderedDict()
-        )
+        self.responses = ResponseTable() if responses is None else responses
+        # The slot table (see the module docstring): rows _KEY.._STAMP,
+        # one column per cached response, sorted by packed key.  Kept
+        # C-contiguous (column selections go through take/compress, not
+        # fancy indexing, which would transpose the layout) so each row
+        # is a contiguous column for searchsorted and the ufuncs.
+        self._slots = np.zeros((6, 0), dtype=np.int64)
+        # The stamp of the next call's first cell.
+        self._clock = 0
         self._latest_bucket = 0
-        # Every channel of the dial, for turning occupied sets into
-        # free-channel responses.
+        # Every channel of the dial, and the response id of each
+        # occupied set seen, for turning the miss kernel's occupied
+        # sets into response ids.
         self._channels = frozenset(range(metro.num_channels))
+        self._free_ids: dict[frozenset[int], int] = {}
         self.stats = WsdbStats()
-        # The last query call's per-cell outcomes, one (cache_hit,
-        # candidates_scanned) entry per requested cell in request
-        # order.  The running stats totals can't tell a caller (e.g. a
-        # span recorder) what *this* lookup did — the outcomes can.
-        self.last_outcomes: tuple[tuple[bool, int], ...] = ()
+        # The last query call's per-cell outcomes in request order: was
+        # it a cache hit, and how many candidates did its miss scan (0
+        # on a hit).  The running stats totals can't tell a caller
+        # (e.g. a span recorder) what *this* lookup did — these can.
+        self.last_hit = np.zeros(0, dtype=bool)
+        self.last_scanned = np.zeros(0, dtype=np.int64)
+
+    @property
+    def last_outcomes(self) -> tuple[tuple[bool, int], ...]:
+        """The last call's ``(cache_hit, candidates_scanned)`` per cell."""
+        return tuple(zip(self.last_hit.tolist(), self.last_scanned.tolist()))
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -290,16 +393,37 @@ class WhiteSpaceDatabase:
         """
         return quantize_cell(x_m, y_m, self.cache_resolution_m)
 
-    def _store(
-        self, key: tuple[int, int, int], channels: tuple[int, ...]
-    ) -> None:
-        if self.cache_capacity == 0:
-            return
-        self._cache[key] = channels
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.cache_capacity:
-            self._cache.popitem(last=False)
-            self.stats.evictions += 1
+    def cached_items(
+        self,
+    ) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
+        """The cached ``((qx, qy, bucket), channels)``, least recent first."""
+        slots = self._slots.take(self._slots[_STAMP].argsort(), axis=1)
+        tuples = self.responses.tuples
+        return [
+            ((qx, qy, bucket), tuples[rid])
+            for qx, qy, bucket, rid in zip(
+                *slots[[_QX, _QY, _BUCKET, _RID]].tolist()
+            )
+        ]
+
+    def _pack(self, cells: np.ndarray, bucket: int) -> np.ndarray:
+        """The packed cache key of every cell in TTL bucket *bucket*."""
+        age = max(self._latest_bucket, bucket) - bucket
+        offset = cells + _CELL_OFFSET
+        if np.bitwise_or.reduce(offset, axis=None) >> _CELL_BITS:
+            raise SpectrumMapError(
+                "cell outside the cache's packable range "
+                f"[{PACKABLE_CELLS[0]}, {PACKABLE_CELLS[1]}) per axis"
+            )
+        if age >> _AGE_BITS:
+            raise SpectrumMapError(
+                f"TTL bucket {bucket} lies more than {(1 << _AGE_BITS) - 1} "
+                f"buckets behind the newest queried ({self._latest_bucket})"
+            )
+        keys = offset.dot(_KEY_WEIGHTS)
+        if age:
+            keys += age
+        return keys
 
     def _purge_expired(self, bucket: int) -> None:
         """Drop responses from TTL buckets wholly before *bucket*.
@@ -308,17 +432,145 @@ class WhiteSpaceDatabase:
         part of the cache key), but left in place they occupy LRU
         capacity — evicting live responses — and are scanned by every
         ``register_mic`` invalidation pass.  Purged on the query path
-        whenever the observed TTL bucket advances; queries are the
+        whenever the observed TTL bucket advances past the newest one
+        (which then drops every live response); queries are the
         service's only clock, so ``register_mic`` relies on this
         rather than purging itself.
         """
-        if bucket <= self._latest_bucket:
-            return
         self._latest_bucket = bucket
-        stale = [key for key in self._cache if key[2] < bucket]
-        for key in stale:
-            del self._cache[key]
-        self.stats.expirations += len(stale)
+        slots = self._slots
+        live = slots[_BUCKET] >= bucket
+        self.stats.expirations += live.size - int(np.count_nonzero(live))
+        self._slots = slots.compress(live, axis=1)
+
+    def _touch(
+        self, keys: np.ndarray, cells: np.ndarray, bucket: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+        """Walk a batch through the LRU in safe prefixes.
+
+        Returns the hit mask, each cell's response id, the positions of
+        the misses, and ``(positions, m)`` array pairs: the cells the
+        call's *m*-th miss answers (the miss itself, and every hit on
+        its pending slot), whose ids are not filled in yet.
+        """
+        n = len(keys)
+        hit, ids = np.zeros(0, dtype=bool), keys  # an empty batch
+        capacity = self.cache_capacity
+        missed, refs = [], []
+        misses = start = 0
+        while start < n:
+            slots = self._slots
+            live = slots.shape[1]
+            k = keys[start:]
+            m = len(k)
+            if m > _SORTED_LOOKUP:
+                # The binary search runs in key order: random-order
+                # queries stall it on mispredicted branches.
+                order = k.argsort()
+                row = np.empty(m, dtype=np.intp)
+                row[order] = slots[_KEY].searchsorted(k[order])
+            else:
+                row = slots[_KEY].searchsorted(k)
+            if live:
+                found = slots[_KEY].take(row, mode="clip") == k
+            else:
+                found = np.zeros(m, dtype=bool)
+            stamp0 = self._clock + start
+            if not start:
+                if np.count_nonzero(found) == m:
+                    # Every cell hits: one safe prefix, restamped.  (A
+                    # later pass starts at a key the last one evicted.)
+                    stamps = np.arange(stamp0, stamp0 + m)
+                    np.maximum.at(slots[_STAMP], row, stamps)
+                    self._clock += n
+                    return found, slots[_RID][row], keys[:0], refs
+                hit = np.empty(n, dtype=bool)
+                hit.fill(True)
+                ids = np.empty(n, dtype=np.int64)
+            hit_p, ids_p, cells_p = hit[start:], ids[start:], cells[start:]
+            # The absent keys, grouped: the first of each group is a
+            # miss (once the prefix reaches it), its repeats hit its
+            # slot.  Groups are numbered in first-position order.
+            absent = (~found).nonzero()[0]
+            fresh, group = absent, np.arange(len(absent))
+            if len(absent) > 1:
+                order = k[absent].argsort(kind="stable")
+                ranked = k[absent][order]
+                lead = np.empty(len(absent), dtype=bool)
+                lead[0] = True
+                np.not_equal(ranked[1:], ranked[:-1], out=lead[1:])
+                if not lead.all():
+                    group[order] = lead.cumsum() - 1
+                    first = absent[order[lead]]
+                    by_pos = first.argsort()
+                    fresh = first[by_pos]
+                    renumber = np.empty(len(fresh), dtype=np.int64)
+                    renumber[by_pos] = np.arange(len(fresh))
+                    group = renumber[group]
+            victims = None
+            if live + len(fresh) > capacity:
+                # e(q), and the old-LRU rank of each touched response
+                # among the e(m - 1) oldest (the rest rank past them).
+                evicted = np.zeros(m, dtype=np.int64)
+                evicted[fresh] = 1
+                evicted.cumsum(out=evicted)
+                evicted += live - capacity
+                worst = min(int(evicted[-1]), live)
+                stamps = slots[_STAMP]
+                oldest = stamps.argpartition(max(worst - 1, 0))[:worst]
+                oldest = oldest[stamps[oldest].argsort()]
+                touched = np.full(m, live, dtype=np.int64)
+                if live:
+                    rank = np.full(live, live, dtype=np.int64)
+                    rank[oldest] = np.arange(worst)
+                    touched[found] = rank[row[found]]
+                unsafe = evicted > np.minimum.accumulate(touched)
+                stop = int(unsafe.argmax()) if unsafe.any() else m
+                victims = oldest[: max(0, int(evicted[stop - 1]))]
+                if stop < m:
+                    m = stop
+                    found = found[:stop]
+                    cut = int(absent.searchsorted(stop))
+                    absent, group = absent[:cut], group[:cut]
+                    fresh = fresh[: int(fresh.searchsorted(stop))]
+            # Commit positions [0, m): hits restamp their slots (a slot
+            # still pending holds an earlier pass's miss) ...
+            pos = found.nonzero()[0]
+            if len(pos):
+                rows = row[pos]
+                ids_p[pos] = rid = slots[_RID][rows]
+                np.maximum.at(slots[_STAMP], rows, stamp0 + pos)
+                if start:
+                    waiting = rid < 0
+                    refs.append((start + pos[waiting], -1 - rid[waiting]))
+            # ... and first-seen absent keys take slots with pending ids.
+            new = len(fresh)
+            hit_p[fresh] = False
+            if start:
+                refs.append((start + absent, misses + group))
+                missed.append(start + fresh)
+            else:
+                refs.append((absent, group))
+                missed.append(fresh)
+            added = np.empty((6, new), dtype=np.int64)
+            added[_KEY] = k[fresh]
+            added[_QX : _QY + 1] = cells_p.take(fresh, axis=0).T
+            added[_BUCKET] = bucket
+            added[_RID] = np.arange(-1 - misses, -1 - misses - new, -1)
+            added[_STAMP] = stamp0 + fresh
+            if len(absent) > new:
+                np.maximum.at(added[_STAMP], group, stamp0 + absent)
+            misses += new
+            if victims is not None and len(victims):
+                keep = np.ones(live, dtype=bool)
+                keep[victims] = False
+                slots = slots.compress(keep, axis=1)
+                self.stats.evictions += len(victims)
+            slots = np.concatenate((slots, added), axis=1)
+            self._slots = slots.take(slots[_KEY].argsort(kind="stable"), axis=1)
+            start += m
+        self._clock += n
+        return hit, ids, np.concatenate(missed) if missed else keys[:0], refs
 
     # -- queries -------------------------------------------------------------
 
@@ -339,94 +591,100 @@ class WhiteSpaceDatabase:
         cells: Sequence[tuple[int, int]],
         t_us: float = 0.0,
     ) -> list[tuple[int, ...]]:
-        """Batch cell-granular responses: one per cell, in cell order.
+        """Batch cell-granular responses: one tuple per cell, in order.
 
-        The protocol primitive every query path rides.  A batch leaves
-        exactly the answers, cache recency order, and counter totals of
-        a one-cell-at-a-time :meth:`channels_in_cell` loop over the same
-        sequence (duplicates included; each counts as one query).  It
-        runs in two passes:
-
-        1. The cells walk the LRU in order.  A miss stores a per-miss
-           placeholder, so a repeat of the cell later in the batch is a
-           hit, and evictions, recency and counters run as in the loop.
-        2. One :meth:`GridIndex.occupied_in_rects` call computes every
-           miss; each answer is written over its placeholder if the key
-           still holds it (assigning to a cached key does not move it).
-
-        The per-call overhead is paid once: the TTL purge runs once
-        (every cell in a batch shares *t_us*'s bucket), the stats
-        counters are flushed in one pass, and the index is entered
-        once.  The roaming loop sends a tick's re-checks as one batch
-        in client order and the cluster frontend one batch per shard
-        per burst.
+        :meth:`response_ids_in_cells` with ``(qx, qy)`` pairs in and
+        the interned channel tuples out (the form the scalar fleet, the
+        citywide driver and the cluster frontend consume).
         """
-        self.stats.queries += len(cells)
+        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64)
+        ids = self.response_ids_in_cells(flat.reshape(-1, 2), t_us)
+        tuples = self.responses.tuples
+        return [tuples[i] for i in ids.tolist()]
+
+    def response_ids_in_cells(
+        self, cells: np.ndarray, t_us: float = 0.0
+    ) -> np.ndarray:
+        """Batch cell-granular responses as ids into :attr:`responses`.
+
+        *cells* is an (n, 2) int array of ``(qx, qy)`` rows; returns
+        one id per row.  The protocol primitive every query path rides.
+        A batch leaves exactly the answers, LRU contents and order,
+        and counter totals of a one-cell-at-a-time
+        :meth:`channels_in_cell` loop over the same sequence
+        (duplicates included; each counts as one query):
+
+        1. the batch walks the slot table in safe prefixes (module
+           docstring): hits restamp their slots, first-seen misses take
+           slots with a pending id (so a repeat later in the batch is
+           a hit), and evictions take the oldest stamps;
+        2. one :meth:`GridIndex.occupied_in_rects` call computes every
+           miss; each answer lands in its slot if the slot still holds
+           the miss's pending id.
+
+        The TTL purge runs once (every cell shares *t_us*'s bucket),
+        the stats move once and the index is entered once per call.
+        Cells outside :data:`PACKABLE_CELLS`, or a bucket more than
+        2047 buckets behind the newest queried, raise
+        :class:`~repro.errors.SpectrumMapError` before anything moves.
+        :attr:`last_hit` and :attr:`last_scanned` hold the call's
+        per-cell outcomes.
+        """
+        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        n = len(cells)
         bucket = ttl_bucket(t_us, self.ttl_us)
-        self._purge_expired(bucket)
-        cache = self._cache
-        responses: list = []
-        outcomes: list = []
-        missed: list[tuple[tuple[int, int, int], _Pending]] = []
-        for qx, qy in cells:
-            key = (qx, qy, bucket)
-            channels = cache.get(key)
-            if channels is not None:
-                cache.move_to_end(key)
-                outcomes.append((True, 0))
-            else:
-                channels = _Pending(len(missed))
-                missed.append((key, channels))
-                self._store(key, channels)
-                outcomes.append(None)
-            responses.append(channels)
-        self.stats.cache_hits += len(cells) - len(missed)
-        self.stats.cache_misses += len(missed)
-        if missed:
-            answers, scanned = self._compute_misses(missed, t_us)
-            responses = [
-                answers[r.slot] if type(r) is _Pending else r for r in responses
-            ]
-            scans = iter(scanned)
-            outcomes = [
-                (False, next(scans)) if o is None else o for o in outcomes
-            ]
-        self.last_outcomes = tuple(outcomes)
-        return responses
+        keys = self._pack(cells, bucket)
+        stats = self.stats
+        stats.queries += n
+        if bucket > self._latest_bucket:
+            self._purge_expired(bucket)
+        if self.cache_capacity:
+            hit, ids, miss, refs = self._touch(keys, cells, bucket)
+        else:
+            # Capacity 0 stores nothing: every cell is its own miss.
+            miss = np.arange(n)
+            hit, ids = np.zeros(n, dtype=bool), np.empty_like(miss)
+            refs = [(miss, miss)]
+        stats.cache_hits += n - len(miss)
+        stats.cache_misses += len(miss)
+        scanned = np.zeros(n, dtype=np.int64)
+        if len(miss):
+            answers, scanned[miss] = self._compute_misses(cells[miss], t_us)
+            for positions, ordinal in refs:
+                ids[positions] = answers[ordinal]
+            rid = self._slots[_RID]
+            pending = rid < 0
+            rid[pending] = answers[-1 - rid[pending]]
+        self.last_hit, self.last_scanned = hit, scanned
+        return ids
 
     def _compute_misses(
-        self, missed: list[tuple[tuple[int, int, int], _Pending]], t_us: float
-    ) -> tuple[list[tuple[int, ...]], list[int]]:
-        """Channels free throughout each missed cell at *t_us*.
+        self, cells: np.ndarray, t_us: float
+    ) -> tuple[np.ndarray, list[int]]:
+        """Response id of each missed cell at *t_us*, and its scan count.
 
         Conservative area semantics: a channel is denied when any
         active incumbent's contour intersects the cell square, so the
         response is safe to act on from any coordinate inside the cell.
-        Each answer replaces its miss's placeholder if that is still
-        cached.  Returns (answers, candidates scanned), one per miss.
         """
         res = self.cache_resolution_m
-        rects = []
-        for (qx, qy, _), _ in missed:
-            x0, y0 = qx * res, qy * res
-            rects.append((x0, y0, x0 + res, y0 + res))
-        occupied, scanned = self.index.occupied_in_rects(np.array(rects), t_us)
+        corner = cells * res
+        occupied, scanned = self.index.occupied_in_rects(
+            np.concatenate((corner, corner + res), axis=1), t_us
+        )
         # Counted from the kernel's return (not the index's running
         # total): the index is a public attribute, and direct use of it
         # must not leak into the service's own counters.
         self.stats.candidates_scanned += sum(scanned)
-        cache = self._cache
-        channels = self._channels
-        free_of: dict[frozenset[int], tuple[int, ...]] = {}
+        free_ids = self._free_ids
         answers = []
-        for (key, pending), occ in zip(missed, occupied):
-            free = free_of.get(occ)
-            if free is None:
-                free = free_of[occ] = tuple(sorted(channels - occ))
-            answers.append(free)
-            if cache.get(key) is pending:
-                cache[key] = free
-        return answers, scanned
+        for occ in occupied:
+            rid = free_ids.get(occ)
+            if rid is None:
+                free = tuple(sorted(self._channels - occ))
+                rid = free_ids[occ] = int(self.responses.ids((free,))[0])
+            answers.append(rid)
+        return np.array(answers, dtype=np.int64), scanned
 
     def channels_at(
         self, x_m: float, y_m: float, t_us: float = 0.0
@@ -464,25 +722,6 @@ class WhiteSpaceDatabase:
 
     # -- updates -------------------------------------------------------------
 
-    def _zone_touches_cell(
-        self, registration: MicRegistration, qx: int, qy: int
-    ) -> bool:
-        """True when the protection zone intersects quantization cell (qx, qy).
-
-        Uses the predicate the miss kernel's verdicts equal bit for bit
-        (``circle_intersects_rect``; see
-        :meth:`GridIndex.occupied_in_rects`), so invalidation drops
-        exactly the cells whose responses the new zone can change.
-        """
-        return circle_intersects_cell(
-            registration.x_m,
-            registration.y_m,
-            registration.radius_m,
-            qx,
-            qy,
-            self.cache_resolution_m,
-        )
-
     def zone_affects(
         self, registration: MicRegistration, x_m: float, y_m: float
     ) -> bool:
@@ -492,36 +731,19 @@ class WhiteSpaceDatabase:
         zone touches, so protocol-level coverage checks (is this AP's
         response invalidated by the new mic?) must use this, not point
         containment — a device just outside the zone whose cell touches
-        it still receives the denying response.
+        it still receives the denying response.  The predicate is
+        :func:`circle_intersects_cell`, the one the miss kernel's
+        verdicts equal bit for bit and invalidation uses.
         """
         qx, qy = self.cell_of(x_m, y_m)
-        return self._zone_touches_cell(registration, qx, qy)
-
-    def _zone_touches_key_cell(
-        self, registration: MicRegistration, key: tuple[int, int, int]
-    ) -> bool:
-        """True when *registration* can change the response cached at *key*.
-
-        Cell-exact in space and time-aware in the TTL dimension: a
-        cached response is only ever served for query times inside its
-        own bucket, so a bucket that does not overlap any of the mic's
-        sessions — wholly before the session starts, or wholly after it
-        ends — holds a response the registration cannot change, and
-        invalidating it would only force a recompute to the same
-        answer (and misreport ``stats.invalidations``).
-        """
-        bucket_start = key[2] * self.ttl_us
-        bucket_end = bucket_start + self.ttl_us
-        # Both intervals are half-open ([start, end) sessions against
-        # [bucket_start, bucket_end) buckets), so both edges test
-        # strictly: a session ending exactly at the bucket boundary is
-        # never active inside the bucket.
-        if not any(
-            session.start_us < bucket_end and session.end_us > bucket_start
-            for session in registration.microphone.sessions
-        ):
-            return False
-        return self._zone_touches_cell(registration, key[0], key[1])
+        return circle_intersects_cell(
+            registration.x_m,
+            registration.y_m,
+            registration.radius_m,
+            qx,
+            qy,
+            self.cache_resolution_m,
+        )
 
     def register_mic(self, registration: MicRegistration) -> int:
         """Accept a mic registration; invalidate the affected responses.
@@ -531,33 +753,67 @@ class WhiteSpaceDatabase:
         mic's sessions — is dropped (any query in such a cell and
         bucket may now get a different answer).  Returns the number of
         invalidated responses.
+
+        Time-aware: a cached response is only ever served for query
+        times inside its own bucket, so a bucket that overlaps none of
+        the mic's sessions — wholly before one starts, or wholly after
+        it ends — holds a response the registration cannot change, and
+        invalidating it would only force a recompute to the same
+        answer (and misreport ``stats.invalidations``).
         """
         self.metro.add_registration(registration)
         self.index.insert(registration)
         self.stats.mic_registrations += 1
+        slots = self._slots
+        if not slots.shape[1]:
+            return 0
         # Queries purge buckets behind the observed clock as they
-        # advance it, so the scan below visits at most the entries at
-        # or after the last observed bucket (out-of-order query times
-        # can park older entries here, but the time-aware check still
-        # judges them correctly).
-        stale = [
-            key
-            for key in self._cache
-            if self._zone_touches_key_cell(registration, key)
-        ]
-        for key in stale:
-            del self._cache[key]
-        self.stats.invalidations += len(stale)
-        return len(stale)
+        # advance it, so this pass sees at most the entries at or after
+        # the last observed bucket (out-of-order query times can park
+        # older entries here, but the time-aware test still judges
+        # them correctly).
+        buckets, inverse = np.unique(slots[_BUCKET], return_inverse=True)
+        sessions = registration.microphone.sessions
+        overlaps = []
+        for bucket in buckets.tolist():
+            bucket_start = bucket * self.ttl_us
+            bucket_end = bucket_start + self.ttl_us
+            # Both intervals are half-open ([start, end) sessions
+            # against [bucket_start, bucket_end) buckets), so both
+            # edges test strictly: a session ending exactly at the
+            # bucket boundary is never active inside the bucket.
+            overlaps.append(
+                any(
+                    s.start_us < bucket_end and s.end_us > bucket_start
+                    for s in sessions
+                )
+            )
+        stale = np.array(overlaps, dtype=bool)[inverse]
+        cand = np.flatnonzero(stale)
+        stale[cand] = circle_intersects_cells(
+            registration.x_m,
+            registration.y_m,
+            registration.radius_m,
+            slots[_QX][cand],
+            slots[_QY][cand],
+            self.cache_resolution_m,
+        )
+        dropped = int(np.count_nonzero(stale))
+        self._slots = slots.compress(~stale, axis=1)
+        self.stats.invalidations += dropped
+        return dropped
 
     def publish_metrics(self, telemetry) -> None:
         """Publish the service counters into a sim-clock registry.
 
         Integer counters land as ``wsdb_*`` counters, ratio properties
         as gauges (see ``MetricsRegistry.record_stats``).  Cache
-        occupancy rides along as an instantaneous gauge.
+        occupancy (the live-slot count) rides along as an instantaneous
+        gauge.
         """
         if not telemetry.enabled:
             return
         telemetry.record_stats("wsdb", self.stats.as_dict())
-        telemetry.gauge("wsdb_cached_responses").set(float(len(self._cache)))
+        telemetry.gauge("wsdb_cached_responses").set(
+            float(self._slots.shape[1])
+        )

@@ -65,8 +65,8 @@ __all__ = ["ClusterPath", "DatabasePath", "ScalarFleet", "run_session"]
 class ScalarFleet(VectorFleet):
     """The per-client reference fleet: the oracle of the vector engine.
 
-    It shares :class:`~repro.wsdb.vector.VectorFleet`'s columns, intern
-    table, AP snapshot and re-check bookkeeping (``recheck_due``,
+    It shares :class:`~repro.wsdb.vector.VectorFleet`'s columns,
+    response table, AP snapshot and re-check bookkeeping (``recheck_due``,
     ``commit_recheck``), but computes the three stages that carry the
     model one client at a time with the scalar reference functions:
     :func:`~repro.wsdb.mobility.advance_position`,
@@ -117,7 +117,7 @@ class ScalarFleet(VectorFleet):
             for x, y, rid, prev in zip(xs, ys, self.resp_id.tolist(), prev_ap):
                 # A previously-associated AP whose channel the response
                 # now denies forces a channel vacation.
-                known_free = self._responses[rid]
+                known_free = self.responses.sets[rid]
                 prev_spans = self._spans_by_id.get(prev)
                 vacated.append(
                     prev_spans is not None and not prev_spans <= known_free
@@ -201,17 +201,19 @@ class DatabasePath:
 
     def recheck(self, fleet, due, trig_x, trig_y, t_us: float):
         """Due clients' *query* cells (the database's own resolution)
-        in client order, as one batch; returns ``(answered, answers)``."""
+        in client order, as one batch; returns ``(answered, ids)``."""
         db = self.db
         if self.aligned:
             qx, qy = trig_x, trig_y
         else:
             qx, qy = fleet.cells(db.cache_resolution_m)
-        cells = list(zip(qx[due].tolist(), qy[due].tolist()))
-        responses = db.channels_in_cells(cells, t_us)
+        cells = np.column_stack((qx[due], qy[due]))
+        ids = db.response_ids_in_cells(cells, t_us)
         if self.sp.enabled:
             # The batch's per-cell outcomes, per client in client order.
-            for i, (hit, scanned) in zip(due.tolist(), db.last_outcomes):
+            for i, hit, scanned in zip(
+                due.tolist(), db.last_hit.tolist(), db.last_scanned.tolist()
+            ):
                 self.sp.record_tree(
                     "request",
                     "roam",
@@ -221,18 +223,21 @@ class DatabasePath:
                     [lookup_steps(hit, scanned, "db")],
                 )
         if self.recorder.enabled:
-            for i, cell, response in zip(due.tolist(), cells, responses):
+            tuples = db.responses.tuples
+            for i, (cx, cy), rid in zip(
+                due.tolist(), cells.tolist(), ids.tolist()
+            ):
                 self.recorder.emit(
                     "recheck",
                     t_us,
                     subject=i,
-                    cell=cell,
-                    channels=response,
+                    cell=(cx, cy),
+                    channels=tuples[rid],
                     x=float(fleet.x[i]),
                     y=float(fleet.y[i]),
                     aux=1,
                 )
-        return due, responses
+        return due, ids
 
     def sample(self, fleet) -> dict[str, int]:
         return {
@@ -374,7 +379,8 @@ class ClusterPath:
 
     def recheck(self, fleet, due, trig_x, trig_y, t_us: float):
         """The due clients as one frontend burst in client order, each
-        stamped with its first attempt; returns ``(answered, answers)``."""
+        stamped with its first attempt; returns ``(answered, ids)``, the
+        frontend's answers mapped to ids through the router's table."""
         idx = due.tolist()
         pending = self.pending_since
         stamps = [t_us if pending[i] is None else pending[i] for i in idx]
@@ -400,7 +406,9 @@ class ClusterPath:
         self.deferred += len(idx) - len(done)
         for i, since, response in zip(idx, stamps, responses):
             pending[i] = since if response is None else None
-        return done, [r for r in responses if r is not None]
+        return done, self.router.responses.ids(
+            r for r in responses if r is not None
+        )
 
     def sample(self, fleet) -> dict[str, int]:
         agg = self.router.aggregate_stats()
@@ -533,6 +541,7 @@ def run_session(
     fleet = (ScalarFleet if engine == "scalar" else VectorFleet)(
         spawn_clients(num_clients, seed, f"{path.stream}-client", extent_m),
         extent_m,
+        service.responses,
     )
     events = generate_mic_events(
         mic_events,
@@ -614,8 +623,8 @@ def run_session(
                 due = np.flatnonzero(forced)
         if due.size:
             with prof.phase("batch-lookup"):
-                done, answers = path.recheck(fleet, due, trig_x, trig_y, t_us)
-                fleet.commit_recheck(done, trig_x, trig_y, bucket, answers)
+                done, ids = path.recheck(fleet, due, trig_x, trig_y, t_us)
+                fleet.commit_recheck(done, trig_x, trig_y, bucket, ids)
 
         tick = fleet.associate_and_score(metro, t_us, profiler=prof)
         if recording:

@@ -18,15 +18,18 @@ one numpy array each) and batches the per-tick hot path as array ops:
   compare per trigger.
 * **Grouped DB lookups** — the session loop submits a tick's
   re-checkers' cells in client order as one batch (straight to
-  :meth:`~repro.wsdb.service.WhiteSpaceDatabase.channels_in_cells`, or
-  as one frontend burst); the (cell, TTL-bucket) response cache is the
+  :meth:`~repro.wsdb.service.WhiteSpaceDatabase.response_ids_in_cells`,
+  or as one frontend burst); the (cell, TTL-bucket) response cache is the
   memoization, so N clients in one cell cost one computed response,
   and the database sees the exact query sequence of the scalar fleet
   (cache stats match to the eviction).
-* **Response interning** — distinct response tuples intern to small
-  ids; eligibility (``ap_spans <= response``) is a (responses x APs)
-  bool table rebuilt only when the AP snapshot changes, and a tick's
-  per-client eligibility is one fancy-index into it.
+* **Response ids** — the query path answers in ids of the service's
+  :class:`~repro.wsdb.service.ResponseTable` (shared by every shard of
+  a cluster), and a commit is one ``resp_id[idx] = ids`` store.
+  Eligibility (``ap_spans <= response``) is a (responses x APs) bool
+  table, one row per table id: rebuilt when the AP snapshot changes,
+  extended only when the table has grown, and a tick's per-client
+  eligibility is one fancy-index into it.
 * **Association** — nearest eligible AP by a masked running minimum
   over the live-AP columns in ascending ``ap_id`` order: per column,
   in-place ufuncs write the squared distance into preallocated
@@ -58,6 +61,7 @@ import numpy as np
 
 from repro.telemetry.profiler import NULL_PROFILER
 from repro.wsdb.mobility import RoamingClient, advance_position
+from repro.wsdb.service import ResponseTable
 
 __all__ = ["VectorFleet"]
 
@@ -73,10 +77,16 @@ class VectorFleet:
     Built from the same :func:`~repro.wsdb.mobility.spawn_clients`
     output the scalar fleet starts from, so initial positions, waypoints,
     and the per-client RNG objects (kept for waypoint-crossing draws)
-    are shared by construction.
+    are shared by construction.  *responses* is the table the query
+    path answers in (None: a table of its own).
     """
 
-    def __init__(self, clients: list[RoamingClient], extent_m: float):
+    def __init__(
+        self,
+        clients: list[RoamingClient],
+        extent_m: float,
+        responses: ResponseTable | None = None,
+    ):
         self.n = len(clients)
         self.extent_m = extent_m
         self.x = np.array([c.x_m for c in clients], dtype=np.float64)
@@ -84,8 +94,9 @@ class VectorFleet:
         self.wx = np.array([c.waypoint[0] for c in clients], dtype=np.float64)
         self.wy = np.array([c.waypoint[1] for c in clients], dtype=np.float64)
         self.rngs = [c.rng for c in clients]
-        # Cached-response ids into the intern table; id 0 is the
+        # Cached-response ids into the response table; id 0 is the
         # "never queried" empty response every client starts with.
+        self.responses = ResponseTable() if responses is None else responses
         self.resp_id = np.zeros(self.n, dtype=np.int64)
         self.last_tx = np.full(self.n, _NO_CELL, dtype=np.int64)
         self.last_ty = np.full(self.n, _NO_CELL, dtype=np.int64)
@@ -97,9 +108,6 @@ class VectorFleet:
         self.connected = np.zeros(self.n, dtype=np.int64)
         self.violations = np.zeros(self.n, dtype=np.int64)
         self.disconnected_ticks = 0
-        # Response interning: distinct response tuples -> small ids.
-        self._responses: list[frozenset[int]] = [frozenset()]
-        self._resp_ids: dict[tuple[int, ...], int] = {(): 0}
         # Snapshot-dependent state (set_snapshot).
         self._live_ids = np.zeros(0, dtype=np.int64)
         self._ap_x = np.zeros(0, dtype=np.float64)
@@ -118,9 +126,9 @@ class VectorFleet:
     ) -> None:
         """Columnarize one ``snapshot_assigned_aps`` live list.
 
-        Rebuilds the eligibility table for every interned response and
-        drops the per-channel span masks (both are pure functions of
-        the snapshot + intern table).
+        Rebuilds the eligibility table for every response id and drops
+        the per-channel span masks (both are pure functions of the
+        snapshot + response table).
         """
         self._live_ids = np.array(
             [ap.ap_id for ap, _ in live_aps], dtype=np.int64
@@ -131,7 +139,7 @@ class VectorFleet:
         self._col_of = np.full(max(1, num_aps), -1, dtype=np.int64)
         for col, (ap, _) in enumerate(live_aps):
             self._col_of[ap.ap_id] = col
-        self._elig = self._elig_rows(self._responses)
+        self._elig = self._elig_rows(self.responses.sets)
         self._uhf_cols = {}
 
     def _elig_rows(self, responses: list[frozenset[int]]) -> np.ndarray:
@@ -142,19 +150,6 @@ class VectorFleet:
         return np.array(rows, dtype=bool).reshape(
             len(responses), len(self._live_spans)
         )
-
-    def intern(self, response: tuple[int, ...]) -> int:
-        """The id of *response*, creating one (plus its eligibility row)."""
-        rid = self._resp_ids.get(response)
-        if rid is None:
-            rid = len(self._responses)
-            resp_set = frozenset(response)
-            self._responses.append(resp_set)
-            self._resp_ids[response] = rid
-            self._elig = np.concatenate(
-                [self._elig, self._elig_rows([resp_set])]
-            )
-        return rid
 
     def _spans_cols(self, uhf_index: int) -> np.ndarray:
         """Bool per live-AP column: does its channel span *uhf_index*?"""
@@ -236,12 +231,15 @@ class VectorFleet:
         trig_x: np.ndarray,
         trig_y: np.ndarray,
         bucket: int,
-        responses: list[tuple[int, ...]],
+        ids: np.ndarray,
     ) -> None:
-        """Adopt fresh responses for the re-checked clients *idx*."""
-        rid = self.resp_id
-        for j, i in enumerate(idx.tolist()):
-            rid[i] = self.intern(responses[j])
+        """Adopt fresh response *ids* for the re-checked clients *idx*."""
+        self.resp_id[idx] = ids
+        known = len(self._elig)
+        if len(self.responses) > known:
+            self._elig = np.concatenate(
+                [self._elig, self._elig_rows(self.responses.sets[known:])]
+            )
         self.last_tx[idx] = trig_x[idx]
         self.last_ty[idx] = trig_y[idx]
         self.last_bucket[idx] = bucket

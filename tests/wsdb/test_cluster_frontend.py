@@ -321,7 +321,7 @@ class TestArrayQueryBatchEquivalence:
             assert list(array_fe._stale) == list(ref_fe._stale)
             for a, b in zip(array_fe.router.shards, ref_fe.router.shards):
                 assert a.stats == b.stats
-                assert list(a._cache.items()) == list(b._cache.items())
+                assert a.cached_items() == b.cached_items()
         assert array_fe.stats.shed > 0 and array_fe.stats.coalesced > 0
         if policy == "serve-stale":
             assert array_fe.stats.served_stale > 0

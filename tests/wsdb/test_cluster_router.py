@@ -248,7 +248,7 @@ class TestShardingWin:
 
 
 class TestBatchCellRouting:
-    """Router channels_in_cells: per-shard runs, loop-exact stats."""
+    """Router channels_in_cells: one call per shard, loop-exact stats."""
 
     def test_batch_matches_sequential_per_shard(self):
         batched = ShardRouter(spread_metro(), num_shards=4)
@@ -265,6 +265,43 @@ class TestBatchCellRouting:
         ]
         assert got == want
         # Per-shard stats (not just the aggregate) must match the
-        # sequential loop's: the batch forwards runs in order.
+        # sequential loop's: each shard sees its cells in order.
         assert batched.per_shard_stats() == sequential.per_shard_stats()
         assert batched.stats_dict() == sequential.stats_dict()
+
+    @pytest.mark.parametrize("capacity", [8_192, 5])
+    def test_scattered_cells_make_one_call_per_shard(self, capacity):
+        # 512 seeded points scattered over the 3 km, 16-shard storm
+        # metro: the batch groups each shard's cells (request order
+        # kept) into one call, so at most 16 shard calls — not one per
+        # run of consecutive same-shard cells.
+        def storm_router():
+            metro = generate_metro(
+                range(12, 30), seed=2009, extent_m=3_000.0,
+                sites_per_channel=(1, 1),
+            )
+            return ShardRouter(metro, 16, cache_capacity=capacity)
+
+        batched, sequential = storm_router(), storm_router()
+        calls = []
+        for shard in batched.shards:
+            def counted(cells, t_us=0.0, _inner=shard.response_ids_in_cells):
+                calls.append(len(cells))
+                return _inner(cells, t_us)
+
+            shard.response_ids_in_cells = counted
+        rng = random.Random(512)
+        points = [
+            (rng.uniform(-50.0, 3_050.0), rng.uniform(-50.0, 3_050.0))
+            for _ in range(512)
+        ]
+        cells = [batched.cell_of(x, y) for x, y in points]
+        got = batched.channels_at_many(points, t_us=3.0)
+        want = [sequential.channels_in_cell(qx, qy, 3.0) for qx, qy in cells]
+        assert got == want
+        assert len(calls) <= 16 and sum(calls) == 512
+        assert batched.per_shard_stats() == sequential.per_shard_stats()
+        for a, b in zip(batched.shards, sequential.shards):
+            assert a.cached_items() == b.cached_items()
+        if capacity == 5:
+            assert batched.aggregate_stats().evictions > 0

@@ -12,7 +12,12 @@ import pytest
 
 from repro.errors import SpectrumMapError
 from repro.spectrum.incumbents import MicSession, TvStation, WirelessMicrophone
-from repro.wsdb.index import GridIndex, circle_intersects_rect
+from repro.wsdb.index import (
+    GridIndex,
+    circle_intersects_cell,
+    circle_intersects_cells,
+    circle_intersects_rect,
+)
 from repro.wsdb.model import (
     Metro,
     MicRegistration,
@@ -470,3 +475,57 @@ class TestMissKernelDifferential:
         self.check(index, [], [(0.0, 0.0, 100.0, 100.0), (-50.0, 0.0, 0.0, 50.0)], 0.0)
         assert index.candidates(10.0, 10.0) == ()
         assert list(index.covering(10.0, 10.0)) == []
+
+
+class TestCircleIntersectsCellsDifferential:
+    """The array zone/cell predicate equals ``circle_intersects_cell``."""
+
+    @staticmethod
+    def check(cx, cy, radius, cells, res):
+        qx = np.array([c[0] for c in cells], dtype=np.int64)
+        qy = np.array([c[1] for c in cells], dtype=np.int64)
+        got = circle_intersects_cells(cx, cy, radius, qx, qy, res).tolist()
+        want = [
+            circle_intersects_cell(cx, cy, radius, x, y, res) for x, y in cells
+        ]
+        assert got == want
+        return want
+
+    def test_random_zones(self):
+        rng = random.Random(3)
+        for _ in range(200):
+            res = rng.choice([0.1, 1.0, 37.5, 100.0, 250.0])
+            cells = [
+                (rng.randrange(-30, 30), rng.randrange(-30, 30))
+                for _ in range(rng.randrange(1, 40))
+            ]
+            self.check(
+                rng.uniform(-20.0, 20.0) * res,
+                rng.uniform(-20.0, 20.0) * res,
+                rng.uniform(0.0, 15.0) * res,
+                cells,
+                res,
+            )
+
+    def test_tangent_edges_and_corners(self):
+        # Exact tangents (3-4-5 offsets make corner distances exact)
+        # land inside the tie band and must count as touching.
+        res = 100.0
+        touched = []
+        for scale in (1.0, 30.0, 0.1):
+            r = 5.0 * scale
+            for cx, cy in (
+                (100.0 + r, 50.0),  # east edge of cell (0, 0)
+                (50.0, -r),  # south edge
+                (100.0 + 3 * scale, 100.0 + 4 * scale),  # north-east corner
+                (-4 * scale, -3 * scale),  # south-west corner
+            ):
+                touched += self.check(cx, cy, r, [(0, 0), (1, 0), (-1, -1)], res)
+                # One ulp further out misses.
+                far = math.nextafter(r, 0.0)
+                self.check(cx, cy, far, [(0, 0)], res)
+        assert any(touched)
+
+    def test_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert circle_intersects_cells(0.0, 0.0, 1.0, empty, empty, 1.0).size == 0

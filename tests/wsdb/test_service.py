@@ -2,13 +2,21 @@
 caching, TTL-bucket expiry, and time-aware invalidation."""
 
 import random
+from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from repro.errors import SpectrumMapError
 from repro.spectrum.incumbents import TvStation
+from repro.wsdb.index import GridIndex, circle_intersects_cell
 from repro.wsdb.model import Metro, MicRegistration, TvTransmitterSite
-from repro.wsdb.service import WhiteSpaceDatabase
+from repro.wsdb.service import (
+    PACKABLE_CELLS,
+    WhiteSpaceDatabase,
+    WsdbStats,
+    ttl_bucket,
+)
 
 
 def one_station_metro() -> Metro:
@@ -152,14 +160,14 @@ class TestTtlExpiry:
         )
         for x in (1_000.0, 2_000.0, 3_000.0):
             db.channels_at(x, 1_000.0, t_us=0.0)
-        assert len(db._cache) == 3
+        assert len(db.cached_items()) == 3
         db.channels_at(1_000.0, 1_000.0, t_us=1_500.0)  # next bucket
         assert db.stats.expirations == 3
-        assert len(db._cache) == 1
+        assert len(db.cached_items()) == 1
         # The freed capacity holds live responses without evicting.
         for x in (2_000.0, 3_000.0, 4_000.0):
             db.channels_at(x, 1_000.0, t_us=1_500.0)
-        assert len(db._cache) == 4
+        assert len(db.cached_items()) == 4
         assert db.stats.evictions == 0
 
     def test_live_entries_survive_the_purge(self):
@@ -374,7 +382,9 @@ class TestBatchCellQueries:
         assert got == want
         assert batched.stats.evictions > 0
         assert batched.stats.as_dict() == sequential.stats.as_dict()
-        assert list(batched._cache) == list(sequential._cache)
+        assert [key for key, _ in batched.cached_items()] == [
+            key for key, _ in sequential.cached_items()
+        ]
 
     @staticmethod
     def two_pass_metro() -> Metro:
@@ -405,7 +415,7 @@ class TestBatchCellQueries:
         assert len(set(want)) >= 3
         assert batched.stats.as_dict() == sequential.stats.as_dict()
         assert batched.last_outcomes == tuple(outcomes)
-        assert list(batched._cache.items()) == list(sequential._cache.items())
+        assert batched.cached_items() == sequential.cached_items()
         if capacity:
             assert batched.stats.evictions > 0
         # Some cell was missed twice.
@@ -426,7 +436,7 @@ class TestBatchCellQueries:
         assert batched.per_shard_stats() == sequential.per_shard_stats()
         assert batched.stats_dict() == sequential.stats_dict()
         for a, b in zip(batched.shards, sequential.shards):
-            assert list(a._cache.items()) == list(b._cache.items())
+            assert a.cached_items() == b.cached_items()
         if capacity:
             assert batched.aggregate_stats().evictions > 0
 
@@ -445,3 +455,317 @@ class TestBatchCellQueries:
         want = [pointwise.channels_at(x, y) for x, y in points]
         assert got == want
         assert batched.stats.as_dict() == pointwise.stats.as_dict()
+
+
+class _Pending:
+    """A reference miss's placeholder until its batch computes it."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot: int):
+        self.slot = slot
+
+
+class OrderedDictDatabase:
+    """The one-cell-at-a-time ``OrderedDict`` LRU the slot columns replaced.
+
+    The response cache as it was before it became array-native, kept
+    here (and only here) as the oracle of the differential tests: a
+    key is the tuple ``(qx, qy, bucket)``, values are channel tuples,
+    a batch walks the LRU cell by cell with a per-miss placeholder and
+    resolves every miss in one pass of the same index kernel, and a
+    registration tests every cached key one by one.
+    """
+
+    def __init__(self, metro: Metro, cell_m: float, ttl_us: float,
+                 cache_resolution_m: float, cache_capacity: int):
+        self.metro = metro
+        self.index = GridIndex(metro.extent_m, cell_m)
+        self.index.extend(metro.sites)
+        self.index.extend(metro.registrations)
+        self.ttl_us = ttl_us
+        self.cache_resolution_m = cache_resolution_m
+        self.cache_capacity = cache_capacity
+        self._cache = OrderedDict()
+        self._latest_bucket = 0
+        self._channels = frozenset(range(metro.num_channels))
+        self.stats = WsdbStats()
+        self.last_outcomes = ()
+
+    @classmethod
+    def like(cls, db: WhiteSpaceDatabase) -> "OrderedDictDatabase":
+        return cls(db.metro, db.index.cell_m, db.ttl_us,
+                   db.cache_resolution_m, db.cache_capacity)
+
+    def cached_items(self):
+        return list(self._cache.items())
+
+    def _store(self, key, channels) -> None:
+        if self.cache_capacity == 0:
+            return
+        self._cache[key] = channels
+        self._cache.move_to_end(key)
+        while len(self._cache) > self.cache_capacity:
+            self._cache.popitem(last=False)
+            self.stats.evictions += 1
+
+    def _purge_expired(self, bucket: int) -> None:
+        if bucket <= self._latest_bucket:
+            return
+        self._latest_bucket = bucket
+        stale = [key for key in self._cache if key[2] < bucket]
+        for key in stale:
+            del self._cache[key]
+        self.stats.expirations += len(stale)
+
+    def channels_in_cell(self, qx: int, qy: int, t_us: float = 0.0):
+        return self.channels_in_cells(((qx, qy),), t_us)[0]
+
+    def channels_in_cells(self, cells, t_us: float = 0.0):
+        self.stats.queries += len(cells)
+        bucket = ttl_bucket(t_us, self.ttl_us)
+        self._purge_expired(bucket)
+        cache = self._cache
+        responses, outcomes, missed = [], [], []
+        for qx, qy in cells:
+            key = (qx, qy, bucket)
+            channels = cache.get(key)
+            if channels is not None:
+                cache.move_to_end(key)
+                outcomes.append((True, 0))
+            else:
+                channels = _Pending(len(missed))
+                missed.append((key, channels))
+                self._store(key, channels)
+                outcomes.append(None)
+            responses.append(channels)
+        self.stats.cache_hits += len(cells) - len(missed)
+        self.stats.cache_misses += len(missed)
+        if missed:
+            res = self.cache_resolution_m
+            rects = []
+            for (qx, qy, _), _ in missed:
+                x0, y0 = qx * res, qy * res
+                rects.append((x0, y0, x0 + res, y0 + res))
+            occupied, scanned = self.index.occupied_in_rects(
+                np.array(rects), t_us
+            )
+            self.stats.candidates_scanned += sum(scanned)
+            answers = []
+            for (key, pending), occ in zip(missed, occupied):
+                free = tuple(sorted(self._channels - occ))
+                answers.append(free)
+                if cache.get(key) is pending:
+                    cache[key] = free
+            responses = [
+                answers[r.slot] if type(r) is _Pending else r
+                for r in responses
+            ]
+            scans = iter(scanned)
+            outcomes = [
+                (False, next(scans)) if o is None else o for o in outcomes
+            ]
+        self.last_outcomes = tuple(outcomes)
+        return responses
+
+    def register_mic(self, registration: MicRegistration) -> int:
+        self.metro.add_registration(registration)
+        self.index.insert(registration)
+        self.stats.mic_registrations += 1
+        stale = []
+        for key in self._cache:
+            bucket_start = key[2] * self.ttl_us
+            bucket_end = bucket_start + self.ttl_us
+            if any(
+                s.start_us < bucket_end and s.end_us > bucket_start
+                for s in registration.microphone.sessions
+            ) and circle_intersects_cell(
+                registration.x_m, registration.y_m, registration.radius_m,
+                key[0], key[1], self.cache_resolution_m,
+            ):
+                stale.append(key)
+        for key in stale:
+            del self._cache[key]
+        self.stats.invalidations += len(stale)
+        return len(stale)
+
+
+#: Cache capacities the differential tests sweep (0 disables caching).
+DIFF_CAPACITIES = [0, 1, 2, 3, 7, 64]
+DIFF_TTL_US = 1_000.0
+DIFF_RES_M = 100.0
+
+
+def diff_metro() -> Metro:
+    # A 2 km plane (cells 0..19 per axis) with contour edges inside it
+    # and one live mic, so answers vary from cell to cell.
+    return Metro(
+        extent_m=2_000.0,
+        num_channels=8,
+        sites=(
+            TvTransmitterSite(TvStation(3, power_dbm=-8.0), 600.0, 700.0),
+            TvTransmitterSite(TvStation(4, power_dbm=-5.0), 1_500.0, 1_300.0),
+        ),
+        registrations=[
+            MicRegistration.single_session(6, 1_000.0, 400.0, 0.0, 4_000.0, 350.0)
+        ],
+    )
+
+
+def random_mic(rng: random.Random, t_us: float, pool: list) -> MicRegistration:
+    """A registration whose zone and sessions sit on the edge cases.
+
+    Zones are tangent to an edge or corner of a hot cell (3-4-5 offsets
+    make the corner distances exact) or random; sessions start or end
+    exactly on TTL bucket edges, or lie wholly before or after the live
+    bucket.
+    """
+    res, ttl = DIFF_RES_M, DIFF_TTL_US
+    qx, qy = rng.choice(pool)
+    scale = rng.choice([30.0, 50.0, 100.0])
+    radius = 5.0 * scale
+    kind = rng.randrange(4)
+    if kind == 0:  # tangent to the cell's east edge
+        x, y = (qx + 1) * res + radius, qy * res + rng.choice([0.0, 37.5, res])
+    elif kind == 1:  # tangent to the cell's north-east corner
+        x, y = (qx + 1) * res + 3.0 * scale, (qy + 1) * res + 4.0 * scale
+    elif kind == 2:  # tangent to the cell's south-west corner
+        x, y = qx * res - 4.0 * scale, qy * res - 3.0 * scale
+    else:
+        x, y = rng.uniform(-300.0, 2_300.0), rng.uniform(-300.0, 2_300.0)
+        radius = rng.uniform(10.0, 600.0)
+    b = int(t_us // ttl) + rng.choice([-3, -1, 0, 0, 1, 2])
+    start = rng.choice([b * ttl, (b + 1) * ttl, b * ttl + rng.uniform(0.0, ttl)])
+    end = start + rng.choice([ttl, 2 * ttl, rng.uniform(1.0, 3 * ttl)])
+    return MicRegistration.single_session(
+        rng.randrange(8), x, y, start, end, radius
+    )
+
+
+def random_batch(rng: random.Random, pool: list) -> list:
+    """A batch with in-batch repeats, hot cells and off-plane cells."""
+    batch = []
+    for _ in range(rng.choice([1, 2, 3, 5, 8, 16, 40])):
+        roll = rng.random()
+        if batch and roll < 0.25:
+            batch.append(rng.choice(batch))
+        elif roll < 0.7:
+            batch.append(rng.choice(pool))
+        else:
+            batch.append((rng.randrange(-4, 24), rng.randrange(-4, 24)))
+    return batch
+
+
+def random_ops(rng: random.Random, count: int):
+    """Seeded operations: ("query", cells, t_us) or ("mic", registration).
+
+    Time mostly advances inside a bucket or across one edge, and now
+    and then jumps back into an older bucket.
+    """
+    pool = [(rng.randrange(-2, 21), rng.randrange(-2, 21)) for _ in range(6)]
+    t_us = rng.uniform(0.0, 3 * DIFF_TTL_US)
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.15:
+            yield ("mic", random_mic(rng, t_us, pool))
+            continue
+        if roll < 0.25:
+            t_us += rng.choice([DIFF_TTL_US, DIFF_TTL_US * rng.uniform(0.1, 1.0)])
+        elif roll < 0.3:
+            t_us = max(0.0, t_us - rng.choice([1, 2, 5]) * DIFF_TTL_US)
+        yield ("query", random_batch(rng, pool), t_us)
+
+
+class TestDifferentialAgainstOrderedDict:
+    """Seeded operation sequences: slot columns vs the OrderedDict LRU.
+
+    After every operation the answers, ``stats.as_dict()``,
+    ``last_outcomes`` and the LRU contents in recency order must match.
+    """
+
+    @pytest.mark.parametrize("capacity", DIFF_CAPACITIES)
+    def test_database(self, capacity):
+        varied = set()
+        for seed in range(12):
+            db = WhiteSpaceDatabase(
+                diff_metro(), ttl_us=DIFF_TTL_US,
+                cache_resolution_m=DIFF_RES_M, cache_capacity=capacity,
+            )
+            ref = OrderedDictDatabase.like(
+                WhiteSpaceDatabase(
+                    diff_metro(), ttl_us=DIFF_TTL_US,
+                    cache_resolution_m=DIFF_RES_M, cache_capacity=capacity,
+                )
+            )
+            rng = random.Random(f"diff-{capacity}-{seed}")
+            for step, op in enumerate(random_ops(rng, 60)):
+                if op[0] == "mic":
+                    assert db.register_mic(op[1]) == ref.register_mic(op[1]), step
+                else:
+                    _, cells, t_us = op
+                    got = db.channels_in_cells(cells, t_us)
+                    assert got == ref.channels_in_cells(cells, t_us), step
+                    assert db.last_outcomes == ref.last_outcomes, step
+                    varied.update(got)
+                assert db.stats.as_dict() == ref.stats.as_dict(), step
+                assert db.cached_items() == ref.cached_items(), step
+        assert len(varied) >= 4
+
+    @pytest.mark.parametrize("capacity", DIFF_CAPACITIES)
+    def test_router(self, capacity):
+        from repro.wsdb.cluster.router import ShardRouter
+
+        for seed in range(6):
+            router = ShardRouter(
+                diff_metro(), 4, ttl_us=DIFF_TTL_US,
+                cache_resolution_m=DIFF_RES_M, cache_capacity=capacity,
+            )
+            ref = ShardRouter(
+                diff_metro(), 4, ttl_us=DIFF_TTL_US,
+                cache_resolution_m=DIFF_RES_M, cache_capacity=capacity,
+            )
+            ref.shards = tuple(
+                OrderedDictDatabase.like(shard) for shard in ref.shards
+            )
+            rng = random.Random(f"diff-router-{capacity}-{seed}")
+            for step, op in enumerate(random_ops(rng, 60)):
+                if op[0] == "mic":
+                    assert router.register_mic(op[1]) == ref.register_mic(op[1])
+                else:
+                    _, cells, t_us = op
+                    want = [ref.channels_in_cell(qx, qy, t_us) for qx, qy in cells]
+                    assert router.channels_in_cells(cells, t_us) == want, step
+                assert router.per_shard_stats() == ref.per_shard_stats(), step
+                for shard, ref_shard in zip(router.shards, ref.shards):
+                    assert shard.cached_items() == ref_shard.cached_items(), step
+
+
+class TestPackableRange:
+    """Cache keys pack each cell axis into 26 bits; outside raises."""
+
+    def test_edges_of_the_range_are_served(self):
+        lo, hi = PACKABLE_CELLS
+        db = WhiteSpaceDatabase(one_station_metro())
+        ref = WhiteSpaceDatabase(one_station_metro(), cache_capacity=0)
+        cells = [(lo, lo), (hi - 1, hi - 1), (lo, hi - 1), (0, 0), (lo, lo)]
+        assert db.channels_in_cells(cells) == ref.channels_in_cells(cells)
+        assert db.stats.cache_hits == 1
+
+    @pytest.mark.parametrize(
+        "cell",
+        [(PACKABLE_CELLS[1], 0), (0, PACKABLE_CELLS[0] - 1), (-(2**40), 5)],
+    )
+    def test_cell_outside_the_range_raises_before_anything_moves(self, cell):
+        db = WhiteSpaceDatabase(one_station_metro())
+        db.channels_in_cell(1, 1)
+        before = (db.stats.as_dict(), db.cached_items())
+        with pytest.raises(SpectrumMapError, match="packable range"):
+            db.channels_in_cells([(2, 2), cell])
+        assert (db.stats.as_dict(), db.cached_items()) == before
+
+    def test_bucket_too_far_behind_the_newest_raises(self):
+        db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1.0)
+        db.channels_in_cell(1, 1, t_us=5_000.0)
+        db.channels_in_cell(1, 1, t_us=5_000.0 - 2_047)
+        with pytest.raises(SpectrumMapError, match="behind the newest"):
+            db.channels_in_cell(1, 1, t_us=5_000.0 - 2_048)

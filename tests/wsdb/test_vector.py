@@ -2,6 +2,7 @@
 per-client loop — full-report equality, nested db/frontend/push stats
 included — across seeds, fleet sizes, speeds, and cluster policies."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -253,13 +254,12 @@ class TestVectorFleetInternals:
         from repro.wsdb.mobility import spawn_clients
 
         fleet = VectorFleet(spawn_clients(3, 0, "t", 1_000.0), 1_000.0)
-        a = fleet.intern((1, 2, 3))
-        b = fleet.intern((1, 2, 3))
-        c = fleet.intern((4,))
+        a, b, c, empty = fleet.responses.ids([(1, 2, 3), (1, 2, 3), (4,), ()])
         assert a == b
         assert c != a
         # Id 0 is the pre-seeded "never queried" empty response.
-        assert fleet.intern(()) == 0
+        assert empty == 0
+        assert fleet.responses.sets[a] == frozenset((1, 2, 3))
 
     def test_cells_match_scalar_quantization(self):
         from repro.wsdb.service import quantize_cell
@@ -336,7 +336,11 @@ class TestVectorAssociation:
         fleet.y[:] = [y for _, y in self.POINTS]
         live, _ = snapshot_assigned_aps(aps)
         fleet.set_snapshot(live, 1 + max(ap.ap_id for ap in aps))
-        fleet.resp_id[:] = fleet.intern(response)
+        everyone = np.arange(fleet.n)
+        qx, qy = fleet.cells(100.0)
+        fleet.commit_recheck(
+            everyone, qx, qy, 0, fleet.responses.ids([response] * fleet.n)
+        )
 
         connected, new_ap, *_ = fleet.associate_and_score(
             Metro(extent_m=1_000.0, num_channels=30), 0.0
