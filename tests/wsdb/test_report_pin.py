@@ -1,4 +1,4 @@
-"""Pinned full reports of one roaming and one querystorm session.
+"""Pinned full reports of one roaming, one querystorm and one citywide session.
 
 Each digest is the sha256 of a report's canonical JSON (sorted keys,
 compact separators — the form ``perfbench/workloads.digest`` hashes),
@@ -6,7 +6,10 @@ with a :class:`~repro.telemetry.metrics.MetricsRegistry` and an
 unsampled :class:`~repro.telemetry.spans.SpanRecorder` (the
 ``spans="on"`` setting) attached, so the telemetry snapshot and the
 span table are pinned along with every counter.  Both engines must
-reproduce the same bytes.  Refactoring the mobile drivers must leave
+reproduce the same bytes.  The citywide session has no tick loop or
+spans; its pin covers the telemetry snapshot and the database counters
+of a small, evicting cache across boot, mic displacement and the
+end-of-session sweep.  Refactoring the mobile drivers must leave
 these digests unchanged; a deliberate behaviour change re-pins them
 and says why.
 """
@@ -17,6 +20,7 @@ import json
 import pytest
 
 from repro.telemetry import MetricsRegistry, SpanRecorder
+from repro.wsdb.citywide import simulate_citywide
 from repro.wsdb.cluster import ShardRouter, simulate_querystorm
 from repro.wsdb.mobility import ENGINES, simulate_roaming
 from repro.wsdb.model import generate_metro
@@ -29,6 +33,10 @@ ROAMING_SHA256 = (
 )
 QUERYSTORM_SHA256 = (
     "e4ce6bc77e268907c5ba4a5fc8f323648d0a511aec5168cf68f498dfe6a3f6ed"
+)
+
+CITYWIDE_SHA256 = (
+    "a95f874c1ccf99fb746061bc7d7237cae2a50cb32348fba31939954325bee4c3"
 )
 
 
@@ -81,6 +89,20 @@ def pinned_querystorm(engine):
     )
 
 
+def pinned_citywide():
+    # 40 APs against 12 cache entries: the LRU order decides which
+    # responses survive, so any reordering of the queries shows.
+    metro = generate_metro(range(10), extent_m=3_000.0, seed=26)
+    return simulate_citywide(
+        WhiteSpaceDatabase(metro, cache_capacity=12),
+        num_aps=40,
+        duration_us=300e6,
+        seed=26,
+        mic_events=40,
+        telemetry=MetricsRegistry(),
+    )
+
+
 @pytest.mark.parametrize("engine", ENGINES)
 def test_roaming_report_is_pinned(engine):
     report = pinned_roaming(engine)
@@ -101,3 +123,13 @@ def test_querystorm_report_is_pinned(engine):
     assert report["mic_events"] == 6 and report["violation_ticks"] > 0
     assert report["telemetry"] and report["spans"]
     assert canonical_digest(report) == QUERYSTORM_SHA256
+
+
+def test_citywide_report_is_pinned():
+    report = pinned_citywide()
+    assert report["db"]["evictions"] > 0
+    assert report["displaced_aps"] > 0
+    assert report["backup_recoveries"] > 0
+    assert report["full_reassignments"] > 0
+    assert report["telemetry"]
+    assert canonical_digest(report) == CITYWIDE_SHA256
