@@ -47,11 +47,12 @@ bench-smoke:
 	python scripts/span_report.py \
 	    benchmarks/results/telemetry-smoke.spans.jsonl
 
-## Layer microbenchmark: ns per cell of the database's batch cell lookup
-## (array entry point and list wrapper) at 0%, 99% and 100% hit rate and
-## batch sizes 1/8/64/512 on the roam-sparse metro, plus a ShardRouter
-## row; appends a host-stamped entry to BENCH_layers.json (its smoke
-## variant runs in bench-smoke and writes only a -smoke file).
+## Layer microbenchmark: ns per cell of the database's query primitive
+## (response_ids_in_cells) at 0%, 99% and 100% hit rate and batch sizes
+## 1/8/64/512 on the roam-sparse metro, a ShardRouter row, and ns per
+## request of BatchFrontend.query_batch on a storm burst under reject and
+## serve-stale; appends a host-stamped entry to BENCH_layers.json (its
+## smoke variant runs in bench-smoke and writes only a -smoke file).
 bench-layers:
 	$(PYTEST) -q benchmarks/bench_layers.py
 

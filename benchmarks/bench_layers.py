@@ -1,29 +1,35 @@
-"""Layer microbenchmarks: ns per cell of the database's batch lookup.
+"""Layer microbenchmarks: ns per cell or request of the query layers.
 
 The end-to-end benchmark (``perfbench/``) says how fast a workload runs;
-this one isolates one layer — the database's batch cell lookup, the
-call every query path rides — and states its cost per cell at the
-hit rates that bracket the workloads (0%: every cell a miss, so the
-index's miss kernel does the work; 99%: the cache-hit path with the
-odd miss; 100%: the hit path alone) and at
-batch sizes 1, 8, 64 and 512, on the ``roam-sparse``-shaped metro
-(a 20 km plane, one TV site on each of channels 12-29, six registered
-microphones, default service parameters).  Each (hit rate, batch) row
-is measured twice: through the array entry point
-``WhiteSpaceDatabase.response_ids_in_cells`` ((n, 2) cell array in, id
-array out) and through its list-of-tuples wrapper
-``WhiteSpaceDatabase.channels_in_cells``.
+this one isolates the service tier's query layers:
 
-One more row times ``ShardRouter.channels_in_cells`` on 512 scattered
-cells of the 16-shard, 3 km ``storm`` metro, each repeat in a fresh TTL
-bucket (so every cell's first touch misses), and records how many shard
-calls the batch made.
+* ``WhiteSpaceDatabase.response_ids_in_cells`` — the database's batch
+  cell lookup, the primitive every query path rides — per cell at the
+  hit rates that bracket the workloads (0%: every cell a miss, so the
+  index's miss kernel does the work; 99%: the cache-hit path with the
+  odd miss; 100%: the hit path alone) and at batch sizes 1, 8, 64 and
+  512, on the ``roam-sparse``-shaped metro (a 20 km plane, one TV site
+  on each of channels 12-29, six registered microphones, default
+  service parameters).
+* ``ShardRouter.response_ids_in_cells`` — per cell on 512 scattered
+  cells of the 16-shard, 3 km ``storm`` metro, each repeat in a fresh
+  TTL bucket (so every cell's first touch misses), with the number of
+  shard calls the batch made.
+* ``BatchFrontend.query_batch`` — per request on a storm-sized burst
+  (3,000 uniform points, the ``storm`` workload's per-tick load) over
+  the same 16-shard metro, under ``reject`` and under ``serve-stale``,
+  with a token bucket that admits 2,400 of each burst.  Each repeat
+  sends one untimed burst to warm the caches and the stale store, then
+  times a second burst one simulated second later in the same TTL
+  bucket; the row records the shed and stale-served fractions of the
+  timed bursts.
 
 Every row is timed over at least five repeats and records the median
-and minimum wall ns per cell (the minimum is the least-disturbed
-figure on a shared host) and the median CPU ns per cell.  Each repeat
-runs in a fresh TTL bucket, so its misses are real misses; the bucket
-change (and the purge it triggers) happens before the clock starts.
+and minimum wall ns per cell or request (the minimum is the
+least-disturbed figure on a shared host) and the median CPU ns.  Each
+repeat runs in a fresh TTL bucket, so its misses are real misses; the
+bucket change (and the purge it triggers) happens before the clock
+starts.
 
 Each invocation appends one host-stamped entry to the trajectory log
 ``BENCH_layers.json`` at the repo root.  Under ``WHITEFI_BENCH_SMOKE``
@@ -47,6 +53,7 @@ import time
 import numpy as np
 
 import repro
+from repro.wsdb.cluster.frontend import SHED_POLICIES, BatchFrontend
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.model import MicRegistration, generate_metro
 from repro.wsdb.service import WhiteSpaceDatabase
@@ -72,15 +79,14 @@ CELLS = (
 )
 #: Cached cells the 99% rows draw their hits from.
 WARM_CELLS = 1_024
-#: The two forms of the database's batch lookup every row is timed on.
-ENTRY_POINTS = (
-    "WhiteSpaceDatabase.response_ids_in_cells",
-    "WhiteSpaceDatabase.channels_in_cells",
-)
-#: The router row: the storm workload's metro and shard count.
+#: The router and frontend rows: the storm workload's metro and shards.
 STORM_EXTENT_M = 3_000.0
 STORM_SHARDS = 16
 ROUTER_CELLS = 512
+#: The frontend rows' burst, and the tokens the bucket holds (and
+#: refills per simulated second): a fifth of each burst is shed.
+STORM_BURST = 300 if SMOKE else 3_000
+STORM_TOKENS = STORM_BURST * 4 // 5
 
 
 def trajectory_log(smoke: bool) -> pathlib.Path:
@@ -129,30 +135,42 @@ def cell_sequence(
     ]
 
 
-def measure_row(layer: str, hit_rate: float, batch: int) -> dict:
-    """One (entry point, hit rate, batch size) row over REPEATS fresh
-    TTL buckets."""
+def as_cells(cells: list[tuple[int, int]]) -> np.ndarray:
+    """``(qx, qy)`` pairs as the (n, 2) int64 array the primitive takes."""
+    return np.array(cells, dtype=np.int64).reshape(-1, 2)
+
+
+def storm_router() -> ShardRouter:
+    """The storm workload's 16-shard, 3 km cluster."""
+    metro = generate_metro(
+        OCCUPIED, seed=SEED, extent_m=STORM_EXTENT_M, sites_per_channel=(1, 1)
+    )
+    return ShardRouter(metro, STORM_SHARDS)
+
+
+def measure_row(hit_rate: float, batch: int) -> dict:
+    """One (hit rate, batch size) database row over REPEATS fresh TTL
+    buckets."""
     db = sparse_db()
     rng = random.Random(f"{SEED}-{hit_rate}-{batch}")
-    arrays = layer.endswith("response_ids_in_cells")
-    lookup = db.response_ids_in_cells if arrays else db.channels_in_cells
     wall_ns, cpu_ns, hits = [], [], []
     for repeat in range(REPEATS):
         t_us = (repeat + 1) * db.ttl_us
         warm, cells = cell_sequence(db, hit_rate, rng)
-        db.channels_in_cells(warm, t_us)  # new bucket: purge + warm-up
-        batches = [cells[i : i + batch] for i in range(0, len(cells), batch)]
-        if arrays:
-            batches = [np.array(chunk, dtype=np.int64) for chunk in batches]
+        # New bucket: purge + warm-up.
+        db.response_ids_in_cells(as_cells(warm), t_us)
+        batches = [
+            as_cells(cells[i : i + batch]) for i in range(0, len(cells), batch)
+        ]
         hits_before = db.stats.cache_hits
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
         for chunk in batches:
-            lookup(chunk, t_us)
+            db.response_ids_in_cells(chunk, t_us)
         wall_ns.append((time.perf_counter_ns() - wall0) / len(cells))
         cpu_ns.append((time.process_time_ns() - cpu0) / len(cells))
         hits.append((db.stats.cache_hits - hits_before) / len(cells))
     return {
-        "layer": layer,
+        "layer": "WhiteSpaceDatabase.response_ids_in_cells",
         "hit_rate": hit_rate,
         "batch": batch,
         "cells": len(cells),
@@ -166,16 +184,13 @@ def measure_row(layer: str, hit_rate: float, batch: int) -> dict:
 
 
 def router_row() -> dict:
-    """``ShardRouter.channels_in_cells`` on scattered storm-metro cells.
+    """``ShardRouter.response_ids_in_cells`` on scattered storm-metro cells.
 
     Each repeat asks ROUTER_CELLS seeded points' cells as one batch in
     a fresh TTL bucket; the shard calls are counted by wrapping each
-    shard's array entry point.
+    shard's primitive.
     """
-    metro = generate_metro(
-        OCCUPIED, seed=SEED, extent_m=STORM_EXTENT_M, sites_per_channel=(1, 1)
-    )
-    router = ShardRouter(metro, STORM_SHARDS)
+    router = storm_router()
     calls = []
     for shard in router.shards:
         def counted(cells, t_us=0.0, _lookup=shard.response_ids_in_cells):
@@ -187,23 +202,26 @@ def router_row() -> dict:
     wall_ns, cpu_ns, hits, shard_calls = [], [], [], []
     for repeat in range(REPEATS):
         t_us = (repeat + 1) * router.ttl_us
-        router.channels_in_cell(0, 0, t_us)  # new bucket: purge
-        cells = [
-            router.cell_of(
-                rng.uniform(0.0, STORM_EXTENT_M), rng.uniform(0.0, STORM_EXTENT_M)
-            )
-            for _ in range(ROUTER_CELLS)
-        ]
+        router.response_ids_in_cells(as_cells([(0, 0)]), t_us)  # purge
+        cells = as_cells(
+            [
+                router.cell_of(
+                    rng.uniform(0.0, STORM_EXTENT_M),
+                    rng.uniform(0.0, STORM_EXTENT_M),
+                )
+                for _ in range(ROUTER_CELLS)
+            ]
+        )
         hits_before = router.aggregate_stats().cache_hits
         del calls[:]
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
-        router.channels_in_cells(cells, t_us)
+        router.response_ids_in_cells(cells, t_us)
         wall_ns.append((time.perf_counter_ns() - wall0) / len(cells))
         cpu_ns.append((time.process_time_ns() - cpu0) / len(cells))
         hits.append((router.aggregate_stats().cache_hits - hits_before) / len(cells))
         shard_calls.append(len(calls))
     return {
-        "layer": "ShardRouter.channels_in_cells",
+        "layer": "ShardRouter.response_ids_in_cells",
         "shards": STORM_SHARDS,
         "extent_m": STORM_EXTENT_M,
         "batch": ROUTER_CELLS,
@@ -218,6 +236,61 @@ def router_row() -> dict:
     }
 
 
+def frontend_row(policy: str) -> dict:
+    """``BatchFrontend.query_batch`` on storm bursts under *policy*.
+
+    Each repeat, in a fresh TTL bucket, sends one untimed burst (which
+    drains the token bucket and warms the shard caches and the stale
+    store), then times a second burst one simulated second later, when
+    the bucket has refilled STORM_TOKENS tokens.
+    """
+    router = storm_router()
+    frontend = BatchFrontend(
+        router,
+        rate_limit_qps=float(STORM_TOKENS),
+        burst_size=float(STORM_TOKENS),
+        policy=policy,
+    )
+    rng = random.Random(f"{SEED}-frontend-{policy}")
+    stats = frontend.stats
+    wall_ns, cpu_ns, shed, stale = [], [], [], []
+    for repeat in range(REPEATS):
+        t_us = (repeat + 1) * router.ttl_us
+        warm, burst = (
+            np.array(
+                [
+                    (rng.uniform(0.0, STORM_EXTENT_M), rng.uniform(0.0, STORM_EXTENT_M))
+                    for _ in range(STORM_BURST)
+                ]
+            )
+            for _ in range(2)
+        )
+        frontend.query_batch(warm, t_us)
+        shed0, stale0 = stats.shed, stats.served_stale
+        wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+        frontend.query_batch(burst, t_us + 1e6)
+        wall_ns.append((time.perf_counter_ns() - wall0) / STORM_BURST)
+        cpu_ns.append((time.process_time_ns() - cpu0) / STORM_BURST)
+        shed.append((stats.shed - shed0) / STORM_BURST)
+        stale.append((stats.served_stale - stale0) / STORM_BURST)
+    return {
+        "layer": "BatchFrontend.query_batch",
+        "policy": policy,
+        "shards": STORM_SHARDS,
+        "extent_m": STORM_EXTENT_M,
+        "batch": STORM_BURST,
+        "requests": STORM_BURST,
+        "tokens": STORM_TOKENS,
+        "repeats": REPEATS,
+        "shed_frac": statistics.median(shed),
+        "stale_frac": statistics.median(stale),
+        "ns_per_request_median": statistics.median(wall_ns),
+        "ns_per_request_min": min(wall_ns),
+        "cpu_ns_per_request_median": statistics.median(cpu_ns),
+        "ns_per_request": wall_ns,
+    }
+
+
 def append_log_entry(entry: dict) -> None:
     """Append one invocation entry to its trajectory log."""
     path = trajectory_log(entry["smoke"])
@@ -227,18 +300,21 @@ def append_log_entry(entry: dict) -> None:
     path.write_text(json.dumps(log, indent=2) + "\n")
 
 
-def test_channels_in_cells_ns_per_cell(record_table):
+def test_layers_ns_per_op(record_table):
     rows = [
-        measure_row(layer, hit_rate, batch)
+        measure_row(hit_rate, batch)
         for hit_rate in CELLS
         for batch in BATCH_SIZES
-        for layer in ENTRY_POINTS
     ]
     for row in rows:
         assert abs(row["measured_hit_rate"] - row["hit_rate"]) < 0.005, row
     routed = router_row()
     assert routed["shard_calls"] <= STORM_SHARDS, routed
     rows.append(routed)
+    fronted = [frontend_row(policy) for policy in SHED_POLICIES]
+    for row in fronted:
+        assert row["shed_frac"] == (STORM_BURST - STORM_TOKENS) / STORM_BURST, row
+    assert fronted[0]["stale_frac"] == 0 < fronted[1]["stale_frac"], fronted
     entry = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -252,14 +328,14 @@ def test_channels_in_cells_ns_per_cell(record_table):
             "nproc": len(os.sched_getaffinity(0)),
         },
         "smoke": SMOKE,
-        "layers": [*ENTRY_POINTS, routed["layer"]],
+        "layers": [rows[0]["layer"], routed["layer"], fronted[0]["layer"]],
         "shape": {
             "extent_m": EXTENT_M,
             "tv_channels": [OCCUPIED.start, OCCUPIED.stop - 1],
             "mics": MICS,
             "seed": SEED,
         },
-        "rows": rows,
+        "rows": [*rows, *fronted],
     }
     append_log_entry(entry)
     lines = [
@@ -273,4 +349,15 @@ def test_channels_in_cells_ns_per_cell(record_table):
         for r in rows
     ]
     lines.append(f"router shard calls per {ROUTER_CELLS}-cell batch: {routed['shard_calls']}")
+    lines.append(
+        f"{'layer':<42} {'policy':>11} {'burst':>6} {'shed':>5} {'stale':>6} "
+        f"{'ns/req med':>11} {'ns/req min':>11} {'cpu ns med':>11}"
+    )
+    lines += [
+        f"{r['layer']:<42} {r['policy']:>11} {r['batch']:>6} "
+        f"{r['shed_frac']:>5.0%} {r['stale_frac']:>6.1%} "
+        f"{r['ns_per_request_median']:>11.0f} {r['ns_per_request_min']:>11.0f} "
+        f"{r['cpu_ns_per_request_median']:>11.0f}"
+        for r in fronted
+    ]
     record_table("bench_layers", lines, data=entry)

@@ -12,7 +12,12 @@ Run:
     python examples/citywide_wsdb.py
 """
 
-from repro.wsdb import MicRegistration, WhiteSpaceDatabase, generate_metro_for_setting
+from repro.wsdb import (
+    MicRegistration,
+    WhiteSpaceDatabase,
+    free_channels,
+    generate_metro_for_setting,
+)
 from repro.wsdb.citywide import CityAp, assign_ap
 
 
@@ -64,7 +69,8 @@ def main() -> None:
     # 4. The covered AP re-checks the database and moves: its old span
     #    is denied, its ranked backups are validated against a fresh
     #    response.
-    free = set(db.channels_at(victim.x_m, victim.y_m, t_us=60e6))
+    [fresh] = free_channels(db, [(victim.x_m, victim.y_m)], t_us=60e6)
+    free = set(fresh)
     print(f"  fresh response at ap0 excludes ch{mic_channel}: {mic_channel not in free}")
     old = victim.channel
     backup = next(
@@ -79,7 +85,8 @@ def main() -> None:
         print(f"  ap0 re-assigns via MCham: {fmt(old)} -> {fmt(victim.channel)}")
 
     # 5. After the session ends the channel is clean again.
-    late = set(db.channels_at(victim.x_m, victim.y_m, t_us=400e6))
+    [late] = free_channels(db, [(victim.x_m, victim.y_m)], t_us=400e6)
+    late = set(late)
     print(f"  mic session over at t=400 s: ch{mic_channel} free again: {mic_channel in late}")
     print(
         f"\ndatabase totals: {db.stats.queries} queries, "

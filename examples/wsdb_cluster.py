@@ -14,7 +14,7 @@ Run:
 
 import random
 
-from repro.wsdb import ShardRouter, simulate_querystorm
+from repro.wsdb import ShardRouter, free_channels, simulate_querystorm
 from repro.wsdb.cluster import BatchFrontend, PushRegistry
 from repro.wsdb.model import MicRegistration, generate_metro
 
@@ -36,7 +36,7 @@ def main() -> None:
     baseline = None
     for shards in (1, 4, 16):
         router = ShardRouter(fresh_metro(), num_shards=shards)
-        answers = router.channels_at_many(points, t_us=0.0)
+        answers = free_channels(router, points, t_us=0.0)
         if baseline is None:
             baseline = answers
         assert answers == baseline  # sharding never changes a response

@@ -32,8 +32,8 @@ missing layer as a deterministic, seedable simulation component:
   clients.
 * :mod:`repro.wsdb.cluster` — the service tier: ``ShardRouter`` (K
   cell-aligned shards, each its own database), ``BatchFrontend``
-  (per-shard batching, token-bucket admission, pluggable shed
-  policies), ``PushRegistry`` (PAWS-style zone notifications), and the
+  (per-shard batching, token-bucket admission, ``reject`` /
+  ``serve-stale`` shedding), ``PushRegistry`` (PAWS-style zone notifications), and the
   ``querystorm`` workload driver.
 """
 
@@ -71,6 +71,7 @@ from repro.wsdb.service import (
     AvailabilityService,
     WhiteSpaceDatabase,
     WsdbStats,
+    free_channels,
 )
 
 __all__ = [
@@ -92,6 +93,7 @@ __all__ = [
     "associate_nearest",
     "boot_aps",
     "displace_covered_aps",
+    "free_channels",
     "generate_metro",
     "generate_metro_for_setting",
     "generate_mic_events",

@@ -47,11 +47,14 @@ from repro.spectrum.spectrum_map import SpectrumMap
 from repro.spectrum.variation import availability_disagreement
 from repro.telemetry.metrics import NULL_TELEMETRY
 from repro.traces.record import NULL_RECORDER
+from repro.wsdb.index import circle_intersects_cells
 from repro.wsdb.model import MicRegistration
 from repro.wsdb.service import (
     AvailabilityService,
     WhiteSpaceDatabase,
+    free_channels,
     quantize_cell,
+    quantize_cells,
 )
 
 __all__ = [
@@ -177,7 +180,8 @@ def assign_ap(
     Also refreshes the AP's ranked backup list.  Returns False (and
     leaves the AP unserved) when no candidate span is available.
     """
-    avail = db.spectrum_map_at(ap.x_m, ap.y_m, t_us)
+    free = free_channels(db, [(ap.x_m, ap.y_m)], t_us)[0]
+    avail = SpectrumMap.from_free(free, db.metro.num_channels)
     return _assign(ap, avail, aps, interference_radius_m)
 
 
@@ -244,7 +248,7 @@ def boot_aps(
     # boot asks them as one batch (one index pass for all its misses),
     # with the answers, counters and cache state of one query per AP.
     num_channels = db.metro.num_channels
-    answers = db.channels_at_many([(ap.x_m, ap.y_m) for ap in aps], 0.0)
+    answers = free_channels(db, [(ap.x_m, ap.y_m) for ap in aps], 0.0)
     for ap, free in zip(aps, answers):
         avail = SpectrumMap.from_free(free, num_channels)
         _assign(ap, avail, aps, interference_radius_m)
@@ -280,24 +284,37 @@ def displace_covered_aps(
 ) -> tuple[int, int, int, int]:
     """Vacate and recover the APs whose response *event* invalidated.
 
-    Coverage is protocol-level (:meth:`WhiteSpaceDatabase.zone_affects`
-    — the zone touches the AP's response cell), not point containment:
-    an AP just outside the zone whose cell the zone clips receives the
-    denying cell response too, and must move with the rest.  Returns
+    Coverage is protocol-level — the zone touches the AP's response
+    cell (:func:`~repro.wsdb.index.circle_intersects_cells`, the
+    geometry invalidation uses), not point containment: an AP just
+    outside the zone whose cell the zone clips receives the denying
+    cell response too, and must move with the rest.  Coverage is one
+    array pass over every AP's cell; the displaced APs then query and
+    re-plan one at a time, in AP order.  Returns
     ``(displaced, backup_recoveries, full_reassignments, outages)``.
     """
     displaced = backup_recoveries = full_reassignments = outages = 0
-    for ap in aps:
+    res = db.cache_resolution_m
+    cells = quantize_cells([(ap.x_m, ap.y_m) for ap in aps], res)
+    covered = circle_intersects_cells(
+        registration.x_m,
+        registration.y_m,
+        registration.radius_m,
+        cells[:, 0],
+        cells[:, 1],
+        res,
+    )
+    for ap, touched in zip(aps, covered.tolist()):
         if (
-            ap.channel is None
+            not touched
+            or ap.channel is None
             or event.uhf_index not in ap.channel.spanned_indices
-            or not db.zone_affects(registration, ap.x_m, ap.y_m)
         ):
             continue
         displaced += 1
         # Backup-channel discovery: walk the ranked list against a
         # fresh (post-invalidation) response before re-planning.
-        free = set(db.channels_at(ap.x_m, ap.y_m, event.t_us))
+        free = set(free_channels(db, [(ap.x_m, ap.y_m)], event.t_us)[0])
         backup = next(
             (
                 b
@@ -389,9 +406,9 @@ def simulate_citywide(
     # from that single response (querying twice at the same t would
     # double-count stats.queries and inflate the reported hit rate).
     num_channels = db.metro.num_channels
-    final_responses = [
-        db.channels_at(ap.x_m, ap.y_m, duration_us) for ap in aps
-    ]
+    final_responses = free_channels(
+        db, [(ap.x_m, ap.y_m) for ap in aps], duration_us
+    )
     if recording:
         for ap, response in zip(aps, final_responses):
             recorder.emit(

@@ -13,7 +13,7 @@ changing a single response bit:
   the unsharded database's.
 * :mod:`repro.wsdb.cluster.frontend` — :class:`BatchFrontend`: bursts
   coalesced by cell into per-shard batched calls, token-bucket
-  admission clocked by simulation time, and pluggable shed policies
+  admission clocked by simulation time, and two shed policies
   (``reject`` vs ``serve-stale``) with shed/deferred accounting.
 * :mod:`repro.wsdb.cluster.push` — :class:`PushRegistry`: PAWS-style
   device registration; a new protection zone notifies every subscribed
@@ -28,11 +28,8 @@ changing a single response bit:
 from repro.wsdb.cluster.frontend import (
     BatchFrontend,
     FrontendStats,
-    RejectPolicy,
     SHED_POLICIES,
-    ServeStalePolicy,
     TokenBucket,
-    shed_policy,
 )
 from repro.wsdb.cluster.push import PushRegistry, PushStats
 from repro.wsdb.cluster.querystorm import simulate_querystorm
@@ -43,13 +40,10 @@ __all__ = [
     "FrontendStats",
     "PushRegistry",
     "PushStats",
-    "RejectPolicy",
     "SHED_POLICIES",
-    "ServeStalePolicy",
     "ShardRouter",
     "ShardTerritory",
     "TokenBucket",
     "shard_grid",
-    "shed_policy",
     "simulate_querystorm",
 ]

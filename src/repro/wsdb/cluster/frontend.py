@@ -8,23 +8,27 @@ shape of traffic:
 
 * **Coalescing.**  A burst handed to :meth:`query_batch` — an (n, 2)
   coordinate array: a tick's whole storm, or a tick's whole set of
-  re-checking clients — is quantized, deduplicated by cell and grouped
-  by owning shard as array operations before any shard is touched: N
-  admitted requests in one cell become one shard lookup whose response
-  every requester shares (the counters record how many requests
-  coalesced away).  Each shard then sees one batched call per burst,
-  not one call per request.
+  re-checking clients — is quantized and deduplicated by cell as array
+  operations before any shard is touched: N admitted requests in one
+  cell become one lookup whose response every requester shares (the
+  counters record how many requests coalesced away).  The unique cells
+  go to the router's
+  :meth:`~repro.wsdb.cluster.router.ShardRouter.response_ids_in_cells`
+  as one batch, so each shard sees one call per burst, not one call
+  per request.
 * **Token-bucket rate limiting.**  The frontend admits requests against
   a bucket refilled at ``rate_limit_qps`` (burst capacity
   ``burst_size``), clocked by *simulation* time — admission is a pure
   function of the request sequence, preserving the byte-identical
   parallel/sequential contract.
-* **Pluggable shed policies.**  An over-limit request is *shed* through
-  a policy: ``"reject"`` returns None (the device keeps its stale
-  response and retries — the deferral the querystorm driver counts),
-  ``"serve-stale"`` answers from the frontend's last-known response for
-  the cell, trading admission for availability.  Policies register in
-  :data:`SHED_POLICIES`; a load-balancer experiment can plug its own.
+* **Shed policies.**  An over-limit request is *shed* under one of
+  :data:`SHED_POLICIES`: ``"reject"`` refuses it (the device keeps its
+  stale response and retries — the deferral the querystorm driver
+  counts), ``"serve-stale"`` answers from the frontend's last-known
+  response for the cell, trading admission for availability.
+
+Answers are response ids into the router's shared
+:class:`~repro.wsdb.service.ResponseTable`, ``-1`` meaning refused.
 
 The stale store honors the response protocol's own validity contract:
 entries are stamped with their TTL bucket and served only inside it
@@ -38,8 +42,8 @@ a response the pull protocol itself would no longer honor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Any, Protocol, Sequence
+from itertools import chain, repeat
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -54,18 +58,13 @@ from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.index import circle_intersects_cells
 from repro.wsdb.model import MicRegistration
-from repro.wsdb.service import ttl_bucket
+from repro.wsdb.service import quantize_cells, ttl_bucket
 
-__all__ = [
-    "BatchFrontend",
-    "FrontendStats",
-    "RejectPolicy",
-    "SHED_POLICIES",
-    "ServeStalePolicy",
-    "ShedPolicy",
-    "TokenBucket",
-    "shed_policy",
-]
+__all__ = ["BatchFrontend", "FrontendStats", "SHED_POLICIES", "TokenBucket"]
+
+#: How an over-limit request is answered: refused, or served from the
+#: stale store when its cell has a response from the current TTL bucket.
+SHED_POLICIES = ("reject", "serve-stale")
 
 
 class TokenBucket:
@@ -170,66 +169,6 @@ class FrontendStats:
         }
 
 
-class ShedPolicy(Protocol):
-    """How the frontend answers an over-limit request."""
-
-    name: str
-
-    def shed(
-        self, frontend: "BatchFrontend", qx: int, qy: int
-    ) -> tuple[int, ...] | None:
-        """The response for a shed request at cell (qx, qy), or None."""
-        ...
-
-
-class RejectPolicy:
-    """Shed by refusal: the requester gets None and must retry later."""
-
-    name = "reject"
-
-    def shed(
-        self, frontend: "BatchFrontend", qx: int, qy: int
-    ) -> tuple[int, ...] | None:
-        return None
-
-
-class ServeStalePolicy:
-    """Shed by degrading: answer from the last-known cell response.
-
-    Falls back to refusal when the cell was never served in the
-    current TTL bucket (a cold or expired cell has nothing still-valid
-    to offer).
-    """
-
-    name = "serve-stale"
-
-    def shed(
-        self, frontend: "BatchFrontend", qx: int, qy: int
-    ) -> tuple[int, ...] | None:
-        stale = frontend.stale_response(qx, qy)
-        if stale is not None:
-            frontend.stats.served_stale += 1
-        return stale
-
-
-#: Registered shed policies by name; plug new ones in directly.
-SHED_POLICIES: dict[str, type] = {
-    RejectPolicy.name: RejectPolicy,
-    ServeStalePolicy.name: ServeStalePolicy,
-}
-
-
-def shed_policy(name: str) -> ShedPolicy:
-    """Instantiate a registered shed policy by name."""
-    try:
-        return SHED_POLICIES[name]()
-    except KeyError:
-        raise SimulationError(
-            f"unknown shed policy {name!r}; "
-            f"expected one of {tuple(sorted(SHED_POLICIES))}"
-        ) from None
-
-
 class BatchFrontend:
     """Admission control + per-shard batching over a :class:`ShardRouter`.
 
@@ -237,7 +176,7 @@ class BatchFrontend:
         router: the shard tier answering admitted requests.
         rate_limit_qps: token-bucket refill rate (None: no limiting).
         burst_size: token-bucket capacity (None: one second's refill).
-        policy: shed-policy name from :data:`SHED_POLICIES`.
+        policy: a shed-policy name from :data:`SHED_POLICIES`.
         push: optional :class:`PushRegistry` notified on
             :meth:`register_mic` (its cell resolution must match the
             router's).
@@ -261,7 +200,7 @@ class BatchFrontend:
         router: ShardRouter,
         rate_limit_qps: float | None = None,
         burst_size: float | None = None,
-        policy: str = RejectPolicy.name,
+        policy: str = "reject",
         push: PushRegistry | None = None,
         telemetry=None,
         spans=None,
@@ -274,28 +213,21 @@ class BatchFrontend:
                 f"({push.cache_resolution_m!r} m) must match the router's "
                 f"({router.cache_resolution_m!r} m)"
             )
+        if policy not in SHED_POLICIES:
+            raise SimulationError(
+                f"unknown shed policy {policy!r}; "
+                f"expected one of {tuple(sorted(SHED_POLICIES))}"
+            )
         self.router = router
         self.bucket = TokenBucket(rate_limit_qps, burst_size)
-        self.policy = shed_policy(policy)
+        self.policy = policy
         self.push = push
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.spans = NULL_SPANS if spans is None else spans
         self.stats = FrontendStats()
-        # cell -> (TTL bucket the response was computed in, channels).
-        self._stale: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+        # cell -> (TTL bucket the response was computed in, response id).
+        self._stale: dict[tuple[int, int], tuple[int, int]] = {}
         self._bucket_now = 0
-
-    def stale_response(self, qx: int, qy: int) -> tuple[int, ...] | None:
-        """The cell's last response, if it is still inside its TTL bucket.
-
-        A response from an earlier bucket is dead under the protocol's
-        validity contract (the database itself would recompute), so it
-        is never served — serve-stale trades *admission*, not validity.
-        """
-        entry = self._stale.get((qx, qy))
-        if entry is None or entry[0] != self._bucket_now:
-            return None
-        return entry[1]
 
     # -- queries -------------------------------------------------------------
 
@@ -305,29 +237,33 @@ class BatchFrontend:
         t_us: float = 0.0,
         enqueue_t_us: Sequence[float] | None = None,
         span_refs: Sequence[tuple[str, Any]] | None = None,
-    ) -> list[tuple[int, ...] | None]:
+    ) -> np.ndarray:
         """Answer a burst: admit, coalesce by cell, batch per shard.
 
         ``points`` is an (n, 2) float array of request coordinates (a
         sequence of ``(x, y)`` pairs converts through ``np.asarray``).
-        Returns one entry per point in point order — a channel tuple,
-        or None for a request shed without a stale fallback.
+        Returns an int64 array of one response id per point, in point
+        order — an id into the router's :attr:`responses` table, or
+        ``-1`` for a request shed without a stale fallback.
 
         The burst is processed as arrays, with exactly the outcome of
         evaluating it one request at a time in order:
 
-        1. cells are ``floor(x / res)`` per axis (the IEEE operations of
-           :func:`~repro.wsdb.service.quantize_cell`);
+        1. cells are :func:`~repro.wsdb.service.quantize_cells`;
         2. the token bucket admits the prefix of the first ``k``
            requests (:meth:`TokenBucket.admit_many`), so the shed
            requests are always the suffix;
         3. the admitted cells deduplicate (``np.unique`` on one int64
-           cell key) and each owning shard gets one batched call, in
-           ascending shard order with its cells in first-occurrence
-           order — the cache recency order and stats sequence of a
+           cell key) and go, in first-occurrence order, to the router
+           as one batch — each owning shard gets one call, in ascending
+           shard order with its cells in first-occurrence order: the
+           cache recency order and stats sequence of a
            request-by-request pass;
-        4. shed requests go through the policy in request order (which
-           may read the just-refreshed stale store).
+        4. under ``serve-stale``, shed requests are answered from the
+           just-refreshed stale store in request order; a response is
+           served only inside the TTL bucket it was computed in (the
+           database itself would recompute), so serve-stale trades
+           *admission*, not validity.
 
         ``enqueue_t_us`` optionally stamps each request's enqueue time
         (storm-event generation, or the first attempt of a deferred
@@ -348,24 +284,24 @@ class BatchFrontend:
         ``stats.admitted`` across the call: the first ``admitted``
         delta requests were admitted, the rest shed.
         """
-        xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-        n = len(xy)
+        router = self.router
+        cells = quantize_cells(points, router.cache_resolution_m)
+        n = len(cells)
+        answers = np.full(n, -1, dtype=np.int64)
         if n == 0:
-            return []
+            return answers
         stats = self.stats
         stats.batches += 1
         stats.requests += n
-        self._bucket_now = ttl_bucket(t_us, self.router.ttl_us)
-        res = self.router.cache_resolution_m
-        qx = np.floor(xy[:, 0] / res).astype(np.int64)
-        qy = np.floor(xy[:, 1] / res).astype(np.int64)
+        self._bucket_now = now = ttl_bucket(t_us, router.ttl_us)
+        qx, qy = cells[:, 0], cells[:, 1]
         k = self.bucket.admit_many(t_us, n)
         stats.admitted += k
         stats.shed += n - k
-        answers: list[tuple[int, ...] | None] = []
         span_on = self.spans.enabled and span_refs is not None
         lookups: dict[tuple[int, int], tuple[int, bool, int]] = {}
         first = np.zeros(0, dtype=np.int64)
+        stale = self._stale
         if k:
             ax, ay = qx[:k], qy[:k]
             y0 = ay.min()
@@ -373,44 +309,38 @@ class BatchFrontend:
             _, first, inverse = np.unique(
                 key, return_index=True, return_inverse=True
             )
-            owner = self.router.shards_of_cells(ax[first], ay[first])
             stats.coalesced += k - len(first)
-            # Shards ascending, each shard's cells in first-occurrence
-            # order (the deterministic order the parallel/sequential
-            # contract needs).
-            by_shard = np.lexsort((first, owner))
-            ranked = owner[by_shard]
-            cut = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-            # The unique cells as (qx, qy) rows in shard-call order.
-            cell_rows = np.column_stack((ax, ay)).take(first[by_shard], axis=0)
-            ids = np.empty(len(cell_rows), dtype=np.int64)
-            hits = np.empty(len(cell_rows), dtype=bool)
-            scans = np.empty(len(cell_rows), dtype=np.int64)
-            for lo, hi in zip([0, *cut], [*cut, len(cell_rows)]):
-                shard = self.router.shards[int(ranked[lo])]
-                stats.shard_batches += 1
-                ids[lo:hi] = shard.response_ids_in_cells(cell_rows[lo:hi], t_us)
-                if span_on:
-                    hits[lo:hi] = shard.last_hit
-                    scans[lo:hi] = shard.last_scanned
-            tuples = self.router.responses.tuples
-            responses: list[tuple[int, ...]] = [()] * len(cell_rows)
-            stale = self._stale
-            cells = list(zip(*cell_rows.T.tolist()))
-            for u, cell, rid in zip(by_shard.tolist(), cells, ids.tolist()):
-                responses[u] = channels = tuples[rid]
-                stale[cell] = (self._bucket_now, channels)
+            # The unique cells in first-occurrence order (the order the
+            # parallel/sequential contract needs), as one router batch.
+            order = first.argsort()
+            unique = cells[first[order]]
+            calls = router.shard_calls
+            lookup = router.response_ids_in_cells(unique, t_us)
+            stats.shard_batches += router.shard_calls - calls
+            ids = np.empty_like(lookup.ids)
+            ids[order] = lookup.ids
+            answers[:k] = ids[inverse]
+            keys = list(zip(*unique.T.tolist()))
+            stale.update(zip(keys, zip(repeat(now), lookup.ids.tolist())))
             if span_on:
+                owner = router.shards_of_cells(unique[:, 0], unique[:, 1])
                 lookups = dict(
-                    zip(cells, zip(ranked.tolist(), hits.tolist(), scans.tolist()))
+                    zip(
+                        keys,
+                        zip(
+                            owner.tolist(),
+                            lookup.hit.tolist(),
+                            lookup.scanned.tolist(),
+                        ),
+                    )
                 )
-            answers = [responses[u] for u in inverse.tolist()]
-        if k < n:
-            shed = self.policy.shed
-            answers.extend(
-                shed(self, cx, cy)
-                for cx, cy in zip(qx[k:].tolist(), qy[k:].tolist())
-            )
+        if k < n and self.policy == "serve-stale":
+            shed = zip(qx[k:].tolist(), qy[k:].tolist())
+            for i, cell in enumerate(shed, k):
+                entry = stale.get(cell)
+                if entry is not None and entry[0] == now:
+                    answers[i] = entry[1]
+                    stats.served_stale += 1
         tel = self.telemetry
         if not (span_on or tel.enabled):
             return answers
@@ -419,9 +349,10 @@ class BatchFrontend:
             if isinstance(enqueue_t_us, np.ndarray)
             else enqueue_t_us
         )
+        served = (answers >= 0).tolist()
         if span_on:
             self._record_spans(
-                qx.tolist(), qy.tolist(), k, set(first.tolist()), answers,
+                qx.tolist(), qy.tolist(), k, set(first.tolist()), served,
                 lookups, t_us, stamps, span_refs,
             )
         if tel.enabled:
@@ -431,8 +362,8 @@ class BatchFrontend:
             latency = tel.histogram(
                 "frontend_latency_us", DEFAULT_LATENCY_BOUNDS_US
             )
-            for i, answer in enumerate(answers):
-                if answer is None:
+            for i, answered in enumerate(served):
+                if not answered:
                     continue
                 enqueued = t_us if stamps is None else stamps[i]
                 latency.observe(t_us - enqueued)
@@ -444,7 +375,7 @@ class BatchFrontend:
         qy: list[int],
         admitted: int,
         primaries: set[int],
-        answers: list[tuple[int, ...] | None],
+        served: list[bool],
         lookups: dict[tuple[int, int], tuple[int, bool, int]],
         t_us: float,
         enqueue_t_us: Sequence[float] | None,
@@ -457,16 +388,16 @@ class BatchFrontend:
         per cell (its index is in *primaries*) carries the shard
         lookup's cache-hit/scan spans; later admitted requests for the
         same cell are ``coalesced``, and shed requests either defer
-        (answer None) or serve from the stale store.
+        (not *served*) or serve from the stale store.
         """
         sp = self.spans
-        for i, answer in enumerate(answers):
+        for i, answered in enumerate(served):
             req, subject = span_refs[i]
             enq = t_us if enqueue_t_us is None else enqueue_t_us[i]
             tid = sp.request_begin(req, subject, enq)
             if i >= admitted:
                 sp.request_defer(tid, t_us)
-                if answer is None:
+                if not answered:
                     continue
                 sp.request_serve(
                     tid, t_us, "frontend",
@@ -485,21 +416,6 @@ class BatchFrontend:
                     ("coalesced", "frontend", {}, ()),
                 ]
             sp.request_serve(tid, t_us, "frontend", steps)
-
-    def query(
-        self,
-        x_m: float,
-        y_m: float,
-        t_us: float = 0.0,
-        enqueue_t_us: float | None = None,
-        span_ref: tuple[str, Any] | None = None,
-    ) -> tuple[int, ...] | None:
-        """One request through the same admission/batching path."""
-        stamps = None if enqueue_t_us is None else [enqueue_t_us]
-        refs = None if span_ref is None else [span_ref]
-        return self.query_batch(
-            [(x_m, y_m)], t_us, enqueue_t_us=stamps, span_refs=refs
-        )[0]
 
     # -- updates -------------------------------------------------------------
 

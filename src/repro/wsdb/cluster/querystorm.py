@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.wsdb.citywide import DEFAULT_INTERFERENCE_RADIUS_M
-from repro.wsdb.cluster.frontend import RejectPolicy
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.mobility import DEFAULT_SPEED_MPS, DEFAULT_TICK_US, ENGINES
 
@@ -131,25 +130,27 @@ def record_requests(
     t_us: float,
     subjects: Iterable[int],
     xy: Any,
-    answers: list[tuple[int, ...] | None],
+    answers: np.ndarray,
     admitted: int,
-    cell_of: Any,
+    router: ShardRouter,
 ) -> None:
     """Emit one ``query``/``recheck`` trace event per request of a burst.
 
-    *admitted* is the burst's admitted-prefix length (the frontend's
-    ``stats.admitted`` delta across the call); *cell_of* the router's
-    cell convention.
+    *answers* are the frontend's response ids (``-1`` refused, recorded
+    as no channels); *admitted* is the burst's admitted-prefix length
+    (the frontend's ``stats.admitted`` delta across the call).  Cells
+    follow *router*'s convention.
     """
-    for i, (subject, (x_m, y_m), answer) in enumerate(
-        zip(subjects, np.asarray(xy).tolist(), answers)
+    cell_of, tuples = router.cell_of, router.responses.tuples
+    for i, (subject, (x_m, y_m), rid) in enumerate(
+        zip(subjects, np.asarray(xy).tolist(), answers.tolist())
     ):
         recorder.emit(
             kind,
             t_us,
             subject=subject,
             cell=cell_of(x_m, y_m),
-            channels=answer,
+            channels=None if rid < 0 else tuples[rid],
             x=x_m,
             y=y_m,
             aux=int(i < admitted),
@@ -170,7 +171,7 @@ def simulate_querystorm(
     tick_us: float = DEFAULT_TICK_US,
     rate_limit_qps: float | None = None,
     burst_size: float | None = None,
-    policy: str = RejectPolicy.name,
+    policy: str = "reject",
     interference_radius_m: float = DEFAULT_INTERFERENCE_RADIUS_M,
     engine: str = "scalar",
     storm_source: Iterable[tuple[float, float, float]] | None = None,

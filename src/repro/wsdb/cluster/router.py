@@ -27,36 +27,36 @@ database's, bit for bit.
 
 All shards answer in one shared
 :class:`~repro.wsdb.service.ResponseTable`, so a response id means the
-same channels whichever shard served it, and a batch reaches each
-shard as one call (:meth:`ShardRouter.response_ids_in_cells`).
+same channels whichever shard served it.  The router's one query
+primitive is the database's, :meth:`ShardRouter.response_ids_in_cells`:
+a batch reaches each shard as one call, and the answer is the same
+:class:`~repro.wsdb.service.Lookup` record.
 
 Mic registrations fan out: a new protection zone is routed to every
 shard whose territory it touches (each invalidates its own cached
 responses), and to the base metro so ground-truth compliance scoring
-sees it.  The router mirrors the database's query surface
-(``channels_at`` / ``channels_in_cell`` / ``channels_at_many`` /
-``spectrum_map_at`` / ``zone_affects`` / ``register_mic``), so the
-citywide helpers (``boot_aps``, ``displace_covered_aps``) run against a
-router unchanged.
+sees it.  With the primitive, ``register_mic``, ``metro`` and
+``cache_resolution_m``, the router is an
+:class:`~repro.wsdb.service.AvailabilityService`, so the citywide
+helpers (``boot_aps``, ``displace_covered_aps``) and
+:func:`~repro.wsdb.service.free_channels` run against it unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
 from repro.errors import SpectrumMapError
-from repro.spectrum.spectrum_map import SpectrumMap
 from repro.wsdb.index import circle_intersects_rect
 from repro.wsdb.model import Metro, MicRegistration
 from repro.wsdb.service import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_CACHE_RESOLUTION_M,
     DEFAULT_TTL_US,
+    Lookup,
     ResponseTable,
     WhiteSpaceDatabase,
     WsdbStats,
@@ -245,6 +245,8 @@ class ShardRouter:
         #: several shards; the per-shard ``mic_registrations`` counters
         #: sum to the fan-out, not to this).
         self.mic_registrations = 0
+        #: Batched shard calls issued by :meth:`response_ids_in_cells`.
+        self.shard_calls = 0
 
     # -- routing -------------------------------------------------------------
 
@@ -285,96 +287,48 @@ class ShardRouter:
         """The shard serving coordinate (x, y)."""
         return self.shard_of_cell(*self.cell_of(x_m, y_m))
 
-    # -- the database query surface ------------------------------------------
-
-    def channels_in_cell(
-        self, qx: int, qy: int, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """The cell-granular response, served by the owning shard."""
-        return self.shards[self.shard_of_cell(qx, qy)].channels_in_cell(
-            qx, qy, t_us
-        )
-
-    def channels_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """Available channels at (x, y), served by the owning shard."""
-        return self.channels_in_cell(*self.cell_of(x_m, y_m), t_us)
-
-    def channels_in_cells(
-        self,
-        cells: Sequence[tuple[int, int]],
-        t_us: float = 0.0,
-    ) -> list[tuple[int, ...]]:
-        """Batch cell-granular responses: one tuple per cell, in order.
-
-        :meth:`response_ids_in_cells` with ``(qx, qy)`` pairs in and the
-        shared table's channel tuples out.
-        """
-        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64)
-        ids = self.response_ids_in_cells(flat.reshape(-1, 2), t_us)
-        tuples = self.responses.tuples
-        return [tuples[i] for i in ids.tolist()]
+    # -- queries -------------------------------------------------------------
 
     def response_ids_in_cells(
         self, cells: np.ndarray, t_us: float = 0.0
-    ) -> np.ndarray:
-        """Batch cell-granular response ids: one per ``(qx, qy)`` row.
+    ) -> Lookup:
+        """Batch cell-granular responses: one per ``(qx, qy)`` row.
 
-        Protocol parity with
-        :meth:`WhiteSpaceDatabase.response_ids_in_cells`: one
-        :meth:`shards_of_cells` pass and a stable sort group each
-        shard's cells, in request order, into one call to that shard
-        (at most K calls per batch, in ascending shard order).  A
-        shard's cache sees exactly the subsequence of cells it owns, so
-        answers, cache contents and order, and per-shard counters are
-        those of a :meth:`channels_in_cell` loop over the same
-        sequence.  The ids index the :attr:`responses` table every
-        shard shares.
+        The primitive of
+        :meth:`WhiteSpaceDatabase.response_ids_in_cells`, answered by
+        the owning shards: one :meth:`shards_of_cells` pass and a
+        stable sort group each shard's cells, in request order, into
+        one call to that shard (at most K calls per batch, in ascending
+        shard order).  A shard's cache sees exactly the subsequence of
+        cells it owns, so answers, outcomes, cache contents and order,
+        and per-shard counters are those of a loop of one-cell calls
+        over the same sequence.  The ids index the :attr:`responses`
+        table every shard shares.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        ids = np.empty(len(cells), dtype=np.int64)
-        if not len(cells):
-            return ids
+        n = len(cells)
+        out = Lookup(
+            np.empty(n, dtype=np.int64),
+            np.empty(n, dtype=bool),
+            np.empty(n, dtype=np.int64),
+        )
+        if not n:
+            return out
         owner = self.shards_of_cells(cells[:, 0], cells[:, 1])
         order = np.argsort(owner, kind="stable")
         ranked = owner[order]
         cut = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cut], [*cut, len(order)]):
-            group = order[lo:hi]
-            shard = self.shards[int(ranked[lo])]
-            ids[group] = shard.response_ids_in_cells(cells[group], t_us)
-        return ids
-
-    def channels_at_many(
-        self,
-        points: Sequence[tuple[float, float]],
-        t_us: float = 0.0,
-    ) -> list[tuple[int, ...]]:
-        """Batch availability: one response per point, in point order.
-
-        Rides the :meth:`channels_in_cells` batch path.
-        """
-        cell_of = self.cell_of
-        return self.channels_in_cells(
-            [cell_of(x, y) for x, y in points], t_us
-        )
-
-    def spectrum_map_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> SpectrumMap:
-        """The availability response as an occupancy bit-vector."""
-        return SpectrumMap.from_free(
-            self.channels_at(x_m, y_m, t_us), self.metro.num_channels
-        )
-
-    def zone_affects(
-        self, registration: MicRegistration, x_m: float, y_m: float
-    ) -> bool:
-        """True when *registration* can change the response served at (x, y)."""
-        return self.shards[self.shard_of(x_m, y_m)].zone_affects(
-            registration, x_m, y_m
-        )
+        self.shard_calls += len(cut) + 1
+        grouped = cells[order]
+        answers = [
+            self.shards[int(ranked[lo])].response_ids_in_cells(
+                grouped[lo:hi], t_us
+            )
+            for lo, hi in zip([0, *cut], [*cut, n])
+        ]
+        for column, parts in zip(out, zip(*answers)):
+            column[order] = np.concatenate(parts)
+        return out
 
     # -- updates -------------------------------------------------------------
 

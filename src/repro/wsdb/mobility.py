@@ -5,8 +5,8 @@ white space device that moves must re-query the database after
 traveling ~100 m (and periodically even when parked).  This driver
 models that workload — the one a per-coordinate response cache serves
 worst and the cell-granular protocol
-(:meth:`~repro.wsdb.service.WhiteSpaceDatabase.channels_in_cell`) was
-built for:
+(:meth:`~repro.wsdb.service.WhiteSpaceDatabase.response_ids_in_cells`)
+was built for:
 
 * ``M`` mobile clients follow seeded waypoint paths across the metro
   plane at a fixed speed, each re-querying the database **only** when

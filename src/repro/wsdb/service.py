@@ -11,21 +11,18 @@ benchmarks can report cache behavior alongside throughput.
 **Cell-granular response protocol.**  Real WSDB providers serve *area*
 responses: the FCC requires a device to re-query after moving ~100 m,
 so a response is computed for — and valid anywhere inside — a whole
-quantization square of ``cache_resolution_m`` on a side.
-:meth:`~WhiteSpaceDatabase.response_ids_in_cells` (an (n, 2) cell array
-in, one response id per cell out) is that protocol's primitive;
-:meth:`~WhiteSpaceDatabase.channels_in_cells` is its list-of-tuples
-form and :meth:`~WhiteSpaceDatabase.channels_in_cell` its one-cell
-form.  A response is the channels free throughout each square (a
-channel is denied when any active incumbent's protected contour
-intersects the square — the conservative area semantics a protection
-regime requires), every miss of a call computed in one batched index
-pass (:meth:`GridIndex.occupied_in_rects`), and cached under the
-(cell, TTL bucket) key.  :meth:`~WhiteSpaceDatabase.channels_at` and
-:meth:`~WhiteSpaceDatabase.channels_at_many` are point-shaped
-conveniences that quantize the coordinate and ride the cell path,
-which is why dense or mobile deployments hit the cache instead of
-recomputing per coordinate.
+quantization square of ``cache_resolution_m`` on a side.  Each service
+tier has one query primitive, ``response_ids_in_cells`` (an (n, 2)
+cell array in, a :class:`Lookup` of one response id, cache outcome and
+scan count per cell out).  A response is the channels free throughout
+each square (a channel is denied when any active incumbent's protected
+contour intersects the square — the conservative area semantics a
+protection regime requires), every miss of a call computed in one
+batched index pass (:meth:`GridIndex.occupied_in_rects`), and cached
+under the (cell, TTL bucket) key.  :func:`free_channels` is the one
+point-shaped, tuple-valued form: it quantizes coordinates and rides
+the primitive, which is why dense or mobile deployments hit the cache
+instead of recomputing per coordinate.
 
 **Response ids.**  Responses are interned in a :class:`ResponseTable`:
 each distinct channel tuple gets one small int id, id 0 being the empty
@@ -99,28 +96,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Protocol, Sequence
+from typing import Any, Iterable, NamedTuple, Protocol
 
 import numpy as np
 
 from repro.errors import SpectrumMapError
-from repro.spectrum.spectrum_map import SpectrumMap
-from repro.wsdb.index import (
-    GridIndex,
-    circle_intersects_cell,
-    circle_intersects_cells,
-)
+from repro.wsdb.index import GridIndex, circle_intersects_cells
 from repro.wsdb.model import Metro, MicRegistration
 
 __all__ = [
     "AvailabilityService",
+    "Lookup",
     "PACKABLE_CELLS",
     "ResponseTable",
     "WhiteSpaceDatabase",
     "WsdbStats",
     "default_cell_m",
+    "free_channels",
     "quantize_cell",
+    "quantize_cells",
     "ttl_bucket",
 ]
 
@@ -176,6 +170,16 @@ def quantize_cell(
     )
 
 
+def quantize_cells(points: Any, resolution_m: float) -> np.ndarray:
+    """:func:`quantize_cell` of every ``(x, y)`` row, as an (n, 2) array.
+
+    *points* is an (n, 2) array or a sequence of pairs; each cell is
+    ``floor(x / res)`` per axis, the scalar form's IEEE operations.
+    """
+    xy = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    return np.floor(xy / resolution_m).astype(np.int64)
+
+
 def ttl_bucket(t_us: float, ttl_us: float) -> int:
     """The TTL validity bucket containing *t_us*.
 
@@ -185,35 +189,6 @@ def ttl_bucket(t_us: float, ttl_us: float) -> int:
     validity window ends.
     """
     return int(t_us // ttl_us)
-
-
-class AvailabilityService(Protocol):
-    """The query surface a white-space device (or AP driver) talks to.
-
-    Both :class:`WhiteSpaceDatabase` and the cluster's
-    :class:`~repro.wsdb.cluster.router.ShardRouter` satisfy this; the
-    citywide helpers (``assign_ap`` / ``boot_aps`` /
-    ``displace_covered_aps``) are written against it, which is what
-    lets one deployment driver run on either service tier.
-    """
-
-    metro: Metro
-
-    def channels_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> tuple[int, ...]: ...
-
-    def channels_at_many(
-        self, points: Sequence[tuple[float, float]], t_us: float = 0.0
-    ) -> list[tuple[int, ...]]: ...
-
-    def spectrum_map_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> SpectrumMap: ...
-
-    def zone_affects(
-        self, registration: MicRegistration, x_m: float, y_m: float
-    ) -> bool: ...
 
 
 def default_cell_m(metro: Metro) -> float:
@@ -309,6 +284,55 @@ class ResponseTable:
         return np.array(out, dtype=np.int64)
 
 
+class Lookup(NamedTuple):
+    """One query call's answer, per requested cell in request order.
+
+    ``ids`` are response ids into the tier's :class:`ResponseTable`,
+    ``hit`` says whether the cell was a cache hit, and ``scanned`` how
+    many incumbent candidates its miss inspected (0 on a hit).
+    """
+
+    ids: np.ndarray
+    hit: np.ndarray
+    scanned: np.ndarray
+
+
+class AvailabilityService(Protocol):
+    """What a white-space device (or AP driver) needs of a service tier.
+
+    Both :class:`WhiteSpaceDatabase` and the cluster's
+    :class:`~repro.wsdb.cluster.router.ShardRouter` satisfy this; the
+    citywide helpers (``assign_ap`` / ``boot_aps`` /
+    ``displace_covered_aps``) and :func:`free_channels` are written
+    against it, which is what lets one deployment driver run on either
+    service tier.
+    """
+
+    metro: Metro
+    cache_resolution_m: float
+    responses: ResponseTable
+
+    def response_ids_in_cells(
+        self, cells: np.ndarray, t_us: float = 0.0
+    ) -> Lookup: ...
+
+
+def free_channels(
+    service: AvailabilityService, points: Any, t_us: float = 0.0
+) -> list[tuple[int, ...]]:
+    """The channels free at each point at *t_us*, one tuple per point.
+
+    *points* is an (n, 2) array or a sequence of ``(x, y)`` pairs.
+    Each point is answered with its quantization cell's response
+    (:func:`quantize_cells`) in one batch: each point counts as one
+    query, and points sharing a cell share its cached response.
+    """
+    cells = quantize_cells(points, service.cache_resolution_m)
+    ids = service.response_ids_in_cells(cells, t_us).ids
+    tuples = service.responses.tuples
+    return [tuples[i] for i in ids.tolist()]
+
+
 class WhiteSpaceDatabase:
     """A queryable, cacheable geolocation white-space database.
 
@@ -370,17 +394,6 @@ class WhiteSpaceDatabase:
         self._channels = frozenset(range(metro.num_channels))
         self._free_ids: dict[frozenset[int], int] = {}
         self.stats = WsdbStats()
-        # The last query call's per-cell outcomes in request order: was
-        # it a cache hit, and how many candidates did its miss scan (0
-        # on a hit).  The running stats totals can't tell a caller
-        # (e.g. a span recorder) what *this* lookup did — these can.
-        self.last_hit = np.zeros(0, dtype=bool)
-        self.last_scanned = np.zeros(0, dtype=np.int64)
-
-    @property
-    def last_outcomes(self) -> tuple[tuple[bool, int], ...]:
-        """The last call's ``(cache_hit, candidates_scanned)`` per cell."""
-        return tuple(zip(self.last_hit.tolist(), self.last_scanned.tolist()))
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -574,45 +587,17 @@ class WhiteSpaceDatabase:
 
     # -- queries -------------------------------------------------------------
 
-    def channels_in_cell(
-        self, qx: int, qy: int, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """The cell-granular response: channels free throughout a cell.
-
-        The response is valid anywhere inside quantization cell (qx, qy)
-        for the remainder of the TTL bucket containing *t_us*; it is
-        cached under that (cell, bucket) key.  A one-cell
-        :meth:`channels_in_cells` batch.
-        """
-        return self.channels_in_cells(((qx, qy),), t_us)[0]
-
-    def channels_in_cells(
-        self,
-        cells: Sequence[tuple[int, int]],
-        t_us: float = 0.0,
-    ) -> list[tuple[int, ...]]:
-        """Batch cell-granular responses: one tuple per cell, in order.
-
-        :meth:`response_ids_in_cells` with ``(qx, qy)`` pairs in and
-        the interned channel tuples out (the form the scalar fleet, the
-        citywide driver and the cluster frontend consume).
-        """
-        flat = np.fromiter(chain.from_iterable(cells), dtype=np.int64)
-        ids = self.response_ids_in_cells(flat.reshape(-1, 2), t_us)
-        tuples = self.responses.tuples
-        return [tuples[i] for i in ids.tolist()]
-
     def response_ids_in_cells(
         self, cells: np.ndarray, t_us: float = 0.0
-    ) -> np.ndarray:
+    ) -> Lookup:
         """Batch cell-granular responses as ids into :attr:`responses`.
 
-        *cells* is an (n, 2) int array of ``(qx, qy)`` rows; returns
-        one id per row.  The protocol primitive every query path rides.
-        A batch leaves exactly the answers, LRU contents and order,
-        and counter totals of a one-cell-at-a-time
-        :meth:`channels_in_cell` loop over the same sequence
-        (duplicates included; each counts as one query):
+        *cells* is an (n, 2) int array of ``(qx, qy)`` rows; returns a
+        :class:`Lookup` with one id, cache outcome and scan count per
+        row.  The protocol primitive every query path rides.  A batch
+        leaves exactly the answers, outcomes, LRU contents and order,
+        and counter totals of a loop of one-cell calls over the same
+        sequence (duplicates included; each counts as one query):
 
         1. the batch walks the slot table in safe prefixes (module
            docstring): hits restamp their slots, first-seen misses take
@@ -627,8 +612,6 @@ class WhiteSpaceDatabase:
         Cells outside :data:`PACKABLE_CELLS`, or a bucket more than
         2047 buckets behind the newest queried, raise
         :class:`~repro.errors.SpectrumMapError` before anything moves.
-        :attr:`last_hit` and :attr:`last_scanned` hold the call's
-        per-cell outcomes.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
         n = len(cells)
@@ -655,8 +638,7 @@ class WhiteSpaceDatabase:
             rid = self._slots[_RID]
             pending = rid < 0
             rid[pending] = answers[-1 - rid[pending]]
-        self.last_hit, self.last_scanned = hit, scanned
-        return ids
+        return Lookup(ids, hit, scanned)
 
     def _compute_misses(
         self, cells: np.ndarray, t_us: float
@@ -686,64 +668,7 @@ class WhiteSpaceDatabase:
             answers.append(rid)
         return np.array(answers, dtype=np.int64), scanned
 
-    def channels_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> tuple[int, ...]:
-        """Available (incumbent-free) UHF channels at (x, y) at *t_us*.
-
-        Served from the cell-granular path: the answer is the response
-        for the whole quantization square containing (x, y).
-        """
-        return self.channels_in_cell(*self.cell_of(x_m, y_m), t_us)
-
-    def channels_at_many(
-        self,
-        points: Sequence[tuple[float, float]],
-        t_us: float = 0.0,
-    ) -> list[tuple[int, ...]]:
-        """Batch availability: one response per point, in point order.
-
-        Each point counts as one query; points sharing a quantization
-        cell share its cached cell response.  Rides the
-        :meth:`channels_in_cells` batch path (one stats pass).
-        """
-        cell_of = self.cell_of
-        return self.channels_in_cells(
-            [cell_of(x, y) for x, y in points], t_us
-        )
-
-    def spectrum_map_at(
-        self, x_m: float, y_m: float, t_us: float = 0.0
-    ) -> SpectrumMap:
-        """The availability response as an occupancy bit-vector."""
-        return SpectrumMap.from_free(
-            self.channels_at(x_m, y_m, t_us), self.metro.num_channels
-        )
-
     # -- updates -------------------------------------------------------------
-
-    def zone_affects(
-        self, registration: MicRegistration, x_m: float, y_m: float
-    ) -> bool:
-        """True when *registration* can change the response served at (x, y).
-
-        Cell-granular responses deny a channel anywhere in a cell the
-        zone touches, so protocol-level coverage checks (is this AP's
-        response invalidated by the new mic?) must use this, not point
-        containment — a device just outside the zone whose cell touches
-        it still receives the denying response.  The predicate is
-        :func:`circle_intersects_cell`, the one the miss kernel's
-        verdicts equal bit for bit and invalidation uses.
-        """
-        qx, qy = self.cell_of(x_m, y_m)
-        return circle_intersects_cell(
-            registration.x_m,
-            registration.y_m,
-            registration.radius_m,
-            qx,
-            qy,
-            self.cache_resolution_m,
-        )
 
     def register_mic(self, registration: MicRegistration) -> int:
         """Accept a mic registration; invalidate the affected responses.

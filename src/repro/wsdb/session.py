@@ -208,11 +208,11 @@ class DatabasePath:
         else:
             qx, qy = fleet.cells(db.cache_resolution_m)
         cells = np.column_stack((qx[due], qy[due]))
-        ids = db.response_ids_in_cells(cells, t_us)
+        ids, hit, scanned = db.response_ids_in_cells(cells, t_us)
         if self.sp.enabled:
             # The batch's per-cell outcomes, per client in client order.
-            for i, hit, scanned in zip(
-                due.tolist(), db.last_hit.tolist(), db.last_scanned.tolist()
+            for i, cache_hit, candidates in zip(
+                due.tolist(), hit.tolist(), scanned.tolist()
             ):
                 self.sp.record_tree(
                     "request",
@@ -220,7 +220,7 @@ class DatabasePath:
                     i,
                     t_us,
                     "db",
-                    [lookup_steps(hit, scanned, "db")],
+                    [lookup_steps(cache_hit, candidates, "db")],
                 )
         if self.recorder.enabled:
             tuples = db.responses.tuples
@@ -353,7 +353,7 @@ class ClusterPath:
         frontend = self.frontend
         admitted = frontend.stats.admitted
         with prof.phase("frontend"):
-            responses = frontend.query_batch(
+            answers = frontend.query_batch(
                 points,
                 t_us,
                 enqueue_t_us=self.feed.last_times,
@@ -363,8 +363,8 @@ class ClusterPath:
             )
         if self.recorder.enabled:
             record_requests(
-                self.recorder, "query", t_us, seqs, points, responses,
-                frontend.stats.admitted - admitted, self.router.cell_of,
+                self.recorder, "query", t_us, seqs, points, answers,
+                frontend.stats.admitted - admitted, self.router,
             )
 
     def subscribe(self, fleet) -> None:
@@ -379,15 +379,14 @@ class ClusterPath:
 
     def recheck(self, fleet, due, trig_x, trig_y, t_us: float):
         """The due clients as one frontend burst in client order, each
-        stamped with its first attempt; returns ``(answered, ids)``, the
-        frontend's answers mapped to ids through the router's table."""
+        stamped with its first attempt; returns ``(answered, ids)``."""
         idx = due.tolist()
         pending = self.pending_since
         stamps = [t_us if pending[i] is None else pending[i] for i in idx]
         xy = np.column_stack((fleet.x[due], fleet.y[due]))
         frontend = self.frontend
         admitted = frontend.stats.admitted
-        responses = frontend.query_batch(
+        answers = frontend.query_batch(
             xy,
             t_us,
             enqueue_t_us=stamps,
@@ -397,18 +396,17 @@ class ClusterPath:
         )
         if self.recorder.enabled:
             record_requests(
-                self.recorder, "recheck", t_us, idx, xy, responses,
-                frontend.stats.admitted - admitted, self.router.cell_of,
+                self.recorder, "recheck", t_us, idx, xy, answers,
+                frontend.stats.admitted - admitted, self.router,
             )
-        done = due[np.array([r is not None for r in responses], dtype=bool)]
+        answered = answers >= 0
+        done = due[answered]
         self.push_refreshes += int(self.pushed[done].sum())
         self.pushed[done] = False
         self.deferred += len(idx) - len(done)
-        for i, since, response in zip(idx, stamps, responses):
-            pending[i] = since if response is None else None
-        return done, self.router.responses.ids(
-            r for r in responses if r is not None
-        )
+        for i, since, ok in zip(idx, stamps, answered.tolist()):
+            pending[i] = None if ok else since
+        return done, answers[answered]
 
     def sample(self, fleet) -> dict[str, int]:
         agg = self.router.aggregate_stats()

@@ -12,17 +12,30 @@ from repro.wsdb.cluster.frontend import (
     BatchFrontend,
     SHED_POLICIES,
     TokenBucket,
-    shed_policy,
 )
 from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.model import Metro, MicRegistration, generate_metro
-from repro.wsdb.service import WhiteSpaceDatabase, quantize_cell, ttl_bucket
+from repro.wsdb.service import (
+    WhiteSpaceDatabase,
+    free_channels,
+    quantize_cell,
+    ttl_bucket,
+)
 
 
 def dense_router(num_shards: int = 4) -> ShardRouter:
     metro = generate_metro(range(12), extent_m=4_000.0, seed=7, num_channels=30)
     return ShardRouter(metro, num_shards=num_shards)
+
+
+def ask(frontend, points, t_us=0.0):
+    """One burst's answers as channel tuples, None for a refusal."""
+    tuples = frontend.router.responses.tuples
+    return [
+        None if rid < 0 else tuples[rid]
+        for rid in frontend.query_batch(points, t_us).tolist()
+    ]
 
 
 class TestTokenBucket:
@@ -69,15 +82,14 @@ class TestBatching:
         single = WhiteSpaceDatabase(generate_metro(range(12), **metro_args))
         frontend = BatchFrontend(dense_router())
         points = [(x * 137.0 % 4_000.0, x * 211.0 % 4_000.0) for x in range(120)]
-        assert frontend.query_batch(points, 5.0) == single.channels_at_many(
-            points, 5.0
-        )
+        assert ask(frontend, points, 5.0) == free_channels(single, points, 5.0)
 
     def test_same_cell_burst_coalesces_to_one_lookup(self):
         frontend = BatchFrontend(dense_router())
         burst = [(1_010.0 + i * 0.5, 1_010.0) for i in range(40)]  # one cell
         responses = frontend.query_batch(burst, 0.0)
-        assert len(set(responses)) == 1
+        assert responses.dtype == np.int64
+        assert len(set(responses.tolist())) == 1 and responses[0] >= 0
         assert frontend.stats.requests == 40
         assert frontend.stats.coalesced == 39
         assert frontend.stats.shard_batches == 1
@@ -95,7 +107,7 @@ class TestBatching:
 
     def test_empty_batch_is_free(self):
         frontend = BatchFrontend(dense_router())
-        assert frontend.query_batch([], 0.0) == []
+        assert frontend.query_batch([], 0.0).tolist() == []
         assert frontend.stats.batches == 0
 
 
@@ -104,7 +116,7 @@ class TestShedding:
         frontend = BatchFrontend(
             dense_router(), rate_limit_qps=10.0, burst_size=2
         )
-        responses = frontend.query_batch([(100.0, 100.0)] * 5, 0.0)
+        responses = ask(frontend, [(100.0, 100.0)] * 5, 0.0)
         assert responses[:2] == [responses[0]] * 2
         assert responses[2:] == [None, None, None]
         assert frontend.stats.shed == 3
@@ -115,13 +127,13 @@ class TestShedding:
         frontend = BatchFrontend(
             dense_router(), rate_limit_qps=10.0, burst_size=1, policy="serve-stale"
         )
-        first = frontend.query(100.0, 100.0, 0.0)
+        [first] = ask(frontend, [(100.0, 100.0)], 0.0)
         assert first is not None
         # Bucket dry at the same timestamp: the same cell is served
         # stale; a cold cell has nothing to offer and is refused.
-        assert frontend.query(120.0, 120.0, 0.0) == first
+        assert ask(frontend, [(120.0, 120.0)], 0.0) == [first]
         assert frontend.stats.served_stale == 1
-        assert frontend.query(3_900.0, 3_900.0, 0.0) is None
+        assert ask(frontend, [(3_900.0, 3_900.0)], 0.0) == [None]
         assert frontend.stats.shed == 2
 
     def test_serve_stale_never_serves_past_the_ttl_bucket(self):
@@ -132,10 +144,10 @@ class TestShedding:
         frontend = BatchFrontend(
             dense_router(), rate_limit_qps=10.0, burst_size=1, policy="serve-stale"
         )
-        assert frontend.query(100.0, 100.0, 0.0) is not None
+        assert ask(frontend, [(100.0, 100.0)], 0.0) != [None]
         frontend.bucket._tokens = 0.0
         frontend.bucket._last_t_us = 61e6
-        assert frontend.query(120.0, 120.0, 61e6) is None
+        assert ask(frontend, [(120.0, 120.0)], 61e6) == [None]
         assert frontend.stats.served_stale == 0
         assert frontend.stats.shed == 1
 
@@ -145,35 +157,37 @@ class TestShedding:
         frontend = BatchFrontend(
             dense_router(), rate_limit_qps=10.0, burst_size=1
         )
-        a, b, c = frontend.query_batch(
-            [(100.0, 100.0), (2_900.0, 100.0), (100.0, 2_900.0)], 0.0
+        a, b, c = ask(
+            frontend, [(100.0, 100.0), (2_900.0, 100.0), (100.0, 2_900.0)], 0.0
         )
         assert a is not None
         assert b is None and c is None
 
     def test_unknown_policy_raises(self):
-        with pytest.raises(SimulationError):
-            shed_policy("drop-table")
-        with pytest.raises(SimulationError):
-            BatchFrontend(dense_router(), policy="nope")
+        for name in ("drop-table", "nope"):
+            with pytest.raises(SimulationError, match="unknown shed policy"):
+                BatchFrontend(dense_router(), policy=name)
         assert set(SHED_POLICIES) == {"reject", "serve-stale"}
 
 
 class TestStaleInvalidation:
     def test_register_mic_purges_stale_entries_inside_the_zone(self):
-        frontend = BatchFrontend(dense_router(), policy="serve-stale")
-        inside = frontend.query(1_000.0, 1_000.0, 0.0)
-        outside = frontend.query(3_800.0, 3_800.0, 0.0)
+        frontend = BatchFrontend(
+            dense_router(), rate_limit_qps=10.0, burst_size=2,
+            policy="serve-stale",
+        )
+        points = [(1_000.0, 1_000.0), (3_800.0, 3_800.0)]
+        inside, outside = ask(frontend, points, 0.0)
         assert inside is not None and outside is not None
         frontend.register_mic(
             MicRegistration.single_session(
                 14, 1_000.0, 1_000.0, 0.0, 60e6, radius_m=500.0
             )
         )
-        qx, qy = frontend.router.cell_of(1_000.0, 1_000.0)
-        assert frontend.stale_response(qx, qy) is None
-        ox, oy = frontend.router.cell_of(3_800.0, 3_800.0)
-        assert frontend.stale_response(ox, oy) == outside
+        # The bucket is dry: both requests shed, and only the cell the
+        # zone never touched still has a stale response to serve.
+        assert ask(frontend, points, 0.0) == [None, outside]
+        assert frontend.stats.served_stale == 1
 
     def test_register_mic_notifies_attached_registry(self):
         router = dense_router()
@@ -203,7 +217,7 @@ class TestStaleInvalidation:
             Metro(extent_m=2_000.0, num_channels=10), num_shards=4
         )
         frontend = BatchFrontend(router)
-        assert frontend.query(1_000.0, 1_000.0, 0.0) == tuple(range(10))
+        assert ask(frontend, [(1_000.0, 1_000.0)], 0.0) == [tuple(range(10))]
 
 
 class TestAdmitMany:
@@ -259,8 +273,9 @@ def reference_query_batch(frontend, points, t_us):
 
     Admission per request in order, then the admitted cells grouped by
     shard in first-occurrence order, shards called in ascending order,
-    the stale store refreshed, and shed requests answered through the
-    policy in request order.
+    the stale store refreshed in first-occurrence order, and shed
+    requests answered under the policy in request order.  Returns
+    response ids, -1 for a refusal.
     """
     router = frontend.router
     stats = frontend.stats
@@ -273,25 +288,37 @@ def reference_query_batch(frontend, points, t_us):
         stats.admitted += admitted
         stats.shed += not admitted
         plan.append((quantize_cell(x_m, y_m, router.cache_resolution_m), admitted))
-    by_shard, seen = {}, set()
+    by_shard, seen = {}, {}
     for cell, admitted in plan:
         if admitted and cell not in seen:
-            seen.add(cell)
+            seen[cell] = None
             by_shard.setdefault(router.shard_of_cell(*cell), []).append(cell)
     stats.coalesced += sum(a for _, a in plan) - len(seen)
     responses = {}
     for shard_id in sorted(by_shard):
         stats.shard_batches += 1
         cells = by_shard[shard_id]
-        responses.update(
-            zip(cells, router.shards[shard_id].channels_in_cells(cells, t_us))
+        lookup = router.shards[shard_id].response_ids_in_cells(
+            np.array(cells), t_us
         )
-    for cell, channels in responses.items():
-        frontend._stale[cell] = (frontend._bucket_now, channels)
-    return [
-        responses[cell] if admitted else frontend.policy.shed(frontend, *cell)
-        for cell, admitted in plan
-    ]
+        responses.update(zip(cells, lookup.ids.tolist()))
+    for cell in seen:  # first-occurrence order
+        frontend._stale[cell] = (frontend._bucket_now, responses[cell])
+    answers = []
+    for cell, admitted in plan:
+        entry = frontend._stale.get(cell)
+        if admitted:
+            answers.append(responses[cell])
+        elif (
+            frontend.policy == "serve-stale"
+            and entry is not None
+            and entry[0] == frontend._bucket_now
+        ):
+            stats.served_stale += 1
+            answers.append(entry[1])
+        else:
+            answers.append(-1)
+    return answers
 
 
 class TestArrayQueryBatchEquivalence:
@@ -315,7 +342,7 @@ class TestArrayQueryBatchEquivalence:
                 for _ in range(rng.choice([1, 10, 30, 45]))
             ]
             got = array_fe.query_batch(np.array(points), t_us)
-            assert got == reference_query_batch(ref_fe, points, t_us)
+            assert got.tolist() == reference_query_batch(ref_fe, points, t_us)
             assert array_fe.stats == ref_fe.stats
             assert array_fe._stale == ref_fe._stale
             assert list(array_fe._stale) == list(ref_fe._stale)
@@ -332,4 +359,4 @@ class TestArrayQueryBatchEquivalence:
         from_array = BatchFrontend(dense_router()).query_batch(
             np.array(points), 0.0
         )
-        assert from_list == from_array
+        assert from_list.tolist() == from_array.tolist()

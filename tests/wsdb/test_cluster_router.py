@@ -4,6 +4,7 @@ fan-out, and the per-query candidate-scan reduction sharding buys."""
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SpectrumMapError
@@ -13,7 +14,30 @@ from repro.wsdb.model import (
     MicRegistration,
     generate_metro,
 )
-from repro.wsdb.service import WhiteSpaceDatabase
+from repro.wsdb.service import WhiteSpaceDatabase, free_channels
+
+
+def lookup(service, cells, t_us=0.0):
+    """The query primitive on ``(qx, qy)`` pairs: each cell's channel
+    tuple and ``(cache_hit, candidates_scanned)`` outcome."""
+    ids, hit, scanned = service.response_ids_in_cells(
+        np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
+    )
+    tuples = service.responses.tuples
+    return (
+        [tuples[i] for i in ids.tolist()],
+        list(zip(hit.tolist(), scanned.tolist())),
+    )
+
+
+def cell_loop(service, cells, t_us=0.0):
+    """:func:`lookup` one cell per call, concatenated."""
+    channels, outcomes = [], []
+    for cell in cells:
+        c, o = lookup(service, [cell], t_us)
+        channels += c
+        outcomes += o
+    return channels, outcomes
 
 
 def spread_metro(seed: int = 42, extent_m: float = 20_000.0) -> Metro:
@@ -109,10 +133,10 @@ class TestResponseEquality:
             )
             for _ in range(600)
         ]
-        expected = single.channels_at_many(points, t_us=3.0)
+        expected = free_channels(single, points, t_us=3.0)
         for num_shards in (1, 3, 4, 16):
             router = ShardRouter(spread_metro(), num_shards=num_shards)
-            assert router.channels_at_many(points, t_us=3.0) == expected
+            assert free_channels(router, points, t_us=3.0) == expected
 
     def test_equality_holds_across_mic_registrations(self):
         single = WhiteSpaceDatabase(spread_metro())
@@ -136,19 +160,9 @@ class TestResponseEquality:
         for reg in regs:
             single.register_mic(reg)
             router.register_mic(reg)
-        assert router.channels_at_many(points, 60e6) == single.channels_at_many(
-            points, 60e6
+        assert free_channels(router, points, 60e6) == free_channels(
+            single, points, 60e6
         )
-
-    def test_spectrum_map_and_zone_affects_ride_the_same_path(self):
-        single = WhiteSpaceDatabase(spread_metro())
-        router = ShardRouter(spread_metro(), num_shards=4)
-        reg = MicRegistration.single_session(7, 4_000.0, 4_000.0, 0.0, 60e6)
-        for x, y in ((3_500.0, 3_900.0), (15_000.0, 15_000.0)):
-            assert router.spectrum_map_at(x, y) == single.spectrum_map_at(x, y)
-            assert router.zone_affects(reg, x, y) == single.zone_affects(
-                reg, x, y
-            )
 
 
 class TestMicFanOut:
@@ -186,7 +200,7 @@ class TestMicFanOut:
         # Warm caches in all four shards around the center seam.
         for dx in (-150.0, 150.0):
             for dy in (-150.0, 150.0):
-                router.channels_at(mid + dx, mid + dy, 1.0)
+                free_channels(router, [(mid + dx, mid + dy)], 1.0)
         dropped = router.register_mic(
             MicRegistration.single_session(
                 3, mid, mid, 0.0, 60e6, radius_m=1_000.0
@@ -207,7 +221,7 @@ class TestShardingWin:
         scanned = []
         for num_shards in (1, 4, 16):
             router = ShardRouter(spread_metro(), num_shards=num_shards)
-            router.channels_at_many(points, 0.0)
+            free_channels(router, points, 0.0)
             stats = router.aggregate_stats()
             assert stats.queries == len(points)
             scanned.append(stats.candidates_scanned / stats.queries)
@@ -223,7 +237,7 @@ class TestShardingWin:
             (rng.uniform(0.0, 20_000.0), rng.uniform(0.0, 20_000.0))
             for _ in range(400)
         ]
-        assert router.channels_at_many(points) == single.channels_at_many(points)
+        assert free_channels(router, points) == free_channels(single, points)
         assert (
             router.aggregate_stats().candidates_scanned
             == single.stats.candidates_scanned
@@ -232,11 +246,12 @@ class TestShardingWin:
     def test_per_shard_stats_sum_to_aggregate(self):
         router = ShardRouter(spread_metro(), num_shards=4)
         rng = random.Random(13)
-        router.channels_at_many(
+        free_channels(
+            router,
             [
                 (rng.uniform(0.0, 20_000.0), rng.uniform(0.0, 20_000.0))
                 for _ in range(200)
-            ]
+            ],
         )
         per_shard = router.per_shard_stats()
         total = router.aggregate_stats()
@@ -248,7 +263,7 @@ class TestShardingWin:
 
 
 class TestBatchCellRouting:
-    """Router channels_in_cells: one call per shard, loop-exact stats."""
+    """Router batches: one call per shard, loop-exact stats."""
 
     def test_batch_matches_sequential_per_shard(self):
         batched = ShardRouter(spread_metro(), num_shards=4)
@@ -259,11 +274,8 @@ class TestBatchCellRouting:
             (10, 10), (11, 10), (150, 150), (10, 10), (150, 150),
             (11, 10), (150, 151), (10, 11), (10, 10),
         ]
-        got = batched.channels_in_cells(cells, t_us=2.0)
-        want = [
-            sequential.channels_in_cell(qx, qy, 2.0) for qx, qy in cells
-        ]
-        assert got == want
+        got = lookup(batched, cells, t_us=2.0)
+        assert got == cell_loop(sequential, cells, 2.0)
         # Per-shard stats (not just the aggregate) must match the
         # sequential loop's: each shard sees its cells in order.
         assert batched.per_shard_stats() == sequential.per_shard_stats()
@@ -296,10 +308,10 @@ class TestBatchCellRouting:
             for _ in range(512)
         ]
         cells = [batched.cell_of(x, y) for x, y in points]
-        got = batched.channels_at_many(points, t_us=3.0)
-        want = [sequential.channels_in_cell(qx, qy, 3.0) for qx, qy in cells]
-        assert got == want
+        got = free_channels(batched, points, t_us=3.0)
+        assert got == cell_loop(sequential, cells, 3.0)[0]
         assert len(calls) <= 16 and sum(calls) == 512
+        assert batched.shard_calls == len(calls)
         assert batched.per_shard_stats() == sequential.per_shard_stats()
         for a, b in zip(batched.shards, sequential.shards):
             assert a.cached_items() == b.cached_items()

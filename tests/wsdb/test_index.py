@@ -24,7 +24,7 @@ from repro.wsdb.model import (
     TvTransmitterSite,
     generate_metro,
 )
-from repro.wsdb.service import WhiteSpaceDatabase
+from repro.wsdb.service import WhiteSpaceDatabase, free_channels
 
 
 def small_site(uhf_index: int, x_m: float, y_m: float) -> TvTransmitterSite:
@@ -95,7 +95,7 @@ class TestBatchQueryProof:
         assert len(points) == 10_000
         assert len(db.metro.sites) >= 100
 
-        responses = db.channels_at_many(points, t_us=0.0)
+        responses = free_channels(db, points, t_us=0.0)
 
         assert db.stats.queries == 10_000
         full_scan = db.stats.queries * len(db.metro.sites)
@@ -125,10 +125,10 @@ class TestBatchQueryProof:
 
     def test_batch_results_deterministic_per_seed(self):
         points = self.grid_points(20_000.0)
-        a = self.build_db(seed=42).channels_at_many(points)
-        b = self.build_db(seed=42).channels_at_many(points)
+        a = free_channels(self.build_db(seed=42), points)
+        b = free_channels(self.build_db(seed=42), points)
         assert a == b
-        c = self.build_db(seed=43).channels_at_many(points)
+        c = free_channels(self.build_db(seed=43), points)
         assert a != c
 
     def test_index_agrees_with_reference_under_clamped_contours(self):
@@ -136,8 +136,9 @@ class TestBatchQueryProof:
         site = small_site(2, -1_000.0, 5_000.0)
         metro = Metro(extent_m=10_000.0, num_channels=5, sites=(site,))
         db = WhiteSpaceDatabase(metro)
-        assert 2 not in db.channels_at(500.0, 5_000.0)
-        assert 2 in db.channels_at(9_000.0, 5_000.0)
+        near, far = free_channels(db, [(500.0, 5_000.0), (9_000.0, 5_000.0)])
+        assert 2 not in near
+        assert 2 in far
 
 
 class TestCoveringRectConservativeness:
@@ -147,7 +148,7 @@ class TestCoveringRectConservativeness:
     coordinate inside the cell: the contours ``covering_rect`` yields
     for a cell must be a superset of the contours ``covering`` yields
     for every point in that cell — equivalently, the channels free
-    throughout the cell (``channels_in_cell``) must be a subset of the
+    throughout the cell (its cell response) must be a subset of the
     channels free at each point.  The cluster's ``ShardRouter`` leans
     on exactly this when it serves a routed point query from the
     owning shard's cell response.
@@ -201,7 +202,8 @@ class TestCoveringRectConservativeness:
                 px = rng.uniform(-0.05 * extent, 1.05 * extent)
                 py = rng.uniform(-0.05 * extent, 1.05 * extent)
                 qx, qy = db.cell_of(px, py)
-                cell_free = set(db.channels_in_cell(qx, qy))
+                rid = db.response_ids_in_cells(np.array([[qx, qy]])).ids[0]
+                cell_free = set(db.responses.tuples[rid])
                 # The point's true free set, from the reference scan:
                 # anything the cell response grants must be granted at
                 # every interior point (conservative area semantics).
@@ -212,7 +214,8 @@ class TestCoveringRectConservativeness:
                 # And the relation is anchored to the right cell: the
                 # cell response equals what a point query at (px, py)
                 # itself returns (the point rides the cell path).
-                assert db.channels_at(px, py) == tuple(sorted(cell_free))
+                point = free_channels(db, [(px, py)])[0]
+                assert point == tuple(sorted(cell_free))
 
 
 class TestCandidatesMutationSafety:

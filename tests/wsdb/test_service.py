@@ -9,12 +9,18 @@ import pytest
 
 from repro.errors import SpectrumMapError
 from repro.spectrum.incumbents import TvStation
-from repro.wsdb.index import GridIndex, circle_intersects_cell
+from repro.spectrum.spectrum_map import SpectrumMap
+from repro.wsdb.index import (
+    GridIndex,
+    circle_intersects_cell,
+    circle_intersects_cells,
+)
 from repro.wsdb.model import Metro, MicRegistration, TvTransmitterSite
 from repro.wsdb.service import (
     PACKABLE_CELLS,
     WhiteSpaceDatabase,
     WsdbStats,
+    free_channels,
     ttl_bucket,
 )
 
@@ -28,6 +34,29 @@ def one_station_metro() -> Metro:
     )
 
 
+def at(service, x_m, y_m, t_us=0.0):
+    """The channels free at one point: a one-point free_channels batch."""
+    return free_channels(service, [(x_m, y_m)], t_us)[0]
+
+
+def lookup(service, cells, t_us=0.0):
+    """The query primitive on ``(qx, qy)`` pairs: the channel tuple of
+    every cell, and its ``(cache_hit, candidates_scanned)`` outcome."""
+    ids, hit, scanned = service.response_ids_in_cells(
+        np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
+    )
+    tuples = service.responses.tuples
+    return (
+        [tuples[i] for i in ids.tolist()],
+        list(zip(hit.tolist(), scanned.tolist())),
+    )
+
+
+def in_cells(service, cells, t_us=0.0):
+    """The channel tuple of every ``(qx, qy)`` cell, in order."""
+    return lookup(service, cells, t_us)[0]
+
+
 class TestCellGranularResponses:
     def test_response_covers_the_whole_cell_conservatively(self):
         # The contour edge sits at x ~= 7511.9.  (7520, 5000) is outside
@@ -36,14 +65,14 @@ class TestCellGranularResponses:
         # the channel anywhere a contour clips the cell.
         db = WhiteSpaceDatabase(one_station_metro())
         assert 3 not in db.metro.occupied_at(7_520.0, 5_000.0)
-        assert 3 not in db.channels_at(7_520.0, 5_000.0)
+        assert 3 not in at(db, 7_520.0, 5_000.0)
         # One cell further out the contour no longer touches: free.
-        assert 3 in db.channels_at(7_620.0, 5_000.0)
+        assert 3 in at(db, 7_620.0, 5_000.0)
 
-    def test_channels_at_rides_channels_in_cell(self):
+    def test_free_channels_rides_the_cell_primitive(self):
         db = WhiteSpaceDatabase(one_station_metro())
-        direct = db.channels_in_cell(*db.cell_of(5_110.0, 5_150.0))
-        assert db.channels_at(5_105.0, 5_177.0) == direct
+        direct = in_cells(db, [db.cell_of(5_110.0, 5_150.0)])[0]
+        assert at(db, 5_105.0, 5_177.0) == direct
         assert db.stats.queries == 2
         assert db.stats.cache_hits == 1
 
@@ -58,8 +87,8 @@ class TestCellGranularResponses:
             for y in (4_980.0, 5_020.0, 7_511.0)
         ]
         for _ in range(2):
-            assert cached.channels_at_many(points) == uncached.channels_at_many(
-                points
+            assert free_channels(cached, points) == free_channels(
+                uncached, points
             )
         assert uncached.stats.cache_hits == 0
         assert uncached.stats.cache_misses == uncached.stats.queries
@@ -72,10 +101,10 @@ class TestCellGranularResponses:
         db = WhiteSpaceDatabase(one_station_metro())
         assert db.cell_of(-50.0, -50.0) == (-1, -1)
         assert db.cell_of(50.0, 50.0) == (0, 0)
-        db.channels_at(-50.0, -50.0)
-        db.channels_at(-1.0, -99.0)  # same negative cell: a hit
+        at(db, -50.0, -50.0)
+        at(db, -1.0, -99.0)  # same negative cell: a hit
         assert db.stats.cache_hits == 1
-        db.channels_at(50.0, 50.0)  # across the origin: a different slot
+        at(db, 50.0, 50.0)  # across the origin: a different slot
         assert db.stats.cache_misses == 2
 
     def test_mic_registered_at_exact_plane_border(self):
@@ -87,16 +116,16 @@ class TestCellGranularResponses:
         db.register_mic(
             MicRegistration.single_session(5, extent, extent, 0.0, 1e9)
         )
-        assert 5 not in db.channels_at(extent - 10.0, extent - 10.0, t_us=1.0)
-        assert 5 not in db.channels_at(extent, extent, t_us=1.0)
-        assert 5 in db.channels_at(10.0, 10.0, t_us=1.0)
+        assert 5 not in at(db, extent - 10.0, extent - 10.0, t_us=1.0)
+        assert 5 not in at(db, extent, extent, t_us=1.0)
+        assert 5 in at(db, 10.0, 10.0, t_us=1.0)
 
 
 class TestResponseCache:
     def test_repeat_query_hits(self):
         db = WhiteSpaceDatabase(one_station_metro())
-        first = db.channels_at(5_100.0, 5_100.0, t_us=0.0)
-        second = db.channels_at(5_100.0, 5_100.0, t_us=1.0)
+        first = at(db, 5_100.0, 5_100.0, t_us=0.0)
+        second = at(db, 5_100.0, 5_100.0, t_us=1.0)
         assert first == second
         assert 3 not in first
         assert db.stats.queries == 2
@@ -105,30 +134,30 @@ class TestResponseCache:
 
     def test_nearby_points_share_a_quantized_response(self):
         db = WhiteSpaceDatabase(one_station_metro(), cache_resolution_m=100.0)
-        db.channels_at(5_110.0, 5_110.0)
-        db.channels_at(5_190.0, 5_190.0)  # same 100 m square
+        at(db, 5_110.0, 5_110.0)
+        at(db, 5_190.0, 5_190.0)  # same 100 m square
         assert db.stats.cache_hits == 1
 
     def test_ttl_bucket_expires_responses(self):
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(5_100.0, 5_100.0, t_us=0.0)
-        db.channels_at(5_100.0, 5_100.0, t_us=1_500.0)  # next bucket
+        at(db, 5_100.0, 5_100.0, t_us=0.0)
+        at(db, 5_100.0, 5_100.0, t_us=1_500.0)  # next bucket
         assert db.stats.cache_hits == 0
         assert db.stats.cache_misses == 2
 
     def test_lru_eviction(self):
         db = WhiteSpaceDatabase(one_station_metro(), cache_capacity=2)
         for x in (1_000.0, 2_000.0, 3_000.0):
-            db.channels_at(x, 1_000.0)
+            at(db, x, 1_000.0)
         assert db.stats.evictions == 1
         # The oldest entry was evicted: re-querying it misses.
-        db.channels_at(1_000.0, 1_000.0)
+        at(db, 1_000.0, 1_000.0)
         assert db.stats.cache_misses == 4
 
     def test_capacity_zero_disables_caching(self):
         db = WhiteSpaceDatabase(one_station_metro(), cache_capacity=0)
-        db.channels_at(5_100.0, 5_100.0)
-        db.channels_at(5_100.0, 5_100.0)
+        at(db, 5_100.0, 5_100.0)
+        at(db, 5_100.0, 5_100.0)
         assert db.stats.cache_hits == 0
         assert db.stats.cache_misses == 2
 
@@ -136,8 +165,8 @@ class TestResponseCache:
         cached = WhiteSpaceDatabase(one_station_metro())
         uncached = WhiteSpaceDatabase(one_station_metro(), cache_capacity=0)
         points = [(x, y) for x in range(0, 10_000, 500) for y in (4_000.0, 5_000.0)]
-        assert cached.channels_at_many(points) == uncached.channels_at_many(points)
-        assert cached.channels_at_many(points) == uncached.channels_at_many(points)
+        assert free_channels(cached, points) == free_channels(uncached, points)
+        assert free_channels(cached, points) == free_channels(uncached, points)
         assert cached.stats.cache_hits > 0
 
     def test_invalid_parameters_raise(self):
@@ -159,31 +188,31 @@ class TestTtlExpiry:
             one_station_metro(), ttl_us=1_000.0, cache_capacity=4
         )
         for x in (1_000.0, 2_000.0, 3_000.0):
-            db.channels_at(x, 1_000.0, t_us=0.0)
+            at(db, x, 1_000.0, t_us=0.0)
         assert len(db.cached_items()) == 3
-        db.channels_at(1_000.0, 1_000.0, t_us=1_500.0)  # next bucket
+        at(db, 1_000.0, 1_000.0, t_us=1_500.0)  # next bucket
         assert db.stats.expirations == 3
         assert len(db.cached_items()) == 1
         # The freed capacity holds live responses without evicting.
         for x in (2_000.0, 3_000.0, 4_000.0):
-            db.channels_at(x, 1_000.0, t_us=1_500.0)
+            at(db, x, 1_000.0, t_us=1_500.0)
         assert len(db.cached_items()) == 4
         assert db.stats.evictions == 0
 
     def test_live_entries_survive_the_purge(self):
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(1_000.0, 1_000.0, t_us=1_200.0)  # bucket 1
-        db.channels_at(2_000.0, 1_000.0, t_us=1_500.0)  # bucket 1 too
+        at(db, 1_000.0, 1_000.0, t_us=1_200.0)  # bucket 1
+        at(db, 2_000.0, 1_000.0, t_us=1_500.0)  # bucket 1 too
         assert db.stats.expirations == 0
-        db.channels_at(1_000.0, 1_000.0, t_us=1_900.0)
+        at(db, 1_000.0, 1_000.0, t_us=1_900.0)
         assert db.stats.cache_hits == 1
 
     def test_register_mic_does_not_count_expired_entries(self):
         # Regression: invalidation used to scan (and drop) responses
         # from long-dead buckets, polluting stats.invalidations.
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(1_000.0, 1_000.0, t_us=0.0)  # bucket 0
-        db.channels_at(1_000.0, 1_000.0, t_us=5_500.0)  # bucket 5
+        at(db, 1_000.0, 1_000.0, t_us=0.0)  # bucket 0
+        at(db, 1_000.0, 1_000.0, t_us=5_500.0)  # bucket 5
         assert db.stats.expirations == 1
         db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 0.0, 1e9)
@@ -200,20 +229,20 @@ class TestTimeAwareInvalidation:
         # before the mic goes live, so dropping it would only force a
         # recompute to the same answer and misreport the counter.
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(1_000.0, 1_000.0, t_us=2_200.0)  # bucket 2 (live)
-        db.channels_at(1_000.0, 1_000.0, t_us=100.0)  # bucket 0 (late query)
+        at(db, 1_000.0, 1_000.0, t_us=2_200.0)  # bucket 2 (live)
+        at(db, 1_000.0, 1_000.0, t_us=100.0)  # bucket 0 (late query)
         dropped = db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 2_500.0, 5_000.0)
         )
         assert dropped == 1
         assert db.stats.invalidations == 1
         # The bucket-0 response is still served from cache.
-        db.channels_at(1_000.0, 1_000.0, t_us=200.0)
+        at(db, 1_000.0, 1_000.0, t_us=200.0)
         assert db.stats.cache_hits == 1
 
     def test_buckets_wholly_after_the_session_are_kept(self):
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(1_000.0, 1_000.0, t_us=2_500.0)  # bucket 2
+        at(db, 1_000.0, 1_000.0, t_us=2_500.0)  # bucket 2
         dropped = db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 100.0, 900.0)
         )
@@ -221,7 +250,7 @@ class TestTimeAwareInvalidation:
         # bucket-2 response (mic inactive throughout) is untouched.
         assert dropped == 0
         assert db.stats.invalidations == 0
-        assert 5 in db.channels_at(1_000.0, 1_000.0, t_us=2_600.0)
+        assert 5 in at(db, 1_000.0, 1_000.0, t_us=2_600.0)
         assert db.stats.cache_hits == 1
 
     def test_session_ending_exactly_at_bucket_start_is_kept(self):
@@ -229,23 +258,23 @@ class TestTimeAwareInvalidation:
         # bucket boundary is never active inside that bucket, so the
         # bucket's cached response must survive the registration.
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(1_000.0, 1_000.0, t_us=2_500.0)  # bucket 2
+        at(db, 1_000.0, 1_000.0, t_us=2_500.0)  # bucket 2
         dropped = db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 100.0, 2_000.0)
         )
         assert dropped == 0
         assert db.stats.invalidations == 0
-        db.channels_at(1_000.0, 1_000.0, t_us=2_600.0)
+        at(db, 1_000.0, 1_000.0, t_us=2_600.0)
         assert db.stats.cache_hits == 1
 
     def test_overlapping_bucket_is_invalidated(self):
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1_000.0)
-        db.channels_at(1_000.0, 1_000.0, t_us=2_500.0)  # bucket 2
+        at(db, 1_000.0, 1_000.0, t_us=2_500.0)  # bucket 2
         dropped = db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 2_900.0, 9_000.0)
         )
         assert dropped == 1
-        assert 5 not in db.channels_at(1_000.0, 1_000.0, t_us=2_950.0)
+        assert 5 not in at(db, 1_000.0, 1_000.0, t_us=2_950.0)
 
 
 class TestZoneAffects:
@@ -261,11 +290,16 @@ class TestZoneAffects:
         # (1095, 50): 1090 m from the venue (outside the 1 km zone)
         # but cell [1000, 1100) reaches back to 995 m.
         assert not registration.covers(1_095.0, 50.0)
-        assert db.zone_affects(registration, 1_095.0, 50.0)
-        assert 5 not in db.channels_at(1_095.0, 50.0, t_us=1.0)
+        # The coverage the citywide displacement decides per AP cell.
+        cells = np.array([db.cell_of(1_095.0, 50.0), db.cell_of(1_250.0, 50.0)])
+        covered = circle_intersects_cells(
+            registration.x_m, registration.y_m, registration.radius_m,
+            cells[:, 0], cells[:, 1], db.cache_resolution_m,
+        )
+        assert covered.tolist() == [True, False]
+        assert 5 not in at(db, 1_095.0, 50.0, t_us=1.0)
         # Two cells out neither the point nor the cell is touched.
-        assert not db.zone_affects(registration, 1_250.0, 50.0)
-        assert 5 in db.channels_at(1_250.0, 50.0, t_us=1.0)
+        assert 5 in at(db, 1_250.0, 50.0, t_us=1.0)
 
 
 class TestMicRegistration:
@@ -273,8 +307,8 @@ class TestMicRegistration:
         db = WhiteSpaceDatabase(one_station_metro())
         inside = (1_000.0, 1_000.0)
         outside = (9_000.0, 9_000.0)
-        assert 5 in db.channels_at(*inside)
-        db.channels_at(*outside)
+        assert 5 in at(db, *inside)
+        at(db, *outside)
         dropped = db.register_mic(
             MicRegistration.single_session(5, 1_200.0, 1_000.0, 0.0, 1e9)
         )
@@ -282,9 +316,9 @@ class TestMicRegistration:
         assert db.stats.invalidations == 1
         assert db.stats.mic_registrations == 1
         # Fresh answer inside the zone excludes the mic channel...
-        assert 5 not in db.channels_at(*inside, t_us=10.0)
+        assert 5 not in at(db, *inside, t_us=10.0)
         # ...while the far response was untouched (served from cache).
-        assert 5 in db.channels_at(*outside, t_us=10.0)
+        assert 5 in at(db, *outside, t_us=10.0)
         assert db.stats.cache_hits == 1
 
     def test_invalidation_is_cell_granular(self):
@@ -296,14 +330,14 @@ class TestMicRegistration:
         # 1 km zone), but its square also contains (1005, 50), which
         # is inside.
         db = WhiteSpaceDatabase(one_station_metro(), cache_resolution_m=100.0)
-        assert 5 in db.channels_at(1_095.0, 50.0)
+        assert 5 in at(db, 1_095.0, 50.0)
         dropped = db.register_mic(
             MicRegistration.single_session(5, 5.0, 50.0, 0.0, 1e9)
         )
         assert dropped == 1
         # The inside point shares the cached square; it must get a
         # fresh response, not the stale pre-registration one.
-        assert 5 not in db.channels_at(1_005.0, 50.0, t_us=10.0)
+        assert 5 not in at(db, 1_005.0, 50.0, t_us=10.0)
 
     def test_inactive_session_not_protected(self):
         # TTL below the session granularity: every query sees the
@@ -312,9 +346,9 @@ class TestMicRegistration:
         db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 100.0, 200.0)
         )
-        assert 5 in db.channels_at(1_000.0, 1_000.0, t_us=50.0)
-        assert 5 not in db.channels_at(1_000.0, 1_000.0, t_us=150.0)
-        assert 5 in db.channels_at(1_000.0, 1_000.0, t_us=250.0)
+        assert 5 in at(db, 1_000.0, 1_000.0, t_us=50.0)
+        assert 5 not in at(db, 1_000.0, 1_000.0, t_us=150.0)
+        assert 5 in at(db, 1_000.0, 1_000.0, t_us=250.0)
 
     def test_session_edge_staleness_bounded_by_ttl(self):
         # Within one TTL bucket a cached response may lag a *session*
@@ -325,12 +359,12 @@ class TestMicRegistration:
         db.register_mic(
             MicRegistration.single_session(5, 1_000.0, 1_000.0, 100.0, 2_000.0)
         )
-        assert 5 in db.channels_at(1_000.0, 1_000.0, t_us=50.0)
+        assert 5 in at(db, 1_000.0, 1_000.0, t_us=50.0)
         # Same bucket: the pre-onset response is served unchanged.
-        assert 5 in db.channels_at(1_000.0, 1_000.0, t_us=150.0)
+        assert 5 in at(db, 1_000.0, 1_000.0, t_us=150.0)
         assert db.stats.cache_hits == 1
         # Next bucket: the edge is visible.
-        assert 5 not in db.channels_at(1_000.0, 1_000.0, t_us=1_150.0)
+        assert 5 not in at(db, 1_000.0, 1_000.0, t_us=1_150.0)
 
     def test_mic_on_tv_channel_does_not_double_count(self):
         # The wsdb-level mirror of the IncumbentField regression: a mic
@@ -338,23 +372,23 @@ class TestMicRegistration:
         # nothing in the availability summary.
         db = WhiteSpaceDatabase(one_station_metro())
         point = (5_100.0, 5_100.0)
-        before = db.channels_at(*point)
+        before = at(db, *point)
         db.register_mic(
             MicRegistration.single_session(3, 5_100.0, 5_100.0, 0.0, 1e9)
         )
-        after = db.channels_at(*point, t_us=10.0)
+        after = at(db, *point, t_us=10.0)
         assert before == after
         assert len(after) == db.metro.num_channels - 1
 
     def test_spectrum_map_round_trip(self):
         db = WhiteSpaceDatabase(one_station_metro())
-        smap = db.spectrum_map_at(5_100.0, 5_100.0)
+        smap = SpectrumMap.from_free(at(db, 5_100.0, 5_100.0), 8)
         assert smap.occupied_indices() == (3,)
         assert len(smap) == 8
 
 
 class TestBatchCellQueries:
-    """channels_in_cells must be exactly a channels_in_cell loop."""
+    """A batch must be exactly a loop of one-cell calls."""
 
     def batch_cells(self):
         # Mixed hits, misses, duplicates, and an off-plane cell.
@@ -364,8 +398,8 @@ class TestBatchCellQueries:
         batched = WhiteSpaceDatabase(one_station_metro())
         sequential = WhiteSpaceDatabase(one_station_metro())
         cells = self.batch_cells()
-        got = batched.channels_in_cells(cells, t_us=5.0)
-        want = [sequential.channels_in_cell(qx, qy, 5.0) for qx, qy in cells]
+        got = in_cells(batched, cells, t_us=5.0)
+        want = [in_cells(sequential, [cell], 5.0)[0] for cell in cells]
         assert got == want
         assert batched.stats.as_dict() == sequential.stats.as_dict()
         assert batched.stats.queries == len(cells)
@@ -377,8 +411,8 @@ class TestBatchCellQueries:
         batched = WhiteSpaceDatabase(one_station_metro(), cache_capacity=2)
         sequential = WhiteSpaceDatabase(one_station_metro(), cache_capacity=2)
         cells = self.batch_cells() + [(10, 10), (50, 50), (75, 50)]
-        got = batched.channels_in_cells(cells, t_us=5.0)
-        want = [sequential.channels_in_cell(qx, qy, 5.0) for qx, qy in cells]
+        got = in_cells(batched, cells, t_us=5.0)
+        want = [in_cells(sequential, [cell], 5.0)[0] for cell in cells]
         assert got == want
         assert batched.stats.evictions > 0
         assert batched.stats.as_dict() == sequential.stats.as_dict()
@@ -406,15 +440,16 @@ class TestBatchCellQueries:
         ]
         batched = WhiteSpaceDatabase(self.two_pass_metro(), cache_capacity=capacity)
         sequential = WhiteSpaceDatabase(self.two_pass_metro(), cache_capacity=capacity)
-        got = batched.channels_in_cells(cells, t_us=5.0)
+        got, got_outcomes = lookup(batched, cells, t_us=5.0)
         want, outcomes = [], []
-        for qx, qy in cells:
-            want.append(sequential.channels_in_cell(qx, qy, 5.0))
-            outcomes.extend(sequential.last_outcomes)
+        for cell in cells:
+            channels, outcome = lookup(sequential, [cell], 5.0)
+            want.extend(channels)
+            outcomes.extend(outcome)
         assert got == want
         assert len(set(want)) >= 3
         assert batched.stats.as_dict() == sequential.stats.as_dict()
-        assert batched.last_outcomes == tuple(outcomes)
+        assert got_outcomes == outcomes
         assert batched.cached_items() == sequential.cached_items()
         if capacity:
             assert batched.stats.evictions > 0
@@ -430,8 +465,8 @@ class TestBatchCellQueries:
         cells += cells[:10]
         batched = ShardRouter(self.two_pass_metro(), 4, cache_capacity=capacity)
         sequential = ShardRouter(self.two_pass_metro(), 4, cache_capacity=capacity)
-        got = batched.channels_in_cells(cells, t_us=5.0)
-        want = [sequential.channels_in_cell(qx, qy, 5.0) for qx, qy in cells]
+        got = in_cells(batched, cells, t_us=5.0)
+        want = [in_cells(sequential, [cell], 5.0)[0] for cell in cells]
         assert got == want
         assert batched.per_shard_stats() == sequential.per_shard_stats()
         assert batched.stats_dict() == sequential.stats_dict()
@@ -442,17 +477,17 @@ class TestBatchCellQueries:
 
     def test_batch_purges_expired_buckets_once(self):
         db = WhiteSpaceDatabase(one_station_metro())
-        db.channels_in_cells([(50, 50), (60, 60)], t_us=0.0)
+        in_cells(db, [(50, 50), (60, 60)], t_us=0.0)
         # One TTL bucket later the old responses purge on entry.
-        db.channels_in_cells([(50, 50)], t_us=db.ttl_us + 1.0)
+        in_cells(db, [(50, 50)], t_us=db.ttl_us + 1.0)
         assert db.stats.expirations == 2
 
-    def test_channels_at_many_rides_the_batch_path(self):
+    def test_free_channels_rides_the_batch_path(self):
         batched = WhiteSpaceDatabase(one_station_metro())
         pointwise = WhiteSpaceDatabase(one_station_metro())
         points = [(5_050.0, 5_050.0), (5_060.0, 5_070.0), (7_520.0, 5_000.0)]
-        got = batched.channels_at_many(points)
-        want = [pointwise.channels_at(x, y) for x, y in points]
+        got = free_channels(batched, points)
+        want = [at(pointwise, x, y) for x, y in points]
         assert got == want
         assert batched.stats.as_dict() == pointwise.stats.as_dict()
 
@@ -490,7 +525,6 @@ class OrderedDictDatabase:
         self._latest_bucket = 0
         self._channels = frozenset(range(metro.num_channels))
         self.stats = WsdbStats()
-        self.last_outcomes = ()
 
     @classmethod
     def like(cls, db: WhiteSpaceDatabase) -> "OrderedDictDatabase":
@@ -518,10 +552,8 @@ class OrderedDictDatabase:
             del self._cache[key]
         self.stats.expirations += len(stale)
 
-    def channels_in_cell(self, qx: int, qy: int, t_us: float = 0.0):
-        return self.channels_in_cells(((qx, qy),), t_us)[0]
-
-    def channels_in_cells(self, cells, t_us: float = 0.0):
+    def lookup(self, cells, t_us: float = 0.0):
+        """Channel tuples and ``(cache_hit, candidates_scanned)`` per cell."""
         self.stats.queries += len(cells)
         bucket = ttl_bucket(t_us, self.ttl_us)
         self._purge_expired(bucket)
@@ -565,8 +597,7 @@ class OrderedDictDatabase:
             outcomes = [
                 (False, next(scans)) if o is None else o for o in outcomes
             ]
-        self.last_outcomes = tuple(outcomes)
-        return responses
+        return responses, outcomes
 
     def register_mic(self, registration: MicRegistration) -> int:
         self.metro.add_registration(registration)
@@ -679,8 +710,9 @@ def random_ops(rng: random.Random, count: int):
 class TestDifferentialAgainstOrderedDict:
     """Seeded operation sequences: slot columns vs the OrderedDict LRU.
 
-    After every operation the answers, ``stats.as_dict()``,
-    ``last_outcomes`` and the LRU contents in recency order must match.
+    After every operation the answers, the per-cell ``(hit, scanned)``
+    outcomes, ``stats.as_dict()`` and the LRU contents in recency order
+    must match.
     """
 
     @pytest.mark.parametrize("capacity", DIFF_CAPACITIES)
@@ -703,10 +735,9 @@ class TestDifferentialAgainstOrderedDict:
                     assert db.register_mic(op[1]) == ref.register_mic(op[1]), step
                 else:
                     _, cells, t_us = op
-                    got = db.channels_in_cells(cells, t_us)
-                    assert got == ref.channels_in_cells(cells, t_us), step
-                    assert db.last_outcomes == ref.last_outcomes, step
-                    varied.update(got)
+                    got = lookup(db, cells, t_us)
+                    assert got == ref.lookup(cells, t_us), step
+                    varied.update(got[0])
                 assert db.stats.as_dict() == ref.stats.as_dict(), step
                 assert db.cached_items() == ref.cached_items(), step
         assert len(varied) >= 4
@@ -733,8 +764,13 @@ class TestDifferentialAgainstOrderedDict:
                     assert router.register_mic(op[1]) == ref.register_mic(op[1])
                 else:
                     _, cells, t_us = op
-                    want = [ref.channels_in_cell(qx, qy, t_us) for qx, qy in cells]
-                    assert router.channels_in_cells(cells, t_us) == want, step
+                    want, outcomes = [], []
+                    for cell in cells:
+                        shard = ref.shards[ref.shard_of_cell(*cell)]
+                        channels, outcome = shard.lookup([cell], t_us)
+                        want.extend(channels)
+                        outcomes.extend(outcome)
+                    assert lookup(router, cells, t_us) == (want, outcomes), step
                 assert router.per_shard_stats() == ref.per_shard_stats(), step
                 for shard, ref_shard in zip(router.shards, ref.shards):
                     assert shard.cached_items() == ref_shard.cached_items(), step
@@ -748,7 +784,7 @@ class TestPackableRange:
         db = WhiteSpaceDatabase(one_station_metro())
         ref = WhiteSpaceDatabase(one_station_metro(), cache_capacity=0)
         cells = [(lo, lo), (hi - 1, hi - 1), (lo, hi - 1), (0, 0), (lo, lo)]
-        assert db.channels_in_cells(cells) == ref.channels_in_cells(cells)
+        assert in_cells(db, cells) == in_cells(ref, cells)
         assert db.stats.cache_hits == 1
 
     @pytest.mark.parametrize(
@@ -757,15 +793,15 @@ class TestPackableRange:
     )
     def test_cell_outside_the_range_raises_before_anything_moves(self, cell):
         db = WhiteSpaceDatabase(one_station_metro())
-        db.channels_in_cell(1, 1)
+        in_cells(db, [(1, 1)])
         before = (db.stats.as_dict(), db.cached_items())
         with pytest.raises(SpectrumMapError, match="packable range"):
-            db.channels_in_cells([(2, 2), cell])
+            in_cells(db, [(2, 2), cell])
         assert (db.stats.as_dict(), db.cached_items()) == before
 
     def test_bucket_too_far_behind_the_newest_raises(self):
         db = WhiteSpaceDatabase(one_station_metro(), ttl_us=1.0)
-        db.channels_in_cell(1, 1, t_us=5_000.0)
-        db.channels_in_cell(1, 1, t_us=5_000.0 - 2_047)
+        in_cells(db, [(1, 1)], t_us=5_000.0)
+        in_cells(db, [(1, 1)], t_us=5_000.0 - 2_047)
         with pytest.raises(SpectrumMapError, match="behind the newest"):
-            db.channels_in_cell(1, 1, t_us=5_000.0 - 2_048)
+            in_cells(db, [(1, 1)], t_us=5_000.0 - 2_048)

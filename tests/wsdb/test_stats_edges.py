@@ -59,7 +59,7 @@ class TestZeroDenominators:
     def test_untouched_frontend_reports_cleanly(self):
         frontend = BatchFrontend(ShardRouter(fresh_metro(), num_shards=4))
         assert frontend.stats.shed_rate == 0.0
-        assert frontend.query_batch([], 0.0) == []
+        assert frontend.query_batch([], 0.0).tolist() == []
         assert frontend.stats.as_dict()["shed_rate"] == 0.0
 
 
