@@ -12,6 +12,12 @@ of a small, evicting cache across boot, mic displacement and the
 end-of-session sweep.  Refactoring the mobile drivers must leave
 these digests unchanged; a deliberate behaviour change re-pins them
 and says why.
+
+Two id-free digests per span-carrying pin hold what a change of trace
+id scheme may not move: the report with its ``"spans"`` table removed,
+and the span table with every trace id replaced by its root's
+identity (spans lose their ``"trace"`` field, traces order by root
+``t0_us``, ``req`` and ``subject``, and exemplars name those roots).
 """
 
 import hashlib
@@ -35,6 +41,17 @@ QUERYSTORM_SHA256 = (
     "e4ce6bc77e268907c5ba4a5fc8f323648d0a511aec5168cf68f498dfe6a3f6ed"
 )
 
+#: Digests of the roaming and querystorm pins with trace ids taken out:
+#: (report without ``"spans"``, id-free span table).
+ROAMING_ID_FREE_SHA256 = (
+    "c30792c6811563d5c51e18b524e982ff7922a70b914887cc855a7738ce625f67",
+    "812c8110c310d64bb91e79a2b776ce39bd9a0fb37e2090f8d54b0d282444a840",
+)
+QUERYSTORM_ID_FREE_SHA256 = (
+    "f500689973cc1c0d75919759afaaaa41ca6be565767e7c9bd72d8f24b84351d3",
+    "bf392cc3a9fcc8cc7730a87b3d4006c534884e94e8b5e41f0de34d5fd682e9e4",
+)
+
 CITYWIDE_SHA256 = (
     "a95f874c1ccf99fb746061bc7d7237cae2a50cb32348fba31939954325bee4c3"
 )
@@ -45,6 +62,30 @@ def canonical_digest(report):
         report, sort_keys=True, separators=(",", ":"), default=repr
     )
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def id_free_digests(report):
+    """(report without ``"spans"``, id-free span table) digests."""
+    table = report["spans"]
+    traces = {}
+    for span in table["spans"]:
+        traces.setdefault(span["trace"], []).append(
+            {k: v for k, v in span.items() if k != "trace"}
+        )
+    roots = {
+        tid: (spans[0]["t0_us"], spans[0]["attrs"]["req"],
+              spans[0]["attrs"]["subject"])
+        for tid, spans in traces.items()
+    }
+    order = sorted(traces, key=lambda tid: (roots[tid], repr(traces[tid])))
+    id_free = {k: v for k, v in table.items() if k not in ("spans", "exemplars")}
+    id_free["traces_by_root"] = [traces[tid] for tid in order]
+    id_free["exemplars"] = {
+        bucket: [roots[tid] for tid in ids]
+        for bucket, ids in table["exemplars"].items()
+    }
+    rest = {k: v for k, v in report.items() if k != "spans"}
+    return canonical_digest(rest), canonical_digest(id_free)
 
 
 def pinned_roaming(engine):
@@ -111,6 +152,7 @@ def test_roaming_report_is_pinned(engine):
     assert report["mic_events"] == 6 and report["displaced_aps"] > 0
     assert report["vacations"] > 0 and report["violation_ticks"] > 0
     assert report["telemetry"] and report["spans"]
+    assert id_free_digests(report) == ROAMING_ID_FREE_SHA256
     assert canonical_digest(report) == ROAMING_SHA256
 
 
@@ -122,6 +164,7 @@ def test_querystorm_report_is_pinned(engine):
     assert report["deferred_requeries"] > 0 and report["push_refreshes"] > 0
     assert report["mic_events"] == 6 and report["violation_ticks"] > 0
     assert report["telemetry"] and report["spans"]
+    assert id_free_digests(report) == QUERYSTORM_ID_FREE_SHA256
     assert canonical_digest(report) == QUERYSTORM_SHA256
 
 
