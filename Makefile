@@ -51,7 +51,8 @@ bench-smoke:
 ## (response_ids_in_cells) at 0%, 99% and 100% hit rate and batch sizes
 ## 1/8/64/512 on the roam-sparse metro, a ShardRouter row, and ns per
 ## request of BatchFrontend.query_batch on a storm burst under reject and
-## serve-stale; appends a host-stamped entry to BENCH_layers.json (its
+## serve-stale, each with no span recorder, a head-100 one and an
+## unsampled one; appends a host-stamped entry to BENCH_layers.json (its
 ## smoke variant runs in bench-smoke and writes only a -smoke file).
 bench-layers:
 	$(PYTEST) -q benchmarks/bench_layers.py

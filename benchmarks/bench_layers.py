@@ -22,7 +22,11 @@ this one isolates the service tier's query layers:
   sends one untimed burst to warm the caches and the stale store, then
   times a second burst one simulated second later in the same TTL
   bucket; the row records the shed and stale-served fractions of the
-  timed bursts.
+  timed bursts.  Each policy is timed with no span recorder, with a
+  ``head-100`` :class:`~repro.telemetry.spans.SpanRecorder` and with
+  an unsampled one (every request labelled ``("storm", sequence)``);
+  a span row less the no-span row of its policy is the cost of a
+  ``SpanRecorder`` request.
 
 Every row is timed over at least five repeats and records the median
 and minimum wall ns per cell or request (the minimum is the
@@ -53,6 +57,7 @@ import time
 import numpy as np
 
 import repro
+from repro.telemetry.spans import SpanRecorder
 from repro.wsdb.cluster.frontend import SHED_POLICIES, BatchFrontend
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.model import MicRegistration, generate_metro
@@ -87,6 +92,8 @@ ROUTER_CELLS = 512
 #: refills per simulated second): a fifth of each burst is shed.
 STORM_BURST = 300 if SMOKE else 3_000
 STORM_TOKENS = STORM_BURST * 4 // 5
+#: Span recorders the frontend rows run under: none, sampled, unsampled.
+SPAN_SAMPLES = (None, "head-100", "off")
 
 
 def trajectory_log(smoke: bool) -> pathlib.Path:
@@ -236,21 +243,33 @@ def router_row() -> dict:
     }
 
 
-def frontend_row(policy: str) -> dict:
+def frontend_row(policy: str, sample: str | None = None) -> dict:
     """``BatchFrontend.query_batch`` on storm bursts under *policy*.
 
     Each repeat, in a fresh TTL bucket, sends one untimed burst (which
     drains the token bucket and warms the shard caches and the stale
     store), then times a second burst one simulated second later, when
-    the bucket has refilled STORM_TOKENS tokens.
+    the bucket has refilled STORM_TOKENS tokens.  With a *sample*, a
+    :class:`SpanRecorder` of that ``span_sample`` value records every
+    burst, its requests numbered in sequence.
     """
     router = storm_router()
+    spans = None if sample is None else SpanRecorder(sample)
     frontend = BatchFrontend(
         router,
         rate_limit_qps=float(STORM_TOKENS),
         burst_size=float(STORM_TOKENS),
         policy=policy,
+        spans=spans,
     )
+
+    def refs():
+        # Requests are numbered by the frontend's running request count.
+        if spans is None:
+            return None
+        start = frontend.stats.requests
+        return "storm", np.arange(start, start + STORM_BURST)
+
     rng = random.Random(f"{SEED}-frontend-{policy}")
     stats = frontend.stats
     wall_ns, cpu_ns, shed, stale = [], [], [], []
@@ -265,10 +284,11 @@ def frontend_row(policy: str) -> dict:
             )
             for _ in range(2)
         )
-        frontend.query_batch(warm, t_us)
+        frontend.query_batch(warm, t_us, span_refs=refs())
         shed0, stale0 = stats.shed, stats.served_stale
+        labels = refs()
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
-        frontend.query_batch(burst, t_us + 1e6)
+        frontend.query_batch(burst, t_us + 1e6, span_refs=labels)
         wall_ns.append((time.perf_counter_ns() - wall0) / STORM_BURST)
         cpu_ns.append((time.process_time_ns() - cpu0) / STORM_BURST)
         shed.append((stats.shed - shed0) / STORM_BURST)
@@ -276,6 +296,8 @@ def frontend_row(policy: str) -> dict:
     return {
         "layer": "BatchFrontend.query_batch",
         "policy": policy,
+        "spans": "none" if sample is None else sample,
+        "traces_kept": 0 if spans is None else spans.snapshot()["traces"],
         "shards": STORM_SHARDS,
         "extent_m": STORM_EXTENT_M,
         "batch": STORM_BURST,
@@ -311,10 +333,15 @@ def test_layers_ns_per_op(record_table):
     routed = router_row()
     assert routed["shard_calls"] <= STORM_SHARDS, routed
     rows.append(routed)
-    fronted = [frontend_row(policy) for policy in SHED_POLICIES]
+    fronted = [
+        frontend_row(policy, sample)
+        for policy in SHED_POLICIES
+        for sample in SPAN_SAMPLES
+    ]
     for row in fronted:
         assert row["shed_frac"] == (STORM_BURST - STORM_TOKENS) / STORM_BURST, row
-    assert fronted[0]["stale_frac"] == 0 < fronted[1]["stale_frac"], fronted
+        stale = row["stale_frac"]
+        assert (stale > 0) == (row["policy"] == "serve-stale"), row
     entry = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -350,11 +377,11 @@ def test_layers_ns_per_op(record_table):
     ]
     lines.append(f"router shard calls per {ROUTER_CELLS}-cell batch: {routed['shard_calls']}")
     lines.append(
-        f"{'layer':<42} {'policy':>11} {'burst':>6} {'shed':>5} {'stale':>6} "
-        f"{'ns/req med':>11} {'ns/req min':>11} {'cpu ns med':>11}"
+        f"{'layer':<42} {'policy':>11} {'spans':>8} {'burst':>6} {'shed':>5} "
+        f"{'stale':>6} {'ns/req med':>11} {'ns/req min':>11} {'cpu ns med':>11}"
     )
     lines += [
-        f"{r['layer']:<42} {r['policy']:>11} {r['batch']:>6} "
+        f"{r['layer']:<42} {r['policy']:>11} {r['spans']:>8} {r['batch']:>6} "
         f"{r['shed_frac']:>5.0%} {r['stale_frac']:>6.1%} "
         f"{r['ns_per_request_median']:>11.0f} {r['ns_per_request_min']:>11.0f} "
         f"{r['cpu_ns_per_request_median']:>11.0f}"

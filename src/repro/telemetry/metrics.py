@@ -34,6 +34,8 @@ from bisect import bisect_left
 from math import ceil
 from typing import Any, Mapping
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 __all__ = [
@@ -149,6 +151,24 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each of *values* in order, as array steps.
+
+        The sum is accumulated left to right from the current sum
+        (``np.cumsum``, not ``np.sum``'s pairwise order), so it is the
+        same float as the one-at-a-time loop.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if not len(values):
+            return
+        added = np.bincount(
+            np.searchsorted(self.bounds, values, side="left"),
+            minlength=len(self.counts),
+        )
+        self.counts = [a + b for a, b in zip(self.counts, added.tolist())]
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
+        self.count += len(values)
 
 
 def histogram_quantile(snapshot: Mapping[str, Any], q: float) -> float:
@@ -363,6 +383,9 @@ class _NullMetric:
         pass
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: np.ndarray) -> None:
         pass
 
 

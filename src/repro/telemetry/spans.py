@@ -13,11 +13,15 @@ span tree that produced it.
 
 Determinism is the same contract as everything else in the tree:
 
-* **Ids are content-derived.**  A trace id is a hash of the request's
-  kind, subject, and enqueue tick — never wall clock, never ``id()`` —
-  so the scalar and vector engines (which issue the identical request
-  sequence) mint identical ids.  Span ids are per-trace sequence
-  numbers assigned in a fixed tree-build order.
+* **Ids are content-derived.**  A trace id is a 64-bit SplitMix64-style
+  mix of the request's kind, its integer subject, and the float64 bits
+  of its enqueue stamp, rendered as 16 hex digits — never wall clock,
+  never ``id()`` — so the scalar and vector engines (which issue the
+  identical request sequence) mint identical ids.  The mix is defined
+  here only, in a Python-int form (:func:`_trace_id`, the id a one-shot
+  tree returns) and a numpy ``uint64`` form for bursts
+  (:func:`_trace_ids`); the two agree bit for bit.  Span ids are
+  per-trace sequence numbers assigned in a fixed tree-build order.
 * **Sim-clock only.**  Every timestamp in a span is simulation time;
   the module never reads a wall clock (it lives outside the detlint
   wall-clock zone on purpose).
@@ -26,19 +30,26 @@ Determinism is the same contract as everything else in the tree:
   run with a recorder attached differs only by the ``"spans"`` table.
 
 Sampling (the ``span_sample`` spec knob) is deterministic too:
-``"off"`` records every trace, ``"head-N"`` keeps one in N by trace-id
-hash, and ``"tail"`` keeps only traces with a nonzero enqueue→serve
-duration (the slow requests a tail investigation wants).  The
-recorder's latency bucket counts always cover *all* served requests,
-so the p99 threshold is exact even under sampling; only the kept trees
-are exported.
+``"off"`` records every trace, ``"head-N"`` keeps one in N by trace id
+(its top 32 bits modulo N), and ``"tail"`` keeps only traces with a
+nonzero enqueue→serve duration (the slow requests a tail investigation
+wants).  The decision is taken first: the frontend hands the recorder
+a whole burst (:meth:`SpanRecorder.requests`), and its trace ids, keep
+mask, latency bucket counts and dropped count are array operations;
+Python runs only to build the kept trees and to track shed requests
+that are still waiting.  The latency bucket counts always cover *all*
+served requests, so the p99 threshold is exact even under sampling;
+only the kept trees are exported.
 """
 
 from __future__ import annotations
 
-import hashlib
+import struct
+import zlib
 from bisect import bisect_left
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS_US
@@ -95,10 +106,49 @@ def parse_span_sample(sample: str | None) -> tuple:
     )
 
 
-def _trace_id(req: str, subject: Any, enqueue_us: float) -> str:
-    """A deterministic 64-bit trace id from the request's identity."""
-    text = f"{req}:{subject}:{enqueue_us!r}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+
+
+def _mix64(z: int) -> int:
+    """The SplitMix64 step on a Python int: add the golden gamma, then
+    the finalizer's two xor-shift-multiply rounds."""
+    z = (z + _GOLDEN) & _MASK64
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """:func:`_mix64` on a uint64 array (numpy wraps mod 2**64)."""
+    z = z + np.uint64(_GOLDEN)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
+    return z ^ (z >> np.uint64(31))
+
+
+def _trace_id(req: str, subject: int, enqueue_us: float) -> str:
+    """The trace id of (kind, subject, enqueue stamp), as 16 hex digits.
+
+    The kind's CRC-32, the subject and the stamp's float64 bits fold in
+    through one SplitMix64 step each; :func:`_trace_ids` is the same
+    mix on arrays.
+    """
+    bits = int.from_bytes(struct.pack("<d", enqueue_us), "little")
+    seed = _mix64(zlib.crc32(req.encode()))
+    return f"{_mix64(_mix64(seed ^ (subject & _MASK64)) ^ bits):016x}"
+
+
+def _trace_ids(
+    req: str, subjects: np.ndarray, enqueue_us: np.ndarray
+) -> np.ndarray:
+    """:func:`_trace_id` as uint64 over int64 subjects and float64 stamps."""
+    subj = np.asarray(subjects, dtype=np.int64).view(np.uint64)
+    bits = np.ascontiguousarray(enqueue_us, dtype=np.float64).view(np.uint64)
+    seed = np.uint64(_mix64(zlib.crc32(req.encode())))
+    return _mix64_array(_mix64_array(seed ^ subj) ^ bits)
 
 
 def _fmt_bound(bound: float) -> str:
@@ -140,20 +190,12 @@ def lookup_steps(
     return chain
 
 
-class _PendingTrace:
-    """A begun-but-unserved request: enqueue stamp + defer attempts."""
-
-    __slots__ = ("req", "subject", "enqueue_us", "defers")
-
-    def __init__(self, req: str, subject: Any, enqueue_us: float):
-        self.req = req
-        self.subject = subject
-        self.enqueue_us = enqueue_us
-        self.defers: list[float] = []
-
-
 class SpanRecorder:
     """Records deterministic span trees across the cluster tier.
+
+    Sampling is decided first: a burst's trace ids, keep mask, latency
+    buckets and dropped count are array operations, and a span tree is
+    built only for a kept trace.
 
     Args:
         sample: the ``span_sample`` knob value — ``None``/``"off"``
@@ -177,8 +219,9 @@ class SpanRecorder:
         self._bounds = tuple(float(b) for b in latency_bounds)
         # Served-request latency counts per bucket (+Inf last), over
         # *all* serves — sampling never skews the tail threshold.
-        self._latency_counts = [0] * (len(self._bounds) + 1)
-        self._pending: dict[str, _PendingTrace] = {}
+        self._latency_counts = np.zeros(len(self._bounds) + 1, dtype=np.int64)
+        # Shed, not yet served requests: trace id -> shed_defer stamps.
+        self._pending: dict[int, list[float]] = {}
         # Finished traces as (root_t0, trace_id, spans): sorted at
         # snapshot so engines that finish traces in different interleavings
         # would still export identical tables.
@@ -186,143 +229,170 @@ class SpanRecorder:
         self._dropped = 0
         self._exemplars: dict[int, list[str]] = {}
 
-    def _keep(self, trace_id: str, duration_us: float) -> bool:
+    def _keep(self, ids: np.ndarray, durations: np.ndarray) -> np.ndarray:
+        """The sampling decision per trace, from its id and duration."""
         mode = self._mode
         if mode[0] == "off":
-            return True
+            return np.ones(len(ids), dtype=bool)
         if mode[0] == "head":
-            return int(trace_id[:8], 16) % mode[1] == 0
-        return duration_us > 0
+            return (ids >> np.uint64(32)) % np.uint64(mode[1]) == 0
+        return durations > 0
 
-    # -- request lifecycle (frontend path) -----------------------------------
+    # -- frontend bursts -----------------------------------------------------
 
-    def request_begin(
-        self, req: str, subject: Any, enqueue_us: float
-    ) -> str:
-        """Open (or find) the trace for one frontend request.
-
-        The id derives from (req, subject, enqueue) — a deferred
-        re-check retried with its first-attempt stamp lands back in the
-        same trace, accumulating ``shed_defer`` attempts until it
-        serves.
-        """
-        trace_id = _trace_id(req, subject, enqueue_us)
-        if trace_id not in self._pending:
-            self._pending[trace_id] = _PendingTrace(req, subject, enqueue_us)
-        return trace_id
-
-    def request_defer(self, trace_id: str, t_us: float) -> None:
-        """Record one shed attempt (token-bucket denial) at *t_us*."""
-        pending = self._pending.get(trace_id)
-        if pending is not None:
-            pending.defers.append(t_us)
-
-    def request_serve(
+    def requests(
         self,
-        trace_id: str,
+        req: str,
+        subjects: np.ndarray,
+        enqueue_us: Sequence[float] | None,
+        t_us: float,
+        admitted: int,
+        served: np.ndarray,
+        steps_of: Callable[[int], Sequence[tuple]],
+    ) -> None:
+        """Record one frontend burst of *req* requests served at *t_us*.
+
+        Request ``i`` has identity ``(req, subjects[i], enqueue_us[i])``
+        (``enqueue_us`` None: enqueued at *t_us*); the identities of
+        one burst are distinct.  The first *admitted* requests were
+        admitted; each later one was shed, which records a
+        ``shed_defer`` attempt at *t_us*.  A shed request that is not
+        *served* stays open; a retry with the same identity lands back
+        in its trace, so its defers accumulate until it serves.
+
+        Every served request observes its enqueue→serve duration into
+        the latency bucket counts.  A served request whose trace is
+        kept gets its tree — root ``request`` spanning enqueue→serve, a
+        ``queue_wait`` child over the same window carrying the
+        zero-duration ``shed_defer`` attempts, then the serve-side
+        ``steps_of(i)`` chains at the serve instant — and links an
+        exemplar.  Trees are built in request order, and only for kept
+        traces.
+        """
+        subjects = np.asarray(subjects, dtype=np.int64)
+        n = len(subjects)
+        stamps = (
+            np.full(n, t_us, dtype=np.float64)
+            if enqueue_us is None
+            else np.asarray(enqueue_us, dtype=np.float64)
+        )
+        served = np.asarray(served, dtype=bool)
+        ids = _trace_ids(req, subjects, stamps)
+        latency = t_us - stamps
+        buckets = np.searchsorted(self._bounds, latency, side="left")
+        self._latency_counts += np.bincount(
+            buckets[served], minlength=len(self._latency_counts)
+        )
+        keep = served & self._keep(ids, latency)
+        kept = np.flatnonzero(keep).tolist()
+        self._dropped += int(np.count_nonzero(served)) - len(kept)
+        pending = self._pending
+        earlier: dict[int, list[float]] = {}
+        if pending:
+            for tid in sorted(pending.keys() & set(ids[served].tolist())):
+                earlier[tid] = pending.pop(tid)
+        for tid in ids[admitted:][~served[admitted:]].tolist():
+            pending.setdefault(tid, []).append(t_us)
+        if not kept:
+            return
+        if isinstance(enqueue_us, np.ndarray):
+            enqueue_us = enqueue_us.tolist()
+        for i in kept:
+            tid = int(ids[i])
+            trace_id = f"{tid:016x}"
+            t0 = t_us if enqueue_us is None else enqueue_us[i]
+            defers = earlier.get(tid, [])
+            if i >= admitted:
+                defers = defers + [t_us]
+            attrs = {
+                "req": req,
+                "subject": int(subjects[i]),
+                "latency_us": t_us - t0,
+            }
+            self._record(
+                trace_id, "request", "frontend", t0, t_us, attrs,
+                steps_of(i), defers,
+            )
+            exemplars = self._exemplars.setdefault(int(buckets[i]), [])
+            if (
+                len(exemplars) < EXEMPLARS_PER_BUCKET
+                and trace_id not in exemplars
+            ):
+                exemplars.append(trace_id)
+
+    # -- zero-duration trees (mic registrations, direct-db lookups) ----------
+
+    def trees(
+        self,
+        kind: str,
+        req: str,
+        subjects: np.ndarray,
         t_us: float,
         site: str,
-        steps: Sequence[tuple],
-    ) -> bool:
-        """Close a request's trace at serve time *t_us*.
+        steps_of: Callable[[int], Sequence[tuple]],
+    ) -> None:
+        """Record one complete zero-duration tree per subject at *t_us*.
 
-        Builds the tree — root ``request`` spanning enqueue→serve, a
-        ``queue_wait`` child covering the same window (carrying the
-        zero-duration ``shed_defer`` attempts), then the serve-side
-        *steps* chains at the serve instant — observes the duration
-        into the latency bucket counts, applies sampling, and links an
-        exemplar when the trace is kept.  Returns whether it was kept.
+        Used for work that begins and ends inside one call today: a
+        burst of direct database lookups on the roaming path (subject
+        ``subjects[i]`` with serve-side steps ``steps_of(i)``).  Trees
+        are built only for kept traces, in subject order.
         """
-        pending = self._pending.pop(trace_id, None)
-        if pending is None:
-            return False
-        t0 = pending.enqueue_us
-        duration = t_us - t0
-        bucket = bisect_left(self._bounds, duration)
-        self._latency_counts[bucket] += 1
-        if not self._keep(trace_id, duration):
-            self._dropped += 1
-            return False
-        spans: list[dict[str, Any]] = []
-        root = self._add(
-            spans,
-            trace_id,
-            None,
-            "request",
-            site,
-            t0,
-            t_us,
-            {
-                "req": pending.req,
-                "subject": pending.subject,
-                "latency_us": duration,
-            },
-        )
-        wait = self._add(
-            spans, trace_id, root, "queue_wait", site, t0, t_us, {}
-        )
-        for attempt_us in pending.defers:
-            self._add(
-                spans,
-                trace_id,
-                wait,
-                "shed_defer",
-                site,
-                attempt_us,
-                attempt_us,
-                {},
+        subjects = np.asarray(subjects, dtype=np.int64)
+        n = len(subjects)
+        ids = _trace_ids(req, subjects, np.full(n, t_us, dtype=np.float64))
+        kept = np.flatnonzero(self._keep(ids, np.zeros(n))).tolist()
+        self._dropped += n - len(kept)
+        for i in kept:
+            attrs = {"req": req, "subject": int(subjects[i])}
+            self._record(
+                f"{int(ids[i]):016x}", kind, site, t_us, t_us, attrs,
+                steps_of(i),
             )
-        for step in steps:
-            self._attach(spans, trace_id, root, step, t_us)
-        self._done.append((t0, trace_id, spans))
-        exemplars = self._exemplars.setdefault(bucket, [])
-        if (
-            len(exemplars) < EXEMPLARS_PER_BUCKET
-            and trace_id not in exemplars
-        ):
-            exemplars.append(trace_id)
-        return True
-
-    # -- one-shot trees (mic registrations, direct-db lookups) ---------------
 
     def record_tree(
         self,
         kind: str,
         req: str,
-        subject: Any,
+        subject: int,
         t_us: float,
         site: str,
         steps: Sequence[tuple],
     ) -> str:
-        """Record a complete zero-duration tree at *t_us*.
-
-        Used for work that begins and ends inside one call today: a
-        direct database lookup on the roaming path, or a microphone
-        registration's invalidate + push fan-out.  Returns the trace
-        id (minted even when sampling drops the tree, so callers can
-        log it either way).
+        """Record one zero-duration tree (a mic registration's
+        invalidate + push fan-out); returns its trace id, minted even
+        when sampling drops the tree, so callers can log it either way.
         """
-        trace_id = _trace_id(req, subject, t_us)
-        if not self._keep(trace_id, 0.0):
-            self._dropped += 1
-            return trace_id
-        spans: list[dict[str, Any]] = []
-        root = self._add(
-            spans,
-            trace_id,
-            None,
-            kind,
-            site,
-            t_us,
-            t_us,
-            {"req": req, "subject": subject},
-        )
-        for step in steps:
-            self._attach(spans, trace_id, root, step, t_us)
-        self._done.append((t_us, trace_id, spans))
-        return trace_id
+        self.trees(kind, req, [subject], t_us, site, lambda _: steps)
+        return _trace_id(req, subject, t_us)
 
     # -- tree building -------------------------------------------------------
+
+    def _record(
+        self,
+        trace_id: str,
+        kind: str,
+        site: str,
+        t0_us: float,
+        t_us: float,
+        attrs: Mapping[str, Any],
+        steps: Sequence[tuple],
+        defers: Sequence[float] | None = None,
+    ) -> None:
+        """Build and keep one trace: a root *kind* span over
+        [*t0_us*, *t_us*]; for a frontend request (*defers* given), a
+        ``queue_wait`` child over the same window carrying one
+        zero-duration ``shed_defer`` per stamp; then the *steps* chains
+        at *t_us*."""
+        spans: list[dict[str, Any]] = []
+        self._add(spans, trace_id, None, kind, site, t0_us, t_us, attrs)
+        if defers is not None:
+            self._add(spans, trace_id, 0, "queue_wait", site, t0_us, t_us, {})
+            for at_us in defers:
+                self._add(spans, trace_id, 1, "shed_defer", site, at_us, at_us, {})
+        for step in steps:
+            self._attach(spans, trace_id, 0, step, t_us)
+        self._done.append((t0_us, trace_id, spans))
 
     def _add(
         self,
@@ -385,7 +455,7 @@ class SpanRecorder:
             "schema": SPANS_SCHEMA,
             "sample": self.sample,
             "latency_bounds": list(self._bounds),
-            "latency_counts": list(self._latency_counts),
+            "latency_counts": self._latency_counts.tolist(),
             "traces": len(self._done),
             "dropped": self._dropped,
             "unserved": len(self._pending),
@@ -400,22 +470,34 @@ class NullSpans:
     enabled = False
     sample = "off"
 
-    def request_begin(self, req: str, subject: Any, enqueue_us: float) -> str:
-        return ""
-
-    def request_defer(self, trace_id: str, t_us: float) -> None:
+    def requests(
+        self,
+        req: str,
+        subjects: np.ndarray,
+        enqueue_us: Sequence[float] | None,
+        t_us: float,
+        admitted: int,
+        served: np.ndarray,
+        steps_of: Callable[[int], Sequence[tuple]],
+    ) -> None:
         pass
 
-    def request_serve(
-        self, trace_id: str, t_us: float, site: str, steps: Sequence[tuple]
-    ) -> bool:
-        return False
+    def trees(
+        self,
+        kind: str,
+        req: str,
+        subjects: np.ndarray,
+        t_us: float,
+        site: str,
+        steps_of: Callable[[int], Sequence[tuple]],
+    ) -> None:
+        pass
 
     def record_tree(
         self,
         kind: str,
         req: str,
-        subject: Any,
+        subject: int,
         t_us: float,
         site: str,
         steps: Sequence[tuple],

@@ -190,9 +190,11 @@ class BatchFrontend:
             :class:`~repro.telemetry.spans.SpanRecorder`.  When
             attached *and* a caller labels its requests (the
             ``span_refs`` argument of :meth:`query_batch`), every
-            served request records a full admission → shard-lookup →
-            cache span tree and every shed attempt a ``shed_defer``;
-            None keeps the path byte-identical.
+            served request counts into the recorder's latency buckets,
+            every shed attempt records a ``shed_defer``, and each
+            served request whose trace is kept records a full
+            admission → shard-lookup → cache span tree; None keeps the
+            path byte-identical.
     """
 
     def __init__(
@@ -236,7 +238,7 @@ class BatchFrontend:
         points: Any,
         t_us: float = 0.0,
         enqueue_t_us: Sequence[float] | None = None,
-        span_refs: Sequence[tuple[str, Any]] | None = None,
+        span_refs: tuple[str, np.ndarray] | None = None,
     ) -> np.ndarray:
         """Answer a burst: admit, coalesce by cell, batch per shard.
 
@@ -274,11 +276,14 @@ class BatchFrontend:
         ROADMAP's pipelined async tier will feed with real
         queue-residency times.
 
-        ``span_refs`` optionally labels each request with a
-        ``(req, subject)`` identity for the attached span recorder
-        (e.g. ``("storm", sequence)`` / ``("recheck", client_id)``);
-        trace ids derive from the label plus the enqueue stamp, so a
-        deferred request's retries accumulate into one trace.
+        ``span_refs`` optionally labels the burst for the attached span
+        recorder as ``(req, subjects)``: one request kind and an int64
+        subject per request (e.g. ``("storm", sequence numbers)`` /
+        ``("recheck", client ids)``).  The whole burst is recorded in
+        one :meth:`~repro.telemetry.spans.SpanRecorder.requests` call;
+        trace ids derive from the kind, the subject and the enqueue
+        stamp, so a deferred request's retries accumulate into one
+        trace.
 
         Callers that need each request's admission outcome read it off
         ``stats.admitted`` across the call: the first ``admitted``
@@ -299,8 +304,7 @@ class BatchFrontend:
         stats.admitted += k
         stats.shed += n - k
         span_on = self.spans.enabled and span_refs is not None
-        lookups: dict[tuple[int, int], tuple[int, bool, int]] = {}
-        first = np.zeros(0, dtype=np.int64)
+        first = slot = owner = np.zeros(0, dtype=np.int64)
         stale = self._stale
         if k:
             ax, ay = qx[:k], qy[:k]
@@ -317,23 +321,15 @@ class BatchFrontend:
             calls = router.shard_calls
             lookup = router.response_ids_in_cells(unique, t_us)
             stats.shard_batches += router.shard_calls - calls
-            ids = np.empty_like(lookup.ids)
-            ids[order] = lookup.ids
-            answers[:k] = ids[inverse]
+            # Each admitted request's position in the router batch.
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            slot = rank[inverse]
+            answers[:k] = lookup.ids[slot]
             keys = list(zip(*unique.T.tolist()))
             stale.update(zip(keys, zip(repeat(now), lookup.ids.tolist())))
             if span_on:
                 owner = router.shards_of_cells(unique[:, 0], unique[:, 1])
-                lookups = dict(
-                    zip(
-                        keys,
-                        zip(
-                            owner.tolist(),
-                            lookup.hit.tolist(),
-                            lookup.scanned.tolist(),
-                        ),
-                    )
-                )
         if k < n and self.policy == "serve-stale":
             shed = zip(qx[k:].tolist(), qy[k:].tolist())
             for i, cell in enumerate(shed, k):
@@ -344,78 +340,48 @@ class BatchFrontend:
         tel = self.telemetry
         if not (span_on or tel.enabled):
             return answers
-        stamps = (
-            enqueue_t_us.tolist()
-            if isinstance(enqueue_t_us, np.ndarray)
-            else enqueue_t_us
-        )
-        served = (answers >= 0).tolist()
+        served = answers >= 0
         if span_on:
-            self._record_spans(
-                qx.tolist(), qy.tolist(), k, set(first.tolist()), served,
-                lookups, t_us, stamps, span_refs,
+            primary = np.zeros(k, dtype=bool)
+            primary[first] = True
+
+            def steps_of(i: int) -> list[tuple]:
+                # Shed requests serve from the stale store; the first
+                # admitted request per cell carries the shard lookup's
+                # cache-hit/scan spans, later ones are coalesced.
+                if i >= k:
+                    return [("stale_serve", "frontend", {}, ())]
+                if not primary[i]:
+                    return [
+                        ("admission", "frontend", {}, ()),
+                        ("coalesced", "frontend", {}, ()),
+                    ]
+                j = int(slot[i])
+                site = f"shard{int(owner[j])}"
+                return [
+                    ("admission", "frontend", {}, ()),
+                    lookup_steps(
+                        bool(lookup.hit[j]), lookup.scanned[j], site, shard=True
+                    ),
+                ]
+
+            req, subjects = span_refs
+            self.spans.requests(
+                req, subjects, enqueue_t_us, t_us, k, served, steps_of
             )
         if tel.enabled:
             tel.histogram(
                 "frontend_batch_requests", DEFAULT_BATCH_BOUNDS
             ).observe(float(n))
-            latency = tel.histogram(
-                "frontend_latency_us", DEFAULT_LATENCY_BOUNDS_US
+            enqueued = (
+                np.full(n, t_us, dtype=np.float64)
+                if enqueue_t_us is None
+                else np.asarray(enqueue_t_us, dtype=np.float64)
             )
-            for i, answered in enumerate(served):
-                if not answered:
-                    continue
-                enqueued = t_us if stamps is None else stamps[i]
-                latency.observe(t_us - enqueued)
+            tel.histogram(
+                "frontend_latency_us", DEFAULT_LATENCY_BOUNDS_US
+            ).observe_many((t_us - enqueued)[served])
         return answers
-
-    def _record_spans(
-        self,
-        qx: list[int],
-        qy: list[int],
-        admitted: int,
-        primaries: set[int],
-        served: list[bool],
-        lookups: dict[tuple[int, int], tuple[int, bool, int]],
-        t_us: float,
-        enqueue_t_us: Sequence[float] | None,
-        span_refs: Sequence[tuple[str, Any]],
-    ) -> None:
-        """Record one span tree (or a defer) per request of the burst.
-
-        Replays the batch's own classification in request order: the
-        first *admitted* requests are admitted, and the first of them
-        per cell (its index is in *primaries*) carries the shard
-        lookup's cache-hit/scan spans; later admitted requests for the
-        same cell are ``coalesced``, and shed requests either defer
-        (not *served*) or serve from the stale store.
-        """
-        sp = self.spans
-        for i, answered in enumerate(served):
-            req, subject = span_refs[i]
-            enq = t_us if enqueue_t_us is None else enqueue_t_us[i]
-            tid = sp.request_begin(req, subject, enq)
-            if i >= admitted:
-                sp.request_defer(tid, t_us)
-                if not answered:
-                    continue
-                sp.request_serve(
-                    tid, t_us, "frontend",
-                    [("stale_serve", "frontend", {}, ())],
-                )
-                continue
-            if i in primaries:
-                shard_id, hit, scanned = lookups[(qx[i], qy[i])]
-                steps = [
-                    ("admission", "frontend", {}, ()),
-                    lookup_steps(hit, scanned, f"shard{shard_id}", shard=True),
-                ]
-            else:
-                steps = [
-                    ("admission", "frontend", {}, ()),
-                    ("coalesced", "frontend", {}, ()),
-                ]
-            sp.request_serve(tid, t_us, "frontend", steps)
 
     # -- updates -------------------------------------------------------------
 

@@ -105,7 +105,8 @@ class StormFeed:
         #: the enqueue stamps the frontend's latency histogram observes
         #: (a replayed trace carries sub-tick stamps; the synthetic
         #: storm stamps on the fence).  A plain list, so each stamp
-        #: keeps its source's Python type (span trace ids hash its text).
+        #: keeps its source's Python type (a kept span tree's
+        #: ``latency_us`` is computed from it as given).
         self.last_times: list[float] = []
 
     def burst(self, t_us: float) -> np.ndarray:

@@ -211,17 +211,14 @@ class DatabasePath:
         ids, hit, scanned = db.response_ids_in_cells(cells, t_us)
         if self.sp.enabled:
             # The batch's per-cell outcomes, per client in client order.
-            for i, cache_hit, candidates in zip(
-                due.tolist(), hit.tolist(), scanned.tolist()
-            ):
-                self.sp.record_tree(
-                    "request",
-                    "roam",
-                    i,
-                    t_us,
-                    "db",
-                    [lookup_steps(cache_hit, candidates, "db")],
-                )
+            self.sp.trees(
+                "request",
+                "roam",
+                due,
+                t_us,
+                "db",
+                lambda j: [lookup_steps(bool(hit[j]), scanned[j], "db")],
+            )
         if self.recorder.enabled:
             tuples = db.responses.tuples
             for i, (cx, cy), rid in zip(
@@ -321,7 +318,8 @@ class ClusterPath:
         self.feed = StormFeed(source)
         self.storm_queries = self.deferred = self.push_refreshes = 0
         # First-attempt stamps of deferred re-checks.  A plain list, so
-        # each stamp keeps its Python type (span trace ids hash its text).
+        # each stamp keeps its Python type (a kept span tree's
+        # ``latency_us`` is computed from it as given).
         self.pending_since: list[float | None] = [None] * n
         # Undelivered push notifications: cleared only once the refresh
         # is admitted, so admission control can delay — but never
@@ -358,7 +356,9 @@ class ClusterPath:
                 t_us,
                 enqueue_t_us=self.feed.last_times,
                 span_refs=(
-                    [("storm", j) for j in seqs] if self.sp.enabled else None
+                    ("storm", np.arange(seqs.start, seqs.stop))
+                    if self.sp.enabled
+                    else None
                 ),
             )
         if self.recorder.enabled:
@@ -390,9 +390,7 @@ class ClusterPath:
             xy,
             t_us,
             enqueue_t_us=stamps,
-            span_refs=(
-                [("recheck", i) for i in idx] if self.sp.enabled else None
-            ),
+            span_refs=("recheck", due) if self.sp.enabled else None,
         )
         if self.recorder.enabled:
             record_requests(

@@ -1,5 +1,6 @@
 """Unit tests for the sim-clock metrics registry."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -68,6 +69,30 @@ class TestFamilies:
         assert h.counts == [2, 2, 1]
         assert h.count == 5
         assert h.sum == pytest.approx(61.1)
+
+    def test_observe_many_matches_the_observe_loop(self):
+        # Bucket edges, an empty call, and a sum whose bits depend on
+        # left-to-right addition (pairwise summation would differ).
+        rng = np.random.default_rng(18)
+        values = np.concatenate(
+            (
+                [0.0, 1_000.0, 1_000.0000001, 300_000_000.0, 4e8],
+                rng.uniform(0.0, 1e7, 3_000),
+                rng.choice(DEFAULT_LATENCY_BOUNDS_US, 200),
+            )
+        )
+        one, many = Histogram(), Histogram()
+        one.observe(0.1)
+        many.observe(0.1)
+        for v in values.tolist():
+            one.observe(v)
+        many.observe_many(values[:1_000])
+        many.observe_many(values[:0])
+        many.observe_many(values[1_000:])
+        assert many.counts == one.counts
+        assert all(type(c) is int for c in many.counts)
+        assert many.count == one.count
+        assert type(many.sum) is float and many.sum.hex() == one.sum.hex()
 
     def test_histogram_bounds_must_increase(self):
         with pytest.raises(SimulationError):

@@ -1,13 +1,17 @@
 """Unit tests for the sim-clock span recorder and its analysis helpers.
 
-Covers the recorder lifecycle (begin / defer / serve, one-shot trees),
-deterministic trace ids, sampling modes, exemplar links, snapshot
+Covers the recorder lifecycle (frontend bursts with shed defers and
+retries, zero-duration trees), deterministic trace ids and their
+scalar/array agreement, sampling modes, exemplar links, snapshot
 ordering, the critical-path / self-time invariant, tail attribution,
 and the two span exporters' round-trip properties.
 """
 
 import json
+import math
+import random
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -27,27 +31,41 @@ from repro.telemetry.spans import (
     EXEMPLARS_PER_BUCKET,
     SPANS_SCHEMA,
     _trace_id,
+    _trace_ids,
     bucket_label,
 )
 
 BOUNDS = (100.0, 1_000.0, 10_000.0)
 
+MISS_STEPS = [
+    ("admission", "frontend", {}, ()),
+    lookup_steps(False, 12, "shard0", shard=True),
+]
+
+
+def burst(rec, req, subjects, enqueue, t_us, admitted, served, steps=()):
+    """One frontend burst, every served request with the same *steps*."""
+    rec.requests(
+        req,
+        np.asarray(subjects, dtype=np.int64),
+        enqueue,
+        t_us,
+        admitted,
+        np.asarray(served, dtype=bool),
+        lambda i: steps,
+    )
+
 
 def serve_one(rec, subject=7, enqueue=1_000.0, serve=3_500.0, defers=()):
-    """One full request lifecycle with a shard cache-miss serve."""
-    tid = rec.request_begin("storm", subject, enqueue)
+    """One full request lifecycle with a shard cache-miss serve.
+
+    The request is shed and refused once at each *defers* stamp, then
+    admitted and served at *serve*; returns its trace id.
+    """
     for t in defers:
-        rec.request_defer(tid, t)
-    rec.request_serve(
-        tid,
-        serve,
-        "frontend",
-        [
-            ("admission", "frontend", {}, ()),
-            lookup_steps(False, 12, "shard0", shard=True),
-        ],
-    )
-    return tid
+        burst(rec, "storm", [subject], [enqueue], t, 0, [False])
+    burst(rec, "storm", [subject], [enqueue], serve, 1, [True], MISS_STEPS)
+    return _trace_id("storm", subject, enqueue)
 
 
 class TestTraceIds:
@@ -55,6 +73,32 @@ class TestTraceIds:
         assert _trace_id("storm", 7, 100.0) == _trace_id("storm", 7, 100.0)
         assert _trace_id("storm", 7, 100.0) != _trace_id("storm", 8, 100.0)
         assert _trace_id("storm", 7, 100.0) != _trace_id("storm", 7, 200.0)
+        assert _trace_id("storm", 7, 100.0) != _trace_id("recheck", 7, 100.0)
+        assert len(_trace_id("storm", 7, 100.0)) == 16
+
+    def test_scalar_and_array_ids_agree(self):
+        # The Python-int mix (one-shot trees) and the uint64 array mix
+        # (bursts) are one function of (kind, subject, stamp bits).
+        rng = random.Random(2009)
+        subjects = [0, 1, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 1]
+        subjects += [rng.randrange(2**63) for _ in range(200)]
+        stamps = [0.0, 0.5, 1e15, 1e15 + 0.125, 123_456.789, 5e-324]
+        stamps += [rng.uniform(0.0, 1e9) for _ in range(200)]
+        stamps += [float(rng.randrange(10**9)) for _ in range(200)]
+        for req in ("storm", "recheck", "roam", "mic", ""):
+            subj = [subjects[i % len(subjects)] for i in range(len(stamps))]
+            arr = _trace_ids(
+                req, np.array(subj, dtype=np.int64), np.array(stamps)
+            )
+            assert arr.dtype == np.uint64
+            assert [f"{tid:016x}" for tid in arr.tolist()] == [
+                _trace_id(req, s, t) for s, t in zip(subj, stamps)
+            ]
+
+    def test_int_and_float_stamps_share_an_id(self):
+        assert _trace_id("recheck", 3, 5_000_000) == _trace_id(
+            "recheck", 3, 5_000_000.0
+        )
 
     def test_two_recorders_mint_identical_ids(self):
         a, b = SpanRecorder(), SpanRecorder()
@@ -62,15 +106,37 @@ class TestTraceIds:
 
     def test_defer_retry_lands_in_same_trace(self):
         rec = SpanRecorder(latency_bounds=BOUNDS)
-        first = rec.request_begin("recheck", 3, 500.0)
-        rec.request_defer(first, 500.0)
+        burst(rec, "recheck", [3], [500.0], 500.0, 0, [False])
+        assert rec.snapshot()["unserved"] == 1
         # The retry carries its first-attempt enqueue stamp.
-        again = rec.request_begin("recheck", 3, 500.0)
-        assert again == first
-        rec.request_serve(first, 900.0, "frontend", [])
-        spans = trace_spans(rec.snapshot(), first)
+        burst(rec, "recheck", [3], [500.0], 900.0, 1, [True])
+        tid = _trace_id("recheck", 3, 500.0)
+        spans = trace_spans(rec.snapshot(), tid)
         defers = [s for s in spans if s["kind"] == "shed_defer"]
         assert [s["t0_us"] for s in defers] == [500.0]
+        assert rec.snapshot()["unserved"] == 0
+
+    def test_shed_retry_serve_across_bursts_keeps_its_defers(self):
+        # Shed and refused in one burst, shed again and served from the
+        # stale store in the next: one trace with both attempts.
+        rec = SpanRecorder(latency_bounds=BOUNDS)
+        burst(rec, "recheck", [1, 3], [0.0, 0.0], 0.0, 1, [True, False])
+        burst(
+            rec, "recheck", [3, 4], [0.0, 1_000.0], 1_000.0, 0,
+            [True, False], [("stale_serve", "frontend", {}, ())],
+        )
+        table = rec.snapshot()
+        spans = trace_spans(table, _trace_id("recheck", 3, 0.0))
+        assert [s["kind"] for s in spans] == [
+            "request", "queue_wait", "shed_defer", "shed_defer",
+            "stale_serve",
+        ]
+        assert [s["t0_us"] for s in spans if s["kind"] == "shed_defer"] == [
+            0.0, 1_000.0,
+        ]
+        assert spans[0]["attrs"]["latency_us"] == 1_000.0
+        # Subject 4 was refused and stays open.
+        assert table["unserved"] == 1 and table["traces"] == 2
 
 
 class TestRecorderLifecycle:
@@ -106,16 +172,19 @@ class TestRecorderLifecycle:
 
     def test_unserved_requests_are_counted_not_exported(self):
         rec = SpanRecorder(latency_bounds=BOUNDS)
-        rec.request_begin("storm", 1, 0.0)
+        burst(rec, "storm", [1], [0.0], 0.0, 0, [False])
         table = rec.snapshot()
         assert table["unserved"] == 1
         assert table["traces"] == 0
         assert table["spans"] == []
 
     def test_serve_without_begin_is_a_noop(self):
+        # A request that is neither served nor shed records nothing.
         rec = SpanRecorder(latency_bounds=BOUNDS)
-        assert rec.request_serve("feedface00000000", 10.0, "frontend", []) is False
-        assert rec.snapshot()["traces"] == 0
+        burst(rec, "storm", [1], [0.0], 10.0, 1, [False])
+        table = rec.snapshot()
+        assert table["traces"] == 0 and table["unserved"] == 0
+        assert sum(table["latency_counts"]) == 0
 
     def test_record_tree_zero_duration(self):
         rec = SpanRecorder(latency_bounds=BOUNDS)
@@ -151,9 +220,9 @@ class TestRecorderLifecycle:
 
     def test_null_spans_is_inert(self):
         assert NULL_SPANS.enabled is False
-        tid = NULL_SPANS.request_begin("storm", 1, 0.0)
-        NULL_SPANS.request_defer(tid, 0.0)
-        assert NULL_SPANS.request_serve(tid, 1.0, "frontend", []) is False
+        burst(NULL_SPANS, "storm", [1], [0.0], 0.0, 0, [False])
+        burst(NULL_SPANS, "storm", [1], [0.0], 1.0, 1, [True])
+        NULL_SPANS.trees("x", "x", np.arange(3), 0.0, "s", lambda i: ())
         assert NULL_SPANS.record_tree("x", "x", 0, 0.0, "s", []) == ""
         assert NULL_SPANS.snapshot()["spans"] == []
 
@@ -180,6 +249,7 @@ class TestSampling:
             tid = serve_one(rec, subject=subject)
             if int(tid[:8], 16) % n == 0:
                 kept_ids.append(tid)
+        assert 0 < len(kept_ids) < 30
         table = rec.snapshot()
         assert table["traces"] == len(kept_ids)
         assert table["dropped"] == 30 - len(kept_ids)
@@ -187,6 +257,43 @@ class TestSampling:
         assert sum(table["latency_counts"]) == 30
         exported = {s["trace"] for s in table["spans"]}
         assert exported == set(kept_ids)
+
+    @pytest.mark.parametrize("n", [4, 100])
+    def test_head_keep_fraction_is_binomial(self, n):
+        # 100k distinct identities in one burst: the kept count sits
+        # inside 5 sigma of Binomial(100k, 1/n).
+        total = 100_000
+        rng = np.random.default_rng(n)
+        stamps = rng.integers(0, 10**9, total).astype(np.float64)
+        rec = SpanRecorder(sample=f"head-{n}", latency_bounds=BOUNDS)
+        burst(
+            rec, "storm", np.arange(total), stamps, 2e9, total,
+            np.ones(total, dtype=bool),
+        )
+        table = rec.snapshot()
+        assert table["traces"] + table["dropped"] == total
+        p = 1.0 / n
+        sigma = math.sqrt(total * p * (1.0 - p))
+        assert abs(table["traces"] - total * p) < 5.0 * sigma
+
+    def test_dropped_trees_are_counted_not_built(self):
+        rec = SpanRecorder(sample="head-4", latency_bounds=BOUNDS)
+        built = []
+
+        def steps_of(i):
+            built.append(i)
+            return [("cache_hit", "db", {}, ())]
+
+        rec.trees("request", "roam", np.arange(400), 1e6, "db", steps_of)
+        table = rec.snapshot()
+        assert len(built) == table["traces"]
+        assert table["traces"] + table["dropped"] == 400
+        roots = [s for s in table["spans"] if s["parent"] is None]
+        assert sorted(r["attrs"]["subject"] for r in roots) == built
+        assert all(type(r["attrs"]["subject"]) is int for r in roots)
+        assert {r["trace"] for r in roots} == {
+            _trace_id("roam", i, 1e6) for i in built
+        }
 
     def test_tail_sampling_keeps_only_slow_traces(self):
         rec = SpanRecorder(sample="tail", latency_bounds=BOUNDS)
@@ -214,6 +321,17 @@ class TestExemplars:
         table = rec.snapshot()
         assert table["exemplars"] == {
             "le_100": ids[:EXEMPLARS_PER_BUCKET]
+        }
+
+    def test_one_burst_links_exemplars_in_request_order(self):
+        rec = SpanRecorder(latency_bounds=BOUNDS)
+        subjects = [9, 2, 7, 5, 1, 8]
+        burst(
+            rec, "storm", subjects, [0.0] * 6, 50.0, 6, [True] * 6,
+            MISS_STEPS,
+        )
+        assert rec.snapshot()["exemplars"] == {
+            "le_100": [_trace_id("storm", s, 0.0) for s in subjects[:4]]
         }
 
     def test_every_exemplar_resolves(self):

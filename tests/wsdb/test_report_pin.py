@@ -35,10 +35,10 @@ from repro.wsdb.service import WhiteSpaceDatabase
 pytest.importorskip("numpy")
 
 ROAMING_SHA256 = (
-    "2af0cd5052075edc078d22984d89c383dcee61282e09c037da4668f01931ce3b"
+    "d9045bcd3f567033fbcee5dcac12cb97fdb73967d2346b49832dfebd0b51226d"
 )
 QUERYSTORM_SHA256 = (
-    "e4ce6bc77e268907c5ba4a5fc8f323648d0a511aec5168cf68f498dfe6a3f6ed"
+    "55edc73907c75fa392dc99852ba5e3e92813e7404dca16a2dde32d1999e95409"
 )
 
 #: Digests of the roaming and querystorm pins with trace ids taken out:
