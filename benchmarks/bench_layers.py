@@ -27,6 +27,14 @@ this one isolates the service tier's query layers:
   an unsampled one (every request labelled ``("storm", sequence)``);
   a span row less the no-span row of its policy is the cost of a
   ``SpanRecorder`` request.
+* ``VectorFleet.associate_and_score`` — per client on the
+  ``roam-dense`` metro (3 km, one TV site on each of channels 12-29)
+  with 32,000 clients walking at the default 14 m/s, 12 and 48 booted
+  APs, for a steady tick (after three untimed ones) and for the tick
+  right after ``set_snapshot``, which re-evaluates every client.  Each
+  repeat advances the fleet one tick and commits its re-checks before
+  the timed call; the steady row records the share of clients whose
+  motion slack had run out.
 
 Every row is timed over at least five repeats and records the median
 and minimum wall ns per cell or request (the minimum is the
@@ -58,10 +66,13 @@ import numpy as np
 
 import repro
 from repro.telemetry.spans import SpanRecorder
+from repro.wsdb.citywide import boot_aps, snapshot_assigned_aps
 from repro.wsdb.cluster.frontend import SHED_POLICIES, BatchFrontend
 from repro.wsdb.cluster.router import ShardRouter
+from repro.wsdb.mobility import DEFAULT_SPEED_MPS, DEFAULT_TICK_US, spawn_clients
 from repro.wsdb.model import MicRegistration, generate_metro
-from repro.wsdb.service import WhiteSpaceDatabase
+from repro.wsdb.service import WhiteSpaceDatabase, ttl_bucket
+from repro.wsdb.vector import VectorFleet
 
 from _runner import smoke_mode
 
@@ -94,6 +105,11 @@ STORM_BURST = 300 if SMOKE else 3_000
 STORM_TOKENS = STORM_BURST * 4 // 5
 #: Span recorders the frontend rows run under: none, sampled, unsampled.
 SPAN_SAMPLES = (None, "head-100", "off")
+#: The association rows: the roam-dense fleet at two AP densities.
+FLEET_EXTENT_M = 3_000.0
+FLEET_CLIENTS = 2_000 if SMOKE else 32_000
+FLEET_APS = (12, 48)
+WARM_TICKS = 3
 
 
 def trajectory_log(smoke: bool) -> pathlib.Path:
@@ -313,6 +329,68 @@ def frontend_row(policy: str, sample: str | None = None) -> dict:
     }
 
 
+def associate_row(num_aps: int, after_snapshot: bool) -> dict:
+    """``VectorFleet.associate_and_score`` per client on the roam-dense
+    metro with *num_aps* APs; *after_snapshot* times the tick right
+    after a ``set_snapshot`` (every client re-evaluated)."""
+    metro = generate_metro(
+        OCCUPIED, seed=SEED, extent_m=FLEET_EXTENT_M, sites_per_channel=(1, 1)
+    )
+    db = WhiteSpaceDatabase(metro)
+    aps = boot_aps(db, num_aps, SEED, "roaming-aps")
+    live = snapshot_assigned_aps(aps)[0]
+    fleet = VectorFleet(
+        spawn_clients(FLEET_CLIENTS, SEED, "roaming-client", FLEET_EXTENT_M),
+        FLEET_EXTENT_M,
+        db.responses,
+    )
+    fleet.set_snapshot(live, num_aps)
+
+    def tick(k: int) -> None:
+        # One session tick up to association: advance, then re-check.
+        t_us = k * DEFAULT_TICK_US
+        if k:
+            fleet.advance(DEFAULT_SPEED_MPS * DEFAULT_TICK_US / 1e6)
+        qx, qy = fleet.cells(db.cache_resolution_m)
+        bucket = ttl_bucket(t_us, db.ttl_us)
+        due = fleet.recheck_due(qx, qy, bucket)
+        if due.size:
+            cells = np.column_stack([qx[due], qy[due]])
+            ids = db.response_ids_in_cells(cells, t_us).ids
+            fleet.commit_recheck(due, qx, qy, bucket, ids)
+
+    for k in range(WARM_TICKS):
+        tick(k)
+        fleet.associate_and_score(metro, k * DEFAULT_TICK_US)
+    wall_ns, cpu_ns, expired = [], [], []
+    for k in range(WARM_TICKS, WARM_TICKS + REPEATS):
+        tick(k)
+        if after_snapshot:
+            fleet.set_snapshot(live, num_aps)
+            expired.append(1.0)
+        else:
+            expired.append(np.count_nonzero(fleet.slack < 0) / fleet.n)
+        wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+        fleet.associate_and_score(metro, k * DEFAULT_TICK_US)
+        wall_ns.append((time.perf_counter_ns() - wall0) / fleet.n)
+        cpu_ns.append((time.process_time_ns() - cpu0) / fleet.n)
+    return {
+        "layer": "VectorFleet.associate_and_score",
+        "tick": "after-snapshot" if after_snapshot else "steady",
+        "aps": num_aps,
+        "live_aps": len(live),
+        "clients": fleet.n,
+        "extent_m": FLEET_EXTENT_M,
+        "speed_mps": DEFAULT_SPEED_MPS,
+        "repeats": REPEATS,
+        "expired_frac": statistics.median(expired),
+        "ns_per_client_median": statistics.median(wall_ns),
+        "ns_per_client_min": min(wall_ns),
+        "cpu_ns_per_client_median": statistics.median(cpu_ns),
+        "ns_per_client": wall_ns,
+    }
+
+
 def append_log_entry(entry: dict) -> None:
     """Append one invocation entry to its trajectory log."""
     path = trajectory_log(entry["smoke"])
@@ -342,6 +420,13 @@ def test_layers_ns_per_op(record_table):
         assert row["shed_frac"] == (STORM_BURST - STORM_TOKENS) / STORM_BURST, row
         stale = row["stale_frac"]
         assert (stale > 0) == (row["policy"] == "serve-stale"), row
+    associated = [
+        associate_row(num_aps, after_snapshot)
+        for num_aps in FLEET_APS
+        for after_snapshot in (False, True)
+    ]
+    for row in associated:
+        assert 0.0 < row["expired_frac"] <= 1.0, row
     entry = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -355,14 +440,16 @@ def test_layers_ns_per_op(record_table):
             "nproc": len(os.sched_getaffinity(0)),
         },
         "smoke": SMOKE,
-        "layers": [rows[0]["layer"], routed["layer"], fronted[0]["layer"]],
+        "layers": [
+            rows[0]["layer"], routed["layer"], fronted[0]["layer"], associated[0]["layer"],
+        ],
         "shape": {
             "extent_m": EXTENT_M,
             "tv_channels": [OCCUPIED.start, OCCUPIED.stop - 1],
             "mics": MICS,
             "seed": SEED,
         },
-        "rows": [*rows, *fronted],
+        "rows": [*rows, *fronted, *associated],
     }
     append_log_entry(entry)
     lines = [
@@ -386,5 +473,15 @@ def test_layers_ns_per_op(record_table):
         f"{r['ns_per_request_median']:>11.0f} {r['ns_per_request_min']:>11.0f} "
         f"{r['cpu_ns_per_request_median']:>11.0f}"
         for r in fronted
+    ]
+    lines.append(
+        f"{'layer':<42} {'tick':>14} {'APs':>4} {'clients':>8} {'expired':>8} "
+        f"{'ns/cl med':>10} {'ns/cl min':>10} {'cpu ns med':>11}"
+    )
+    lines += [
+        f"{r['layer']:<42} {r['tick']:>14} {r['aps']:>4} {r['clients']:>8} "
+        f"{r['expired_frac']:>8.1%} {r['ns_per_client_median']:>10.0f} "
+        f"{r['ns_per_client_min']:>10.0f} {r['cpu_ns_per_client_median']:>11.0f}"
+        for r in associated
     ]
     record_table("bench_layers", lines, data=entry)

@@ -108,7 +108,8 @@ def associate_nearest(
 
     # Squared distance, not math.hypot: *, +, and the comparison are
     # correctly-rounded IEEE-754 operations, so the vectorized engine's
-    # running-min association reproduces this ordering bit-for-bit
+    # distance table reproduces this ordering bit-for-bit, and its
+    # motion-slack bound rests on a few ulps of error per distance
     # (hypot's extra guard arithmetic carries no such guarantee).
     def _key(ap: CityAp) -> tuple[float, int]:
         dx = ap.x_m - x_m

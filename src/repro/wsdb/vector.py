@@ -9,8 +9,9 @@ ids, trigger cells, TTL buckets, assigned APs, per-client counters —
 one numpy array each) and batches the per-tick hot path as array ops:
 
 * **Waypoint advance** — the common case (the tick ends before the
-  current leg does) is one fused array expression; the rare
-  waypoint-crossing walkers fall back to the scalar
+  current leg does) is one fused array expression over every walker;
+  the rare waypoint-crossing walkers then get their pre-tick position
+  back and replay the scalar
   :func:`~repro.wsdb.mobility.advance_position` with their own
   per-client RNGs, so waypoint draws replay the exact scalar streams.
 * **Re-check detection** — 100 m square crossings and TTL expiry via
@@ -26,19 +27,30 @@ one numpy array each) and batches the per-tick hot path as array ops:
 * **Response ids** — the query path answers in ids of the service's
   :class:`~repro.wsdb.service.ResponseTable` (shared by every shard of
   a cluster), and a commit is one ``resp_id[idx] = ids`` store.
-  Eligibility (``ap_spans <= response``) is a (responses x APs) bool
-  table, one row per table id: rebuilt when the AP snapshot changes,
-  extended only when the table has grown, and a tick's per-client
-  eligibility is one fancy-index into it.
-* **Association** — nearest eligible AP by a masked running minimum
-  over the live-AP columns in ascending ``ap_id`` order: per column,
-  in-place ufuncs write the squared distance into preallocated
-  length-m buffers, and ``np.copyto(..., where=better)`` adopts it
-  where it is strictly ``<`` the best so far *and* the column's row of
-  the transposed eligibility table permits the AP — exactly the scalar
-  ``min`` under the squared-distance + ``ap_id`` key, with no
-  (clients x APs) matrix.  Mic-zone vacation reads the same table at
-  the previous tick's AP column, as one mask.
+  Eligibility (``ap_spans <= response``) is interned per AP snapshot
+  into *classes*: responses that permit the same live APs share one
+  class id, and a (live APs x classes) table says which APs each class
+  denies.  It is rebuilt when the AP snapshot changes and extended
+  only when the response table has grown.
+* **Association (motion slack)** — each client keeps its live-AP
+  column ``best_col``, the class ``cls`` it was chosen under, and a
+  ``slack``: half the gap between its nearest and second-nearest
+  eligible AP distances, ``(sqrt(b2) - sqrt(b1)) / 2``, less a relative
+  margin of ``1e-9 * sqrt(b2)`` and an absolute one of 1e-6 m (``inf``
+  with fewer than two eligible APs).  A walker moves at most
+  ``step_m`` a tick, so its nearest AP can only get ``step_m`` nearer
+  or further while every other gets at most that much nearer;
+  :meth:`~VectorFleet.advance` subtracts ``step_m * (1 + 1e-9)`` from
+  every slack.  A tick re-evaluates only the clients whose slack went
+  negative or whose class changed, or every client after
+  :meth:`~VectorFleet.set_snapshot`, in chunks of at most 2^14
+  (rows x live APs) squared distances with the scalar arithmetic,
+  denied APs at ``inf``, and the first column equal to the minimum
+  (ascending ``ap_id``, the scalar tie-break).  Vacation and handoff
+  run on those rows only: an unchanged class still permits the AP it
+  chose.  A steady tick costs a few passes over the fleet plus the
+  re-evaluated clients times the live APs, not every client times
+  every AP.
 * **Compliance** — per active incumbent, a squared-form coverage mask
   (:func:`~repro.wsdb.model.point_in_circle`'s algebra, elementwise)
   ANDed with "the client's AP spans this incumbent's channel".
@@ -47,10 +59,17 @@ one numpy array each) and batches the per-tick hot path as array ops:
 through +, -, *, /, sqrt, and floor only — all correctly-rounded
 IEEE-754 operations — in the same operand order as the scalar fleet,
 so positions, distances, and cell ids are bit-identical, not merely
-close.  The session reports compare equal (``==``) across the two
-fleets, field for field, including the nested db/frontend/push stats —
-the property ``tests/wsdb/test_vector.py`` sweeps seeds x fleet sizes
-x speeds to pin.
+close.  Association skips a client only while its slack proves the
+same AP would win: the relative margin covers the rounding of the
+squared distances, the square roots and the step length (each a few
+ulps, far under 1e-9), and the absolute one the per-tick rounding of
+the coordinates (an ulp of a metro coordinate, ~1e-12 m) and of the
+running slack subtraction, so a re-evaluation at any skipped tick
+would have picked the same column.
+The session reports compare equal (``==``) across the two fleets,
+field for field, including the nested db/frontend/push stats — the
+property ``tests/wsdb/test_vector.py`` sweeps seeds x fleet sizes x
+speeds to pin, and checks tick by tick against a full re-evaluation.
 """
 
 from __future__ import annotations
@@ -69,6 +88,12 @@ __all__ = ["VectorFleet"]
 #: far outside any reachable quantization cell, so the first tick's
 #: comparison always fires (every client queries at tick 0).
 _NO_CELL = np.iinfo(np.int64).min
+
+#: Squared distances (live APs x clients) per chunk of a re-association
+#: pass: at most 128 KiB of float64, so a snapshot rebuild that
+#: re-evaluates every client adds no more to peak memory than a steady
+#: tick, and each chunk stays in cache.
+_CHUNK = 1 << 14
 
 
 class VectorFleet:
@@ -108,13 +133,26 @@ class VectorFleet:
         self.connected = np.zeros(self.n, dtype=np.int64)
         self.violations = np.zeros(self.n, dtype=np.int64)
         self.disconnected_ticks = 0
+        # Motion-slack association: each client's live-AP column, the
+        # eligibility class it was chosen under, and how far the client
+        # may still walk before another eligible AP can be nearer.
+        # Allocated by the first association, once the spawned client
+        # objects (set-up's memory peak) are gone; 16 bytes a client.
+        self.best_col = np.zeros(0, dtype=np.int32)
+        self.cls = np.zeros(0, dtype=np.int32)
+        self.slack = np.zeros(0)
         # Snapshot-dependent state (set_snapshot).
-        self._live_ids = np.zeros(0, dtype=np.int64)
+        self._fresh = True
         self._ap_x = np.zeros(0, dtype=np.float64)
         self._ap_y = np.zeros(0, dtype=np.float64)
         self._live_spans: list[frozenset[int]] = []
-        self._col_of: np.ndarray = np.full(1, -1, dtype=np.int64)
-        self._elig = np.zeros((1, 0), dtype=bool)
+        # Index -1 ("no AP") reads the trailing pad of the next three:
+        # no ap_id, no column, and a class row that denies nothing.
+        self._live_ids = np.full(1, -1, dtype=np.int64)
+        self._col_of = np.full(1, -1, dtype=np.int64)
+        self._denied = np.zeros((1, 0), dtype=bool)
+        self._class_ids: dict[tuple[bool, ...], int] = {}
+        self._resp_class = np.zeros(1, dtype=np.int32)
         self._uhf_cols: dict[int, np.ndarray] = {}
 
     # -- AP snapshot ---------------------------------------------------------
@@ -126,30 +164,48 @@ class VectorFleet:
     ) -> None:
         """Columnarize one ``snapshot_assigned_aps`` live list.
 
-        Rebuilds the eligibility table for every response id and drops
+        Re-interns the eligibility class of every response id and drops
         the per-channel span masks (both are pure functions of the
-        snapshot + response table).
+        snapshot + response table); the next association re-evaluates
+        every client.
         """
-        self._live_ids = np.array(
-            [ap.ap_id for ap, _ in live_aps], dtype=np.int64
-        )
         self._ap_x = np.array([ap.x_m for ap, _ in live_aps], dtype=np.float64)
         self._ap_y = np.array([ap.y_m for ap, _ in live_aps], dtype=np.float64)
         self._live_spans = [spans for _, spans in live_aps]
-        self._col_of = np.full(max(1, num_aps), -1, dtype=np.int64)
+        self._live_ids = np.array(
+            [ap.ap_id for ap, _ in live_aps] + [-1], dtype=np.int64
+        )
+        self._col_of = np.full(num_aps + 1, -1, dtype=np.int64)
         for col, (ap, _) in enumerate(live_aps):
             self._col_of[ap.ap_id] = col
-        self._elig = self._elig_rows(self.responses.sets)
+        self._class_ids = {}
+        self._denied = np.zeros((len(live_aps) + 1, 0), dtype=bool)
+        self._resp_class = self._classes(self.responses.sets)
         self._uhf_cols = {}
+        self._fresh = True
 
-    def _elig_rows(self, responses: list[frozenset[int]]) -> np.ndarray:
-        rows = [
-            [spans <= resp for spans in self._live_spans]
-            for resp in responses
-        ]
-        return np.array(rows, dtype=bool).reshape(
-            len(responses), len(self._live_spans)
-        )
+    def _classes(self, responses: list[frozenset[int]]) -> np.ndarray:
+        """The eligibility class id of each response, interning new ones.
+
+        A class is the tuple of live-AP columns a response permits
+        (``ap_spans <= response``); responses that permit the same APs
+        share one id.  ``_denied[col, c]`` says class *c* denies the AP
+        in column *col*; its last row, which column -1 reads, denies
+        nothing.
+        """
+        ids = self._class_ids
+        out = []
+        for resp in responses:
+            row = tuple(spans <= resp for spans in self._live_spans)
+            out.append(ids.setdefault(row, len(ids)))
+        if len(ids) > self._denied.shape[1]:
+            permitted = np.array(list(ids), dtype=bool).reshape(
+                len(ids), len(self._live_spans)
+            )
+            self._denied = np.concatenate(
+                [~permitted.T, np.zeros((1, len(ids)), dtype=bool)]
+            )
+        return np.array(out, dtype=np.int32)
 
     def _spans_cols(self, uhf_index: int) -> np.ndarray:
         """Bool per live-AP column: does its channel span *uhf_index*?"""
@@ -167,41 +223,31 @@ class VectorFleet:
     def advance(self, step_m: float) -> None:
         """Advance every walker by *step_m* along its waypoint path.
 
-        The non-crossing fast path is :func:`advance_position`'s
+        Every walker first takes :func:`advance_position`'s
         else-branch arithmetic (``pos += delta / leg * step``)
-        elementwise; walkers
-        whose leg ends within the tick replay the exact scalar
+        elementwise; walkers whose leg ends within the tick then get
+        their pre-tick position back and replay the exact scalar
         :func:`advance_position` (their RNG draws must consume the same
-        stream values the scalar engine would).
+        stream values the scalar engine would).  No walker moves more
+        than *step_m*, so every association slack shrinks by that much
+        (times ``1 + 1e-9`` for the rounding of the position update).
         """
         x, y, wx, wy = self.x, self.y, self.wx, self.wy
         dx = wx - x
         dy = wy - y
         leg = np.sqrt(dx * dx + dy * dy)
-        crossing = leg <= step_m
-        cross_idx = np.flatnonzero(crossing)
-        if cross_idx.size:
-            far = ~crossing
-            x[far] += dx[far] / leg[far] * step_m
-            y[far] += dy[far] / leg[far] * step_m
-            extent = self.extent_m
-            for i in cross_idx.tolist():
-                xi, yi, wxi, wyi = advance_position(
-                    float(x[i]),
-                    float(y[i]),
-                    float(wx[i]),
-                    float(wy[i]),
-                    self.rngs[i],
-                    step_m,
-                    extent,
-                )
-                x[i] = xi
-                y[i] = yi
-                wx[i] = wxi
-                wy[i] = wyi
-        else:
+        cross_idx = np.flatnonzero(leg <= step_m)
+        cross_x = x[cross_idx].tolist()
+        cross_y = y[cross_idx].tolist()
+        with np.errstate(divide="ignore", invalid="ignore"):
             x += dx / leg * step_m
             y += dy / leg * step_m
+        extent = self.extent_m
+        for i, xi, yi in zip(cross_idx.tolist(), cross_x, cross_y):
+            x[i], y[i], wx[i], wy[i] = advance_position(
+                xi, yi, float(wx[i]), float(wy[i]), self.rngs[i], step_m, extent
+            )
+        self.slack -= step_m * (1 + 1e-9)
 
     def cells(self, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:
         """Quantization cells of every client at *resolution_m*.
@@ -235,15 +281,73 @@ class VectorFleet:
     ) -> None:
         """Adopt fresh response *ids* for the re-checked clients *idx*."""
         self.resp_id[idx] = ids
-        known = len(self._elig)
+        known = len(self._resp_class)
         if len(self.responses) > known:
-            self._elig = np.concatenate(
-                [self._elig, self._elig_rows(self.responses.sets[known:])]
+            self._resp_class = np.concatenate(
+                [self._resp_class, self._classes(self.responses.sets[known:])]
             )
         self.last_tx[idx] = trig_x[idx]
         self.last_ty[idx] = trig_y[idx]
         self.last_bucket[idx] = bucket
         self.requeries[idx] += 1
+
+    def _reassociate(
+        self,
+        rows: np.ndarray,
+        cls: np.ndarray,
+        best_col: np.ndarray,
+        new_ap: np.ndarray,
+        handoff_mask: np.ndarray,
+    ) -> None:
+        """Vacation, association, slack and handoff of the clients *rows*.
+
+        Writes their entries of *best_col*, *new_ap* and *handoff_mask*
+        and of the ``cls``/``slack`` columns, and bumps their counters.
+        Squared distances to every live AP use the scalar
+        ``(ap_x - x)**2 + (ap_y - y)**2`` arithmetic; an AP the class
+        denies reads ``inf``, and the first column equal to the minimum
+        wins, the lowest ``ap_id`` among equals.  The slack is half the
+        gap between the nearest and second-nearest eligible distances,
+        less the rounding margins (``inf`` with fewer than two eligible
+        APs).
+        """
+        row_cls = cls[rows]
+        self.cls[rows] = row_cls
+        prev = self.prev_ap[rows]
+        # Vacation: the previous AP (still assigned this snapshot) whose
+        # spans the current response denies.
+        vacated = self._denied[self._col_of[prev], row_cls]
+        self.vacations[rows[vacated]] += 1
+
+        n_live = len(self._ap_x)
+        if not n_live:
+            best_col[rows] = -1
+            new_ap[rows] = -1
+            self.slack[rows] = np.inf
+            return
+        # (live APs x rows): each AP's distances are one contiguous row,
+        # so the minima over APs are elementwise passes.
+        d2 = self._ap_x[:, None] - self.x[rows]
+        d2 *= d2
+        ddy = self._ap_y[:, None] - self.y[rows]
+        ddy *= ddy
+        d2 += ddy
+        np.copyto(d2, np.inf, where=np.take(self._denied[:-1], row_cls, axis=1))
+        b1 = d2.min(axis=0)
+        best = (d2 == b1).argmax(axis=0)
+        d2[best, np.arange(rows.size)] = np.inf
+        b2 = d2.min(axis=0)
+        r1, r2 = np.sqrt(b1), np.sqrt(b2)
+        with np.errstate(invalid="ignore"):  # inf - inf: replaced below
+            gap = (r2 - r1) / 2 - 1e-9 * r2 - 1e-6
+        self.slack[rows] = np.where(b2 < np.inf, gap, np.inf)
+        col = np.where(b1 < np.inf, best, -1)
+        best_col[rows] = col
+        ap = self._live_ids[col]
+        new_ap[rows] = ap
+        handoff = (prev >= 0) & (ap >= 0) & (ap != prev)
+        handoff_mask[rows] = handoff
+        self.handoffs[rows[handoff]] += 1
 
     def associate_and_score(
         self, metro, t_us: float, profiler: Any = None
@@ -252,12 +356,16 @@ class VectorFleet:
 
         Mirrors the scalar fleet's per-client sequence exactly: vacate
         when the previous AP's spans are no longer permitted, associate
-        with the nearest eligible AP (running min over ascending
-        ``ap_id`` columns with strict ``<`` — the scalar tie-break),
-        count handoffs/connected ticks, then score ground truth.
+        with the nearest eligible AP (first minimum over ascending
+        ``ap_id`` columns — the scalar tie-break), count
+        handoffs/connected ticks, then score ground truth.  Only the
+        clients whose slack ran out, whose eligibility class changed,
+        or all of them after :meth:`set_snapshot`, are re-evaluated;
+        every other client keeps its AP, and with it an AP its class
+        still permits, so it neither vacates nor hands off.
 
         Returns the tick's outcome arrays ``(connected, new_ap,
-        best_col, handoff_mask, violating)`` — cheap references the
+        best_col, handoff_mask, violating)`` — fresh arrays the
         trace-recording hooks read; counters are already applied.
 
         An optional wall-clock ``profiler`` splits the stage into its
@@ -266,54 +374,28 @@ class VectorFleet:
         """
         prof = NULL_PROFILER if profiler is None else profiler
         with prof.phase("associate"):
-            n_live = len(self._live_spans)
             m = self.n
-            # Per-client eligibility, transposed and contiguous: row
-            # ``col`` says which clients may associate with that AP.
-            elig_t = np.take(self._elig.T, self.resp_id, axis=1)
-            prev = self.prev_ap
-
-            # Vacation: the previous AP (still assigned this snapshot)
-            # whose spans the current response denies.
-            prev_col = self._col_of[np.clip(prev, 0, None)]
-            prev_col = np.where(prev >= 0, prev_col, -1)
-            has_prev = prev_col >= 0
-            prev_ok = np.zeros(m, dtype=bool)
-            pi = np.flatnonzero(has_prev)
-            if pi.size:
-                prev_ok[pi] = elig_t[prev_col[pi], pi]
-            self.vacations[has_prev & ~prev_ok] += 1
-
-            # Association: running elementwise min over live-AP columns,
-            # in place into preallocated length-m buffers; a client whose
-            # response denies the column's AP is masked out of the update.
-            x, y = self.x, self.y
-            best = np.full(m, np.inf)
-            best_col = np.full(m, -1, dtype=np.int64)
-            d2 = np.empty(m)
-            ddy = np.empty(m)
-            better = np.empty(m, dtype=bool)
-            for col in range(n_live):
-                np.subtract(self._ap_x[col], x, out=d2)
-                np.multiply(d2, d2, out=d2)
-                np.subtract(self._ap_y[col], y, out=ddy)
-                np.multiply(ddy, ddy, out=ddy)
-                np.add(d2, ddy, out=d2)
-                np.less(d2, best, out=better)
-                better &= elig_t[col]
-                np.copyto(best, d2, where=better)
-                np.copyto(best_col, col, where=better)
-            connected = best_col >= 0
-            if n_live:
-                new_ap = np.where(
-                    connected, self._live_ids[np.clip(best_col, 0, None)], -1
-                )
+            cls = self._resp_class[self.resp_id]
+            if self._fresh:
+                self._fresh = False
+                idx = np.arange(m)
+                best_col = np.full(m, -1, dtype=np.int32)
+                self.cls = np.empty(m, dtype=np.int32)
+                self.slack = np.empty(m)
             else:
-                new_ap = np.full(m, -1, dtype=np.int64)
-            self.disconnected_ticks += int(np.count_nonzero(~connected))
-            handoff_mask = (prev >= 0) & connected & (new_ap != prev)
-            self.handoffs[handoff_mask] += 1
-            self.connected[connected] += 1
+                idx = np.flatnonzero((self.slack < 0) | (cls != self.cls))
+                best_col = self.best_col.copy()
+            new_ap = self.prev_ap.copy()
+            handoff_mask = np.zeros(m, dtype=bool)
+            step = max(1, _CHUNK // max(1, len(self._ap_x)))
+            for lo in range(0, idx.size, step):
+                self._reassociate(
+                    idx[lo : lo + step], cls, best_col, new_ap, handoff_mask
+                )
+            connected = best_col >= 0
+            self.disconnected_ticks += m - int(np.count_nonzero(connected))
+            self.connected += connected
+            self.best_col = best_col
             self.prev_ap = new_ap
 
         with prof.phase("compliance"):

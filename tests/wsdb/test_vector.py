@@ -288,8 +288,10 @@ class TestVectorAssociation:
     """``VectorFleet.associate_and_score`` on hand-built AP snapshots.
 
     The cases the scalar ``associate_nearest`` tests pin, run through
-    the columnar masked running minimum and checked client by client
-    against the scalar rule.
+    the columnar first-minimum pass over the (live APs x clients)
+    distance table — every client is evaluated, as on the first tick
+    after a snapshot — and checked client by client against the
+    scalar rule.
     """
 
     POINTS = [(0.0, 0.0), (60.0, 40.0), (450.0, 10.0)]
@@ -351,3 +353,183 @@ class TestVectorAssociation:
         for (x, y), got in zip(self.POINTS, new_ap.tolist()):
             ap = associate_nearest(x, y, frozenset(response), live)
             assert got == (-1 if ap is None else ap.ap_id)
+
+
+#: The differential metro: a bisector pair (0, 1) on x = 500, a
+#: co-located pair (2, 3), an AP (4) with no channel until the first
+#: snapshot rebuild, and a lone AP (5) on its own channel.
+def _slack_aps(rebuild: int = 0) -> list[CityAp]:
+    aps = [
+        _ap(0, 300.0, 500.0, center=14),
+        _ap(1, 700.0, 500.0, center=14),
+        _ap(2, 500.0, 900.0, center=12),
+        _ap(3, 500.0, 900.0, center=16),
+        _ap(4, 150.0, 150.0, center=None),
+        _ap(5, 850.0, 150.0, center=18),
+    ]
+    if rebuild == 1:
+        aps[4] = _ap(4, 150.0, 150.0, center=18)
+        aps[1] = _ap(1, 700.0, 500.0, center=16)
+        aps[2] = _ap(2, 500.0, 900.0, center=None)
+    return aps
+
+
+#: Responses by eligible set: every AP, none, the lone channel-18 AP
+#: only, one of the co-located pair only, all but the bisector pair,
+#: and two supersets of earlier entries that permit the same APs.
+_SLACK_RESPONSES = [
+    (12, 14, 16, 18),
+    (),
+    (18,),
+    (16,),
+    (12, 16, 18),
+    (12, 14),
+    (12, 14, 16, 18, 19),
+    (18, 20),
+]
+
+#: Hand-placed walkers, (x, y, waypoint x, waypoint y): on the
+#: bisector of APs 0 and 1, landing on AP 0 as a waypoint, passing
+#: through AP 1, through the co-located pair, and crossing a waypoint
+#: on the first tick.
+_SLACK_WALKERS = [
+    (500.0, 400.0, 500.0, 880.0),
+    (60.0, 500.0, 300.0, 500.0),
+    (640.0, 500.0, 900.0, 500.0),
+    (500.0, 870.0, 500.0, 960.0),
+    (100.0, 100.0, 110.0, 100.0),
+]
+
+
+class TestMotionSlackDifferential:
+    """Slack-gated association, tick by tick, against two oracles.
+
+    One fleet re-evaluates only the clients whose slack ran out or
+    whose eligibility class changed; a twin has every slack forced
+    below zero before each tick (a full re-evaluation); and the scalar
+    fleet associates client by client.  Mid-walk response changes flip
+    classes, and two snapshot rebuilds change the live APs.
+    """
+
+    EXTENT = 1_000.0
+    TICKS = 14
+    FLIP_TICKS = (3, 5, 8, 11)
+    REBUILD_TICKS = {6: 1, 10: 0}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("step_m", [30.0, 0.5])
+    def test_matches_scalar_and_full_reevaluation(self, seed, step_m):
+        import random
+
+        from repro.wsdb.session import ScalarFleet
+        from repro.wsdb.vector import VectorFleet
+
+        n = 240
+        fleets = [
+            kind(spawn_clients(n, seed, "slack", self.EXTENT), self.EXTENT)
+            for kind in (VectorFleet, VectorFleet, ScalarFleet)
+        ]
+        gated, full, scalar = fleets
+        for fleet in fleets:
+            for i, (x, y, wx, wy) in enumerate(_SLACK_WALKERS):
+                fleet.x[i], fleet.y[i], fleet.wx[i], fleet.wy[i] = x, y, wx, wy
+        metro = Metro(extent_m=self.EXTENT, num_channels=30)
+        rng = random.Random(seed)
+
+        def snapshot(rebuild: int) -> None:
+            live, _ = snapshot_assigned_aps(_slack_aps(rebuild))
+            for fleet in fleets:
+                fleet.set_snapshot(live, 6)
+
+        def commit(idx: np.ndarray, picks=None) -> None:
+            picks = picks or [rng.choice(_SLACK_RESPONSES) for _ in idx]
+            qx, qy = gated.cells(100.0)
+            for fleet in fleets:
+                fleet.commit_recheck(idx, qx, qy, 0, fleet.responses.ids(picks))
+
+        snapshot(0)
+        walkers = len(_SLACK_WALKERS)
+        commit(np.arange(walkers), [_SLACK_RESPONSES[0]] * walkers)
+        commit(np.arange(walkers, n))
+        skipped = 0
+        for k in range(self.TICKS):
+            if k:
+                for fleet in fleets:
+                    fleet.advance(step_m)
+            if k in self.REBUILD_TICKS:
+                snapshot(self.REBUILD_TICKS[k])
+            if k in self.FLIP_TICKS:
+                commit(np.sort(np.array(rng.sample(range(n), 60))))
+            full.slack[:] = -np.inf
+            skipped += int(np.count_nonzero(gated.slack >= 0))
+            ticks = [fleet.associate_and_score(metro, 0.0) for fleet in fleets]
+            for got in ticks[:2]:
+                for name, a, b in zip(
+                    ("connected", "new_ap", "best_col", "handoff_mask"),
+                    got,
+                    ticks[2],
+                ):
+                    assert a.tolist() == b.tolist(), (k, name)
+            for fleet in (gated, full):
+                assert fleet.vacations.tolist() == scalar.vacations.tolist(), k
+                assert fleet.handoffs.tolist() == scalar.handoffs.tolist(), k
+                assert fleet.connected.tolist() == scalar.connected.tolist(), k
+            assert gated.disconnected_ticks == scalar.disconnected_ticks
+            if k == 0:
+                # Equidistant (walker 0) and co-located (walker 3) APs
+                # resolve to the lower ap_id.
+                assert ticks[0][1][:walkers].tolist() == [0, 0, 1, 2, 0]
+
+        # The walk exercised every branch the gate can skip or take.
+        assert skipped > 0
+        assert scalar.vacations.sum() > 0
+        assert scalar.handoffs.sum() > 0
+        assert scalar.disconnected_ticks > 0
+
+
+class TestEligibilityClasses:
+    """Responses are grouped by the live APs they permit."""
+
+    def _fleet(self):
+        from repro.wsdb.vector import VectorFleet
+
+        fleet = VectorFleet(spawn_clients(6, 0, "t", 1_000.0), 1_000.0)
+        live, _ = snapshot_assigned_aps(_slack_aps())
+        fleet.set_snapshot(live, 6)
+        return fleet
+
+    def _commit(self, fleet, idx, responses):
+        qx, qy = fleet.cells(100.0)
+        fleet.commit_recheck(
+            np.asarray(idx), qx, qy, 0, fleet.responses.ids(responses)
+        )
+
+    def test_equal_eligible_sets_share_a_class(self):
+        fleet = self._fleet()
+        self._commit(fleet, range(6), [
+            (12, 14, 16, 18), (12, 14, 16, 18, 19), (18,), (18, 20), (), (19,),
+        ])
+        fleet.associate_and_score(Metro(extent_m=1_000.0, num_channels=30), 0.0)
+        cls = fleet.cls.tolist()
+        assert cls[0] == cls[1]
+        assert cls[2] == cls[3]
+        assert cls[4] == cls[5]
+        assert len({cls[0], cls[2], cls[4]}) == 3
+
+    def test_grown_table_reevaluates_only_changed_classes(self):
+        fleet = self._fleet()
+        metro = Metro(extent_m=1_000.0, num_channels=30)
+        self._commit(fleet, range(6), [(12, 14, 16, 18)] * 6)
+        fleet.associate_and_score(metro, 0.0)
+        # No slack runs out: only a class change can re-evaluate.
+        fleet.slack[:] = 1e9
+        before = len(fleet.responses)
+        # Client 0's new response permits the same APs; client 1's
+        # permits only AP 5.  Both are new to the table.
+        self._commit(fleet, [0, 1], [(12, 14, 16, 18, 21), (18, 22)])
+        assert len(fleet.responses) == before + 2
+        _, new_ap, *_ = fleet.associate_and_score(metro, 0.0)
+        assert fleet.slack[0] == 1e9
+        assert fleet.slack[2:].tolist() == [1e9] * 4
+        assert fleet.slack[1] == np.inf
+        assert new_ap[1] == 5
