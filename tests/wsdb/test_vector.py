@@ -355,10 +355,10 @@ class TestVectorAssociation:
             assert got == (-1 if ap is None else ap.ap_id)
 
 
-#: The differential metro: a bisector pair (0, 1) on x = 500, a
-#: co-located pair (2, 3), an AP (4) with no channel until the first
-#: snapshot rebuild, and a lone AP (5) on its own channel.
 def _slack_aps(rebuild: int = 0) -> list[CityAp]:
+    """The differential metro: a bisector pair (0, 1) on x = 500, a
+    co-located pair (2, 3), an AP (4) with no channel until the first
+    snapshot rebuild, and a lone AP (5) on its own channel."""
     aps = [
         _ap(0, 300.0, 500.0, center=14),
         _ap(1, 700.0, 500.0, center=14),
