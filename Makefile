@@ -42,9 +42,9 @@ bench-smoke:
 	PYTHONPATH=$(PYTHONPATH) python scripts/profile_run.py \
 	    --kind querystorm --clients 300 --duration-us 20e6 \
 	    --out benchmarks/results/telemetry-smoke
-	python scripts/metrics_report.py \
+	PYTHONPATH=$(PYTHONPATH) python -m repro.report \
 	    benchmarks/results/telemetry-smoke.metrics.json
-	python scripts/span_report.py \
+	PYTHONPATH=$(PYTHONPATH) python -m repro.report \
 	    benchmarks/results/telemetry-smoke.spans.jsonl
 
 ## Layer microbenchmark: ns per cell of the database's query primitive

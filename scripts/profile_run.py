@@ -17,12 +17,14 @@ sim-clock :class:`~repro.telemetry.MetricsRegistry` and
 * ``PREFIX.metrics.prom`` — the same snapshot in Prometheus text
   exposition format;
 * ``PREFIX.spans.jsonl`` — the deterministic span table (meta header
-  line + one span per line; feed to ``scripts/span_report.py``);
+  line + one span per line);
 * ``PREFIX.spans-chrome.json`` — the span trees as Chrome trace
   events, one ``tid`` lane per trace.
 
 A phase table (seconds, calls, share of profiled time) prints to
 stdout.  ``make profile`` drives this for the 10k-client roaming run.
+``python -m repro.report`` summarizes the metrics JSON and the span
+JSONL (``--trace-id`` prints one trace's span tree).
 
 Usage::
 

@@ -370,57 +370,15 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> dict[str, Any]:
     return merged
 
 
-class _NullMetric:
-    """The do-nothing metric every :class:`NullTelemetry` family returns."""
-
-    __slots__ = ()
-    value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, values: np.ndarray) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
 class NullTelemetry:
-    """The zero-overhead telemetry sink (telemetry off).
+    """The telemetry off-switch substituted for ``telemetry=None``.
 
-    Mirrors :class:`MetricsRegistry`'s surface with no-ops so drivers
-    hold exactly one code shape; hook sites still guard on ``enabled``
-    so an off-run never pays even the argument-marshalling cost.
+    The object is only the off-switch: every hook site guards on
+    ``enabled`` before it touches a registry, so nothing else is
+    needed here.
     """
 
     enabled = False
-
-    def counter(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, **labels: Any) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(
-        self, name: str, bounds: tuple[float, ...] | None = None, **labels: Any
-    ) -> _NullMetric:
-        return _NULL_METRIC
-
-    def record_stats(self, prefix: str, stats: Mapping[str, Any]) -> None:
-        pass
-
-    def sample_tick(self, t_us: float, **columns: float) -> None:
-        pass
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "series": {}}
 
 
 #: Shared zero-overhead instance (the telemetry twin of NULL_RECORDER).

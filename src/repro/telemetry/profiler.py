@@ -111,22 +111,18 @@ class PhaseProfiler:
 
 
 class NullProfiler:
-    """The do-nothing profiler substituted for ``profiler=None``."""
+    """The profiler off-switch substituted for ``profiler=None``.
+
+    ``phase`` is the one method the tick loop calls unguarded (a shared
+    no-op context manager); every other hook site guards on
+    ``enabled``.
+    """
 
     enabled = False
     _NULL_CONTEXT = nullcontext()
 
     def phase(self, name: str) -> Any:
         return self._NULL_CONTEXT
-
-    def add(self, name: str, seconds: float) -> None:
-        pass
-
-    def seconds(self) -> dict[str, float]:
-        return {}
-
-    def report(self) -> dict[str, dict[str, float]]:
-        return {}
 
 
 #: Shared no-op instance.

@@ -18,9 +18,9 @@ Determinism is the same contract as everything else in the tree:
   of its enqueue stamp, rendered as 16 hex digits — never wall clock,
   never ``id()`` — so the scalar and vector engines (which issue the
   identical request sequence) mint identical ids.  The mix is defined
-  here only, in a Python-int form (:func:`_trace_id`, the id a one-shot
-  tree returns) and a numpy ``uint64`` form for bursts
-  (:func:`_trace_ids`); the two agree bit for bit.  Span ids are
+  here only, in a Python-int form (:func:`_trace_id`, one trace's id)
+  and a numpy ``uint64`` form for bursts (:func:`_trace_ids`); the two
+  agree bit for bit.  Span ids are
   per-trace sequence numbers assigned in a fixed tree-build order.
 * **Sim-clock only.**  Every timestamp in a span is simulation time;
   the module never reads a wall clock (it lives outside the detlint
@@ -62,10 +62,12 @@ __all__ = [
     "SpanRecorder",
     "bucket_label",
     "critical_path",
+    "iter_traces",
     "lookup_steps",
     "parse_span_sample",
     "path_self_times",
     "tail_attribution",
+    "tail_bucket",
     "trace_spans",
 ]
 
@@ -334,9 +336,11 @@ class SpanRecorder:
         """Record one complete zero-duration tree per subject at *t_us*.
 
         Used for work that begins and ends inside one call today: a
-        burst of direct database lookups on the roaming path (subject
-        ``subjects[i]`` with serve-side steps ``steps_of(i)``).  Trees
-        are built only for kept traces, in subject order.
+        burst of direct database lookups on the roaming path, or one
+        mic registration's invalidate and push fan-out (subject
+        ``subjects[i]`` with steps ``steps_of(i)``).  Trees are built
+        only for kept traces, in subject order; :func:`_trace_id` of
+        ``(req, subjects[i], t_us)`` is each tree's id.
         """
         subjects = np.asarray(subjects, dtype=np.int64)
         n = len(subjects)
@@ -349,22 +353,6 @@ class SpanRecorder:
                 f"{int(ids[i]):016x}", kind, site, t_us, t_us, attrs,
                 steps_of(i),
             )
-
-    def record_tree(
-        self,
-        kind: str,
-        req: str,
-        subject: int,
-        t_us: float,
-        site: str,
-        steps: Sequence[tuple],
-    ) -> str:
-        """Record one zero-duration tree (a mic registration's
-        invalidate + push fan-out); returns its trace id, minted even
-        when sampling drops the tree, so callers can log it either way.
-        """
-        self.trees(kind, req, [subject], t_us, site, lambda _: steps)
-        return _trace_id(req, subject, t_us)
 
     # -- tree building -------------------------------------------------------
 
@@ -465,57 +453,14 @@ class SpanRecorder:
 
 
 class NullSpans:
-    """The do-nothing recorder substituted for ``spans=None``."""
+    """The span off-switch substituted for ``spans=None``.
+
+    The object is only the off-switch: every hook site guards on
+    ``enabled`` before it builds span arguments, so nothing else is
+    needed here.
+    """
 
     enabled = False
-    sample = "off"
-
-    def requests(
-        self,
-        req: str,
-        subjects: np.ndarray,
-        enqueue_us: Sequence[float] | None,
-        t_us: float,
-        admitted: int,
-        served: np.ndarray,
-        steps_of: Callable[[int], Sequence[tuple]],
-    ) -> None:
-        pass
-
-    def trees(
-        self,
-        kind: str,
-        req: str,
-        subjects: np.ndarray,
-        t_us: float,
-        site: str,
-        steps_of: Callable[[int], Sequence[tuple]],
-    ) -> None:
-        pass
-
-    def record_tree(
-        self,
-        kind: str,
-        req: str,
-        subject: int,
-        t_us: float,
-        site: str,
-        steps: Sequence[tuple],
-    ) -> str:
-        return ""
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "schema": SPANS_SCHEMA,
-            "sample": "off",
-            "latency_bounds": [],
-            "latency_counts": [],
-            "traces": 0,
-            "dropped": 0,
-            "unserved": 0,
-            "exemplars": {},
-            "spans": [],
-        }
 
 
 #: Shared no-op instance.
@@ -525,10 +470,11 @@ NULL_SPANS = NullSpans()
 # -- analysis over exported tables ---------------------------------------------
 
 
-def _iter_traces(
+def iter_traces(
     table: Mapping[str, Any],
 ) -> Iterator[tuple[str, list[dict[str, Any]]]]:
-    """Group a table's span list into (trace_id, spans) runs.
+    """Group a table's span list into (trace_id, spans) runs, in table
+    order.
 
     Tables keep each trace contiguous with the root span first, so one
     linear pass suffices.
@@ -550,7 +496,7 @@ def trace_spans(
     table: Mapping[str, Any], trace_id: str
 ) -> list[dict[str, Any]]:
     """All spans of one trace, in span-id order (empty when unknown)."""
-    for tid, spans in _iter_traces(table):
+    for tid, spans in iter_traces(table):
         if tid == trace_id:
             return spans
     return []
@@ -605,6 +551,23 @@ def path_self_times(
     return out
 
 
+def tail_bucket(
+    counts: Sequence[int], quantile: float = TAIL_QUANTILE
+) -> int | None:
+    """The index of the latency bucket holding the *quantile* point of
+    the per-bucket *counts* (None when nothing was counted)."""
+    total = sum(counts)
+    if total == 0:
+        return None
+    need = quantile * total
+    cumulative = 0
+    for index, count in enumerate(counts):
+        cumulative += count
+        if cumulative >= need:
+            return index
+    return len(counts) - 1
+
+
 def tail_attribution(
     table: Mapping[str, Any], quantile: float = TAIL_QUANTILE
 ) -> dict[str, Any]:
@@ -629,29 +592,19 @@ def tail_attribution(
         "traces": 0,
         "by_kind": {},
     }
-    total = sum(counts)
-    if total == 0:
+    tail = tail_bucket(counts, quantile)
+    if tail is None:
         return report
-    need = quantile * total
-    cumulative = 0
-    tail_bucket = len(counts) - 1
-    for index, count in enumerate(counts):
-        cumulative += count
-        if cumulative >= need:
-            tail_bucket = index
-            break
-    report["threshold_le"] = (
-        float(bounds[tail_bucket]) if tail_bucket < len(bounds) else None
-    )
-    report["requests"] = int(sum(counts[tail_bucket:]))
+    report["threshold_le"] = float(bounds[tail]) if tail < len(bounds) else None
+    report["requests"] = int(sum(counts[tail:]))
     by_kind: dict[str, float] = {}
     kept = 0
-    for _, spans in _iter_traces(table):
+    for _, spans in iter_traces(table):
         root = spans[0]
         latency = root["attrs"].get("latency_us")
         if latency is None:
             continue
-        if bisect_left(bounds, latency) < tail_bucket:
+        if bisect_left(bounds, latency) < tail:
             continue
         kept += 1
         for kind, self_us in path_self_times(critical_path(spans)):

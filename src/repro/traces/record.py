@@ -320,26 +320,14 @@ class TraceRecorder:
 
 
 class NullTraceRecorder:
-    """The zero-overhead default: every hook site is a guarded no-op.
+    """The recorder off-switch: the zero-overhead default.
 
-    Drivers test ``recorder.enabled`` before building event arguments,
-    so a run without a recorder executes exactly the pre-traces code
-    path — reports stay byte-identical.
+    The object is only the off-switch: drivers test ``enabled`` before
+    building event arguments, so a run without a recorder executes
+    exactly the pre-traces code path and reports stay byte-identical.
     """
 
     enabled = False
-
-    def emit(self, *args: object, **kwargs: object) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullTraceRecorder":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
 
 
 #: The shared do-nothing recorder drivers default to.

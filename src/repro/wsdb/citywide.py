@@ -34,7 +34,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
+
+import numpy as np
 
 from repro import constants
 from repro.core.assignment import ChannelAssigner, SwitchReason
@@ -64,6 +66,8 @@ __all__ = [
     "boot_aps",
     "displace_covered_aps",
     "generate_mic_events",
+    "record_mic",
+    "record_requests",
     "simulate_citywide",
     "snapshot_assigned_aps",
 ]
@@ -275,6 +279,71 @@ def snapshot_assigned_aps(
     return live, {ap.ap_id: spans for ap, spans in live}
 
 
+def record_mic(
+    recorder: Any,
+    event: MicEvent,
+    index: int,
+    resolution_m: float,
+    notified: Iterable[int] = (),
+) -> None:
+    """Emit registration *index*'s ``mic`` trace event, then one
+    ``push`` event per *notified* device, stamped with the mic's cell
+    at *resolution_m*."""
+    cell = quantize_cell(event.x_m, event.y_m, resolution_m)
+    channels = (event.uhf_index,)
+    recorder.emit(
+        "mic",
+        event.t_us,
+        subject=index,
+        cell=cell,
+        channels=channels,
+        x=event.x_m,
+        y=event.y_m,
+        aux=event.uhf_index,
+    )
+    for device in notified:
+        recorder.emit(
+            "push", event.t_us, subject=device, cell=cell,
+            channels=channels, aux=index,
+        )
+
+
+def record_requests(
+    recorder: Any,
+    kind: str,
+    t_us: float,
+    subjects: Iterable[int],
+    xy: Any,
+    answers: np.ndarray,
+    admitted: int,
+    service: AvailabilityService,
+) -> None:
+    """Emit one ``query``/``recheck`` trace event per request of a burst.
+
+    *xy* holds the (n, 2) request coordinates and *answers* their
+    response ids into *service*'s table (``-1`` refused, recorded as
+    no channels); the first *admitted* requests were admitted.  Cells
+    follow *service*'s ``cache_resolution_m``, quantized once per
+    burst.
+    """
+    xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+    cells = quantize_cells(xy, service.cache_resolution_m).tolist()
+    tuples = service.responses.tuples
+    for i, (subject, (x_m, y_m), cell, rid) in enumerate(
+        zip(subjects, xy.tolist(), cells, answers.tolist())
+    ):
+        recorder.emit(
+            kind,
+            t_us,
+            subject=subject,
+            cell=cell,
+            channels=None if rid < 0 else tuples[rid],
+            x=x_m,
+            y=y_m,
+            aux=int(i < admitted),
+        )
+
+
 def displace_covered_aps(
     db: AvailabilityService,
     aps: list[CityAp],
@@ -380,18 +449,7 @@ def simulate_citywide(
         registration = event.registration()
         db.register_mic(registration)
         if recording:
-            recorder.emit(
-                "mic",
-                event.t_us,
-                subject=index,
-                cell=quantize_cell(
-                    event.x_m, event.y_m, db.cache_resolution_m
-                ),
-                channels=(event.uhf_index,),
-                x=event.x_m,
-                y=event.y_m,
-                aux=event.uhf_index,
-            )
+            record_mic(recorder, event, index, db.cache_resolution_m)
         d, b, r, o = displace_covered_aps(
             db, aps, event, registration, interference_radius_m
         )
@@ -406,21 +464,16 @@ def simulate_citywide(
     # from that single response (querying twice at the same t would
     # double-count stats.queries and inflate the reported hit rate).
     num_channels = db.metro.num_channels
-    final_responses = free_channels(
-        db, [(ap.x_m, ap.y_m) for ap in aps], duration_us
-    )
+    points = [(ap.x_m, ap.y_m) for ap in aps]
+    ids = db.response_ids_in_cells(
+        quantize_cells(points, db.cache_resolution_m), duration_us
+    ).ids
+    final_responses = [db.responses.tuples[i] for i in ids.tolist()]
     if recording:
-        for ap, response in zip(aps, final_responses):
-            recorder.emit(
-                "query",
-                duration_us,
-                subject=ap.ap_id,
-                cell=quantize_cell(ap.x_m, ap.y_m, db.cache_resolution_m),
-                channels=response,
-                x=ap.x_m,
-                y=ap.y_m,
-                aux=1,
-            )
+        record_requests(
+            recorder, "query", duration_us, [ap.ap_id for ap in aps],
+            points, ids, len(aps), db,
+        )
     final_maps = [
         SpectrumMap.from_free(free, num_channels) for free in final_responses
     ]

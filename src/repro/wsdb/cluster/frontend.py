@@ -438,7 +438,10 @@ class BatchFrontend:
                 steps.append(
                     ("push_fanout", "push", {"notified": len(notified)}, ())
                 )
-            sp.record_tree("mic_register", "mic", index, t_us, "frontend", steps)
+            sp.trees(
+                "mic_register", "mic", [index], t_us, "frontend",
+                lambda _: steps,
+            )
         return notified
 
     def publish_metrics(self, telemetry=None) -> None:

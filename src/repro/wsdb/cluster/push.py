@@ -12,21 +12,22 @@ notification when a new protection zone can change the device's
 response.
 
 :class:`PushRegistry` is that subscription book, cell-granular like the
-response protocol itself: a device subscribes to its current
-quantization cell (moving is an idempotent re-subscribe), and
-:meth:`notify_zone` fans a new zone out to every device whose
-subscribed cell the zone touches — the same
-:func:`~repro.wsdb.index.circle_intersects_cell` predicate the service
+response protocol itself: per-device cell columns, indexed by device
+id.  A device subscribes to its current quantization cell (moving is
+an idempotent re-subscribe, and a whole fleet subscribes in one array
+call), and :meth:`notify_zone` fans a new zone out to every device
+whose subscribed cell the zone touches — the same
+:func:`~repro.wsdb.index.circle_intersects_cells` predicate the service
 uses to invalidate cached responses, so a device is notified exactly
 when its cached response may have changed.  Notification order is
-sorted by device id, keeping fan-out deterministic for the
+ascending device id, keeping fan-out deterministic for the
 byte-identical parallel/sequential contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from typing import Any
 
 import numpy as np
 
@@ -86,49 +87,58 @@ class PushRegistry:
                 f"cache_resolution_m must be > 0, got {cache_resolution_m!r}"
             )
         self.cache_resolution_m = cache_resolution_m
-        self._cell_of_device: dict[int, tuple[int, int]] = {}
-        self._devices_in_cell: dict[tuple[int, int], set[int]] = {}
+        # Per-device columns, indexed by device id: subscribed flag and
+        # subscribed cell.
+        self._on = np.zeros(0, dtype=bool)
+        self._qx = np.zeros(0, dtype=np.int64)
+        self._qy = np.zeros(0, dtype=np.int64)
         self.stats = PushStats()
 
     def __len__(self) -> int:
-        return len(self._cell_of_device)
+        return int(np.count_nonzero(self._on))
 
     def subscribed_cell(self, device_id: int) -> tuple[int, int] | None:
         """The cell *device_id* is subscribed to (None when absent)."""
-        return self._cell_of_device.get(device_id)
+        if not 0 <= device_id < len(self._on) or not self._on[device_id]:
+            return None
+        return int(self._qx[device_id]), int(self._qy[device_id])
 
-    def subscribe(self, device_id: int, qx: int, qy: int) -> None:
-        """Subscribe *device_id* to cell (qx, qy).
+    def subscribe(self, devices: Any, qx: Any, qy: Any) -> None:
+        """Subscribe each of *devices* to cell ``(qx[i], qy[i])``.
 
-        Move semantics: a device already subscribed elsewhere is moved
-        (its old cell is released); re-subscribing to the current cell
-        is a no-op, so callers can refresh every tick for free.
+        Takes distinct non-negative device ids and their cells as arrays
+        (or one id and one cell as scalars).  Move semantics: a device
+        already subscribed elsewhere is moved; re-subscribing to the
+        current cell is a no-op, so callers can refresh a whole fleet
+        every tick for free.
         """
-        cell = (qx, qy)
-        previous = self._cell_of_device.get(device_id)
-        if previous == cell:
+        devices, qx, qy = (
+            np.atleast_1d(np.asarray(a, dtype=np.int64))
+            for a in (devices, qx, qy)
+        )
+        if not len(devices):
             return
-        if previous is None:
-            self.stats.subscriptions += 1
-        else:
-            self.stats.moves += 1
-            self._release(device_id, previous)
-        self._cell_of_device[device_id] = cell
-        self._devices_in_cell.setdefault(cell, set()).add(device_id)
+        if devices.min() < 0:
+            raise SpectrumMapError("push device ids must be >= 0")
+        grow = int(devices.max()) + 1 - len(self._on)
+        if grow > 0:
+            self._on = np.concatenate((self._on, np.zeros(grow, dtype=bool)))
+            self._qx = np.concatenate((self._qx, np.zeros(grow, np.int64)))
+            self._qy = np.concatenate((self._qy, np.zeros(grow, np.int64)))
+        was = self._on[devices]
+        moved = was & ((self._qx[devices] != qx) | (self._qy[devices] != qy))
+        self.stats.subscriptions += len(devices) - int(np.count_nonzero(was))
+        self.stats.moves += int(np.count_nonzero(moved))
+        self._on[devices] = True
+        self._qx[devices] = qx
+        self._qy[devices] = qy
 
     def unsubscribe(self, device_id: int) -> None:
         """Drop *device_id* from the book (absent devices are a no-op)."""
-        cell = self._cell_of_device.pop(device_id, None)
-        if cell is None:
+        if self.subscribed_cell(device_id) is None:
             return
-        self._release(device_id, cell)
+        self._on[device_id] = False
         self.stats.unsubscriptions += 1
-
-    def _release(self, device_id: int, cell: tuple[int, int]) -> None:
-        devices = self._devices_in_cell[cell]
-        devices.discard(device_id)
-        if not devices:
-            del self._devices_in_cell[cell]
 
     def notify_zone(self, registration: MicRegistration) -> tuple[int, ...]:
         """Devices whose subscribed cell *registration*'s zone touches.
@@ -138,23 +148,16 @@ class PushRegistry:
         invalidation geometry, so the notified set is exactly the
         devices whose cached response the registration can change.
         """
-        by_cell = self._devices_in_cell
-        cells = np.fromiter(
-            chain.from_iterable(by_cell), dtype=np.int64, count=2 * len(by_cell)
-        ).reshape(-1, 2)
+        devices = np.flatnonzero(self._on)
         touched = circle_intersects_cells(
             registration.x_m,
             registration.y_m,
             registration.radius_m,
-            cells[:, 0],
-            cells[:, 1],
+            self._qx[devices],
+            self._qy[devices],
             self.cache_resolution_m,
         )
-        notified: list[int] = []
-        for devices, t in zip(by_cell.values(), touched.tolist()):
-            if t:
-                notified.extend(devices)
-        notified.sort()
+        notified = devices[touched].tolist()
         if notified:
             self.stats.zones_notified += 1
         self.stats.notifications += len(notified)

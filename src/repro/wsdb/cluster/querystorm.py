@@ -33,7 +33,7 @@ the contract the ``querystorm`` run kind and ``ParallelRunner`` rely
 on.
 
 This module holds the storm source (:func:`synthetic_storm`,
-:class:`StormFeed`), the request recorder and the entry point; the
+:class:`StormFeed`) and the entry point; the
 tick loop and the cluster query path are in :mod:`repro.wsdb.session`,
 shared with the roaming driver and both engines.
 """
@@ -123,39 +123,6 @@ class StormFeed:
         if not blocks:
             return np.zeros((0, 2))
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def record_requests(
-    recorder: Any,
-    kind: str,
-    t_us: float,
-    subjects: Iterable[int],
-    xy: Any,
-    answers: np.ndarray,
-    admitted: int,
-    router: ShardRouter,
-) -> None:
-    """Emit one ``query``/``recheck`` trace event per request of a burst.
-
-    *answers* are the frontend's response ids (``-1`` refused, recorded
-    as no channels); *admitted* is the burst's admitted-prefix length
-    (the frontend's ``stats.admitted`` delta across the call).  Cells
-    follow *router*'s convention.
-    """
-    cell_of, tuples = router.cell_of, router.responses.tuples
-    for i, (subject, (x_m, y_m), rid) in enumerate(
-        zip(subjects, np.asarray(xy).tolist(), answers.tolist())
-    ):
-        recorder.emit(
-            kind,
-            t_us,
-            subject=subject,
-            cell=cell_of(x_m, y_m),
-            channels=None if rid < 0 else tuples[rid],
-            x=x_m,
-            y=y_m,
-            aux=int(i < admitted),
-        )
 
 
 def simulate_querystorm(

@@ -41,15 +41,13 @@ from repro.wsdb.citywide import (
     boot_aps,
     displace_covered_aps,
     generate_mic_events,
+    record_mic,
+    record_requests,
     snapshot_assigned_aps,
 )
 from repro.wsdb.cluster.frontend import BatchFrontend
 from repro.wsdb.cluster.push import PushRegistry
-from repro.wsdb.cluster.querystorm import (
-    StormFeed,
-    record_requests,
-    synthetic_storm,
-)
+from repro.wsdb.cluster.querystorm import StormFeed, synthetic_storm
 from repro.wsdb.mobility import (
     advance_position,
     associate_nearest,
@@ -57,7 +55,7 @@ from repro.wsdb.mobility import (
     spawn_clients,
 )
 from repro.wsdb.service import quantize_cell, ttl_bucket
-from repro.wsdb.vector import _NO_CELL, VectorFleet
+from repro.wsdb.vector import VectorFleet
 
 __all__ = ["ClusterPath", "DatabasePath", "ScalarFleet", "run_session"]
 
@@ -183,13 +181,10 @@ class DatabasePath:
     def register_mic(self, event, index: int, registration) -> tuple:
         invalidated = self.db.register_mic(registration)
         if self.sp.enabled:
-            self.sp.record_tree(
-                "mic_register",
-                "mic",
-                index,
-                event.t_us,
-                "db",
-                [("invalidate", "db", {"entries": int(invalidated)}, ())],
+            steps = [("invalidate", "db", {"entries": int(invalidated)}, ())]
+            self.sp.trees(
+                "mic_register", "mic", [index], event.t_us, "db",
+                lambda _: steps,
             )
         return ()
 
@@ -220,20 +215,11 @@ class DatabasePath:
                 lambda j: [lookup_steps(bool(hit[j]), scanned[j], "db")],
             )
         if self.recorder.enabled:
-            tuples = db.responses.tuples
-            for i, (cx, cy), rid in zip(
-                due.tolist(), cells.tolist(), ids.tolist()
-            ):
-                self.recorder.emit(
-                    "recheck",
-                    t_us,
-                    subject=i,
-                    cell=(cx, cy),
-                    channels=tuples[rid],
-                    x=float(fleet.x[i]),
-                    y=float(fleet.y[i]),
-                    aux=1,
-                )
+            record_requests(
+                self.recorder, "recheck", t_us, due.tolist(),
+                np.column_stack((fleet.x[due], fleet.y[due])), ids,
+                len(due), db,
+            )
         return due, ids
 
     def sample(self, fleet) -> dict[str, int]:
@@ -325,10 +311,6 @@ class ClusterPath:
         # is admitted, so admission control can delay — but never
         # silently drop — a notification.
         self.pushed = np.zeros(n, dtype=bool)
-        # Subscribed cells, so only movers re-subscribe (a same-cell
-        # re-subscribe is a stats-free no-op).
-        self.sub_x = np.full(n, _NO_CELL, dtype=np.int64)
-        self.sub_y = np.full(n, _NO_CELL, dtype=np.int64)
 
     def register_mic(self, event, index: int, registration) -> tuple:
         """Invalidate through the frontend; returns the notified ids."""
@@ -368,14 +350,12 @@ class ClusterPath:
             )
 
     def subscribe(self, fleet) -> None:
-        if self.registry is None:
-            return
-        rcx, rcy = fleet.cells(self.router.cache_resolution_m)
-        moved = np.flatnonzero((rcx != self.sub_x) | (rcy != self.sub_y))
-        for i in moved.tolist():
-            self.registry.subscribe(i, int(rcx[i]), int(rcy[i]))
-        self.sub_x[moved] = rcx[moved]
-        self.sub_y[moved] = rcy[moved]
+        """(Re-)subscribe every client to its current cell; the
+        registry skips the clients that stayed in their cell."""
+        if self.registry is not None:
+            self.registry.subscribe(
+                np.arange(fleet.n), *fleet.cells(self.router.cache_resolution_m)
+            )
 
     def recheck(self, fleet, due, trig_x, trig_y, t_us: float):
         """The due clients as one frontend burst in client order, each
@@ -556,28 +536,9 @@ def run_session(
         registration = event.registration()
         notified = path.register_mic(event, index, registration)
         if recording:
-            mic_cell = quantize_cell(
-                event.x_m, event.y_m, service.cache_resolution_m
+            record_mic(
+                recorder, event, index, service.cache_resolution_m, notified
             )
-            recorder.emit(
-                "mic",
-                event.t_us,
-                subject=index,
-                cell=mic_cell,
-                channels=(event.uhf_index,),
-                x=event.x_m,
-                y=event.y_m,
-                aux=event.uhf_index,
-            )
-            for device in notified:
-                recorder.emit(
-                    "push",
-                    event.t_us,
-                    subject=device,
-                    cell=mic_cell,
-                    channels=(event.uhf_index,),
-                    aux=index,
-                )
         counts = displace_covered_aps(
             service, aps, event, registration, interference_radius_m
         )

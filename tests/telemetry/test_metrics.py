@@ -9,8 +9,6 @@ from repro.telemetry import (
     DEFAULT_LATENCY_BOUNDS_US,
     Histogram,
     MetricsRegistry,
-    NULL_TELEMETRY,
-    NullTelemetry,
     TELEMETRY_MODES,
     histogram_quantile,
     merge_snapshots,
@@ -226,20 +224,5 @@ class TestMerge:
 
 
 class TestNullTelemetry:
-    def test_disabled_and_inert(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert isinstance(NULL_TELEMETRY, NullTelemetry)
-        NULL_TELEMETRY.counter("x", shard=1).inc(5)
-        NULL_TELEMETRY.gauge("g").set(2.0)
-        NULL_TELEMETRY.histogram("h", (1.0,)).observe(9.0)
-        NULL_TELEMETRY.record_stats("p", {"a": 1})
-        NULL_TELEMETRY.sample_tick(0.0, a=1)
-        assert NULL_TELEMETRY.snapshot() == {
-            "counters": {},
-            "gauges": {},
-            "histograms": {},
-            "series": {},
-        }
-
     def test_modes_tuple(self):
         assert TELEMETRY_MODES == ("off", "on")

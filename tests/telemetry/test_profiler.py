@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry import NULL_PROFILER, NullProfiler, PhaseProfiler
+from repro.telemetry import NULL_PROFILER, PhaseProfiler
 from repro.wsdb.mobility import simulate_roaming
 from repro.wsdb.model import generate_metro
 from repro.wsdb.service import WhiteSpaceDatabase
@@ -87,15 +87,6 @@ class TestPhaseProfiler:
 
 
 class TestNullProfiler:
-    def test_disabled_and_inert(self):
-        assert NULL_PROFILER.enabled is False
-        assert isinstance(NULL_PROFILER, NullProfiler)
-        with NULL_PROFILER.phase("anything"):
-            pass
-        NULL_PROFILER.add("x", 1.0)
-        assert NULL_PROFILER.seconds() == {}
-        assert NULL_PROFILER.report() == {}
-
     def test_phase_context_is_reusable(self):
         # The shared nullcontext must survive nested and repeated use.
         with NULL_PROFILER.phase("a"):

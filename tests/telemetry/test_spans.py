@@ -16,7 +16,6 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.telemetry import (
-    NULL_SPANS,
     SpanRecorder,
     critical_path,
     lookup_steps,
@@ -54,6 +53,12 @@ def burst(rec, req, subjects, enqueue, t_us, admitted, served, steps=()):
         np.asarray(served, dtype=bool),
         lambda i: steps,
     )
+
+
+def one_tree(rec, kind, req, subject, t_us, site, steps):
+    """One zero-duration tree through ``trees``; returns its trace id."""
+    rec.trees(kind, req, [subject], t_us, site, lambda _: steps)
+    return _trace_id(req, subject, t_us)
 
 
 def serve_one(rec, subject=7, enqueue=1_000.0, serve=3_500.0, defers=()):
@@ -188,7 +193,8 @@ class TestRecorderLifecycle:
 
     def test_record_tree_zero_duration(self):
         rec = SpanRecorder(latency_bounds=BOUNDS)
-        tid = rec.record_tree(
+        tid = one_tree(
+            rec,
             "mic_register",
             "mic",
             0,
@@ -217,14 +223,6 @@ class TestRecorderLifecycle:
         roots = [s for s in table["spans"] if s["parent"] is None]
         assert [r["trace"] for r in roots] == [early, late]
         assert table["schema"] == SPANS_SCHEMA
-
-    def test_null_spans_is_inert(self):
-        assert NULL_SPANS.enabled is False
-        burst(NULL_SPANS, "storm", [1], [0.0], 0.0, 0, [False])
-        burst(NULL_SPANS, "storm", [1], [0.0], 1.0, 1, [True])
-        NULL_SPANS.trees("x", "x", np.arange(3), 0.0, "s", lambda i: ())
-        assert NULL_SPANS.record_tree("x", "x", 0, 0.0, "s", []) == ""
-        assert NULL_SPANS.snapshot()["spans"] == []
 
 
 class TestSampling:
@@ -357,7 +355,8 @@ class TestAnalysis:
 
     def test_critical_path_tie_breaks_to_lowest_span_id(self):
         rec = SpanRecorder(latency_bounds=BOUNDS)
-        tid = rec.record_tree(
+        tid = one_tree(
+            rec,
             "request",
             "roam",
             1,
@@ -406,7 +405,8 @@ class TestExporters:
         rec = SpanRecorder(latency_bounds=BOUNDS)
         serve_one(rec, subject=1, defers=(1_200.0,))
         serve_one(rec, subject=2, enqueue=4_000.0, serve=4_100.0)
-        rec.record_tree(
+        one_tree(
+            rec,
             "mic_register",
             "mic",
             0,

@@ -8,10 +8,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.traces.record import (
     EVENT_KINDS,
-    NULL_RECORDER,
     TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,
-    NullTraceRecorder,
     TraceEvent,
     TraceRecorder,
     read_trace,
@@ -155,11 +153,3 @@ class TestRecorder:
         assert path.read_bytes() == first
         header, events = read_trace(path)
         assert header["meta"] == {"n": 1} and len(events) == 1
-
-    def test_null_recorder_is_inert(self):
-        assert NULL_RECORDER.enabled is False
-        assert isinstance(NULL_RECORDER, NullTraceRecorder)
-        NULL_RECORDER.emit("anything", "goes", totally=object())
-        NULL_RECORDER.close()
-        with NULL_RECORDER as same:
-            assert same is NULL_RECORDER

@@ -1,11 +1,13 @@
-"""Pinned recorded querystorm and roaming traces.
+"""Pinned recorded querystorm, roaming and citywide traces.
 
 The storm digest is the sha256 of the decompressed JSONL of one small
 recorded storm: push on, ``serve-stale``, rate-limited far below the
 offered load, so the trace carries shed, stale-served, deferred and
 push-refreshed requests.  The roaming digest is one small recorded
 roaming session with mic events, whose trace carries re-checks,
-handoffs and violation windows.  Performance work on the request path
+handoffs and violation windows.  The citywide digest is one small
+recorded citywide session, whose trace carries mic registrations and
+the end-of-session sweep's one query per AP.  Performance work on the request path
 (storm generation, admission, coalescing, re-check batching) and on
 the tick loop must leave every recorded event unchanged; these tests
 check that instead of asserting it.  Hashing the decompressed text
@@ -18,6 +20,7 @@ import hashlib
 import pytest
 
 from repro.traces.record import TraceRecorder, read_trace
+from repro.wsdb.citywide import simulate_citywide
 from repro.wsdb.cluster import ShardRouter, simulate_querystorm
 from repro.wsdb.mobility import simulate_roaming
 from repro.wsdb.model import generate_metro
@@ -106,3 +109,35 @@ def test_recorded_roaming_trace_is_pinned(tmp_path, engine):
     assert 0 in closes and 1 in closes
     digest = hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
     assert digest == ROAMING_SHA256
+
+
+CITYWIDE_SHA256 = (
+    "a0e914c205ef143f9b4c71b306c55dc96a1eb1c4251aa382abf6a1812419bae0"
+)
+
+
+def record_pinned_citywide(path):
+    metro = generate_metro(range(10), extent_m=3_000.0, seed=26)
+    recorder = TraceRecorder(path)
+    report = simulate_citywide(
+        WhiteSpaceDatabase(metro, cache_capacity=12),
+        num_aps=20,
+        duration_us=300e6,
+        seed=26,
+        mic_events=12,
+        recorder=recorder,
+    )
+    recorder.close()
+    return report
+
+
+def test_recorded_citywide_trace_is_pinned(tmp_path):
+    path = tmp_path / "citywide.jsonl.gz"
+    report = record_pinned_citywide(path)
+    assert report["displaced_aps"] > 0
+    _, events = read_trace(path)
+    kinds = [e.kind for e in events]
+    # Every registration and one end-of-session sweep query per AP.
+    assert kinds.count("mic") == 12 and kinds.count("query") == 20
+    digest = hashlib.sha256(gzip.decompress(path.read_bytes())).hexdigest()
+    assert digest == CITYWIDE_SHA256

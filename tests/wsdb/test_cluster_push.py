@@ -1,10 +1,12 @@
 """Tests for the PushRegistry: subscription move semantics, zone
 fan-out geometry, deterministic notification order, and counters."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SpectrumMapError
-from repro.wsdb.cluster.push import PushRegistry
+from repro.wsdb.cluster.push import PushRegistry, PushStats
+from repro.wsdb.index import circle_intersects_cell
 from repro.wsdb.model import MicRegistration
 
 
@@ -80,3 +82,50 @@ class TestNotification:
         registry.subscribe(1, 16, 10)  # nearest corner (1600, 1000)
         notified = registry.notify_zone(zone(1_000.0, 1_000.0, radius_m=500.0))
         assert notified == (0,)
+
+
+class TestArraySubscriptions:
+    """The per-device cell columns against a dict-of-cells reference
+    book driven one device at a time."""
+
+    def test_fleet_subscribe_matches_one_device_at_a_time(self):
+        rng = np.random.default_rng(7)
+        registry = PushRegistry(100.0)
+        book: dict[int, tuple[int, int]] = {}
+        expected = PushStats()
+        for step in range(40):
+            n = int(rng.integers(1, 30))
+            devices = rng.choice(60, size=n, replace=False)
+            qx = rng.integers(8, 14, size=n)
+            qy = rng.integers(8, 14, size=n)
+            registry.subscribe(devices, qx, qy)
+            for d, x, y in zip(devices.tolist(), qx.tolist(), qy.tolist()):
+                if d not in book:
+                    expected.subscriptions += 1
+                elif book[d] != (x, y):
+                    expected.moves += 1
+                book[d] = (x, y)
+            if step % 7 == 3:
+                gone = int(rng.integers(0, 60))
+                registry.unsubscribe(gone)
+                if book.pop(gone, None) is not None:
+                    expected.unsubscriptions += 1
+            reg = zone(float(rng.uniform(800, 1_400)), 1_100.0, 250.0)
+            touched = sorted(
+                d
+                for d, (x, y) in book.items()
+                if circle_intersects_cell(
+                    reg.x_m, reg.y_m, reg.radius_m, x, y, 100.0
+                )
+            )
+            assert registry.notify_zone(reg) == tuple(touched)
+            expected.zones_notified += bool(touched)
+            expected.notifications += len(touched)
+            assert registry.stats == expected
+            assert len(registry) == len(book)
+            for d in range(61):
+                assert registry.subscribed_cell(d) == book.get(d)
+
+    def test_negative_device_id_raises(self):
+        with pytest.raises(SpectrumMapError):
+            PushRegistry(100.0).subscribe([-1], [0], [0])
