@@ -14,6 +14,7 @@ results — parallelism is purely a wall-clock optimization.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Iterable, Sequence
@@ -40,6 +41,26 @@ def _execute_json(payload: str) -> str:
     """Worker entry point: spec JSON in, result JSON out."""
     spec = ExperimentSpec.from_json(payload)
     return run_experiment(spec).to_json()
+
+
+def _spread_worker(counter, cpus: tuple[int, ...]) -> None:
+    """Worker initializer: start each worker on its own CPU.
+
+    A forked worker starts on its parent's CPU, and where the kernel does
+    not load-balance (a cpuset with ``sched_load_balance`` off, isolated
+    CPUs) it never moves, so every worker of the pool shares one core.
+    Worker *k* is moved to ``cpus[k % len(cpus)]`` and then given its
+    full affinity back: a placement, not a pin, so a balancing scheduler
+    stays free to move it later.
+    """
+    with counter.get_lock():
+        k = counter.value
+        counter.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # placement is an optimization; the worker runs anywhere
 
 
 class ParallelRunner:
@@ -192,7 +213,16 @@ class ParallelRunner:
         self, pending: list[tuple[int, ExperimentSpec]], results: dict
     ) -> None:
         workers = min(self.max_workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as executor:
+        spread = {}
+        if hasattr(os, "sched_getaffinity"):
+            spread = dict(
+                initializer=_spread_worker,
+                initargs=(
+                    multiprocessing.Value("i", 0),
+                    tuple(sorted(os.sched_getaffinity(0))),
+                ),
+            )
+        with ProcessPoolExecutor(max_workers=workers, **spread) as executor:
             payloads = executor.map(
                 _execute_json, [job.to_json() for _, job in pending]
             )

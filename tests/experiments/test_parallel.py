@@ -203,6 +203,26 @@ def test_workers_beat_sequential_wall_clock():
     assert parallel_s < sequential_s, (parallel_s, sequential_s)
 
 
+@pytest.mark.skipif(
+    not hasattr(__import__("os"), "sched_setaffinity"),
+    reason="CPU placement needs sched_setaffinity",
+)
+def test_worker_placement_leaves_affinity_unpinned():
+    # The pool initializer moves worker k to one CPU and hands the full
+    # affinity back, so a balancing scheduler can still move it.
+    import multiprocessing
+    import os
+
+    from repro.experiments.parallel import _spread_worker
+
+    before = os.sched_getaffinity(0)
+    counter = multiprocessing.Value("i", 0)
+    for _ in range(3):
+        _spread_worker(counter, tuple(sorted(before)))
+    assert counter.value == 3
+    assert os.sched_getaffinity(0) == before
+
+
 def test_corrupted_cache_entry_is_a_miss(tmp_path):
     spec = quick_spec()
     cache = ResultCache(tmp_path)
