@@ -96,8 +96,9 @@ def timed_run(engine: str, num_clients: int) -> tuple[dict, dict]:
     """One roaming run on a fresh database; returns (report, measurement).
 
     Vector runs carry a wall-clock :class:`PhaseProfiler`, so every
-    measurement row states where its time went (``phases``: advance /
-    recheck-detect / batch-lookup / associate / compliance seconds).
+    measurement row states where its time went (``phases``: boot /
+    spawn / advance / recheck-detect / batch-lookup / associate /
+    compliance seconds).
     Profiling never touches the report — the scalar-vs-vector equality
     assertion below runs against profiled vector output.
     """

@@ -8,8 +8,8 @@ sim-clock :class:`~repro.telemetry.MetricsRegistry` and
 :class:`~repro.telemetry.PhaseProfiler` — and writes six artifacts:
 
 * ``PREFIX.profile.json`` — per-phase wall-clock seconds and call
-  counts (advance / recheck-detect / batch-lookup / associate /
-  compliance);
+  counts (boot / spawn / advance / recheck-detect / batch-lookup /
+  associate / compliance);
 * ``PREFIX.profile-chrome.json`` — the same phase totals as a Chrome
   trace-event timeline (load in Perfetto / ``chrome://tracing``);
 * ``PREFIX.metrics.json`` — the deterministic sim-clock snapshot

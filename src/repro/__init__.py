@@ -57,7 +57,12 @@ from repro.errors import (
 # (frontend batches/coalesced, shard queries and cache hits, re-check
 # span trees), so the version bump retires ResultCache entries that
 # hold the old counters.
-__version__ = "1.10.0"
+# 1.11.0: mobile clients draw their paths from one counter-based
+# stream per fleet instead of one Mersenne Twister per client, and a
+# roaming span table counts its database lookups as served requests.
+# Every roaming and querystorm report and trace changes, so the version
+# bump retires ResultCache entries that hold the old paths.
+__version__ = "1.11.0"
 
 __all__ = [
     "constants",

@@ -7,8 +7,9 @@ a metric snapshot, or anything spec-hashed — a profiler is attached
 explicitly by a caller that wants a profile artifact (``make profile``,
 ``bench_scale``), not through the experiment spec.
 
-The instrumented sites are the vector engine's tick phases (advance /
-recheck-detect / batch-lookup / associate / compliance) and the
+The instrumented sites are the mobile session's set-up (boot / spawn)
+and tick phases (advance / recheck-detect / batch-lookup / associate /
+compliance) and the
 ``ParallelRunner`` fan-out; any of them accept ``profiler=None`` and
 fall back to :data:`NULL_PROFILER`, whose ``phase()`` is a shared
 no-op context manager.

@@ -17,10 +17,11 @@ Determinism is the same contract as everything else in the tree:
   mix of the request's kind, its integer subject, and the float64 bits
   of its enqueue stamp, rendered as 16 hex digits — never wall clock,
   never ``id()`` — so the scalar and vector engines (which issue the
-  identical request sequence) mint identical ids.  The mix is defined
-  here only, in a Python-int form (:func:`_trace_id`, one trace's id)
-  and a numpy ``uint64`` form for bursts (:func:`_trace_ids`); the two
-  agree bit for bit.  Span ids are
+  identical request sequence) mint identical ids.  It comes in a
+  Python-int form (:func:`_trace_id`, one trace's id) and a numpy
+  ``uint64`` form for bursts (:func:`_trace_ids`), both on the one
+  SplitMix64 step of :mod:`repro.sim.rng`; the two agree bit for bit.
+  Span ids are
   per-trace sequence numbers assigned in a fixed tree-build order.
 * **Sim-clock only.**  Every timestamp in a span is simulation time;
   the module never reads a wall clock (it lives outside the detlint
@@ -52,6 +53,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.sim.rng import mix64, mix64_array
 from repro.telemetry.metrics import DEFAULT_LATENCY_BOUNDS_US
 
 __all__ = [
@@ -109,26 +111,6 @@ def parse_span_sample(sample: str | None) -> tuple:
 
 
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MUL1 = 0xBF58476D1CE4E5B9
-_MUL2 = 0x94D049BB133111EB
-
-
-def _mix64(z: int) -> int:
-    """The SplitMix64 step on a Python int: add the golden gamma, then
-    the finalizer's two xor-shift-multiply rounds."""
-    z = (z + _GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """:func:`_mix64` on a uint64 array (numpy wraps mod 2**64)."""
-    z = z + np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MUL2)
-    return z ^ (z >> np.uint64(31))
 
 
 def _trace_id(req: str, subject: int, enqueue_us: float) -> str:
@@ -139,8 +121,8 @@ def _trace_id(req: str, subject: int, enqueue_us: float) -> str:
     mix on arrays.
     """
     bits = int.from_bytes(struct.pack("<d", enqueue_us), "little")
-    seed = _mix64(zlib.crc32(req.encode()))
-    return f"{_mix64(_mix64(seed ^ (subject & _MASK64)) ^ bits):016x}"
+    seed = mix64(zlib.crc32(req.encode()))
+    return f"{mix64(mix64(seed ^ (subject & _MASK64)) ^ bits):016x}"
 
 
 def _trace_ids(
@@ -149,8 +131,8 @@ def _trace_ids(
     """:func:`_trace_id` as uint64 over int64 subjects and float64 stamps."""
     subj = np.asarray(subjects, dtype=np.int64).view(np.uint64)
     bits = np.ascontiguousarray(enqueue_us, dtype=np.float64).view(np.uint64)
-    seed = np.uint64(_mix64(zlib.crc32(req.encode())))
-    return _mix64_array(_mix64_array(seed ^ subj) ^ bits)
+    seed = np.uint64(mix64(zlib.crc32(req.encode())))
+    return mix64_array(mix64_array(seed ^ subj) ^ bits)
 
 
 def _fmt_bound(bound: float) -> str:
@@ -315,12 +297,14 @@ class SpanRecorder:
                 trace_id, "request", "frontend", t0, t_us, attrs,
                 steps_of(i), defers,
             )
-            exemplars = self._exemplars.setdefault(int(buckets[i]), [])
-            if (
-                len(exemplars) < EXEMPLARS_PER_BUCKET
-                and trace_id not in exemplars
-            ):
-                exemplars.append(trace_id)
+            self._link(int(buckets[i]), trace_id)
+
+    def _link(self, bucket: int, trace_id: str) -> None:
+        """Keep *trace_id* as an exemplar of latency *bucket* (the
+        first few distinct ones)."""
+        exemplars = self._exemplars.setdefault(bucket, [])
+        if len(exemplars) < EXEMPLARS_PER_BUCKET and trace_id not in exemplars:
+            exemplars.append(trace_id)
 
     # -- zero-duration trees (mic registrations, direct-db lookups) ----------
 
@@ -332,6 +316,7 @@ class SpanRecorder:
         t_us: float,
         site: str,
         steps_of: Callable[[int], Sequence[tuple]],
+        served: bool = False,
     ) -> None:
         """Record one complete zero-duration tree per subject at *t_us*.
 
@@ -341,18 +326,31 @@ class SpanRecorder:
         ``subjects[i]`` with steps ``steps_of(i)``).  Trees are built
         only for kept traces, in subject order; :func:`_trace_id` of
         ``(req, subjects[i], t_us)`` is each tree's id.
+
+        With *served*, each subject is a request served on the spot (a
+        direct database lookup): as in :meth:`requests`, every one
+        observes its zero enqueue→serve duration into the latency
+        bucket counts, and each kept tree's root carries
+        ``latency_us`` and links an exemplar.
         """
         subjects = np.asarray(subjects, dtype=np.int64)
         n = len(subjects)
         ids = _trace_ids(req, subjects, np.full(n, t_us, dtype=np.float64))
         kept = np.flatnonzero(self._keep(ids, np.zeros(n))).tolist()
         self._dropped += n - len(kept)
+        if served:
+            bucket = int(np.searchsorted(self._bounds, 0.0, side="left"))
+            self._latency_counts[bucket] += n
         for i in kept:
+            trace_id = f"{int(ids[i]):016x}"
             attrs = {"req": req, "subject": int(subjects[i])}
+            if served:
+                attrs["latency_us"] = 0.0
             self._record(
-                f"{int(ids[i]):016x}", kind, site, t_us, t_us, attrs,
-                steps_of(i),
+                trace_id, kind, site, t_us, t_us, attrs, steps_of(i)
             )
+            if served:
+                self._link(bucket, trace_id)
 
     # -- tree building -------------------------------------------------------
 

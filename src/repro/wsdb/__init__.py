@@ -54,7 +54,7 @@ from repro.wsdb.cluster import (
 )
 from repro.wsdb.mobility import (
     ENGINES,
-    RoamingClient,
+    FleetColumns,
     associate_nearest,
     simulate_roaming,
 )
@@ -79,12 +79,12 @@ __all__ = [
     "BatchFrontend",
     "CityAp",
     "ENGINES",
+    "FleetColumns",
     "GridIndex",
     "Metro",
     "MicEvent",
     "MicRegistration",
     "PushRegistry",
-    "RoamingClient",
     "ShardRouter",
     "TvTransmitterSite",
     "WhiteSpaceDatabase",

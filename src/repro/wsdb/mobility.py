@@ -33,7 +33,14 @@ was built for:
 Everything derives from the master seed through labelled
 :func:`~repro.sim.rng.stream_seed` streams, so a run is byte-identical
 in any process — the contract the ``roaming`` run kind and
-``ParallelRunner`` rely on.
+``ParallelRunner`` rely on.  Client paths need no per-client stream:
+a fleet has one 64-bit key, and draw *k* of client *i* is the
+stateless counter-based uniform
+:func:`~repro.sim.rng.counter_uniform` of ``(key, i, k, axis)`` —
+draw 0 is the start position and draw *k* >= 1 the *k*-th waypoint.
+A fleet is therefore a handful of columns (position, waypoint, and
+the waypoint's draw index), and client *i*'s path depends neither on
+the fleet size nor on which engine walks it.
 
 This module holds the client model (spawning, waypoint kinematics,
 association, compliance) and the roaming entry point; the tick loop
@@ -44,22 +51,24 @@ querystorm driver and both engines.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
+
+import numpy as np
 
 from repro.errors import SimulationError
-from repro.sim.rng import stream_seed
+from repro.sim.rng import counter_uniform, counter_uniform_array, stream_seed
 from repro.wsdb.citywide import DEFAULT_INTERFERENCE_RADIUS_M, CityAp
 from repro.wsdb.service import WhiteSpaceDatabase
 
 __all__ = [
-    "RoamingClient",
+    "FleetColumns",
     "advance_position",
     "associate_nearest",
     "in_violation",
     "simulate_roaming",
     "spawn_clients",
+    "waypoint",
+    "waypoints",
 ]
 
 #: The mobile-fleet engines the roaming and querystorm sessions run
@@ -69,6 +78,9 @@ __all__ = [
 #: it by construction.
 ENGINES = ("scalar", "vector")
 
+#: The draw axes of a waypoint: 0 for x, 1 for y.
+_AXES = np.array([0, 1], dtype=np.uint64)
+
 #: Default client speed (meters/second): ~50 km/h, a metro vehicle.
 DEFAULT_SPEED_MPS = 14.0
 
@@ -77,17 +89,46 @@ DEFAULT_SPEED_MPS = 14.0
 DEFAULT_TICK_US = 1_000_000.0
 
 
-@dataclass
-class RoamingClient:
-    """One mobile client as spawned: a position, a path, and its RNG."""
+class FleetColumns(NamedTuple):
+    """A spawned fleet: one array per column, row *i* for client *i*.
 
-    client_id: int
-    x_m: float
-    y_m: float
-    waypoint: tuple[float, float]
-    # Required, not defaulted: an implicit `random.Random()` fallback
-    # would seed from OS entropy and break run reproducibility.
-    rng: random.Random = field(repr=False)
+    ``drawn`` is the draw index of each client's current waypoint (1
+    at spawn); ``key`` is the fleet's stream key, from which
+    :func:`waypoint` and :func:`waypoints` redraw any client's path.
+    """
+
+    key: int
+    x: np.ndarray
+    y: np.ndarray
+    wx: np.ndarray
+    wy: np.ndarray
+    drawn: np.ndarray
+
+
+def waypoint(
+    key: int, client: int, k: int, extent_m: float
+) -> tuple[float, float]:
+    """Draw *k* of *client*'s path as a point ``(x, y)`` of the plane.
+
+    Each coordinate is ``random.uniform(0, extent_m)``'s formula on
+    :func:`~repro.sim.rng.counter_uniform`, axis 0 for x and 1 for y.
+    """
+    return (
+        extent_m * counter_uniform(key, client, k, 0),
+        extent_m * counter_uniform(key, client, k, 1),
+    )
+
+
+def waypoints(
+    key: int, clients: np.ndarray, k: np.ndarray | int, extent_m: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`waypoint` over arrays of clients and draw indices, with
+    the same floats; both axes are drawn in one pass."""
+    u = counter_uniform_array(
+        key, np.reshape(clients, (-1, 1)), np.reshape(k, (-1, 1)), _AXES
+    )
+    xy = extent_m * u
+    return xy[:, 0], xy[:, 1]
 
 
 def associate_nearest(
@@ -124,19 +165,21 @@ def advance_position(
     y_m: float,
     wx: float,
     wy: float,
-    rng: random.Random,
+    drawn: int,
+    key: int,
+    client: int,
     distance_m: float,
     extent_m: float,
-) -> tuple[float, float, float, float]:
-    """Advance one waypoint walker by *distance_m*; returns (x, y, wx, wy).
+) -> tuple[float, float, float, float, int]:
+    """Advance waypoint walker *client* by *distance_m*.
 
-    The kinematics of one client's tick, shared verbatim by the scalar
-    fleet and the vectorized engine's waypoint-crossing fallback, so both
-    engines draw the same waypoints from the same per-client streams
-    and land on bit-identical coordinates.  Leg lengths use
+    Returns ``(x, y, wx, wy, drawn)``: the new position, the current
+    waypoint and its draw index.  Each waypoint reached draws the next
+    one, :func:`waypoint` of ``drawn + 1``.  This is the scalar fleet's
+    reference kinematics; the vector engine replays the same steps as
+    array passes, in the same operand order.  Leg lengths use
     ``sqrt(dx*dx + dy*dy)`` — correctly-rounded IEEE-754 throughout —
-    so numpy's elementwise fast path for non-crossing walkers computes
-    the exact same floats.
+    so numpy's elementwise passes compute the exact same floats.
     """
     remaining = distance_m
     while remaining > 0.0:
@@ -145,43 +188,37 @@ def advance_position(
         if leg <= remaining:
             x_m, y_m = wx, wy
             remaining -= leg
-            new_wx = rng.uniform(0.0, extent_m)
-            new_wy = rng.uniform(0.0, extent_m)
+            drawn += 1
+            new_wx, new_wy = waypoint(key, client, drawn, extent_m)
             if leg == 0.0 and (new_wx, new_wy) == (wx, wy):
                 # Degenerate double-draw of the same point; give up the
                 # remainder of this tick rather than spin.
-                return x_m, y_m, new_wx, new_wy
+                return x_m, y_m, new_wx, new_wy, drawn
             wx, wy = new_wx, new_wy
         else:
             x_m += dx / leg * remaining
             y_m += dy / leg * remaining
             remaining = 0.0
-    return x_m, y_m, wx, wy
+    return x_m, y_m, wx, wy, drawn
 
 
 def spawn_clients(
     num_clients: int, seed: int, stream: str, extent_m: float
-) -> list[RoamingClient]:
-    """The seeded mobile fleet both engines start from.
+) -> FleetColumns:
+    """The seeded mobile fleet both engines start from, as columns.
 
-    Each client draws its start position and first waypoint from its
-    own labelled child stream, so fleet construction is byte-identical
-    across engines, processes, and client counts (client *i*'s path
-    never depends on how many peers exist).
+    The fleet's key is ``stream_seed(seed, stream)``; client *i*
+    starts at draw 0 of its path and heads for draw 1, so fleet
+    construction is byte-identical across engines and processes, and
+    client *i*'s path never depends on how many peers exist.
     """
-    clients: list[RoamingClient] = []
-    for i in range(num_clients):
-        rng = random.Random(stream_seed(seed, f"{stream}-{i}"))
-        clients.append(
-            RoamingClient(
-                client_id=i,
-                x_m=rng.uniform(0.0, extent_m),
-                y_m=rng.uniform(0.0, extent_m),
-                waypoint=(rng.uniform(0.0, extent_m), rng.uniform(0.0, extent_m)),
-                rng=rng,
-            )
-        )
-    return clients
+    key = stream_seed(seed, stream)
+    clients = np.arange(num_clients, dtype=np.uint64)
+    x, y = waypoints(key, clients, 0, extent_m)
+    wx, wy = waypoints(key, clients, 1, extent_m)
+    return FleetColumns(
+        key, x, y, wx, wy, np.ones(num_clients, dtype=np.int64)
+    )
 
 
 def in_violation(
@@ -257,11 +294,11 @@ def simulate_roaming(
             byte-identical to a pre-telemetry run.
         profiler: a wall-clock
             :class:`~repro.telemetry.profiler.PhaseProfiler` (None: the
-            no-op profiler).  The tick loop both engines share times
-            its stages as phases (``advance``, ``recheck-detect``,
-            ``batch-lookup``, ``associate``, ``compliance``), so either
-            engine reports the same phase names.  Never affects the
-            report.
+            no-op profiler).  The session both engines share times
+            its set-up (``boot``, ``spawn``) and its tick stages
+            (``advance``, ``recheck-detect``, ``batch-lookup``,
+            ``associate``, ``compliance``) as phases, so either engine
+            reports the same phase names.  Never affects the report.
         spans: a sim-clock
             :class:`~repro.telemetry.spans.SpanRecorder` (None: the
             zero-overhead null recorder).  When attached, every client

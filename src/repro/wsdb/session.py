@@ -71,8 +71,11 @@ class ScalarFleet(VectorFleet):
     :func:`~repro.wsdb.service.quantize_cell`, and
     :func:`~repro.wsdb.mobility.associate_nearest` /
     :func:`~repro.wsdb.mobility.in_violation` with vacation checked
-    against each client's own response.  The parity suite compares the
-    two, so none of these may be shared.
+    against each client's own response.  Waypoints come from the
+    Python-int form of the counter-based draw
+    (:func:`~repro.wsdb.mobility.waypoint`), the vector engine's from
+    its ``uint64`` array form.  The parity suite compares the two, so
+    none of these may be shared.
     """
 
     def set_snapshot(self, live_aps, num_aps: int) -> None:
@@ -81,14 +84,17 @@ class ScalarFleet(VectorFleet):
         self._spans_by_id = {ap.ap_id: spans for ap, spans in live_aps}
 
     def advance(self, step_m: float) -> None:
-        """Advance each walker in turn, drawing from its own RNG."""
+        """Advance each walker in turn with :func:`advance_position`."""
         xs, ys = self.x.tolist(), self.y.tolist()
         wxs, wys = self.wx.tolist(), self.wy.tolist()
-        for i, rng in enumerate(self.rngs):
-            xs[i], ys[i], wxs[i], wys[i] = advance_position(
-                xs[i], ys[i], wxs[i], wys[i], rng, step_m, self.extent_m
+        drawn = self.drawn.tolist()
+        for i in range(self.n):
+            xs[i], ys[i], wxs[i], wys[i], drawn[i] = advance_position(
+                xs[i], ys[i], wxs[i], wys[i], drawn[i], self.key, i,
+                step_m, self.extent_m,
             )
         self.x[:], self.y[:], self.wx[:], self.wy[:] = xs, ys, wxs, wys
+        self.drawn[:] = drawn
 
     def cells(self, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:
         """Each client's :func:`quantize_cell` at *resolution_m*."""
@@ -205,7 +211,8 @@ class DatabasePath:
         cells = np.column_stack((qx[due], qy[due]))
         ids, hit, scanned = db.response_ids_in_cells(cells, t_us)
         if self.sp.enabled:
-            # The batch's per-cell outcomes, per client in client order.
+            # The batch's per-cell outcomes, per client in client order;
+            # each lookup is a request served at once (zero latency).
             self.sp.trees(
                 "request",
                 "roam",
@@ -213,6 +220,7 @@ class DatabasePath:
                 t_us,
                 "db",
                 lambda j: [lookup_steps(bool(hit[j]), scanned[j], "db")],
+                served=True,
             )
         if self.recorder.enabled:
             record_requests(
@@ -511,14 +519,18 @@ def run_session(
     service = path.open(recorder, tel, sp)
     metro = service.metro
     extent_m = metro.extent_m
-    aps = boot_aps(
-        service, num_aps, seed, f"{path.stream}-aps", interference_radius_m
-    )
-    fleet = (ScalarFleet if engine == "scalar" else VectorFleet)(
-        spawn_clients(num_clients, seed, f"{path.stream}-client", extent_m),
-        extent_m,
-        service.responses,
-    )
+    with prof.phase("boot"):
+        aps = boot_aps(
+            service, num_aps, seed, f"{path.stream}-aps", interference_radius_m
+        )
+    with prof.phase("spawn"):
+        fleet = (ScalarFleet if engine == "scalar" else VectorFleet)(
+            spawn_clients(
+                num_clients, seed, f"{path.stream}-client", extent_m
+            ),
+            extent_m,
+            service.responses,
+        )
     events = generate_mic_events(
         mic_events,
         duration_us,

@@ -10,10 +10,12 @@ one numpy array each) and batches the per-tick hot path as array ops:
 
 * **Waypoint advance** — the common case (the tick ends before the
   current leg does) is one fused array expression over every walker;
-  the rare waypoint-crossing walkers then get their pre-tick position
-  back and replay the scalar
-  :func:`~repro.wsdb.mobility.advance_position` with their own
-  per-client RNGs, so waypoint draws replay the exact scalar streams.
+  the walkers that reach a waypoint then replay
+  :func:`~repro.wsdb.mobility.advance_position`'s steps as array
+  passes over the crossing subset, each drawing the next waypoint
+  from the counter-based :func:`~repro.wsdb.mobility.waypoints` (a
+  pure function of the fleet key, the client and its draw index), so
+  no client carries a random-number generator.
 * **Re-check detection** — 100 m square crossings and TTL expiry via
   integer cell arithmetic (``floor(x / recheck_m)`` per axis), one
   compare per trigger.
@@ -79,7 +81,7 @@ from typing import Any
 import numpy as np
 
 from repro.telemetry.profiler import NULL_PROFILER
-from repro.wsdb.mobility import RoamingClient, advance_position
+from repro.wsdb.mobility import FleetColumns, waypoints
 from repro.wsdb.service import ResponseTable
 
 __all__ = ["VectorFleet"]
@@ -99,26 +101,27 @@ _CHUNK = 1 << 14
 class VectorFleet:
     """Columnar state for a fleet of waypoint-walking mobile clients.
 
-    Built from the same :func:`~repro.wsdb.mobility.spawn_clients`
-    output the scalar fleet starts from, so initial positions, waypoints,
-    and the per-client RNG objects (kept for waypoint-crossing draws)
-    are shared by construction.  *responses* is the table the query
-    path answers in (None: a table of its own).
+    Built from the :func:`~repro.wsdb.mobility.spawn_clients` columns
+    the scalar fleet starts from (copied, so one spawn can seed several
+    fleets), so initial positions, waypoints and the draw index of each
+    waypoint are shared by construction.  *responses* is the table the
+    query path answers in (None: a table of its own).
     """
 
     def __init__(
         self,
-        clients: list[RoamingClient],
+        spawned: FleetColumns,
         extent_m: float,
         responses: ResponseTable | None = None,
     ):
-        self.n = len(clients)
+        self.n = len(spawned.x)
         self.extent_m = extent_m
-        self.x = np.array([c.x_m for c in clients], dtype=np.float64)
-        self.y = np.array([c.y_m for c in clients], dtype=np.float64)
-        self.wx = np.array([c.waypoint[0] for c in clients], dtype=np.float64)
-        self.wy = np.array([c.waypoint[1] for c in clients], dtype=np.float64)
-        self.rngs = [c.rng for c in clients]
+        self.key = spawned.key
+        self.x = np.array(spawned.x, dtype=np.float64)
+        self.y = np.array(spawned.y, dtype=np.float64)
+        self.wx = np.array(spawned.wx, dtype=np.float64)
+        self.wy = np.array(spawned.wy, dtype=np.float64)
+        self.drawn = np.array(spawned.drawn, dtype=np.int64)
         # Cached-response ids into the response table; id 0 is the
         # "never queried" empty response every client starts with.
         self.responses = ResponseTable() if responses is None else responses
@@ -136,8 +139,7 @@ class VectorFleet:
         # Motion-slack association: each client's live-AP column, the
         # eligibility class it was chosen under, and how far the client
         # may still walk before another eligible AP can be nearer.
-        # Allocated by the first association, once the spawned client
-        # objects (set-up's memory peak) are gone; 16 bytes a client.
+        # Allocated by the first association; 16 bytes a client.
         self.best_col = np.zeros(0, dtype=np.int32)
         self.cls = np.zeros(0, dtype=np.int32)
         self.slack = np.zeros(0)
@@ -223,30 +225,54 @@ class VectorFleet:
     def advance(self, step_m: float) -> None:
         """Advance every walker by *step_m* along its waypoint path.
 
-        Every walker first takes :func:`advance_position`'s
+        Every walker first takes
+        :func:`~repro.wsdb.mobility.advance_position`'s
         else-branch arithmetic (``pos += delta / leg * step``)
-        elementwise; walkers whose leg ends within the tick then get
-        their pre-tick position back and replay the exact scalar
-        :func:`advance_position` (their RNG draws must consume the same
-        stream values the scalar engine would).  No walker moves more
-        than *step_m*, so every association slack shrinks by that much
+        elementwise.  The walkers whose leg ends within the tick then
+        replay its loop as array passes over the crossing subset: each
+        pass stands them on their waypoint, draws the next one, drops
+        those with no distance left or a degenerate double-draw, and
+        moves those whose new leg is longer than what remains; the
+        rest cross again in the next pass.  No walker moves more than
+        *step_m*, so every association slack shrinks by that much
         (times ``1 + 1e-9`` for the rounding of the position update).
         """
         x, y, wx, wy = self.x, self.y, self.wx, self.wy
         dx = wx - x
         dy = wy - y
         leg = np.sqrt(dx * dx + dy * dy)
-        cross_idx = np.flatnonzero(leg <= step_m)
-        cross_x = x[cross_idx].tolist()
-        cross_y = y[cross_idx].tolist()
+        idx = np.flatnonzero(leg <= step_m)
         with np.errstate(divide="ignore", invalid="ignore"):
             x += dx / leg * step_m
             y += dy / leg * step_m
-        extent = self.extent_m
-        for i, xi, yi in zip(cross_idx.tolist(), cross_x, cross_y):
-            x[i], y[i], wx[i], wy[i] = advance_position(
-                xi, yi, float(wx[i]), float(wy[i]), self.rngs[i], step_m, extent
-            )
+        leg = leg[idx]
+        remaining = np.full(idx.size, step_m)
+        while idx.size:
+            old_wx, old_wy = wx[idx], wy[idx]
+            x[idx] = old_wx
+            y[idx] = old_wy
+            remaining -= leg
+            drawn = self.drawn[idx] + 1
+            self.drawn[idx] = drawn
+            new_wx, new_wy = waypoints(self.key, idx, drawn, self.extent_m)
+            wx[idx] = new_wx
+            wy[idx] = new_wy
+            go = remaining > 0.0
+            zero = leg == 0.0
+            if zero.any():
+                # A degenerate double-draw of the same point ends the tick.
+                go &= ~(zero & (new_wx == old_wx) & (new_wy == old_wy))
+            idx, remaining = idx[go], remaining[go]
+            dx = new_wx[go] - old_wx[go]
+            dy = new_wy[go] - old_wy[go]
+            leg = np.sqrt(dx * dx + dy * dy)
+            ahead = leg > remaining
+            if ahead.any():
+                walk = idx[ahead]
+                x[walk] += dx[ahead] / leg[ahead] * remaining[ahead]
+                y[walk] += dy[ahead] / leg[ahead] * remaining[ahead]
+                cross = ~ahead
+                idx, remaining, leg = idx[cross], remaining[cross], leg[cross]
         self.slack -= step_m * (1 + 1e-9)
 
     def cells(self, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:

@@ -2,7 +2,17 @@
 
 import random
 
-from repro.sim.rng import spawn_rng, stream_seed
+import numpy as np
+import pytest
+
+from repro.sim.rng import (
+    counter_uniform,
+    counter_uniform_array,
+    mix64,
+    mix64_array,
+    spawn_rng,
+    stream_seed,
+)
 
 
 class TestStreamSeed:
@@ -59,3 +69,54 @@ class TestSpawnRng:
         children = [spawn_rng(parent, f"node{i}") for i in range(10)]
         first_draws = {c.random() for c in children}
         assert len(first_draws) == 10
+
+
+#: Edge counters and draws: the ends of the 63-bit range, a draw index
+#: past 2**40, and one whose ``2k + axis`` wraps past 2**64.
+EDGE_I = [0, 1, 2**63 - 1]
+EDGE_K = [0, 1, 2**40 + 3, 2**63 + 1]
+EDGE_KEYS = [0, 2**63 - 1, stream_seed(2009, "roaming-client")]
+
+
+class TestCounterDraws:
+    def test_mix64_is_splitmix64(self):
+        # The first output of SplitMix64 seeded with 0.
+        assert mix64(0) == 0xE220A8397B1DCDAF
+
+    def test_mix64_forms_agree(self):
+        words = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+        got = mix64_array(np.array(words, dtype=np.uint64))
+        assert got.tolist() == [mix64(w) for w in words]
+
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_int_and_uint64_forms_agree(self, key, axis):
+        i = np.array([i for i in EDGE_I for _ in EDGE_K], dtype=np.uint64)
+        k = np.array([k for _ in EDGE_I for k in EDGE_K], dtype=np.uint64)
+        got = counter_uniform_array(key, i, k, axis)
+        want = [
+            counter_uniform(key, int(a), int(b), axis) for a, b in zip(i, k)
+        ]
+        assert got.tolist() == want
+        assert all(0.0 <= u < 1.0 for u in want)
+
+    def test_scalar_draw_index_broadcasts(self):
+        i = np.arange(5)
+        assert counter_uniform_array(7, i, 3, 1).tolist() == [
+            counter_uniform(7, j, 3, 1) for j in range(5)
+        ]
+
+    @pytest.mark.parametrize(
+        "key, i, k, axis, u",
+        [
+            (0, 0, 0, 0, 0.6524484863740322),
+            (0, 0, 0, 1, 0.03401170130434639),
+            (2**63 - 1, 2**63 - 1, 2**40 + 3, 0, 0.3605848140685063),
+            (2**63 - 1, 12345, 7, 1, 0.6040839310974226),
+            (6150955044584184333, 31999, 1, 0, 0.1003129560414171),
+        ],
+    )
+    def test_pinned_draws(self, key, i, k, axis, u):
+        # A change here redraws every roaming and querystorm path.
+        assert counter_uniform(key, i, k, axis) == u
+        assert counter_uniform_array(key, np.array([i]), k, axis)[0] == u

@@ -99,7 +99,8 @@ class TestNullProfiler:
 @pytest.mark.parametrize("engine", ["scalar", "vector"])
 def test_roaming_phases_observe_only(engine):
     # The roaming twin of the querystorm profiler test: profiling never
-    # changes the report, and both engines time the same tick phases.
+    # changes the report, and both engines time the same phases: set-up
+    # (AP boot, fleet spawn) and the tick's stages.
     pytest.importorskip("numpy")
 
     def run(**extra):
@@ -121,6 +122,10 @@ def test_roaming_phases_observe_only(engine):
         "advance",
         "associate",
         "batch-lookup",
+        "boot",
         "compliance",
         "recheck-detect",
+        "spawn",
     }
+    assert profiler.report()["spawn"]["calls"] == 1
+    assert profiler.report()["boot"]["calls"] == 1

@@ -181,6 +181,15 @@ def test_experiment_result(tmp_path, capsys):
     assert any(line.startswith(f"spans: {traces} traces") for line in lines)
     # Both sections, metrics first.
     assert lines.index("counters:") < lines.index("top 10 slowest traces:")
+    # Every roaming lookup is a served request, so the tail attribution
+    # has evidence: all of them, at zero latency, each with its trace
+    # (unsampled; the mic registrations' trees are not requests).
+    lookups = counters["requeries"]
+    assert lookups > 0
+    assert (
+        f"tail attribution (p99, bucket le<=0us): {lookups} requests, "
+        f"{lookups} recorded traces"
+    ) in lines
 
 
 def test_runs_as_a_module(storm):

@@ -215,6 +215,30 @@ class TestRecorderLifecycle:
         # Zero-duration trees never enter the request latency counts.
         assert sum(rec.snapshot()["latency_counts"]) == 0
 
+    def test_served_trees_count_as_zero_latency_requests(self):
+        # Direct database lookups (the roaming path) are requests served
+        # on the spot: all of them count, kept or not, in the first
+        # bucket, and each kept root carries its latency and an exemplar.
+        rec = SpanRecorder(sample="head-2", latency_bounds=BOUNDS)
+        subjects = list(range(10))
+        rec.trees(
+            "request", "roam", subjects, 2_000.0, "db",
+            lambda _: [lookup_steps(True, 0, "db")], served=True,
+        )
+        table = rec.snapshot()
+        assert table["latency_counts"] == [10, 0, 0, 0]
+        assert 0 < table["traces"] < 10
+        assert table["traces"] + table["dropped"] == 10
+        roots = [s for s in table["spans"] if s["parent"] is None]
+        assert all(r["attrs"]["latency_us"] == 0.0 for r in roots)
+        kept = {r["trace"] for r in roots}
+        in_order = [_trace_id("roam", s, 2_000.0) for s in subjects]
+        assert table["exemplars"] == {
+            "le_100": [t for t in in_order if t in kept][:EXEMPLARS_PER_BUCKET]
+        }
+        tail = tail_attribution(table)
+        assert tail["requests"] == 10 and tail["traces"] == table["traces"]
+
     def test_snapshot_orders_by_start_then_trace_id(self):
         rec = SpanRecorder(latency_bounds=BOUNDS)
         late = serve_one(rec, subject=1, enqueue=5_000.0, serve=5_100.0)

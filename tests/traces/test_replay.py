@@ -223,8 +223,10 @@ class TestEventCoverage:
     def test_all_kinds_emitted_across_push_modes(self, tmp_path):
         # push=True exercises push refreshes; push=False lets clients
         # drift into ground-truth violations between polls.  Between
-        # the two recordings every schema kind appears.
+        # the two recordings every schema kind appears.  (Seed 12: the
+        # paths of the default seed 11 happen to reach no violation.)
         rich = dict(
+            seed=12,
             num_clients=30,
             duration_us=160e6,
             offered_qps=20.0,

@@ -269,8 +269,10 @@ class TestRequestBursts:
             "advance",
             "associate",
             "batch-lookup",
+            "boot",
             "compliance",
             "frontend",
             "recheck-detect",
+            "spawn",
             "storm-gen",
         }

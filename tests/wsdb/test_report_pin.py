@@ -35,21 +35,21 @@ from repro.wsdb.service import WhiteSpaceDatabase
 pytest.importorskip("numpy")
 
 ROAMING_SHA256 = (
-    "d9045bcd3f567033fbcee5dcac12cb97fdb73967d2346b49832dfebd0b51226d"
+    "f5e37be2f88d9f119124cb5809c335c08fb1f944cbb64ff82792efbad71ac37d"
 )
 QUERYSTORM_SHA256 = (
-    "55edc73907c75fa392dc99852ba5e3e92813e7404dca16a2dde32d1999e95409"
+    "7ba0d54eab9da6f065c7085ec5746b782b5eb1cb31c3200c174933160e45a7d3"
 )
 
 #: Digests of the roaming and querystorm pins with trace ids taken out:
 #: (report without ``"spans"``, id-free span table).
 ROAMING_ID_FREE_SHA256 = (
-    "c30792c6811563d5c51e18b524e982ff7922a70b914887cc855a7738ce625f67",
-    "812c8110c310d64bb91e79a2b776ce39bd9a0fb37e2090f8d54b0d282444a840",
+    "1c5ec672c0713caf7247cef1f57743d67ed199599735d44a5d62d348335b09c3",
+    "526b373c3a389b8689b7bf4e087ab6663f9414a3747957b46510ec327f3f0719",
 )
 QUERYSTORM_ID_FREE_SHA256 = (
-    "f500689973cc1c0d75919759afaaaa41ca6be565767e7c9bd72d8f24b84351d3",
-    "bf392cc3a9fcc8cc7730a87b3d4006c534884e94e8b5e41f0de34d5fd682e9e4",
+    "5bd32bfad69bccf1d6ad8e887e1bccd49a774a0d8d41b1e09ae65bda40994eb9",
+    "265049ddc1aa647d4b40e903eb32aa5b4346ac98111f0f25e394335ad20d8564",
 )
 
 CITYWIDE_SHA256 = (

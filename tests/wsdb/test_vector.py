@@ -269,8 +269,82 @@ class TestVectorFleetInternals:
         clients = spawn_clients(50, 3, "t", 5_000.0)
         fleet = VectorFleet(clients, 5_000.0)
         qx, qy = fleet.cells(100.0)
-        for i, c in enumerate(clients):
-            assert (qx[i], qy[i]) == quantize_cell(c.x_m, c.y_m, 100.0)
+        for i, (x, y) in enumerate(zip(clients.x, clients.y)):
+            assert (qx[i], qy[i]) == quantize_cell(float(x), float(y), 100.0)
+
+
+def _walk_state(fleet) -> list:
+    return [
+        col.tolist()
+        for col in (fleet.x, fleet.y, fleet.wx, fleet.wy, fleet.drawn)
+    ]
+
+
+class TestWaypointCrossings:
+    """``VectorFleet.advance``'s array crossing passes against
+    ``ScalarFleet``'s per-client :func:`advance_position` loop."""
+
+    @staticmethod
+    def _fleets(n: int, extent_m: float, seed: int = 4):
+        from repro.wsdb.session import ScalarFleet
+        from repro.wsdb.vector import VectorFleet
+
+        spawned = spawn_clients(n, seed, "cross", extent_m)
+        return VectorFleet(spawned, extent_m), ScalarFleet(spawned, extent_m)
+
+    def test_crossing_heavy_parity_tick_by_tick(self):
+        # A 40 m plane at 14 m/s: legs average ~20 m, so walkers reach
+        # one, two or more waypoints within a single tick.
+        vector, scalar = self._fleets(400, 40.0)
+        for fleet in (vector, scalar):
+            # Walker 0's leg is exactly one step long: it reaches the
+            # waypoint with no distance left, and draws the next one.
+            fleet.x[0], fleet.y[0], fleet.wx[0], fleet.wy[0] = 10, 5, 10, 19
+        multi = 0
+        for k in range(30):
+            before = vector.drawn.copy()
+            vector.advance(14.0)
+            scalar.advance(14.0)
+            assert _walk_state(vector) == _walk_state(scalar), k
+            if k == 0:
+                assert (vector.x[0], vector.y[0], vector.drawn[0]) == (10, 19, 2)
+            multi += int(np.count_nonzero(vector.drawn - before >= 2))
+        assert multi > 100
+
+    def test_degenerate_double_draw_on_both_engines(self):
+        from repro.wsdb.mobility import waypoint
+
+        # On a plane one denormal wide every coordinate draws 0 or the
+        # denormal, and every leg squares to 0: each walker crosses
+        # waypoint after waypoint until two draws in a row are the same
+        # point, which ends its tick (the degenerate double-draw rule).
+        extent = 5e-324
+        vector, scalar = self._fleets(64, extent)
+        for k in range(3):
+            before = vector.drawn.tolist()
+            vector.advance(14.0)
+            scalar.advance(14.0)
+            assert _walk_state(vector) == _walk_state(scalar), k
+            assert vector.x.tolist() == vector.wx.tolist()
+            assert vector.y.tolist() == vector.wy.tolist()
+            for i, (start, end) in enumerate(zip(before, vector.drawn.tolist())):
+                path = [waypoint(vector.key, i, d, extent)
+                        for d in range(start, end + 1)]
+                # The tick stops at the first repeated point, no sooner.
+                assert path[-1] == path[-2]
+                assert all(a != b for a, b in zip(path[:-2], path[1:-1]))
+        assert (vector.drawn - 1).max() > 3
+
+    def test_path_does_not_depend_on_fleet_size(self):
+        from repro.wsdb.vector import VectorFleet
+
+        small = VectorFleet(spawn_clients(10, 8, "size", 200.0), 200.0)
+        large = VectorFleet(spawn_clients(1_000, 8, "size", 200.0), 200.0)
+        for _ in range(40):
+            small.advance(14.0)
+            large.advance(14.0)
+        assert (small.drawn > 2).all()
+        assert _walk_state(small) == [col[:10] for col in _walk_state(large)]
 
 
 def _ap(
