@@ -49,11 +49,15 @@ bench-smoke:
 
 ## Layer microbenchmark: ns per cell of the database's query primitive
 ## (response_ids_in_cells) at 0%, 99% and 100% hit rate and batch sizes
-## 1/8/64/512 on the roam-sparse metro, a ShardRouter row, and ns per
-## request of BatchFrontend.query_batch on a storm burst under reject and
-## serve-stale, each with no span recorder, a head-100 one and an
-## unsampled one; appends a host-stamped entry to BENCH_layers.json (its
-## smoke variant runs in bench-smoke and writes only a -smoke file).
+## 1/8/64/512 on the roam-sparse metro, a 16-shard ShardRouter row with
+## its shard_calls, ns per request of BatchFrontend.query_batch on a
+## storm burst under reject and serve-stale (each with no span recorder,
+## a head-100 one and an unsampled one), ns per client of
+## VectorFleet.associate_and_score (12 and 48 APs, steady and after a
+## snapshot) and of VectorFleet.advance per tick (2,000 clients on
+## 20 km, 3,000 and 32,000 on 3 km); appends a host-stamped entry to
+## BENCH_layers.json (its smoke variant runs in bench-smoke and writes
+## only a -smoke file).
 bench-layers:
 	$(PYTEST) -q benchmarks/bench_layers.py
 

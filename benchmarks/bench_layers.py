@@ -14,7 +14,7 @@ this one isolates the service tier's query layers:
 * ``ShardRouter.response_ids_in_cells`` — per cell on 512 scattered
   cells of the 16-shard, 3 km ``storm`` metro, each repeat in a fresh
   TTL bucket (so every cell's first touch misses), with the number of
-  shard calls the batch made.
+  shards the batch touched (``ShardRouter.shard_calls``).
 * ``BatchFrontend.query_batch`` — per request on a storm-sized burst
   (3,000 uniform points, the ``storm`` workload's per-tick load) over
   the same 16-shard metro, under ``reject`` and under ``serve-stale``,
@@ -35,6 +35,10 @@ this one isolates the service tier's query layers:
   repeat advances the fleet one tick and commits its re-checks before
   the timed call; the steady row records the share of clients whose
   motion slack had run out.
+* ``VectorFleet.advance`` — per client per tick for the fleets of
+  ``roam-sparse`` (2,000 clients on 20 km), ``storm`` (3,000 on 3 km)
+  and ``roam-dense`` (32,000 on 3 km), walking at the default 14 m/s,
+  timed after three untimed ticks.
 
 Every row is timed over at least five repeats and records the median
 and minimum wall ns per cell or request (the minimum is the
@@ -71,7 +75,7 @@ from repro.wsdb.cluster.frontend import SHED_POLICIES, BatchFrontend
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.mobility import DEFAULT_SPEED_MPS, DEFAULT_TICK_US, spawn_clients
 from repro.wsdb.model import MicRegistration, generate_metro
-from repro.wsdb.service import WhiteSpaceDatabase, ttl_bucket
+from repro.wsdb.service import ResponseTable, WhiteSpaceDatabase, ttl_bucket
 from repro.wsdb.vector import VectorFleet
 
 from _runner import smoke_mode
@@ -110,6 +114,13 @@ FLEET_EXTENT_M = 3_000.0
 FLEET_CLIENTS = 2_000 if SMOKE else 32_000
 FLEET_APS = (12, 48)
 WARM_TICKS = 3
+#: The advance rows: (clients, plane edge) of the roam-sparse, storm
+#: and roam-dense fleets.
+ADVANCE_FLEETS = (
+    ((200, 20_000.0), (300, 3_000.0), (2_000, 3_000.0))
+    if SMOKE
+    else ((2_000, 20_000.0), (3_000, 3_000.0), (32_000, 3_000.0))
+)
 
 
 def trajectory_log(smoke: bool) -> pathlib.Path:
@@ -210,17 +221,10 @@ def router_row() -> dict:
     """``ShardRouter.response_ids_in_cells`` on scattered storm-metro cells.
 
     Each repeat asks ROUTER_CELLS seeded points' cells as one batch in
-    a fresh TTL bucket; the shard calls are counted by wrapping each
-    shard's primitive.
+    a fresh TTL bucket; ``shard_calls`` is the router's count of the
+    shards the batch touched.
     """
     router = storm_router()
-    calls = []
-    for shard in router.shards:
-        def counted(cells, t_us=0.0, _lookup=shard.response_ids_in_cells):
-            calls.append(len(cells))
-            return _lookup(cells, t_us)
-
-        shard.response_ids_in_cells = counted
     rng = random.Random(f"{SEED}-router")
     wall_ns, cpu_ns, hits, shard_calls = [], [], [], []
     for repeat in range(REPEATS):
@@ -236,13 +240,13 @@ def router_row() -> dict:
             ]
         )
         hits_before = router.aggregate_stats().cache_hits
-        del calls[:]
+        calls = router.shard_calls
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
         router.response_ids_in_cells(cells, t_us)
         wall_ns.append((time.perf_counter_ns() - wall0) / len(cells))
         cpu_ns.append((time.process_time_ns() - cpu0) / len(cells))
         hits.append((router.aggregate_stats().cache_hits - hits_before) / len(cells))
-        shard_calls.append(len(calls))
+        shard_calls.append(router.shard_calls - calls)
     return {
         "layer": "ShardRouter.response_ids_in_cells",
         "shards": STORM_SHARDS,
@@ -391,6 +395,37 @@ def associate_row(num_aps: int, after_snapshot: bool) -> dict:
     }
 
 
+def advance_row(clients: int, extent_m: float) -> dict:
+    """``VectorFleet.advance`` per client per tick: *clients* walkers on
+    an *extent_m* plane at the default 14 m/s, after WARM_TICKS untimed
+    ticks."""
+    fleet = VectorFleet(
+        spawn_clients(clients, SEED, "roaming-client", extent_m),
+        extent_m,
+        ResponseTable(),
+    )
+    step_m = DEFAULT_SPEED_MPS * DEFAULT_TICK_US / 1e6
+    for _ in range(WARM_TICKS):
+        fleet.advance(step_m)
+    wall_ns, cpu_ns = [], []
+    for _ in range(REPEATS):
+        wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+        fleet.advance(step_m)
+        wall_ns.append((time.perf_counter_ns() - wall0) / fleet.n)
+        cpu_ns.append((time.process_time_ns() - cpu0) / fleet.n)
+    return {
+        "layer": "VectorFleet.advance",
+        "clients": fleet.n,
+        "extent_m": extent_m,
+        "speed_mps": DEFAULT_SPEED_MPS,
+        "repeats": REPEATS,
+        "ns_per_client_median": statistics.median(wall_ns),
+        "ns_per_client_min": min(wall_ns),
+        "cpu_ns_per_client_median": statistics.median(cpu_ns),
+        "ns_per_client": wall_ns,
+    }
+
+
 def append_log_entry(entry: dict) -> None:
     """Append one invocation entry to its trajectory log."""
     path = trajectory_log(entry["smoke"])
@@ -427,6 +462,7 @@ def test_layers_ns_per_op(record_table):
     ]
     for row in associated:
         assert 0.0 < row["expired_frac"] <= 1.0, row
+    advanced = [advance_row(clients, extent) for clients, extent in ADVANCE_FLEETS]
     entry = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
@@ -441,7 +477,8 @@ def test_layers_ns_per_op(record_table):
         },
         "smoke": SMOKE,
         "layers": [
-            rows[0]["layer"], routed["layer"], fronted[0]["layer"], associated[0]["layer"],
+            rows[0]["layer"], routed["layer"], fronted[0]["layer"],
+            associated[0]["layer"], advanced[0]["layer"],
         ],
         "shape": {
             "extent_m": EXTENT_M,
@@ -449,7 +486,7 @@ def test_layers_ns_per_op(record_table):
             "mics": MICS,
             "seed": SEED,
         },
-        "rows": [*rows, *fronted, *associated],
+        "rows": [*rows, *fronted, *associated, *advanced],
     }
     append_log_entry(entry)
     lines = [
@@ -483,5 +520,15 @@ def test_layers_ns_per_op(record_table):
         f"{r['expired_frac']:>8.1%} {r['ns_per_client_median']:>10.0f} "
         f"{r['ns_per_client_min']:>10.0f} {r['cpu_ns_per_client_median']:>11.0f}"
         for r in associated
+    ]
+    lines.append(
+        f"{'layer':<42} {'clients':>8} {'extent m':>9} "
+        f"{'ns/cl med':>10} {'ns/cl min':>10} {'cpu ns med':>11}"
+    )
+    lines += [
+        f"{r['layer']:<42} {r['clients']:>8} {r['extent_m']:>9.0f} "
+        f"{r['ns_per_client_median']:>10.0f} {r['ns_per_client_min']:>10.0f} "
+        f"{r['cpu_ns_per_client_median']:>11.0f}"
+        for r in advanced
     ]
     record_table("bench_layers", lines, data=entry)

@@ -42,7 +42,6 @@ a response the pull protocol itself would no longer honor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -58,13 +57,26 @@ from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.index import circle_intersects_cells
 from repro.wsdb.model import MicRegistration
-from repro.wsdb.service import quantize_cells, ttl_bucket
+from repro.wsdb.service import PACKABLE_CELLS, quantize_cells, ttl_bucket
 
 __all__ = ["BatchFrontend", "FrontendStats", "SHED_POLICIES", "TokenBucket"]
 
 #: How an over-limit request is answered: refused, or served from the
 #: stale store when its cell has a response from the current TTL bucket.
 SHED_POLICIES = ("reject", "serve-stale")
+
+#: Stale-store keys pack ``qy`` behind ``qx`` in this many bits, each
+#: offset to start at 0 (the packable cells of the service's keys).
+_STALE_BITS = 26
+
+
+def _stale_keys(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """The stale-store key of every cell; -1 for a cell outside
+    :data:`~repro.wsdb.service.PACKABLE_CELLS`, which no shard answers
+    and so the store never holds."""
+    lo, hi = PACKABLE_CELLS
+    packable = (qx >= lo) & (qx < hi) & (qy >= lo) & (qy < hi)
+    return np.where(packable, (qx - lo) << _STALE_BITS | (qy - lo), -1)
 
 
 class TokenBucket:
@@ -227,8 +239,10 @@ class BatchFrontend:
         self.telemetry = NULL_TELEMETRY if telemetry is None else telemetry
         self.spans = NULL_SPANS if spans is None else spans
         self.stats = FrontendStats()
-        # cell -> (TTL bucket the response was computed in, response id).
-        self._stale: dict[tuple[int, int], tuple[int, int]] = {}
+        # The stale store: one column per cell answered, sorted by
+        # stale key — key, TTL bucket the response was computed in,
+        # response id.
+        self._stale = np.zeros((3, 0), dtype=np.int64)
         self._bucket_now = 0
 
     # -- queries -------------------------------------------------------------
@@ -305,7 +319,6 @@ class BatchFrontend:
         stats.shed += n - k
         span_on = self.spans.enabled and span_refs is not None
         first = slot = owner = np.zeros(0, dtype=np.int64)
-        stale = self._stale
         if k:
             ax, ay = qx[:k], qy[:k]
             y0 = ay.min()
@@ -326,17 +339,29 @@ class BatchFrontend:
             rank[order] = np.arange(len(order))
             slot = rank[inverse]
             answers[:k] = lookup.ids[slot]
-            keys = list(zip(*unique.T.tolist()))
-            stale.update(zip(keys, zip(repeat(now), lookup.ids.tolist())))
+            # Refresh the store: the batch's entries replace the old
+            # ones of their cells (a stable sort puts them last).
+            fresh = np.stack((
+                _stale_keys(unique[:, 0], unique[:, 1]),
+                np.full(len(unique), now),
+                lookup.ids,
+            ))
+            merged = np.concatenate((self._stale, fresh), axis=1)
+            merged = merged.take(merged[0].argsort(kind="stable"), axis=1)
+            last = np.ones(merged.shape[1], dtype=bool)
+            np.not_equal(merged[0, 1:], merged[0, :-1], out=last[:-1])
+            self._stale = merged.compress(last, axis=1)
             if span_on:
                 owner = router.shards_of_cells(unique[:, 0], unique[:, 1])
-        if k < n and self.policy == "serve-stale":
-            shed = zip(qx[k:].tolist(), qy[k:].tolist())
-            for i, cell in enumerate(shed, k):
-                entry = stale.get(cell)
-                if entry is not None and entry[0] == now:
-                    answers[i] = entry[1]
-                    stats.served_stale += 1
+        stale = self._stale
+        if k < n and self.policy == "serve-stale" and stale.shape[1]:
+            key = _stale_keys(qx[k:], qy[k:])
+            at = stale[0].searchsorted(key)
+            served = (stale[0].take(at, mode="clip") == key) & (
+                stale[1].take(at, mode="clip") == now
+            )
+            answers[k:][served] = stale[2].take(at[served])
+            stats.served_stale += int(np.count_nonzero(served))
         tel = self.telemetry
         if not (span_on or tel.enabled):
             return answers
@@ -405,21 +430,17 @@ class BatchFrontend:
         can record the invalidation + push fan-out tree.
         """
         invalidated = self.router.register_mic(registration)
-        stale = self._stale
-        cells = np.fromiter(
-            chain.from_iterable(stale), dtype=np.int64, count=2 * len(stale)
-        ).reshape(-1, 2)
+        key, lo = self._stale[0], PACKABLE_CELLS[0]
         touched = circle_intersects_cells(
             registration.x_m,
             registration.y_m,
             registration.radius_m,
-            cells[:, 0],
-            cells[:, 1],
+            (key >> _STALE_BITS) + lo,
+            (key & ((1 << _STALE_BITS) - 1)) + lo,
             self.router.cache_resolution_m,
         )
-        purged = [cell for cell, t in zip(stale, touched.tolist()) if t]
-        for cell in purged:
-            del stale[cell]
+        self._stale = self._stale.compress(~touched, axis=1)
+        purged = int(np.count_nonzero(touched))
         notified = (
             () if self.push is None else self.push.notify_zone(registration)
         )
@@ -430,7 +451,7 @@ class BatchFrontend:
                 (
                     "invalidate",
                     "frontend",
-                    {"entries": int(invalidated), "stale_purged": len(purged)},
+                    {"entries": int(invalidated), "stale_purged": purged},
                     (),
                 )
             ]

@@ -1,45 +1,33 @@
-"""Sharding the metro plane: K databases behind one deterministic router.
+"""Sharding the metro plane: K segments of one cache over one stacked index.
 
-One :class:`~repro.wsdb.service.WhiteSpaceDatabase` indexes every
-incumbent of the metro; every query scans the candidates its single
-:class:`~repro.wsdb.index.GridIndex` buckets together.  A multi-metro
-service tier shards instead: :class:`ShardRouter` partitions the plane
-into K **cell-aligned** territories (shard boundaries fall on
-quantization-cell edges, so one response cell never straddles shards),
-builds each shard its own database over only the incumbents whose
-protected contour can reach that territory, and routes every query to
-exactly one shard by pure coordinate arithmetic.
+:class:`ShardRouter` partitions the plane into K **cell-aligned**
+territories (shard boundaries fall on quantization-cell edges, so one
+response cell never straddles shards) and routes every cell to exactly
+one shard by pure coordinate arithmetic.  A shard is a *segment* of the
+:class:`~repro.wsdb.service.SegmentedService` slot table — its own
+capacity, LRU order, TTL purge and counters — and a segment of one
+stacked :class:`~repro.wsdb.index.GridIndex` that holds only the
+incumbents whose contour reaches its territory, at a cell edge
+``sqrt(K)`` finer per axis than the monolith's (equal bucket budget).
+A batch is grouped by shard and answered in one cache pass and one
+miss-kernel call.
 
-Why this helps: a shard's spatial index holds the territory's incumbent
-*subset*, and — holding the per-shard bucket budget constant — can
-afford an index ``sqrt(K)`` times finer per axis than the monolith's,
-so the candidates a query scans shrink as K grows — the aggregate
-``candidates_scanned / queries`` ratio is the sharding win
-``bench_wsdb_cluster`` measures.  Correctness is unchanged: a query
-cell lies inside its shard's territory, the shard indexes every contour
-intersecting that territory (border territories extend off-plane, so
-clamped routing and off-plane contours stay exact), and a cell response
-denies every channel whose contour intersects the cell (the miss
-kernel, ``GridIndex.occupied_in_rects``, decides each contour by
-``circle_intersects_rect`` exactly as ``GridIndex.covering_rect``
-does) — therefore a shard's cell response equals the unsharded
-database's, bit for bit.
+The sharding win still shows in ``candidates_scanned``: a miss scans
+its own shard's finer, smaller subset, so ``candidates_scanned /
+queries`` shrinks as K grows (``bench_wsdb_cluster`` measures it).
+Correctness is unchanged: border territories extend off-plane, so
+clamped routing and off-plane contours stay exact, and the kernel
+decides each contour by ``circle_intersects_rect`` exactly as
+``GridIndex.covering_rect`` does — so a shard's cell response equals
+the unsharded database's, bit for bit.  All shards answer in one
+:class:`~repro.wsdb.service.ResponseTable`.
 
-All shards answer in one shared
-:class:`~repro.wsdb.service.ResponseTable`, so a response id means the
-same channels whichever shard served it.  The router's one query
-primitive is the database's, :meth:`ShardRouter.response_ids_in_cells`:
-a batch reaches each shard as one call, and the answer is the same
-:class:`~repro.wsdb.service.Lookup` record.
-
-Mic registrations fan out: a new protection zone is routed to every
-shard whose territory it touches (each invalidates its own cached
-responses), and to the base metro so ground-truth compliance scoring
-sees it.  With the primitive, ``register_mic``, ``metro`` and
-``cache_resolution_m``, the router is an
+Mic registrations fan out to every shard whose territory the zone
+touches (each invalidates its own cached responses) and to the base
+metro, which ground-truth compliance scoring reads.  The router is an
 :class:`~repro.wsdb.service.AvailabilityService`, so the citywide
-helpers (``boot_aps``, ``displace_covered_aps``) and
-:func:`~repro.wsdb.service.free_channels` run against it unchanged.
+helpers and :func:`~repro.wsdb.service.free_channels` run against it
+unchanged.
 """
 
 from __future__ import annotations
@@ -50,18 +38,15 @@ from bisect import bisect_right
 import numpy as np
 
 from repro.errors import SpectrumMapError
-from repro.wsdb.index import circle_intersects_rect
+from repro.wsdb.index import GridIndex, circle_intersects_rect
 from repro.wsdb.model import Metro, MicRegistration
 from repro.wsdb.service import (
     DEFAULT_CACHE_CAPACITY,
     DEFAULT_CACHE_RESOLUTION_M,
     DEFAULT_TTL_US,
-    Lookup,
-    ResponseTable,
-    WhiteSpaceDatabase,
+    SegmentedService,
     WsdbStats,
     default_cell_m,
-    quantize_cell,
 )
 
 __all__ = ["ShardRouter", "ShardTerritory", "cells_per_side", "shard_grid"]
@@ -135,26 +120,22 @@ class ShardTerritory:
         )
 
 
-class ShardRouter:
-    """K cell-aligned shards, each a :class:`WhiteSpaceDatabase`.
+class ShardRouter(SegmentedService):
+    """K cell-aligned shards, each a segment of one response cache.
 
     Args:
         metro: the full-metro ground truth.  Kept as ``self.metro`` for
-            compliance scoring; each shard wraps its own sub-``Metro``
-            of the incumbents whose contour intersects its territory.
+            compliance scoring; each shard indexes only the incumbents
+            whose contour intersects its territory.
         num_shards: shard count (laid out via :func:`shard_grid`).
-        ttl_us / cache_resolution_m / cache_capacity: per-shard
-            database parameters (every shard gets the full
-            ``cache_capacity`` — capacity scales out with K, which is
-            the point of a service tier).
+        ttl_us / cache_resolution_m / cache_capacity: per-shard cache
+            parameters (every shard gets the full ``cache_capacity`` —
+            capacity scales out with K, which is the point of a service
+            tier).
         cell_m: per-shard spatial-index cell edge.  None picks the
-            service's own default (the subset's mean contour radius)
-            scaled down by ``sqrt(K)``: a shard holds ~1/K of the
-            incumbents, so at the monolith's bucket budget its index
-            is ``sqrt(K)`` finer per axis and prunes harder — this is
-            where the per-query ``candidates_scanned`` win comes from.
-            A 1-shard router therefore defaults to exactly the plain
-            database's granularity.
+            service's own default on each shard's subset, scaled down
+            by ``sqrt(K)`` (so a 1-shard router defaults to exactly the
+            plain database's granularity).
     """
 
     def __init__(
@@ -166,11 +147,10 @@ class ShardRouter:
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         cell_m: float | None = None,
     ):
-        if cache_resolution_m <= 0:
-            raise SpectrumMapError(
-                f"cache_resolution_m must be > 0, got {cache_resolution_m!r}"
-            )
         cols, rows = shard_grid(num_shards)
+        super().__init__(
+            metro, ttl_us, cache_resolution_m, cache_capacity, num_shards
+        )
         cells = cells_per_side(metro.extent_m, cache_resolution_m)
         if cols > cells or rows > cells:
             raise SpectrumMapError(
@@ -178,11 +158,8 @@ class ShardRouter:
                 f"{cols}x{rows} shard grid; lower num_shards or shrink "
                 "cache_resolution_m"
             )
-        self.metro = metro
         self.num_shards = num_shards
         self.grid = (cols, rows)
-        self.ttl_us = ttl_us
-        self.cache_resolution_m = cache_resolution_m
         self.cells_per_side = cells
         # Balanced cell-aligned partition: axis boundaries at
         # floor(i * cells / groups), so group sizes differ by at most
@@ -203,58 +180,33 @@ class ShardRouter:
             for j in range(rows)
             for i in range(cols)
         )
-        #: The response intern table every shard answers in, so a
-        #: response id means the same channels cluster-wide.
-        self.responses = ResponseTable()
-        shards: list[WhiteSpaceDatabase] = []
-        scale = math.sqrt(num_shards)
-        for territory in self.territories:
-            sub_metro = Metro(
-                extent_m=metro.extent_m,
-                num_channels=metro.num_channels,
-                sites=tuple(
-                    site
-                    for site in metro.sites
-                    if territory.touches_zone(site.x_m, site.y_m, site.radius_m)
-                ),
-                registrations=[
-                    reg
-                    for reg in metro.registrations
-                    if territory.touches_zone(reg.x_m, reg.y_m, reg.radius_m)
-                ],
-            )
-            if cell_m is not None:
-                shard_cell_m = cell_m
-            else:
-                # The service's own default heuristic on the subset,
-                # scaled down by sqrt(K): equal bucket budget, finer
-                # pruning.
-                shard_cell_m = default_cell_m(sub_metro) / scale
-            shards.append(
-                WhiteSpaceDatabase(
-                    sub_metro,
-                    cell_m=shard_cell_m,
-                    ttl_us=ttl_us,
-                    cache_resolution_m=cache_resolution_m,
-                    cache_capacity=cache_capacity,
-                    responses=self.responses,
-                )
-            )
-        self.shards: tuple[WhiteSpaceDatabase, ...] = tuple(shards)
+        # Each shard indexes the sites, then the registrations, whose
+        # contour reaches its territory.
+        subsets = [
+            [
+                [e for e in entries if t.touches_zone(e.x_m, e.y_m, e.radius_m)]
+                for entries in (metro.sites, metro.registrations)
+            ]
+            for t in self.territories
+        ]
+        # None: the service's own default heuristic on each subset,
+        # scaled down by sqrt(K) (equal bucket budget, finer pruning).
+        self.index = GridIndex(metro.extent_m, [
+            default_cell_m(Metro(metro.extent_m, metro.num_channels, sites))
+            / math.sqrt(num_shards) if cell_m is None else cell_m
+            for sites, _ in subsets
+        ])
+        for shard, (sites, registrations) in enumerate(subsets):
+            self.index.extend((*sites, *registrations), shard)
         #: Registrations accepted at the router (each may fan out to
         #: several shards; the per-shard ``mic_registrations`` counters
         #: sum to the fan-out, not to this).
         self.mic_registrations = 0
-        #: Batched shard calls issued by :meth:`response_ids_in_cells`.
+        #: Shard batches answered by :meth:`response_ids_in_cells`: the
+        #: distinct shards each batch touched, summed.
         self.shard_calls = 0
 
     # -- routing -------------------------------------------------------------
-
-    def cell_of(self, x_m: float, y_m: float) -> tuple[int, int]:
-        """The quantization cell containing (x, y) — the service's own
-        floor-division convention (negative cells for off-plane
-        coordinates), shared by every shard."""
-        return quantize_cell(x_m, y_m, self.cache_resolution_m)
 
     def _axis_group(self, cell: int, bounds: list[int]) -> int:
         # Clamp off-plane cells to the border groups; the border
@@ -279,56 +231,25 @@ class ShardRouter:
         (``bisect_right``'s convention).
         """
         last = self.cells_per_side - 1
-        gx = np.searchsorted(self._x_bounds, np.clip(qx, 0, last), "right")
-        gy = np.searchsorted(self._y_bounds, np.clip(qy, 0, last), "right")
+        gx, gy = (
+            np.searchsorted(bounds, np.minimum(np.maximum(q, 0), last), "right")
+            for bounds, q in ((self._x_bounds, qx), (self._y_bounds, qy))
+        )
         return (gy - 1) * self.grid[0] + (gx - 1)
 
     def shard_of(self, x_m: float, y_m: float) -> int:
         """The shard serving coordinate (x, y)."""
         return self.shard_of_cell(*self.cell_of(x_m, y_m))
 
-    # -- queries -------------------------------------------------------------
-
-    def response_ids_in_cells(
-        self, cells: np.ndarray, t_us: float = 0.0
-    ) -> Lookup:
-        """Batch cell-granular responses: one per ``(qx, qy)`` row.
-
-        The primitive of
-        :meth:`WhiteSpaceDatabase.response_ids_in_cells`, answered by
-        the owning shards: one :meth:`shards_of_cells` pass and a
-        stable sort group each shard's cells, in request order, into
-        one call to that shard (at most K calls per batch, in ascending
-        shard order).  A shard's cache sees exactly the subsequence of
-        cells it owns, so answers, outcomes, cache contents and order,
-        and per-shard counters are those of a loop of one-cell calls
-        over the same sequence.  The ids index the :attr:`responses`
-        table every shard shares.
-        """
-        cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
-        n = len(cells)
-        out = Lookup(
-            np.empty(n, dtype=np.int64),
-            np.empty(n, dtype=bool),
-            np.empty(n, dtype=np.int64),
-        )
-        if not n:
-            return out
+    def _segments_of(self, cells: np.ndarray) -> tuple[np.ndarray, list, list]:
+        """Group a batch by owning shard with a stable sort, so each
+        shard sees its cells in request order; each shard touched counts
+        one shard call."""
         owner = self.shards_of_cells(cells[:, 0], cells[:, 1])
-        order = np.argsort(owner, kind="stable")
-        ranked = owner[order]
-        cut = (np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist()
-        self.shard_calls += len(cut) + 1
-        grouped = cells[order]
-        answers = [
-            self.shards[int(ranked[lo])].response_ids_in_cells(
-                grouped[lo:hi], t_us
-            )
-            for lo, hi in zip([0, *cut], [*cut, n])
-        ]
-        for column, parts in zip(out, zip(*answers)):
-            column[order] = np.concatenate(parts)
-        return out
+        counts = np.bincount(owner, minlength=self.num_shards)
+        shards = np.flatnonzero(counts)
+        self.shard_calls += len(shards)
+        return owner.argsort(kind="stable"), shards.tolist(), counts[shards].tolist()
 
     # -- updates -------------------------------------------------------------
 
@@ -351,12 +272,11 @@ class ShardRouter:
         """
         self.metro.add_registration(registration)
         self.mic_registrations += 1
-        invalidated = 0
-        for shard_id in self.shards_touching_zone(
+        shards = self.shards_touching_zone(
             registration.x_m, registration.y_m, registration.radius_m
-        ):
-            invalidated += self.shards[shard_id].register_mic(registration)
-        return invalidated
+        )
+        self.index.extend([registration] * len(shards), shards)
+        return self._invalidate(registration, list(shards))
 
     # -- stats ---------------------------------------------------------------
 
@@ -367,11 +287,7 @@ class ShardRouter:
         touching three shards counts three); the router-level
         acceptance count is :attr:`mic_registrations`.
         """
-        total = WsdbStats()
-        for shard in self.shards:
-            for key, value in vars(shard.stats).items():
-                setattr(total, key, getattr(total, key) + value)
-        return total
+        return WsdbStats(*self._counts.sum(axis=0).tolist())
 
     def candidates_per_query(self, stats: WsdbStats | None = None) -> float:
         """Mean incumbents scanned per query across the cluster — the
@@ -380,11 +296,8 @@ class ShardRouter:
         Pass an already-aggregated *stats* to reuse a snapshot; the
         default takes a fresh one.
         """
-        if stats is None:
-            stats = self.aggregate_stats()
-        return (
-            stats.candidates_scanned / stats.queries if stats.queries else 0.0
-        )
+        stats = self.aggregate_stats() if stats is None else stats
+        return stats.candidates_scanned / stats.queries if stats.queries else 0.0
 
     def stats_dict(self) -> dict[str, float | int]:
         """Aggregate snapshot plus router-level fields (for probes)."""
@@ -397,7 +310,7 @@ class ShardRouter:
 
     def per_shard_stats(self) -> tuple[dict[str, float | int], ...]:
         """One :meth:`WsdbStats.as_dict` snapshot per shard, in shard order."""
-        return tuple(shard.stats.as_dict() for shard in self.shards)
+        return tuple(WsdbStats(*row).as_dict() for row in self._counts.tolist())
 
     def publish_metrics(self, telemetry) -> None:
         """Publish the cluster counters into a sim-clock registry.

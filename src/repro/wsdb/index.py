@@ -16,9 +16,12 @@ position, radius (computed once, not per query), channel and cell range
 are appended to numpy columns, next to the entry object itself, which
 is kept for what the queries yield and for its ``active_at`` schedule.
 "Candidate of a rectangle" is then a range-overlap test over the
-columns, and :meth:`GridIndex.occupied_in_rects` — the database's
-cache-miss kernel — resolves a whole batch of rectangles in one array
-pass.
+columns, and :meth:`GridIndex.occupied_sets` — the cache-miss kernel of
+both service tiers — resolves a whole batch of rectangles in one array
+pass.  An index can be *stacked*: K segments (a shard router's shards),
+each with its own cell edge and rows, in one set of columns; each
+rectangle then meets only its own segment's rows, so one kernel call
+answers a batch's misses across every shard.
 
 The index keeps two counters — ``queries`` and ``candidates_scanned`` —
 so tests (and benchmarks) can prove the pruning actually happened: for a
@@ -176,28 +179,43 @@ class GridIndex:
             out-of-range coordinates clamp to the border cells, so
             contours centered off-plane still index correctly).
         cell_m: cell edge length.  Smaller cells prune harder; ~the
-            typical contour radius is a good default.
+            typical contour radius is a good default.  A sequence of
+            edges makes a *stacked* index of one segment per edge: K
+            indexes in one set of columns.  Segment *s* holds the rows
+            :meth:`extend` gives it, cell ranges in its own edge, and
+            :meth:`occupied_in_rects` answers each rectangle against
+            its own segment's rows only.  The point queries,
+            :meth:`covering_rect` and :meth:`cell_of` see the index as
+            one segment (``cell_m`` and ``cells_per_side`` are segment
+            0's edge and grid).
 
-    An entry inserted twice lies twice in its cells: it counts twice in
-    ``len``, :meth:`candidates` and :meth:`covering`, while the area
-    queries (:meth:`covering_rect`, :meth:`occupied_in_rects`) dedupe
-    by identity and scan it once.
+    An entry inserted twice into a segment lies twice in its cells: it
+    counts twice in ``len``, :meth:`candidates` and :meth:`covering`,
+    while the area queries (:meth:`covering_rect`,
+    :meth:`occupied_in_rects`) dedupe by identity and scan it once.
     """
 
-    def __init__(self, extent_m: float, cell_m: float = 1_000.0):
-        if extent_m <= 0 or cell_m <= 0:
+    def __init__(self, extent_m: float, cell_m: float | Sequence[float] = 1_000.0):
+        edges = np.array(cell_m, dtype=float).reshape(-1)
+        if extent_m <= 0 or not edges.size or not (edges > 0).all():
             raise SpectrumMapError(
                 f"extent ({extent_m!r}) and cell size ({cell_m!r}) "
                 "must be > 0"
             )
         self.extent_m = extent_m
-        self.cell_m = cell_m
-        self.cells_per_side = max(1, math.ceil(extent_m / cell_m))
+        self._edges = edges
+        self._sides = [max(1, math.ceil(extent_m / e)) for e in edges.tolist()]
+        self.cell_m = float(edges[0])
+        self.cells_per_side = self._sides[0]
+        # Rows are kept grouped by segment: segment s's rows are
+        # _starts[s]:_starts[s + 1].
+        self._starts = np.zeros(edges.size + 1, dtype=np.intp)
         self._entries: list[SpatialEntry] = []
-        self._ids: set[int] = set()
-        # The columns, one row per insert, with spare capacity (doubled
-        # when full) so an insert is an amortised O(1) write.  A float
-        # table holds, per entry:
+        self._ids: set[tuple[int, int]] = set()
+        # Each distinct object once, numbered by first insertion.
+        self._objects: list[SpatialEntry] = []
+        self._numbers: dict[int, int] = {}
+        # The columns, one per row.  A float table holds, per entry:
         #   0-2   x, y, radius;
         #   3-6   the clamped bbox cell range lo_cx, lo_cy, hi_cx, hi_cy;
         #   7-10  the same range in the form the area queries test,
@@ -208,9 +226,10 @@ class GridIndex:
         #         object (never a candidate: area queries dedupe by
         #         identity);
         #   11    the tie band around the radius (see _TIE_BAND);
-        # and an int column the channel.
+        # and an int table the channel and the object's number.
         self._table = np.empty((12, 0))
-        self._uhfs = np.empty(0, dtype=np.int64)
+        self._ints = np.empty((2, 0), dtype=np.int64)
+        self._width = 0  # the most rows of any segment
         self._set_views()
         #: Point queries answered since construction.
         self.queries = 0
@@ -229,7 +248,7 @@ class GridIndex:
         self._cell = self._table[3:7, :n]
         self._bound = self._table[7:11, :n]
         self._near = self._table[11, :n]
-        self._uhf = self._uhfs[:n]
+        self._uhf = self._ints[0, :n]
 
     def _axis_cell(self, coord_m: float) -> int:
         return min(self.cells_per_side - 1, max(0, int(coord_m // self.cell_m)))
@@ -242,50 +261,66 @@ class GridIndex:
         """Add *entry*, with the cell range its contour's bbox overlaps."""
         self.extend((entry,))
 
-    def extend(self, entries: Iterable[SpatialEntry]) -> None:
+    def extend(
+        self, entries: Iterable[SpatialEntry], segment: int | Sequence[int] = 0
+    ) -> None:
         """Insert many entries, writing all of their rows in one step.
 
-        The cell ranges are :meth:`cell_of`'s, computed on arrays
+        *segment* names one segment for all of them, or one per entry;
+        each row goes after its segment's rows.  The cell ranges are
+        :meth:`cell_of`'s in the segment's edge, computed on arrays
         (``np.floor_divide`` is Python's float ``//``).
         """
         new = list(entries)
         if not new:
             return
-        start = len(self._entries)
-        end = start + len(new)
-        if end > self._uhfs.size:
-            capacity = max(end, 2 * self._uhfs.size, 16)
-            self._table = _grown(self._table, start, capacity)
-            self._uhfs = _grown(self._uhfs, start, capacity)
-        rows = self._table[:, start:end]
+        seg = np.broadcast_to(np.asarray(segment, dtype=np.intp), (len(new),))
+        order = seg.argsort(kind="stable")
+        new, seg = [new[i] for i in order.tolist()], seg[order]
+        edge, side = self._edges[seg], np.array(self._sides)[seg]
+        rows = np.empty((12, len(new)))
         rows[0:3] = np.array([(e.x_m, e.y_m, e.radius_m) for e in new]).T
         centers, radius = rows[0:2], rows[2]
         cells = rows[3:7]
-        np.floor_divide(centers - radius, self.cell_m, out=cells[0:2])
-        np.floor_divide(centers + radius, self.cell_m, out=cells[2:4])
-        np.minimum(np.maximum(cells, 0, out=cells), self.cells_per_side - 1, out=cells)
+        np.floor_divide(centers - radius, edge, out=cells[0:2])
+        np.floor_divide(centers + radius, edge, out=cells[2:4])
+        np.minimum(np.maximum(cells, 0, out=cells), side - 1, out=cells)
         # (lo_cy, lo_cx) and (hi_cy, hi_cx), open on the plane's border.
         lo, hi = cells[1::-1], cells[:1:-1]
         rows[7:9] = np.where(lo == 0, -math.inf, lo)
-        rows[9:11] = -np.where(hi == self.cells_per_side - 1, math.inf, hi)
+        rows[9:11] = -np.where(hi == side - 1, math.inf, hi)
         rows[11] = np.abs(radius) * _TIE_BAND
-        for k, entry in enumerate(new):
-            if id(entry) in self._ids:
-                rows[7:11, k] = math.inf
-            self._ids.add(id(entry))
-        self._uhfs[start:end] = [entry.uhf_index for entry in new]
-        self._entries.extend(new)
+        for j, (s, entry) in enumerate(zip(seg.tolist(), new)):
+            if (s, id(entry)) in self._ids:
+                rows[7:11, j] = math.inf
+            self._ids.add((s, id(entry)))
+            if id(entry) not in self._numbers:
+                self._numbers[id(entry)] = len(self._objects)
+                self._objects.append(entry)
+        ints = [
+            [entry.uhf_index for entry in new],
+            [self._numbers[id(entry)] for entry in new],
+        ]
+        at = self._starts[seg + 1]
+        self._table = np.insert(self._table, at, rows, axis=1)
+        self._ints = np.insert(self._ints, at, ints, axis=1)
+        for i, entry in reversed(list(zip(at.tolist(), new))):
+            self._entries.insert(i, entry)
+        self._starts[1:] += np.bincount(seg, minlength=len(self._sides)).cumsum()
+        self._width = int(np.diff(self._starts).max())
         self._set_views()
 
-    def _candidates_of(self, cells: np.ndarray) -> np.ndarray:
-        """(m, n) mask: entry j is a candidate of area query i.
+    def _candidates_of(self, cells: np.ndarray, bound: np.ndarray) -> np.ndarray:
+        """(m, w) mask: column j of *bound* is a candidate of area query i.
 
         *cells* is (m, 4): the query's cell range ``lo_cx, lo_cy,
-        hi_cx, hi_cy``, clamped or not.  A candidate's own range
-        overlaps it, and the row is its object's first insertion.
+        hi_cx, hi_cy``, clamped or not; *bound* is the area-query bound
+        rows, (4, 1, w) or one row set per query (4, m, w).  A
+        candidate's own range overlaps the query's, and the row is its
+        object's first insertion.
         """
-        query = cells[:, ::-1] * _QUERY_SIGN
-        return np.logical_and.reduce(self._bound <= query[:, :, None], 1)
+        query = np.ascontiguousarray((cells[:, ::-1] * _QUERY_SIGN).T)
+        return np.logical_and.reduce(bound <= query[:, :, None], 0)
 
     def _rows_at(self, x_m: float, y_m: float) -> list[int]:
         """Rows (repeats included) whose cell range holds (x, y)'s cell."""
@@ -327,7 +362,7 @@ class GridIndex:
         cells = np.array(
             [[*self.cell_of(x0_m, y0_m), *self.cell_of(x1_m, y1_m)]], dtype=float
         )
-        rows = np.flatnonzero(self._candidates_of(cells)[0])
+        rows = np.flatnonzero(self._candidates_of(cells, self._bound[:, None])[0])
         self.queries += 1
         self.candidates_scanned += rows.size
         x, y = self._centers[:, rows].tolist()
@@ -338,85 +373,141 @@ class GridIndex:
                 yield self._entries[j]
 
     def occupied_in_rects(
-        self, rects: np.ndarray, t_us: float
+        self, rects: np.ndarray, t_us: float, segments: np.ndarray | None = None
     ) -> tuple[list[frozenset[int]], list[int]]:
+        """:meth:`occupied_sets` as one frozenset and one candidate count
+        per rectangle (rectangles with the same set share one
+        frozenset)."""
+        sets, which, scanned = self.occupied_sets(rects, t_us, segments)
+        return [sets[i] for i in which.tolist()], scanned.tolist()
+
+    def occupied_sets(
+        self, rects: np.ndarray, t_us: float, segments: np.ndarray | None = None
+    ) -> tuple[list[frozenset[int]], np.ndarray, np.ndarray]:
         """The cache-miss kernel: the occupied channels of many rectangles.
 
         *rects* is (m, 4): ``x0, y0, x1, y1`` per row, with ``x0 <= x1``
-        and ``y0 <= y1``.  Returns, per
-        rectangle, the channels of the entries active at *t_us* whose
-        contour intersects it — the entries :meth:`covering_rect`
-        yields, filtered by ``active_at`` — and its candidate count.
-        ``queries`` and ``candidates_scanned`` move exactly as m
-        :meth:`covering_rect` calls would move them.  Rectangles with
-        the same set share one frozenset.
+        and ``y0 <= y1``; *segments* names each rectangle's segment
+        (None: segment 0).  A rectangle's occupied channels are those of
+        its segment's entries active at *t_us* whose contour intersects
+        it — the entries :meth:`covering_rect` yields, filtered by
+        ``active_at``.  Returns the occupied sets in order of first
+        occurrence (rectangles of one segment hit by the same entries
+        share one), each rectangle's index into them and each
+        rectangle's candidate count.  ``queries`` and
+        ``candidates_scanned`` move exactly as m :meth:`covering_rect`
+        calls would move them.
 
-        One array pass decides every rectangle x entry pair.  The cell
-        floor is :meth:`cell_of`'s (``np.floor_divide`` is Python's
-        float ``//``; the clamp is folded into the open border ranges);
-        the nearest-point distance is ``np.hypot``, and a pair whose
-        distance lies within ``_TIE_BAND`` (relative) of the radius is
-        re-decided by :func:`circle_intersects_rect` itself, so each
-        verdict is that predicate's, bit for bit.  ``active_at`` is
-        asked once per call of each entry that intersects some
-        rectangle.
+        One array pass decides every rectangle x row pair of the
+        rectangle's segment: on a stacked index each rectangle gathers
+        its segment's rows (padded to the widest segment and masked),
+        on a one-segment index the columns are used in place.  The cell
+        floor is :meth:`cell_of`'s in the segment's edge
+        (``np.floor_divide`` is Python's float ``//``; the clamp is
+        folded into the open border ranges); the nearest-point distance
+        is ``np.hypot``, and a pair whose distance lies within
+        ``_TIE_BAND`` (relative) of the radius is re-decided by
+        :func:`circle_intersects_rect` itself, so each verdict is that
+        predicate's, bit for bit.  ``active_at`` is asked once per pass
+        of each object that intersects some rectangle.
         """
         rects = np.asarray(rects, dtype=float)
-        m, n = len(rects), len(self._entries)
+        m = len(rects)
         self.queries += m
-        if not n:
-            return [frozenset()] * m, [0] * m
-        occupied: list[frozenset[int]] = []
-        scanned: list[int] = []
-        step = max(1, _PAIRS_PER_PASS // n)
+        if segments is None:
+            segments = np.zeros(m, dtype=np.intp)
+        width = self._width
+        if not (m and width):
+            empty = np.zeros(m, dtype=np.int64)
+            return [frozenset()], empty, empty
+        sets: list[frozenset[int]] = []
+        which: list[int] = []
+        scanned: list[np.ndarray] = []
+        step = max(1, _PAIRS_PER_PASS // width)
         for lo in range(0, m, step):
-            self._occupied_pass(rects[lo : lo + step], t_us, occupied, scanned)
-        self.candidates_scanned += sum(scanned)
-        return occupied, scanned
+            self._occupied_pass(
+                rects[lo : lo + step], segments[lo : lo + step], t_us,
+                sets, which, scanned,
+            )
+        counts = np.concatenate(scanned)
+        self.candidates_scanned += int(counts.sum())
+        return sets, np.array(which, dtype=np.intp), counts
 
     def _occupied_pass(
         self,
         rects: np.ndarray,
+        segments: np.ndarray,
         t_us: float,
-        occupied: list[frozenset[int]],
-        scanned: list[int],
+        sets: list[frozenset[int]],
+        which: list[int],
+        scanned: list[np.ndarray],
     ) -> None:
-        candidate = self._candidates_of(np.floor_divide(rects, self.cell_m))
-        centers = self._centers
-        # (m, 2, n): each center minus its nearest point of each rectangle.
-        offset = centers - np.minimum(
-            np.maximum(centers, rects[:, :2, None]), rects[:, 2:, None]
-        )
-        excess = np.hypot(offset[:, 0], offset[:, 1]) - self._radius
-        inside = excess <= -self._near
+        m, n = len(rects), len(self._entries)
+        if len(self._sides) == 1:
+            # Every rectangle meets every row: the columns in place.
+            rows, table, (uhf, obj) = None, self._table[:, None], self._ints[:, None]
+            candidate = self._candidates_of(
+                np.floor_divide(rects, self.cell_m), table[7:11]
+            )
+        else:
+            lo = self._starts[segments]
+            count = self._starts[segments + 1] - lo
+            span = np.arange(count.max())
+            rows = np.minimum(lo[:, None] + span, n - 1)
+            table = self._table.take(rows, axis=1)
+            uhf, obj = self._ints.take(rows, axis=1)
+            candidate = self._candidates_of(
+                np.floor_divide(rects, self._edges[segments][:, None]),
+                table[7:11],
+            )
+            candidate &= span < count[:, None]
+        centers, radius, near = table[0:2], table[2], table[11]
+        # (2, m, w): each center minus its nearest point of each rectangle.
+        bounds = rects.T[:, :, None]
+        offset = np.maximum(centers, bounds[:2])
+        np.minimum(offset, bounds[2:], out=offset)
+        np.subtract(centers, offset, out=offset)
+        excess = np.hypot(offset[0], offset[1]) - radius
+        inside = excess <= -near
         hit = candidate & inside
-        within_band = excess <= self._near
+        within_band = excess <= near
         if within_band.tobytes() != inside.tobytes():
             for i, j in zip(*np.nonzero(candidate & within_band & ~inside)):
-                x, y = centers[:, j].tolist()
-                hit[i, j] = circle_intersects_rect(
-                    x, y, float(self._radius[j]), *rects[i].tolist()
-                )
-        entries = self._entries
-        for j in np.logical_or.reduce(hit, 0).nonzero()[0].tolist():
-            if not entries[j].active_at(t_us):
-                hit[:, j] = False
-        # Rectangles hit by the same entries share one channel set; a
-        # row of the hit matrix, as bytes, is the key.
-        n = len(entries)
-        raw = hit.tobytes()
-        by_key: dict[bytes, frozenset[int]] = {}
-        for i, lo in enumerate(range(0, len(raw), n)):
-            key = raw[lo : lo + n]
-            channels = by_key.get(key)
-            if channels is None:
-                channels = by_key[key] = frozenset(self._uhf[hit[i]].tolist())
-            occupied.append(channels)
-        scanned += np.add.reduce(candidate, 1).tolist()
-
-
-def _grown(column: np.ndarray, rows: int, capacity: int) -> np.ndarray:
-    """*column* (rows along its last axis) copied into *capacity* rows."""
-    grown = np.empty((*column.shape[:-1], capacity), dtype=column.dtype)
-    grown[..., :rows] = column[..., :rows]
-    return grown
+                row = j if rows is None else rows[i, j]
+                x, y, r = self._table[0:3, row].tolist()
+                hit[i, j] = circle_intersects_rect(x, y, r, *rects[i].tolist())
+        # Each object some rectangle hits is asked once (its rows in
+        # several segments share the answer).
+        alive = np.zeros(len(self._objects), dtype=bool)
+        alive[obj[hit] if rows is not None else obj[0][hit.any(0)]] = True
+        dead = [
+            o for o in np.flatnonzero(alive).tolist()
+            if not self._objects[o].active_at(t_us)
+        ]
+        if dead:
+            alive.fill(True)
+            alive[dead] = False
+            hit &= alive[obj]
+        # Rectangles of one segment hit by the same rows share one set:
+        # the rectangle's hit row (after its segment's bytes, on a
+        # stacked index) is the key.
+        keyed = hit
+        if rows is not None:
+            keyed = np.empty((m, 8 + hit.shape[1]), dtype=np.uint8)
+            keyed[:, :8] = segments.astype(np.int64).view(np.uint8).reshape(m, 8)
+            keyed[:, 8:] = hit
+        step, raw = keyed.shape[1], keyed.tobytes()
+        number: dict[bytes, int] = {}
+        first = []
+        for i, lo in enumerate(range(0, len(raw), step)):
+            key = raw[lo : lo + step]
+            k = number.get(key)
+            if k is None:
+                k = number[key] = len(sets) + len(first)
+                first.append(i)
+            which.append(k)
+        rect, col = hit[first].nonzero()
+        channels = (uhf[0, col] if rows is None else uhf[first][rect, col]).tolist()
+        ends = np.bincount(rect, minlength=len(first)).cumsum().tolist()
+        sets += [frozenset(channels[a:b]) for a, b in zip([0, *ends], ends)]
+        scanned.append(np.add.reduce(candidate, 1))

@@ -18,7 +18,7 @@ scan count per cell out).  A response is the channels free throughout
 each square (a channel is denied when any active incumbent's protected
 contour intersects the square — the conservative area semantics a
 protection regime requires), every miss of a call computed in one
-batched index pass (:meth:`GridIndex.occupied_in_rects`), and cached
+batched index pass (:meth:`GridIndex.occupied_sets`), and cached
 under the (cell, TTL bucket) key.  :func:`free_channels` is the one
 point-shaped, tuple-valued form: it quantizes coordinates and rides
 the primitive, which is why dense or mobile deployments hit the cache
@@ -27,62 +27,59 @@ instead of recomputing per coordinate.
 **Response ids.**  Responses are interned in a :class:`ResponseTable`:
 each distinct channel tuple gets one small int id, id 0 being the empty
 response ``()``.  The cache stores ids, and a fleet keeps the ids it
-was answered with, so neither side hashes a tuple per cell.  A
-:class:`~repro.wsdb.cluster.router.ShardRouter` hands one table to all
-of its shards, so ids are global across a cluster.
+was answered with, so neither side hashes a tuple per cell.
 
-**The cache as slot columns.**  The LRU is one int64 array of six rows
-— packed key, ``qx``, ``qy``, TTL bucket, response id and recency stamp
-— with one column per live response, kept sorted by packed key, so a
-batch's lookups are one ``np.searchsorted``.  A key packs ``qx`` and
-``qy`` into 26 bits each (the packable cells are ``-2**25 <= q <
-2**25`` per axis, :data:`PACKABLE_CELLS`) and the bucket as its age
-behind the newest observed bucket into 11 bits; a query outside that
-range raises :class:`~repro.errors.SpectrumMapError`.  (Every advance
-of the newest bucket purges the whole cache, so the age base never
-moves under a live key.)  The call's *p*-th cell stamps its slot with
-``clock + p``, so a repeated key keeps its last position and the
-oldest stamp is the least recently used response.
+**One slot table, in segments.**  Both service tiers are a
+:class:`SegmentedService`: the cache of K *segments* — a database is
+one, a :class:`~repro.wsdb.cluster.router.ShardRouter` one per shard —
+in one int64 table of four rows (packed key, response id, recency
+stamp, segment) with one column per live response, sorted by packed
+key, so a batch's lookups are one ``np.searchsorted``.  A key packs
+``qx`` and ``qy`` into 26 bits each (the packable cells are ``-2**25 <=
+q < 2**25`` per axis, :data:`PACKABLE_CELLS`) and the bucket as its age
+behind its segment's newest observed bucket into 11 bits; a query
+outside that range raises :class:`~repro.errors.SpectrumMapError`.  A
+cell belongs to one segment, so keys are unique table-wide.  Each
+segment keeps its own capacity, LRU order, newest bucket, TTL purge
+(every advance of its newest bucket purges the whole segment, so the
+age base never moves under a live key) and counters (a row of a K x
+field array).  A batch is grouped by segment and its *p*-th cell stamps
+its slot with ``clock + p``, so a repeated key keeps its last position
+and the oldest stamp of a segment is its least recently used response.
 
 **Exact LRU in safe prefixes.**  A batch leaves exactly the answers,
 LRU contents and order, evictions and counters of a
-one-cell-at-a-time loop.  The batch is walked in *safe prefixes*: with
-``L`` live responses, capacity ``C``, ``u(q)`` the first-seen absent
-keys up to position ``q`` and ``e(q) = max(0, L + u(q) - C)`` the
-evictions the loop has made by then, a prefix is one exact array step
-while ``e(q) <= L`` and ``e(q)`` is at most the smallest old-LRU rank
-of any live response the prefix touches.  Then no victim is a response
-the prefix touches or inserts, so the loop's victims are exactly the
-``e`` oldest, in stamp order.  Both sides are monotone in ``q``, so
-the first break is one ``np.minimum.accumulate``; the walk commits the
-prefix and continues from the break, and a one-cell prefix is always
-safe.  A miss's slot holds a pending id (``-1 - m`` for the call's
-*m*-th miss) until the index answers; each answer is written only to a
-slot still holding its pending id.  Capacity 0 stores nothing: every
-cell is a miss.
+one-cell-at-a-time loop over each segment's cells.  A segment whose
+live and first-seen absent keys fit its capacity commits whole; the
+others are walked in *safe prefixes*: with ``L`` live responses,
+capacity ``C``, ``u(q)`` the first-seen absent keys up to position
+``q`` and ``e(q) = max(0, L + u(q) - C)`` the evictions the loop has
+made by then, a prefix is one exact array step while ``e(q) <= L`` and
+``e(q)`` is at most the smallest old-LRU rank of any live response the
+prefix touches.  Then no victim is a response the prefix touches or
+inserts, so the loop's victims are exactly the ``e`` oldest, in stamp
+order.  Both sides are monotone in ``q``, so the first break is one
+``np.minimum.accumulate``; each pass commits every segment's prefix and
+the walk continues from the breaks (a one-cell prefix is always safe).
+A miss's slot holds a pending id (``-1 - m`` for the call's *m*-th
+miss) until the one miss-kernel call of the batch answers; each answer
+is written only to a slot still holding its pending id.  Capacity 0
+stores nothing: every cell is a miss.
 
-Because the computation itself is per-cell (not per first-querying
-coordinate), a response is a pure function of (metro state, cell,
-query time): cached and cache-disabled (``cache_capacity=0``) services
-return **identical answers** for the same query sequence.  The one
-remaining cache-visible effect is the TTL staleness contract: within a
-TTL bucket a cached response may lag a mic *session* edge of an
-already-registered incumbent by up to the TTL, while a cache-disabled
-service re-evaluates the schedule at every query.  An explicit
-:meth:`~WhiteSpaceDatabase.register_mic` invalidates the affected cells
-immediately, so newly registered incumbents are never served stale.
+A response is a pure function of (metro state, cell, query time), so
+cached and cache-disabled (``cache_capacity=0``) services return
+**identical answers** for the same query sequence, but for the TTL
+staleness contract: within a TTL bucket a cached response may lag a mic
+*session* edge of an already-registered incumbent by up to the TTL.  A
+registration invalidates the affected cells immediately, so newly
+registered incumbents are never served stale.
 
-Invalidation is cell-exact and time-aware: a registration drops exactly
-the cached responses whose quantization square intersects the new
-protection zone *and* whose TTL bucket overlaps one of the mic's
-sessions — a response whose bucket ends before the session starts (or
-begins after it ends) is still valid for every query it can legally
-serve.  It is one array pass over the live slots: the session test
-runs once per distinct bucket, and the geometry is
+Invalidation is cell-exact and time-aware
+(:meth:`SegmentedService._invalidate`): the session test runs once per
+distinct bucket, and the geometry is
 :func:`~repro.wsdb.index.circle_intersects_cells`, the array form of
 ``circle_intersects_cell`` (near ties are re-decided by that predicate
-itself).  Expired buckets are purged as simulation time advances, so
-the LRU holds live responses only.
+itself).
 
 Determinism: for a fixed query sequence the service is a pure function
 of (metro state, sequence) — the property the citywide and roaming run
@@ -95,7 +92,8 @@ baseline the roaming benchmark compares against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import accumulate
 from typing import Any, Iterable, NamedTuple, Protocol
 
 import numpy as np
@@ -109,6 +107,7 @@ __all__ = [
     "Lookup",
     "PACKABLE_CELLS",
     "ResponseTable",
+    "SegmentedService",
     "WhiteSpaceDatabase",
     "WsdbStats",
     "default_cell_m",
@@ -150,7 +149,7 @@ _KEY_WEIGHTS = np.array(
 _SORTED_LOOKUP = 64
 
 #: The rows of the slot table (one column per cached response).
-_KEY, _QX, _QY, _BUCKET, _RID, _STAMP = range(6)
+_KEY, _RID, _STAMP, _SEG = range(4)
 
 
 def quantize_cell(
@@ -240,17 +239,12 @@ class WsdbStats:
 
     def as_dict(self) -> dict[str, float | int]:
         """Plain-data snapshot (for probes and benchmark JSON)."""
-        return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-            "invalidations": self.invalidations,
-            "mic_registrations": self.mic_registrations,
-            "candidates_scanned": self.candidates_scanned,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
+
+
+#: The columns of a service's K x field counter array: WsdbStats' fields.
+_QUERIES, _HITS, _MISSES, _EVICTIONS, _EXPIRATIONS = range(5)
+_INVALIDATIONS, _MIC_REGISTRATIONS, _SCANNED = range(5, 8)
 
 
 class ResponseTable:
@@ -333,31 +327,20 @@ def free_channels(
     return [tuples[i] for i in ids.tolist()]
 
 
-class WhiteSpaceDatabase:
-    """A queryable, cacheable geolocation white-space database.
-
-    Args:
-        metro: the incumbent ground truth (sites + registrations).
-        cell_m: spatial-index cell edge (None: ~the mean TV contour
-            radius, a reasonable pruning granularity).
-        ttl_us: response validity window in simulation time.
-        cache_resolution_m: response-cell edge — one response covers a
-            whole ``cache_resolution_m`` quantization square.
-        cache_capacity: LRU capacity; 0 disables response caching (the
-            spatial index still serves every query, and answers are
-            identical to a caching service's).
-        responses: the response intern table to answer in (None: a
-            table of its own; a cluster shares one across its shards).
+class SegmentedService:
+    """The response cache and miss path of both service tiers: K
+    segments of one slot table over one stacked :class:`GridIndex`
+    (module docstring).  A subclass builds :attr:`index` and names each
+    cell's segment (:meth:`_segments_of`).
     """
 
     def __init__(
         self,
         metro: Metro,
-        cell_m: float | None = None,
-        ttl_us: float = DEFAULT_TTL_US,
-        cache_resolution_m: float = DEFAULT_CACHE_RESOLUTION_M,
-        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
-        responses: ResponseTable | None = None,
+        ttl_us: float,
+        cache_resolution_m: float,
+        cache_capacity: int,
+        segments: int,
     ):
         if ttl_us <= 0:
             raise SpectrumMapError(f"ttl_us must be > 0, got {ttl_us!r}")
@@ -370,30 +353,24 @@ class WhiteSpaceDatabase:
                 f"cache_capacity must be >= 0, got {cache_capacity!r}"
             )
         self.metro = metro
-        if cell_m is None:
-            cell_m = default_cell_m(metro)
-        self.index = GridIndex(metro.extent_m, cell_m)
-        self.index.extend(metro.sites)
-        self.index.extend(metro.registrations)
         self.ttl_us = ttl_us
         self.cache_resolution_m = cache_resolution_m
         self.cache_capacity = cache_capacity
-        self.responses = ResponseTable() if responses is None else responses
-        # The slot table (see the module docstring): rows _KEY.._STAMP,
+        self.responses = ResponseTable()
+        # The slot table (see the module docstring): rows _KEY.._SEG,
         # one column per cached response, sorted by packed key.  Kept
         # C-contiguous (column selections go through take/compress, not
         # fancy indexing, which would transpose the layout) so each row
         # is a contiguous column for searchsorted and the ufuncs.
-        self._slots = np.zeros((6, 0), dtype=np.int64)
-        # The stamp of the next call's first cell.
-        self._clock = 0
-        self._latest_bucket = 0
+        self._slots = np.zeros((4, 0), dtype=np.int64)
+        self._clock = 0  # the stamp of the next call's first cell
+        self._latest = [0] * segments  # each segment's newest bucket
+        self._counts = np.zeros((segments, len(fields(WsdbStats))), dtype=np.int64)
         # Every channel of the dial, and the response id of each
         # occupied set seen, for turning the miss kernel's occupied
         # sets into response ids.
         self._channels = frozenset(range(metro.num_channels))
         self._free_ids: dict[frozenset[int], int] = {}
-        self.stats = WsdbStats()
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -407,59 +384,87 @@ class WhiteSpaceDatabase:
         return quantize_cell(x_m, y_m, self.cache_resolution_m)
 
     def cached_items(
-        self,
+        self, segment: int = 0
     ) -> list[tuple[tuple[int, int, int], tuple[int, ...]]]:
-        """The cached ``((qx, qy, bucket), channels)``, least recent first."""
-        slots = self._slots.take(self._slots[_STAMP].argsort(), axis=1)
+        """*segment*'s cached ``((qx, qy, bucket), channels)``, least
+        recent first."""
+        slots = self._slots.compress(self._slots[_SEG] == segment, axis=1)
+        slots = slots.take(slots[_STAMP].argsort(), axis=1)
         tuples = self.responses.tuples
         return [
             ((qx, qy, bucket), tuples[rid])
             for qx, qy, bucket, rid in zip(
-                *slots[[_QX, _QY, _BUCKET, _RID]].tolist()
+                *(row.tolist() for row in (*self._unpack(slots), slots[_RID]))
             )
         ]
 
-    def _pack(self, cells: np.ndarray, bucket: int) -> np.ndarray:
-        """The packed cache key of every cell in TTL bucket *bucket*."""
-        age = max(self._latest_bucket, bucket) - bucket
+    def _unpack(self, slots: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The ``qx``, ``qy`` and TTL bucket rows packed in *slots*' keys
+        (a key's age counts back from its segment's newest bucket)."""
+        key = slots[_KEY]
+        cell = (1 << _CELL_BITS) - 1
+        return (
+            (key >> (_CELL_BITS + _AGE_BITS)) - _CELL_OFFSET,
+            (key >> _AGE_BITS & cell) - _CELL_OFFSET,
+            np.array(self._latest)[slots[_SEG]] - (key & (1 << _AGE_BITS) - 1),
+        )
+
+    def _segments_of(
+        self, cells: np.ndarray
+    ) -> tuple[np.ndarray | None, list[int], list[int]]:
+        """The permutation grouping a batch by segment (None: grouped),
+        the segments it touches, ascending, and each one's cell count."""
+        return None, [0], [len(cells)]
+
+    def _pack(self, cells: np.ndarray, bucket: int, segments: list[int],
+              counts: list[int]) -> np.ndarray:
+        """The packed cache key of every cell in TTL bucket *bucket*;
+        the cells are grouped, *counts* of each of *segments*."""
+        age = [max(self._latest[s], bucket) - bucket for s in segments]
         offset = cells + _CELL_OFFSET
         if np.bitwise_or.reduce(offset, axis=None) >> _CELL_BITS:
             raise SpectrumMapError(
                 "cell outside the cache's packable range "
                 f"[{PACKABLE_CELLS[0]}, {PACKABLE_CELLS[1]}) per axis"
             )
-        if age >> _AGE_BITS:
+        if max(age, default=0) >> _AGE_BITS:
             raise SpectrumMapError(
                 f"TTL bucket {bucket} lies more than {(1 << _AGE_BITS) - 1} "
-                f"buckets behind the newest queried ({self._latest_bucket})"
+                f"buckets behind the newest queried ({bucket + max(age)})"
             )
         keys = offset.dot(_KEY_WEIGHTS)
-        if age:
-            keys += age
+        if any(age):
+            keys += np.repeat(age, counts)
         return keys
 
-    def _purge_expired(self, bucket: int) -> None:
-        """Drop responses from TTL buckets wholly before *bucket*.
+    def _purge_expired(self, bucket: int, segments: list[int]) -> None:
+        """Drop every response of each of *segments* whose newest bucket
+        *bucket* advances.
 
         Expired responses can never be served again (their bucket is
         part of the cache key), but left in place they occupy LRU
-        capacity — evicting live responses — and are scanned by every
-        ``register_mic`` invalidation pass.  Purged on the query path
-        whenever the observed TTL bucket advances past the newest one
-        (which then drops every live response); queries are the
-        service's only clock, so ``register_mic`` relies on this
+        capacity and are scanned by every invalidation pass.  A
+        segment's queries are its only clock: one no batch touches
+        purges nothing, and ``register_mic`` relies on the query path
         rather than purging itself.
         """
-        self._latest_bucket = bucket
+        stale = [s for s in segments if self._latest[s] < bucket]
+        if not stale:
+            return
+        for s in stale:
+            self._latest[s] = bucket
         slots = self._slots
-        live = slots[_BUCKET] >= bucket
-        self.stats.expirations += live.size - int(np.count_nonzero(live))
-        self._slots = slots.compress(live, axis=1)
+        drop = np.isin(slots[_SEG], stale)
+        self._counts[:, _EXPIRATIONS] += np.bincount(
+            slots[_SEG][drop], minlength=len(self._latest)
+        )
+        self._slots = slots.compress(~drop, axis=1)
 
     def _touch(
-        self, keys: np.ndarray, cells: np.ndarray, bucket: int
+        self, keys: np.ndarray, segments: list[int], counts: list[int]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-        """Walk a batch through the LRU in safe prefixes.
+        """Walk a batch through the LRU in safe prefixes, each segment's
+        cells (grouped, *counts* of each of *segments*) through its own.
 
         Returns the hit mask, each cell's response id, the positions of
         the misses, and ``(positions, m)`` array pairs: the cells the
@@ -468,13 +473,14 @@ class WhiteSpaceDatabase:
         """
         n = len(keys)
         hit, ids = np.zeros(0, dtype=bool), keys  # an empty batch
-        capacity = self.cache_capacity
+        capacity, clock = self.cache_capacity, self._clock
         missed, refs = [], []
-        misses = start = 0
-        while start < n:
+        misses = 0
+        pos = np.arange(n)  # the positions left to walk
+        while len(pos):
             slots = self._slots
             live = slots.shape[1]
-            k = keys[start:]
+            k = keys[pos] if len(missed) else keys
             m = len(k)
             if m > _SORTED_LOOKUP:
                 # The binary search runs in key order: random-order
@@ -484,23 +490,19 @@ class WhiteSpaceDatabase:
                 row[order] = slots[_KEY].searchsorted(k[order])
             else:
                 row = slots[_KEY].searchsorted(k)
-            if live:
-                found = slots[_KEY].take(row, mode="clip") == k
-            else:
-                found = np.zeros(m, dtype=bool)
-            stamp0 = self._clock + start
-            if not start:
+            found = (
+                slots[_KEY].take(row, mode="clip") == k if live
+                else np.zeros(m, dtype=bool)
+            )
+            if not missed:
                 if np.count_nonzero(found) == m:
                     # Every cell hits: one safe prefix, restamped.  (A
                     # later pass starts at a key the last one evicted.)
-                    stamps = np.arange(stamp0, stamp0 + m)
-                    np.maximum.at(slots[_STAMP], row, stamps)
+                    np.maximum.at(slots[_STAMP], row, clock + pos)
                     self._clock += n
                     return found, slots[_RID][row], keys[:0], refs
-                hit = np.empty(n, dtype=bool)
-                hit.fill(True)
-                ids = np.empty(n, dtype=np.int64)
-            hit_p, ids_p, cells_p = hit[start:], ids[start:], cells[start:]
+                hit, ids = np.ones(n, dtype=bool), np.empty(n, dtype=np.int64)
+                seg = np.repeat(segments, counts)
             # The absent keys, grouped: the first of each group is a
             # miss (once the prefix reaches it), its repeats hit its
             # slot.  Groups are numbered in first-position order.
@@ -520,68 +522,83 @@ class WhiteSpaceDatabase:
                     renumber = np.empty(len(fresh), dtype=np.int64)
                     renumber[by_pos] = np.arange(len(fresh))
                     group = renumber[group]
-            victims = None
+            victims, rest = [], pos[:0]
             if live + len(fresh) > capacity:
-                # e(q), and the old-LRU rank of each touched response
-                # among the e(m - 1) oldest (the rest rank past them).
-                evicted = np.zeros(m, dtype=np.int64)
-                evicted[fresh] = 1
-                evicted.cumsum(out=evicted)
-                evicted += live - capacity
-                worst = min(int(evicted[-1]), live)
-                stamps = slots[_STAMP]
-                oldest = stamps.argpartition(max(worst - 1, 0))[:worst]
-                oldest = oldest[stamps[oldest].argsort()]
-                touched = np.full(m, live, dtype=np.int64)
-                if live:
-                    rank = np.full(live, live, dtype=np.int64)
+                # Per segment that overflows: e(q), and the old-LRU rank
+                # of each touched response among the segment's e(m - 1)
+                # oldest (the rest rank past them).
+                owner = seg[pos]
+                lives = np.bincount(slots[_SEG], minlength=len(self._latest))
+                adds = np.bincount(owner[fresh], minlength=len(self._latest))
+                commit = np.ones(m, dtype=bool)
+                for s in np.flatnonzero(lives + adds > capacity).tolist():
+                    lo, hi = owner.searchsorted((s, s + 1))
+                    own = int(lives[s])
+                    evicted = np.zeros(hi - lo, dtype=np.int64)
+                    mine = fresh[fresh.searchsorted(lo) : fresh.searchsorted(hi)]
+                    evicted[mine - lo] = 1
+                    evicted = evicted.cumsum() + (own - capacity)
+                    worst = min(int(evicted[-1]), own)
+                    # (A segment holding every slot skips the gather.)
+                    cols = np.flatnonzero(slots[_SEG] == s) if own < live else None
+                    stamps = slots[_STAMP] if cols is None else slots[_STAMP][cols]
+                    oldest = stamps.argpartition(max(worst - 1, 0))[:worst]
+                    oldest = oldest[stamps[oldest].argsort()]
+                    if cols is not None:
+                        oldest = cols[oldest]
+                    rank = np.full(live, own, dtype=np.int64)
                     rank[oldest] = np.arange(worst)
-                    touched[found] = rank[row[found]]
-                unsafe = evicted > np.minimum.accumulate(touched)
-                stop = int(unsafe.argmax()) if unsafe.any() else m
-                victims = oldest[: max(0, int(evicted[stop - 1]))]
-                if stop < m:
-                    m = stop
-                    found = found[:stop]
-                    cut = int(absent.searchsorted(stop))
-                    absent, group = absent[:cut], group[:cut]
-                    fresh = fresh[: int(fresh.searchsorted(stop))]
-            # Commit positions [0, m): hits restamp their slots (a slot
-            # still pending holds an earlier pass's miss) ...
-            pos = found.nonzero()[0]
-            if len(pos):
-                rows = row[pos]
-                ids_p[pos] = rid = slots[_RID][rows]
-                np.maximum.at(slots[_STAMP], rows, stamp0 + pos)
-                if start:
+                    touched = np.full(hi - lo, own, dtype=np.int64)
+                    hits = found[lo:hi]
+                    touched[hits] = rank[row[lo:hi][hits]]
+                    unsafe = evicted > np.minimum.accumulate(touched)
+                    stop = int(unsafe.argmax()) if unsafe.any() else hi - lo
+                    victims.append(oldest[: max(0, int(evicted[stop - 1]))])
+                    commit[lo + stop : hi] = False
+                if not commit.all():
+                    # Each segment's safe prefix commits; the rest walks
+                    # on in the next pass (groups renumbered in order).
+                    rest = pos[~commit]
+                    found &= commit
+                    kept = commit[absent]
+                    absent = absent[kept]
+                    group = (commit[fresh].cumsum() - 1)[group[kept]]
+                    fresh = fresh[commit[fresh]]
+            # Commit: hits restamp their slots (a slot still pending
+            # holds an earlier pass's miss) ...
+            p = found.nonzero()[0]
+            if len(p):
+                rows = row[p]
+                ids[pos[p]] = rid = slots[_RID][rows]
+                np.maximum.at(slots[_STAMP], rows, clock + pos[p])
+                if missed:
                     waiting = rid < 0
-                    refs.append((start + pos[waiting], -1 - rid[waiting]))
+                    refs.append((pos[p[waiting]], -1 - rid[waiting]))
             # ... and first-seen absent keys take slots with pending ids.
             new = len(fresh)
-            hit_p[fresh] = False
-            if start:
-                refs.append((start + absent, misses + group))
-                missed.append(start + fresh)
-            else:
-                refs.append((absent, group))
-                missed.append(fresh)
-            added = np.empty((6, new), dtype=np.int64)
+            at = pos[fresh]
+            hit[at] = False
+            refs.append((pos[absent], misses + group))
+            missed.append(at)
+            added = np.empty((4, new), dtype=np.int64)
             added[_KEY] = k[fresh]
-            added[_QX : _QY + 1] = cells_p.take(fresh, axis=0).T
-            added[_BUCKET] = bucket
             added[_RID] = np.arange(-1 - misses, -1 - misses - new, -1)
-            added[_STAMP] = stamp0 + fresh
+            added[_STAMP] = clock + at
+            added[_SEG] = seg[at]
             if len(absent) > new:
-                np.maximum.at(added[_STAMP], group, stamp0 + absent)
+                np.maximum.at(added[_STAMP], group, clock + pos[absent])
             misses += new
-            if victims is not None and len(victims):
+            if victims:
+                victims = np.concatenate(victims)
+                self._counts[:, _EVICTIONS] += np.bincount(
+                    slots[_SEG][victims], minlength=len(self._latest)
+                )
                 keep = np.ones(live, dtype=bool)
                 keep[victims] = False
                 slots = slots.compress(keep, axis=1)
-                self.stats.evictions += len(victims)
             slots = np.concatenate((slots, added), axis=1)
             self._slots = slots.take(slots[_KEY].argsort(kind="stable"), axis=1)
-            start += m
+            pos = rest
         self._clock += n
         return hit, ids, np.concatenate(missed) if missed else keys[:0], refs
 
@@ -594,110 +611,124 @@ class WhiteSpaceDatabase:
 
         *cells* is an (n, 2) int array of ``(qx, qy)`` rows; returns a
         :class:`Lookup` with one id, cache outcome and scan count per
-        row.  The protocol primitive every query path rides.  A batch
-        leaves exactly the answers, outcomes, LRU contents and order,
-        and counter totals of a loop of one-cell calls over the same
-        sequence (duplicates included; each counts as one query):
+        row.  The protocol primitive every query path rides.  Each
+        segment sees its cells in request order, and the batch leaves
+        exactly the answers, outcomes, LRU contents and order, and
+        counters of a loop of one-cell calls (duplicates included):
 
-        1. the batch walks the slot table in safe prefixes (module
-           docstring): hits restamp their slots, first-seen misses take
-           slots with a pending id (so a repeat later in the batch is
-           a hit), and evictions take the oldest stamps;
-        2. one :meth:`GridIndex.occupied_in_rects` call computes every
-           miss; each answer lands in its slot if the slot still holds
-           the miss's pending id.
+        1. the batch, grouped by segment, walks the slot table in safe
+           prefixes (module docstring);
+        2. one :meth:`GridIndex.occupied_sets` call computes every
+           miss, in ascending segment and then request order (the order
+           new responses are interned in); each answer lands in its
+           slot if the slot still holds the miss's pending id.
 
-        The TTL purge runs once (every cell shares *t_us*'s bucket),
-        the stats move once and the index is entered once per call.
-        Cells outside :data:`PACKABLE_CELLS`, or a bucket more than
-        2047 buckets behind the newest queried, raise
+        Cells outside :data:`PACKABLE_CELLS`, or a bucket more than 2047
+        buckets behind a touched segment's newest, raise
         :class:`~repro.errors.SpectrumMapError` before anything moves.
         """
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 2)
+        order, segments, counts = self._segments_of(cells)
+        if order is not None:
+            cells = cells[order]
         n = len(cells)
         bucket = ttl_bucket(t_us, self.ttl_us)
-        keys = self._pack(cells, bucket)
-        stats = self.stats
-        stats.queries += n
-        if bucket > self._latest_bucket:
-            self._purge_expired(bucket)
+        keys = self._pack(cells, bucket, segments, counts)
+        self._purge_expired(bucket, segments)
         if self.cache_capacity:
-            hit, ids, miss, refs = self._touch(keys, cells, bucket)
+            hit, ids, miss, refs = self._touch(keys, segments, counts)
         else:
             # Capacity 0 stores nothing: every cell is its own miss.
             miss = np.arange(n)
             hit, ids = np.zeros(n, dtype=bool), np.empty_like(miss)
             refs = [(miss, miss)]
-        stats.cache_hits += n - len(miss)
-        stats.cache_misses += len(miss)
         scanned = np.zeros(n, dtype=np.int64)
+        # Each touched segment's run of cells, and the misses and scans
+        # in each run (cumulative, as Python ints).
+        runs = [0, *accumulate(counts)]
+        cut = total = [0] * len(runs)
         if len(miss):
-            answers, scanned[miss] = self._compute_misses(cells[miss], t_us)
+            # Ordinals follow the walk's passes; the kernel (and the
+            # interning) runs in request order.
+            by_pos = miss.argsort()
+            miss = miss[by_pos]
+            answers = np.empty(len(miss), dtype=np.int64)
+            answers[by_pos], scanned[miss] = self._compute_misses(
+                cells[miss], np.repeat(segments, counts)[miss], t_us
+            )
             for positions, ordinal in refs:
                 ids[positions] = answers[ordinal]
             rid = self._slots[_RID]
             pending = rid < 0
             rid[pending] = answers[-1 - rid[pending]]
+            cut = miss.searchsorted(runs).tolist()
+            total = [0, *scanned[miss].cumsum().tolist()]
+        # Scans are counted from the kernel's return (not the index's
+        # running total): direct use of the public index must not leak
+        # into these counters.
+        for r, (s, q) in enumerate(zip(segments, counts)):
+            m, row = cut[r + 1] - cut[r], self._counts[s]
+            row[_QUERIES] += q
+            row[_HITS] += q - m
+            row[_MISSES] += m
+            row[_SCANNED] += total[cut[r + 1]] - total[cut[r]]
+        if order is not None:  # back to request order
+            back = np.empty_like(order)
+            back[order] = np.arange(n)
+            ids, hit, scanned = ids[back], hit[back], scanned[back]
         return Lookup(ids, hit, scanned)
 
     def _compute_misses(
-        self, cells: np.ndarray, t_us: float
-    ) -> tuple[np.ndarray, list[int]]:
+        self, cells: np.ndarray, segments: np.ndarray, t_us: float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Response id of each missed cell at *t_us*, and its scan count.
 
         Conservative area semantics: a channel is denied when any
-        active incumbent's contour intersects the cell square, so the
-        response is safe to act on from any coordinate inside the cell.
+        active incumbent of the cell's segment has a contour
+        intersecting the cell square, so the response is safe to act on
+        from any coordinate inside the cell.
         """
         res = self.cache_resolution_m
         corner = cells * res
-        occupied, scanned = self.index.occupied_in_rects(
-            np.concatenate((corner, corner + res), axis=1), t_us
+        sets, which, scanned = self.index.occupied_sets(
+            np.concatenate((corner, corner + res), axis=1), t_us, segments
         )
-        # Counted from the kernel's return (not the index's running
-        # total): the index is a public attribute, and direct use of it
-        # must not leak into the service's own counters.
-        self.stats.candidates_scanned += sum(scanned)
         free_ids = self._free_ids
         answers = []
-        for occ in occupied:
+        for occ in sets:
             rid = free_ids.get(occ)
             if rid is None:
                 free = tuple(sorted(self._channels - occ))
                 rid = free_ids[occ] = int(self.responses.ids((free,))[0])
             answers.append(rid)
-        return np.array(answers, dtype=np.int64), scanned
+        return np.array(answers, dtype=np.int64)[which], scanned
 
     # -- updates -------------------------------------------------------------
 
-    def register_mic(self, registration: MicRegistration) -> int:
-        """Accept a mic registration; invalidate the affected responses.
+    def _invalidate(self, registration: MicRegistration, segments) -> int:
+        """Count a registration in *segments*; drop their responses it
+        changes and return how many.
 
-        Every cached response whose quantization square intersects the
-        new protection zone — in a TTL bucket overlapping one of the
-        mic's sessions — is dropped (any query in such a cell and
-        bucket may now get a different answer).  Returns the number of
-        invalidated responses.
-
-        Time-aware: a cached response is only ever served for query
-        times inside its own bucket, so a bucket that overlaps none of
-        the mic's sessions — wholly before one starts, or wholly after
-        it ends — holds a response the registration cannot change, and
-        invalidating it would only force a recompute to the same
-        answer (and misreport ``stats.invalidations``).
+        One pass over the slot table, masked to *segments*, drops every
+        response whose square intersects the new zone in a TTL bucket
+        overlapping one of the mic's sessions.  A response is only ever
+        served inside its own bucket, so a bucket wholly before or
+        after every session holds a response the registration cannot
+        change; dropping it would only force a recompute to the same
+        answer (and misreport ``invalidations``).
         """
-        self.metro.add_registration(registration)
-        self.index.insert(registration)
-        self.stats.mic_registrations += 1
+        self._counts[segments, _MIC_REGISTRATIONS] += 1
         slots = self._slots
-        if not slots.shape[1]:
+        cand = np.flatnonzero(np.isin(slots[_SEG], segments))
+        if not len(cand):
             return 0
         # Queries purge buckets behind the observed clock as they
         # advance it, so this pass sees at most the entries at or after
         # the last observed bucket (out-of-order query times can park
         # older entries here, but the time-aware test still judges
         # them correctly).
-        buckets, inverse = np.unique(slots[_BUCKET], return_inverse=True)
+        qx, qy, bucket = self._unpack(slots.take(cand, axis=1))
+        buckets, inverse = np.unique(bucket, return_inverse=True)
         sessions = registration.microphone.sessions
         overlaps = []
         for bucket in buckets.tolist():
@@ -713,20 +744,68 @@ class WhiteSpaceDatabase:
                     for s in sessions
                 )
             )
-        stale = np.array(overlaps, dtype=bool)[inverse]
-        cand = np.flatnonzero(stale)
-        stale[cand] = circle_intersects_cells(
+        live = np.array(overlaps, dtype=bool)[inverse]
+        stale = np.zeros(slots.shape[1], dtype=bool)
+        stale[cand[live]] = circle_intersects_cells(
             registration.x_m,
             registration.y_m,
             registration.radius_m,
-            slots[_QX][cand],
-            slots[_QY][cand],
+            qx[live],
+            qy[live],
             self.cache_resolution_m,
         )
-        dropped = int(np.count_nonzero(stale))
+        dropped = np.bincount(slots[_SEG][stale], minlength=len(self._latest))
+        self._counts[:, _INVALIDATIONS] += dropped
         self._slots = slots.compress(~stale, axis=1)
-        self.stats.invalidations += dropped
-        return dropped
+        return int(dropped.sum())
+
+
+class WhiteSpaceDatabase(SegmentedService):
+    """A queryable, cacheable geolocation white-space database.
+
+    The one-segment :class:`SegmentedService`.
+
+    Args:
+        metro: the incumbent ground truth (sites + registrations).
+        cell_m: spatial-index cell edge (None: ~the mean TV contour
+            radius, a reasonable pruning granularity).
+        ttl_us: response validity window in simulation time.
+        cache_resolution_m: response-cell edge — one response covers a
+            whole ``cache_resolution_m`` quantization square.
+        cache_capacity: LRU capacity; 0 disables response caching (the
+            spatial index still serves every query, and answers are
+            identical to a caching service's).
+    """
+
+    def __init__(
+        self,
+        metro: Metro,
+        cell_m: float | None = None,
+        ttl_us: float = DEFAULT_TTL_US,
+        cache_resolution_m: float = DEFAULT_CACHE_RESOLUTION_M,
+        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
+    ):
+        super().__init__(metro, ttl_us, cache_resolution_m, cache_capacity, 1)
+        if cell_m is None:
+            cell_m = default_cell_m(metro)
+        self.index = GridIndex(metro.extent_m, cell_m)
+        self.index.extend(metro.sites)
+        self.index.extend(metro.registrations)
+
+    @property
+    def stats(self) -> WsdbStats:
+        """A snapshot of the service counters."""
+        return WsdbStats(*self._counts[0].tolist())
+
+    def register_mic(self, registration: MicRegistration) -> int:
+        """Accept a mic registration; invalidate the affected responses.
+
+        Returns the number of invalidated responses (see
+        :meth:`SegmentedService._invalidate`).
+        """
+        self.metro.add_registration(registration)
+        self.index.insert(registration)
+        return self._invalidate(registration, [0])
 
     def publish_metrics(self, telemetry) -> None:
         """Publish the service counters into a sim-clock registry.

@@ -17,6 +17,7 @@ from repro.wsdb.cluster.push import PushRegistry
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.model import Metro, MicRegistration, generate_metro
 from repro.wsdb.service import (
+    PACKABLE_CELLS,
     WhiteSpaceDatabase,
     free_channels,
     quantize_cell,
@@ -268,13 +269,24 @@ class TestShardsOfCells:
         ]
 
 
-def reference_query_batch(frontend, points, t_us):
+def stale_entries(frontend):
+    """The frontend's stale-store columns as ``{cell: (bucket, id)}``."""
+    key, bucket, rid = frontend._stale.tolist()
+    lo = PACKABLE_CELLS[0]
+    return {
+        ((k >> 26) + lo, (k & ((1 << 26) - 1)) + lo): (b, r)
+        for k, b, r in zip(key, bucket, rid)
+    }
+
+
+def reference_query_batch(frontend, stale, points, t_us):
     """The request-by-request burst algorithm the array path replaces.
 
     Admission per request in order, then the admitted cells grouped by
-    shard in first-occurrence order, shards called in ascending order,
-    the stale store refreshed in first-occurrence order, and shed
-    requests answered under the policy in request order.  Returns
+    shard in first-occurrence order, shards called in ascending order
+    (one router call each), the stale store — the dict *stale*, cell ->
+    (bucket, response id) — refreshed in first-occurrence order, and
+    shed requests answered under the policy in request order.  Returns
     response ids, -1 for a refusal.
     """
     router = frontend.router
@@ -298,15 +310,13 @@ def reference_query_batch(frontend, points, t_us):
     for shard_id in sorted(by_shard):
         stats.shard_batches += 1
         cells = by_shard[shard_id]
-        lookup = router.shards[shard_id].response_ids_in_cells(
-            np.array(cells), t_us
-        )
+        lookup = router.response_ids_in_cells(np.array(cells), t_us)
         responses.update(zip(cells, lookup.ids.tolist()))
     for cell in seen:  # first-occurrence order
-        frontend._stale[cell] = (frontend._bucket_now, responses[cell])
+        stale[cell] = (frontend._bucket_now, responses[cell])
     answers = []
     for cell, admitted in plan:
-        entry = frontend._stale.get(cell)
+        entry = stale.get(cell)
         if admitted:
             answers.append(responses[cell])
         elif (
@@ -329,6 +339,7 @@ class TestArrayQueryBatchEquivalence:
         params = dict(rate_limit_qps=40.0, burst_size=25, policy=policy)
         array_fe = BatchFrontend(dense_router(6), **params)
         ref_fe = BatchFrontend(dense_router(6), **params)
+        ref_stale = {}
         t_us = 0.0
         for _ in range(12):
             t_us += rng.choice([0.0, 2e5, 7.5e5, 61e6])
@@ -342,13 +353,15 @@ class TestArrayQueryBatchEquivalence:
                 for _ in range(rng.choice([1, 10, 30, 45]))
             ]
             got = array_fe.query_batch(np.array(points), t_us)
-            assert got.tolist() == reference_query_batch(ref_fe, points, t_us)
+            assert got.tolist() == reference_query_batch(
+                ref_fe, ref_stale, points, t_us
+            )
             assert array_fe.stats == ref_fe.stats
-            assert array_fe._stale == ref_fe._stale
-            assert list(array_fe._stale) == list(ref_fe._stale)
-            for a, b in zip(array_fe.router.shards, ref_fe.router.shards):
-                assert a.stats == b.stats
-                assert a.cached_items() == b.cached_items()
+            assert stale_entries(array_fe) == ref_stale
+            a, b = array_fe.router, ref_fe.router
+            assert a.per_shard_stats() == b.per_shard_stats()
+            for shard in range(a.num_shards):
+                assert a.cached_items(shard) == b.cached_items(shard)
         assert array_fe.stats.shed > 0 and array_fe.stats.coalesced > 0
         if policy == "serve-stale":
             assert array_fe.stats.served_stale > 0

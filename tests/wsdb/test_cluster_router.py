@@ -178,7 +178,7 @@ class TestMicFanOut:
         assert len(router.metro.registrations) == before + 1
         assert router.mic_registrations == 1
         touched = [
-            shard.stats.mic_registrations for shard in router.shards
+            shard["mic_registrations"] for shard in router.per_shard_stats()
         ]
         assert sum(touched) == 1
         owner = router.shard_of(2_500.0, 2_500.0)
@@ -285,8 +285,8 @@ class TestBatchCellRouting:
     def test_scattered_cells_make_one_call_per_shard(self, capacity):
         # 512 seeded points scattered over the 3 km, 16-shard storm
         # metro: the batch groups each shard's cells (request order
-        # kept) into one call, so at most 16 shard calls — not one per
-        # run of consecutive same-shard cells.
+        # kept), counts one shard call per shard it touches, and
+        # answers every miss in one kernel call.
         def storm_router():
             metro = generate_metro(
                 range(12, 30), seed=2009, extent_m=3_000.0,
@@ -295,13 +295,13 @@ class TestBatchCellRouting:
             return ShardRouter(metro, 16, cache_capacity=capacity)
 
         batched, sequential = storm_router(), storm_router()
-        calls = []
-        for shard in batched.shards:
-            def counted(cells, t_us=0.0, _inner=shard.response_ids_in_cells):
-                calls.append(len(cells))
-                return _inner(cells, t_us)
+        kernel = []
 
-            shard.response_ids_in_cells = counted
+        def counted(rects, t_us, segments=None, _inner=batched.index.occupied_sets):
+            kernel.append(len(rects))
+            return _inner(rects, t_us, segments)
+
+        batched.index.occupied_sets = counted
         rng = random.Random(512)
         points = [
             (rng.uniform(-50.0, 3_050.0), rng.uniform(-50.0, 3_050.0))
@@ -310,10 +310,11 @@ class TestBatchCellRouting:
         cells = [batched.cell_of(x, y) for x, y in points]
         got = free_channels(batched, points, t_us=3.0)
         assert got == cell_loop(sequential, cells, 3.0)[0]
-        assert len(calls) <= 16 and sum(calls) == 512
-        assert batched.shard_calls == len(calls)
+        owners = {batched.shard_of_cell(*cell) for cell in cells}
+        assert batched.shard_calls == len(owners) <= 16
+        assert kernel == [batched.aggregate_stats().cache_misses]
         assert batched.per_shard_stats() == sequential.per_shard_stats()
-        for a, b in zip(batched.shards, sequential.shards):
-            assert a.cached_items() == b.cached_items()
+        for shard in range(16):
+            assert batched.cached_items(shard) == sequential.cached_items(shard)
         if capacity == 5:
             assert batched.aggregate_stats().evictions > 0

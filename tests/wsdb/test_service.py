@@ -1,6 +1,7 @@
 """Tests for the WhiteSpaceDatabase façade: cell-granular responses,
 caching, TTL-bucket expiry, and time-aware invalidation."""
 
+import math
 import random
 from collections import OrderedDict
 
@@ -10,6 +11,7 @@ import pytest
 from repro.errors import SpectrumMapError
 from repro.spectrum.incumbents import TvStation
 from repro.spectrum.spectrum_map import SpectrumMap
+from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.index import (
     GridIndex,
     circle_intersects_cell,
@@ -18,8 +20,10 @@ from repro.wsdb.index import (
 from repro.wsdb.model import Metro, MicRegistration, TvTransmitterSite
 from repro.wsdb.service import (
     PACKABLE_CELLS,
+    ResponseTable,
     WhiteSpaceDatabase,
     WsdbStats,
+    default_cell_m,
     free_channels,
     ttl_bucket,
 )
@@ -458,8 +462,6 @@ class TestBatchCellQueries:
 
     @pytest.mark.parametrize("capacity", [0, 2])
     def test_two_pass_batch_equals_cell_loop_on_a_router(self, capacity):
-        from repro.wsdb.cluster.router import ShardRouter
-
         rng = random.Random(7)
         cells = [(rng.randrange(40, 60), rng.randrange(40, 60)) for _ in range(60)]
         cells += cells[:10]
@@ -470,8 +472,8 @@ class TestBatchCellQueries:
         assert got == want
         assert batched.per_shard_stats() == sequential.per_shard_stats()
         assert batched.stats_dict() == sequential.stats_dict()
-        for a, b in zip(batched.shards, sequential.shards):
-            assert a.cached_items() == b.cached_items()
+        for shard in range(4):
+            assert batched.cached_items(shard) == sequential.cached_items(shard)
         if capacity:
             assert batched.aggregate_stats().evictions > 0
 
@@ -621,6 +623,71 @@ class OrderedDictDatabase:
         return len(stale)
 
 
+class OrderedDictRouter:
+    """K :class:`OrderedDictDatabase` shards behind the router's routing.
+
+    The shard router as it was before its shards became segments of
+    one slot table, kept here as the oracle of the router differential
+    tests: shard *s* is a database of its own over the incumbents whose
+    contour reaches territory *s* (the sites, then the registrations),
+    at the default index edge scaled down by ``sqrt(K)``; a batch
+    reaches each shard it touches as one call, in ascending shard order
+    with the shard's cells in request order (which is also the order
+    responses are interned in); a registration fans out to every shard
+    whose territory its zone touches.  Territories and routing are the
+    real router's (``shard_of_cell``, ``shards_touching_zone``).
+    """
+
+    def __init__(self, metro: Metro, num_shards: int, ttl_us: float,
+                 cache_resolution_m: float, cache_capacity: int):
+        self.metro = metro
+        self.routing = ShardRouter(
+            Metro(metro.extent_m, metro.num_channels), num_shards,
+            ttl_us=ttl_us, cache_resolution_m=cache_resolution_m,
+        )
+        self.responses = ResponseTable()
+        self.shards = []
+        for territory in self.routing.territories:
+            def reach(entry, territory=territory):
+                return territory.touches_zone(entry.x_m, entry.y_m, entry.radius_m)
+
+            sub = Metro(
+                metro.extent_m, metro.num_channels,
+                tuple(filter(reach, metro.sites)),
+                list(filter(reach, metro.registrations)),
+            )
+            self.shards.append(OrderedDictDatabase(
+                sub, default_cell_m(sub) / math.sqrt(num_shards), ttl_us,
+                cache_resolution_m, cache_capacity,
+            ))
+
+    def lookup(self, cells, t_us: float):
+        """Channel tuples, ``(hit, scanned)`` outcomes and response ids."""
+        owners = [self.routing.shard_of_cell(*cell) for cell in cells]
+        answers = [None] * len(cells)
+        for shard in sorted(set(owners)):
+            mine = [i for i, owner in enumerate(owners) if owner == shard]
+            responses, outcomes = self.shards[shard].lookup(
+                [cells[i] for i in mine], t_us
+            )
+            ids = self.responses.ids(responses).tolist()
+            for i, answer in zip(mine, zip(responses, outcomes, ids)):
+                answers[i] = answer
+        return tuple(list(column) for column in zip(*answers)) or ([], [], [])
+
+    def register_mic(self, registration: MicRegistration) -> int:
+        self.metro.add_registration(registration)
+        return sum(
+            self.shards[shard].register_mic(registration)
+            for shard in self.routing.shards_touching_zone(
+                registration.x_m, registration.y_m, registration.radius_m
+            )
+        )
+
+    def per_shard_stats(self):
+        return tuple(shard.stats.as_dict() for shard in self.shards)
+
+
 #: Cache capacities the differential tests sweep (0 disables caching).
 DIFF_CAPACITIES = [0, 1, 2, 3, 7, 64]
 DIFF_TTL_US = 1_000.0
@@ -744,36 +811,142 @@ class TestDifferentialAgainstOrderedDict:
 
     @pytest.mark.parametrize("capacity", DIFF_CAPACITIES)
     def test_router(self, capacity):
-        from repro.wsdb.cluster.router import ShardRouter
-
         for seed in range(6):
-            router = ShardRouter(
-                diff_metro(), 4, ttl_us=DIFF_TTL_US,
-                cache_resolution_m=DIFF_RES_M, cache_capacity=capacity,
-            )
-            ref = ShardRouter(
-                diff_metro(), 4, ttl_us=DIFF_TTL_US,
-                cache_resolution_m=DIFF_RES_M, cache_capacity=capacity,
-            )
-            ref.shards = tuple(
-                OrderedDictDatabase.like(shard) for shard in ref.shards
-            )
             rng = random.Random(f"diff-router-{capacity}-{seed}")
+            check_router(capacity, random_ops(rng, 60))
+
+
+def check_router(capacity: int, ops, num_shards: int = 4):
+    """Run *ops* on a ShardRouter and on the oracle; after every one the
+    answers, outcomes, response ids, per-shard stats and per-shard LRU
+    contents in recency order must match.  Returns the router."""
+    params = dict(
+        ttl_us=DIFF_TTL_US, cache_resolution_m=DIFF_RES_M,
+        cache_capacity=capacity,
+    )
+    router = ShardRouter(diff_metro(), num_shards, **params)
+    ref = OrderedDictRouter(diff_metro(), num_shards, **params)
+    for step, op in enumerate(ops):
+        if op[0] == "mic":
+            assert router.register_mic(op[1]) == ref.register_mic(op[1]), step
+        else:
+            _, cells, t_us = op
+            ids, hit, scanned = router.response_ids_in_cells(
+                np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
+            )
+            responses, outcomes, want_ids = ref.lookup(cells, t_us)
+            assert [router.responses.tuples[i] for i in ids] == responses, step
+            assert list(zip(hit.tolist(), scanned.tolist())) == outcomes, step
+            assert ids.tolist() == want_ids, step
+            assert router.responses.tuples == ref.responses.tuples, step
+        assert router.per_shard_stats() == ref.per_shard_stats(), step
+        for shard, ref_shard in enumerate(ref.shards):
+            assert router.cached_items(shard) == ref_shard.cached_items(), step
+    return router
+
+
+class TestRouterSegmentEdges:
+    """Constructed router cases at the edges of the segmented table.
+
+    On the 2 km differential metro at 100 m cells and four shards the
+    territories are the quadrants of cells ``0..9`` and ``10..19`` per
+    axis: shard 0 south-west, 1 south-east, 2 north-west, 3 north-east.
+    """
+
+    def test_untouched_shard_expires_at_its_own_next_query(self):
+        ttl = DIFF_TTL_US
+        ops = [("query", [(2, 2), (3, 3), (15, 2), (2, 15)], 10.0)]
+        # Three buckets of queries that never reach shard 0.
+        ops += [("query", [(15, 2), (15, 15)], k * ttl + 10.0) for k in (1, 2, 3)]
+        ops += [("query", [(2, 2)], 3 * ttl + 20.0)]
+        router = check_router(8, ops)
+        stats = router.per_shard_stats()
+        # Shard 0's two responses expired at its own query, not before;
+        # shard 2, never queried again, still holds its dead response.
+        assert stats[0]["expirations"] == 2
+        assert stats[2]["expirations"] == 0
+        assert len(router.cached_items(2)) == 1
+
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_one_segment_evicts_inside_a_batch(self, capacity):
+        west, east = [(1, 1), (2, 1), (3, 1), (1, 1), (4, 2)], [(15, 1), (15, 1)]
+        batch = [west[0], east[0], *west[1:3], east[1], *west[3:]]
+        router = check_router(capacity, [
+            ("query", [(12, 12)], 5.0),
+            ("query", batch, 5.0),
+            ("query", batch[::-1], 5.0),
+        ])
+        stats = router.per_shard_stats()
+        assert stats[0]["evictions"] > 0
+        assert stats[1]["evictions"] == stats[3]["evictions"] == 0
+
+    def test_one_shard_and_empty_batches(self):
+        router = check_router(3, [
+            ("query", [], 5.0),
+            ("query", [(12, 12), (13, 12), (12, 12)], 5.0),
+            ("query", [], 5.0),
+            ("query", [(12, 13), (13, 12)], DIFF_TTL_US + 5.0),
+            ("query", [], 3 * DIFF_TTL_US),
+        ])
+        assert router.shard_calls == 2
+        assert sum(s["queries"] for s in router.per_shard_stats()) == 5
+
+    def test_off_plane_cells_route_to_border_shards(self):
+        cells = [(-3, -1), (25, -2), (-4, 30), (40, 41), (-1, 12), (20, 5)]
+        router = check_router(2, [
+            ("query", cells, 5.0),
+            ("query", cells[::-1] + cells, 6.0),
+        ])
+        assert all(s["queries"] for s in router.per_shard_stats())
+
+    def test_mic_touching_three_of_four_shards(self):
+        # A 120 m zone centred 100 m south and west of the plane's
+        # middle: it crosses both seams (100 m away) into the south-east
+        # and north-west quadrants, but not the corner (141 m away)
+        # into the north-east one.
+        mic = MicRegistration.single_session(5, 900.0, 900.0, 0.0, 5_000.0, 120.0)
+        warm = [(9, 9), (10, 9), (9, 10), (10, 10), (8, 8), (11, 11)]
+        router = check_router(8, [
+            ("query", warm, 5.0),
+            ("mic", mic),
+            ("query", warm, 6.0),
+        ])
+        stats = router.per_shard_stats()
+        assert [s["mic_registrations"] for s in stats] == [1, 1, 1, 0]
+        assert [s["invalidations"] for s in stats[:3]] == [2, 1, 1]
+        assert stats[3]["invalidations"] == 0
+        assert router.stats_dict()["registration_fanout"] == 3
+
+
+class TestOneSegmentParity:
+    """A 1-shard router and a database run one code path."""
+
+    @pytest.mark.parametrize("capacity", DIFF_CAPACITIES)
+    def test_one_shard_router_equals_the_database(self, capacity):
+        params = dict(
+            ttl_us=DIFF_TTL_US, cache_resolution_m=DIFF_RES_M,
+            cache_capacity=capacity,
+        )
+        for seed in range(4):
+            router = ShardRouter(diff_metro(), 1, **params)
+            db = WhiteSpaceDatabase(diff_metro(), **params)
+            rng = random.Random(f"one-segment-{capacity}-{seed}")
             for step, op in enumerate(random_ops(rng, 60)):
                 if op[0] == "mic":
-                    assert router.register_mic(op[1]) == ref.register_mic(op[1])
+                    assert router.register_mic(op[1]) == db.register_mic(op[1])
                 else:
                     _, cells, t_us = op
-                    want, outcomes = [], []
-                    for cell in cells:
-                        shard = ref.shards[ref.shard_of_cell(*cell)]
-                        channels, outcome = shard.lookup([cell], t_us)
-                        want.extend(channels)
-                        outcomes.extend(outcome)
-                    assert lookup(router, cells, t_us) == (want, outcomes), step
-                assert router.per_shard_stats() == ref.per_shard_stats(), step
-                for shard, ref_shard in zip(router.shards, ref.shards):
-                    assert shard.cached_items() == ref_shard.cached_items(), step
+                    got = router.response_ids_in_cells(
+                        np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
+                    )
+                    want = db.response_ids_in_cells(
+                        np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
+                    )
+                    for a, b in zip(got, want):
+                        assert a.tolist() == b.tolist(), step
+                assert router.per_shard_stats() == (db.stats.as_dict(),), step
+                assert router.cached_items(0) == db.cached_items(), step
+                assert router.responses.tuples == db.responses.tuples, step
 
 
 class TestPackableRange:
