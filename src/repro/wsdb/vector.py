@@ -97,6 +97,11 @@ _NO_CELL = np.iinfo(np.int64).min
 #: tick, and each chunk stays in cache.
 _CHUNK = 1 << 14
 
+#: The slack margins (module docstring): relative to the largest
+#: squared distance a leg can see, and the lateral drift in metres.
+_EPS_REL = 1e-9
+_EPS_ABS = 1e-6
+
 
 class VectorFleet:
     """Columnar state for a fleet of waypoint-walking mobile clients.
@@ -137,14 +142,18 @@ class VectorFleet:
         self.violations = np.zeros(self.n, dtype=np.int64)
         self.disconnected_ticks = 0
         # Motion-slack association: each client's live-AP column, the
-        # eligibility class it was chosen under, and how far the client
-        # may still walk before another eligible AP can be nearer.
-        # Allocated by the first association; 16 bytes a client.
-        self.best_col = np.zeros(0, dtype=np.int32)
-        self.cls = np.zeros(0, dtype=np.int32)
-        self.slack = np.zeros(0)
-        # Snapshot-dependent state (set_snapshot).
-        self._fresh = True
+        # eligibility class of its current response (-1: none yet), and
+        # how far it may still walk along its leg before another
+        # eligible AP can be nearer (-inf: due a re-evaluation, as
+        # everyone is before the first); 16 bytes a client.
+        self.best_col = np.full(self.n, -1, dtype=np.int32)
+        self.cls = np.full(self.n, -1, dtype=np.int32)
+        self.slack = np.full(self.n, -np.inf)
+        #: Client rows association has re-evaluated since construction.
+        self.reevaluated = 0
+        # Snapshot-dependent state (set_snapshot): the live list as
+        # (ap_id, x, y, spans) per column, and its columns.
+        self._live: list[tuple[int, float, float, frozenset[int]]] = []
         self._ap_x = np.zeros(0, dtype=np.float64)
         self._ap_y = np.zeros(0, dtype=np.float64)
         self._live_spans: list[frozenset[int]] = []
@@ -153,9 +162,19 @@ class VectorFleet:
         self._live_ids = np.full(1, -1, dtype=np.int64)
         self._col_of = np.full(1, -1, dtype=np.int64)
         self._denied = np.zeros((1, 0), dtype=bool)
+        self._denies = np.zeros(0, dtype=bool)  # per class: denies any AP
+        self._ranks = np.zeros((0, 1), dtype=np.uint8)  # n_live .. 1
+        # AP coordinates repeated to one chunk's width, and as [x, y, 1]
+        # rows for the slack's projections.
+        self._ap_wide = np.zeros((2, 0, 1))
+        self._ap_rows = np.zeros((0, 3))
         self._class_ids: dict[tuple[bool, ...], int] = {}
         self._resp_class = np.zeros(1, dtype=np.int32)
         self._uhf_cols: dict[int, np.ndarray] = {}
+        # The slack margin's snapshot terms: the largest squared norm
+        # of a live AP, and the diagonal of their bounding box.
+        self._norm2 = 0.0
+        self._spread = 0.0
 
     # -- AP snapshot ---------------------------------------------------------
 
@@ -164,27 +183,67 @@ class VectorFleet:
         live_aps: list[tuple[Any, frozenset[int]]],
         num_aps: int,
     ) -> None:
-        """Columnarize one ``snapshot_assigned_aps`` live list.
+        """Columnarize one ``snapshot_assigned_aps`` live list (ascending
+        ``ap_id``, as that function gives it) and diff it against the
+        last one.
 
-        Re-interns the eligibility class of every response id and drops
-        the per-channel span masks (both are pure functions of the
-        snapshot + response table); the next association re-evaluates
-        every client.
+        An identical list changes nothing.  Otherwise the classes are
+        re-interned and the per-channel span masks dropped (both are
+        pure functions of the snapshot and the response table); each
+        client's ``best_col`` follows its AP to its new column, and
+        ``cls`` becomes its current response's new class.  A client whose AP went away or changed
+        channel re-evaluates at the next association; each added or
+        changed AP its class permits is folded into its slack
+        (:meth:`_fold`), which goes negative where that AP is no
+        further than the client's own.
         """
-        self._ap_x = np.array([ap.x_m for ap, _ in live_aps], dtype=np.float64)
-        self._ap_y = np.array([ap.y_m for ap, _ in live_aps], dtype=np.float64)
-        self._live_spans = [spans for _, spans in live_aps]
-        self._live_ids = np.array(
-            [ap.ap_id for ap, _ in live_aps] + [-1], dtype=np.int64
-        )
+        live = [(ap.ap_id, ap.x_m, ap.y_m, spans) for ap, spans in live_aps]
+        if live == self._live and len(self._col_of) == num_aps + 1:
+            return
+        # Old column -> new column of the same unchanged AP (-1: gone or
+        # changed; the pad maps -1 to -1), and the new columns to fold.
+        kept = {entry: col for col, entry in enumerate(self._live)}
+        remap = np.full(len(self._live) + 1, -1, dtype=np.int32)
+        added = []
+        for col, entry in enumerate(live):
+            old = kept.get(entry)
+            if old is None:
+                added.append(col)
+            else:
+                remap[old] = col
+
+        self._live = live
+        self._ap_x = np.array([e[1] for e in live], dtype=np.float64)
+        self._ap_y = np.array([e[2] for e in live], dtype=np.float64)
+        self._live_spans = [e[3] for e in live]
+        self._live_ids = np.array([e[0] for e in live] + [-1], dtype=np.int64)
         self._col_of = np.full(num_aps + 1, -1, dtype=np.int64)
-        for col, (ap, _) in enumerate(live_aps):
-            self._col_of[ap.ap_id] = col
+        self._col_of[self._live_ids[:-1]] = np.arange(len(live))
         self._class_ids = {}
-        self._denied = np.zeros((len(live_aps) + 1, 0), dtype=bool)
+        self._denied = np.zeros((len(live) + 1, 0), dtype=bool)
         self._resp_class = self._classes(self.responses.sets)
         self._uhf_cols = {}
-        self._fresh = True
+        self._ranks = np.arange(
+            len(live), 0, -1, dtype=np.min_scalar_type(len(live))
+        )[:, None]
+        step = max(1, _CHUNK // max(1, len(live)))
+        self._ap_wide = np.repeat(
+            np.stack((self._ap_x, self._ap_y))[:, :, None], step, axis=2
+        )
+        self._ap_rows = np.column_stack(
+            (self._ap_x, self._ap_y, np.ones(len(live)))
+        )
+        if live:
+            ax, ay = self._ap_x, self._ap_y
+            self._norm2 = float((ax * ax + ay * ay).max())
+            self._spread = float(np.hypot(np.ptp(ax), np.ptp(ay)))
+
+        self.cls = self._resp_class[self.resp_id]
+        best_col = remap[self.best_col]
+        self.slack[(best_col < 0) & (self.best_col >= 0)] = -np.inf
+        self.best_col = best_col
+        for col in added:
+            self._fold(col)
 
     def _classes(self, responses: list[frozenset[int]]) -> np.ndarray:
         """The eligibility class id of each response, interning new ones.
@@ -207,6 +266,7 @@ class VectorFleet:
             self._denied = np.concatenate(
                 [~permitted.T, np.zeros((1, len(ids)), dtype=bool)]
             )
+            self._denies = self._denied.any(axis=0)
         return np.array(out, dtype=np.int32)
 
     def _spans_cols(self, uhf_index: int) -> np.ndarray:
@@ -233,9 +293,11 @@ class VectorFleet:
         pass stands them on their waypoint, draws the next one, drops
         those with no distance left or a degenerate double-draw, and
         moves those whose new leg is longer than what remains; the
-        rest cross again in the next pass.  No walker moves more than
-        *step_m*, so every association slack shrinks by that much
-        (times ``1 + 1e-9`` for the rounding of the position update).
+        rest cross again in the next pass.  A walker that stays on its
+        leg moves *step_m* along it, so its association slack shrinks
+        by that much (times ``1 + 1e-9`` for the rounding of the
+        position update); a crosser's slack, which held for its old leg
+        only, goes to ``-inf``.
         """
         x, y, wx, wy = self.x, self.y, self.wx, self.wy
         dx = wx - x
@@ -245,6 +307,9 @@ class VectorFleet:
         with np.errstate(divide="ignore", invalid="ignore"):
             x += dx / leg * step_m
             y += dy / leg * step_m
+        # A slack holds along one leg only: crossers re-evaluate.
+        self.slack -= step_m * (1 + 1e-9)
+        self.slack[idx] = -np.inf
         leg = leg[idx]
         remaining = np.full(idx.size, step_m)
         while idx.size:
@@ -273,7 +338,6 @@ class VectorFleet:
                 y[walk] += dy[ahead] / leg[ahead] * remaining[ahead]
                 cross = ~ahead
                 idx, remaining, leg = idx[cross], remaining[cross], leg[cross]
-        self.slack -= step_m * (1 + 1e-9)
 
     def cells(self, resolution_m: float) -> tuple[np.ndarray, np.ndarray]:
         """Quantization cells of every client at *resolution_m*.
@@ -305,22 +369,67 @@ class VectorFleet:
         bucket: int,
         ids: np.ndarray,
     ) -> None:
-        """Adopt fresh response *ids* for the re-checked clients *idx*."""
+        """Adopt fresh response *ids* for the re-checked clients *idx*.
+
+        A client whose eligibility class changes is due a
+        re-evaluation: its slack goes to ``-inf``.
+        """
         self.resp_id[idx] = ids
         known = len(self._resp_class)
         if len(self.responses) > known:
             self._resp_class = np.concatenate(
                 [self._resp_class, self._classes(self.responses.sets[known:])]
             )
+        cls = self._resp_class[ids]
+        self.slack[idx[cls != self.cls[idx]]] = -np.inf
+        self.cls[idx] = cls
         self.last_tx[idx] = trig_x[idx]
         self.last_ty[idx] = trig_y[idx]
         self.last_bucket[idx] = bucket
         self.requeries[idx] += 1
 
+    def _heading(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Twice the unit leg direction of the clients *rows* (NaN on a
+        zero-length leg), and the margin of their slack numerators."""
+        x, y = self.x[rows], self.y[rows]
+        wx, wy = self.wx[rows], self.wy[rows]
+        ex, ey = wx - x, wy - y
+        half = np.sqrt(ex * ex + ey * ey) / 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ex /= half
+            ey /= half
+        reach = np.maximum(x * x + y * y, wx * wx + wy * wy)
+        margin = _EPS_REL * 2 * (self._norm2 + reach) + 2 * _EPS_ABS * self._spread
+        return ex, ey, margin
+
+    def _fold(self, col: int) -> None:
+        """Fold the newly live AP in column *col* into the slack of each
+        client whose class permits it.
+
+        The same directional term as :meth:`_reassociate`'s, measured
+        from the client's current position against its current AP; a
+        client with no AP, or one that *col* is no further from, goes
+        negative.  Clients already due a re-evaluation are skipped.
+        """
+        rows = np.flatnonzero(~self._denied[col, self.cls] & (self.slack >= 0))
+        if not rows.size:
+            return
+        x, y = self.x[rows], self.y[rows]
+        best = self.best_col[rows]
+        dx, dy = self._ap_x[col] - x, self._ap_y[col] - y
+        bx, by = self._ap_x[best] - x, self._ap_y[best] - y
+        b1 = np.where(best >= 0, bx * bx + by * by, np.inf)
+        ux, uy, margin = self._heading(rows)
+        proj = np.maximum(dx * ux + dy * uy - (bx * ux + by * uy), 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = (dx * dx + dy * dy - (b1 + margin)) / proj
+        term[term != term] = -np.inf
+        self.slack[rows] = np.minimum(self.slack[rows], term)
+
     def _reassociate(
         self,
         rows: np.ndarray,
-        cls: np.ndarray,
+        heading: tuple[np.ndarray, np.ndarray, np.ndarray],
         best_col: np.ndarray,
         new_ap: np.ndarray,
         handoff_mask: np.ndarray,
@@ -328,17 +437,16 @@ class VectorFleet:
         """Vacation, association, slack and handoff of the clients *rows*.
 
         Writes their entries of *best_col*, *new_ap* and *handoff_mask*
-        and of the ``cls``/``slack`` columns, and bumps their counters.
-        Squared distances to every live AP use the scalar
+        and of the ``slack`` column, and bumps their counters.  Squared
+        distances to every live AP use the scalar
         ``(ap_x - x)**2 + (ap_y - y)**2`` arithmetic; an AP the class
         denies reads ``inf``, and the first column equal to the minimum
-        wins, the lowest ``ap_id`` among equals.  The slack is half the
-        gap between the nearest and second-nearest eligible distances,
-        less the rounding margins (``inf`` with fewer than two eligible
-        APs).
+        wins, the lowest ``ap_id`` among equals.  The slack is the
+        directional bound of the module docstring (``inf`` with fewer
+        than two eligible APs); *heading* is :meth:`_heading` of the
+        rows.
         """
-        row_cls = cls[rows]
-        self.cls[rows] = row_cls
+        row_cls = self.cls[rows]
         prev = self.prev_ap[rows]
         # Vacation: the previous AP (still assigned this snapshot) whose
         # spans the current response denies.
@@ -352,22 +460,41 @@ class VectorFleet:
             self.slack[rows] = np.inf
             return
         # (live APs x rows): each AP's distances are one contiguous row,
-        # so the minima over APs are elementwise passes.
-        d2 = self._ap_x[:, None] - self.x[rows]
+        # so the minima over APs are elementwise passes; the AP
+        # coordinates come pre-broadcast to the chunk width.
+        r = rows.size
+        ax, ay = self._ap_wide[:, :, :r]
+        d2 = ax - self.x[rows]
         d2 *= d2
-        ddy = self._ap_y[:, None] - self.y[rows]
-        ddy *= ddy
-        d2 += ddy
-        np.copyto(d2, np.inf, where=np.take(self._denied[:-1], row_cls, axis=1))
+        tmp = ay - self.y[rows]
+        tmp *= tmp
+        d2 += tmp
+        if self._denies[row_cls].any():
+            np.copyto(d2, np.inf, where=self._denied[:-1].take(row_cls, axis=1))
         b1 = d2.min(axis=0)
-        best = (d2 == b1).argmax(axis=0)
-        d2[best, np.arange(rows.size)] = np.inf
-        b2 = d2.min(axis=0)
-        r1, r2 = np.sqrt(b1), np.sqrt(b2)
-        with np.errstate(invalid="ignore"):  # inf - inf: replaced below
-            gap = (r2 - r1) / 2 - 1e-9 * r2 - 1e-6
-        self.slack[rows] = np.where(b2 < np.inf, gap, np.inf)
-        col = np.where(b1 < np.inf, best, -1)
+        # The first column at the minimum: the largest of the reversed
+        # column ranks (n_live .. 1) where a row equals it.
+        best = n_live - ((d2 == b1) * self._ranks).max(axis=0).astype(np.intp)
+        d2[best, np.arange(r)] = np.inf
+        # Slack: f_j = d2_j - b1 falls by s * 2u.(a_j - a_best) over s
+        # metres of the leg; the first eligible AP to reach the margin
+        # bounds it.  The projections are one (live APs x 3) @ (3 x
+        # rows) product: [ax, ay, 1] . [2ux, 2uy, -2u.a_best].
+        ux, uy, margin = heading
+        lead = np.stack((ux, uy, -(self._ap_x[best] * ux + self._ap_y[best] * uy)))
+        proj = np.matmul(self._ap_rows, lead, out=tmp)
+        np.maximum(proj, 0.0, out=proj)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d2 -= b1 + margin
+            d2 /= proj
+            slack = d2.min(axis=0)
+        # NaN (a zero numerator over no approach, or no heading):
+        # re-evaluate next tick.
+        slack[slack != slack] = -np.inf
+        connected = b1 < np.inf
+        slack[~connected] = np.inf
+        self.slack[rows] = slack
+        col = np.where(connected, best, -1)
         best_col[rows] = col
         ap = self._live_ids[col]
         new_ap[rows] = ap
@@ -385,10 +512,11 @@ class VectorFleet:
         with the nearest eligible AP (first minimum over ascending
         ``ap_id`` columns — the scalar tie-break), count
         handoffs/connected ticks, then score ground truth.  Only the
-        clients whose slack ran out, whose eligibility class changed,
-        or all of them after :meth:`set_snapshot`, are re-evaluated;
-        every other client keeps its AP, and with it an AP its class
-        still permits, so it neither vacates nor hands off.
+        clients whose slack ran out are re-evaluated (a class change,
+        a waypoint crossing or a snapshot change that can move a
+        client's AP sends its slack below zero); every other client
+        keeps its AP, and with it an AP its class still permits, so it
+        neither vacates nor hands off.
 
         Returns the tick's outcome arrays ``(connected, new_ap,
         best_col, handoff_mask, violating)`` — fresh arrays the
@@ -401,23 +529,20 @@ class VectorFleet:
         prof = NULL_PROFILER if profiler is None else profiler
         with prof.phase("associate"):
             m = self.n
-            cls = self._resp_class[self.resp_id]
-            if self._fresh:
-                self._fresh = False
-                idx = np.arange(m)
-                best_col = np.full(m, -1, dtype=np.int32)
-                self.cls = np.empty(m, dtype=np.int32)
-                self.slack = np.empty(m)
-            else:
-                idx = np.flatnonzero((self.slack < 0) | (cls != self.cls))
-                best_col = self.best_col.copy()
+            idx = np.flatnonzero(self.slack < 0)
+            self.reevaluated += idx.size
+            best_col = self.best_col.copy()
             new_ap = self.prev_ap.copy()
             handoff_mask = np.zeros(m, dtype=bool)
-            step = max(1, _CHUNK // max(1, len(self._ap_x)))
-            for lo in range(0, idx.size, step):
-                self._reassociate(
-                    idx[lo : lo + step], cls, best_col, new_ap, handoff_mask
-                )
+            if idx.size:
+                heading = self._heading(idx)
+                step = self._ap_wide.shape[2]
+                for lo in range(0, idx.size, step):
+                    part = slice(lo, lo + step)
+                    self._reassociate(
+                        idx[part], tuple(h[part] for h in heading),
+                        best_col, new_ap, handoff_mask,
+                    )
             connected = best_col >= 0
             self.disconnected_ticks += m - int(np.count_nonzero(connected))
             self.connected += connected

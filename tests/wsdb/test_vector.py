@@ -475,15 +475,108 @@ _SLACK_WALKERS = [
 ]
 
 
-class TestMotionSlackDifferential:
+def _drive(
+    walkers,
+    snapshots,
+    ticks,
+    step_m,
+    *,
+    extra=0,
+    seed=0,
+    commits=None,
+    extent=1_000.0,
+    first=None,
+):
     """Slack-gated association, tick by tick, against two oracles.
 
-    One fleet re-evaluates only the clients whose slack ran out or
-    whose eligibility class changed; a twin has every slack forced
-    below zero before each tick (a full re-evaluation); and the scalar
-    fleet associates client by client.  Mid-walk response changes flip
-    classes, and two snapshot rebuilds change the live APs.
+    Three fleets walk the same paths: one re-evaluates only the clients
+    whose slack ran out; a twin has every slack forced below zero before
+    each association (a full re-evaluation); the scalar fleet associates
+    client by client.  *walkers* are hand-placed ``(x, y, wx, wy)``
+    rows, followed by *extra* spawned clients.  At tick k the fleets
+    advance (k > 0), take ``snapshots[k]`` (a list of APs; tick 0 needs
+    one), commit ``commits[k]`` (``(clients, responses)``; by default
+    every client gets ``_SLACK_RESPONSES[0]`` at tick 0), then
+    associate, and their outcomes and counters must agree; *first*, if
+    given, is the walkers' expected ap_ids at tick 0.  Returns the
+    gated fleet and the number of client-ticks its gate skipped, in
+    total and right after snapshot changes.
     """
+    from repro.wsdb.session import ScalarFleet
+    from repro.wsdb.vector import VectorFleet
+
+    n = len(walkers) + extra
+    fleets = [
+        kind(spawn_clients(n, seed, "slack", extent), extent)
+        for kind in (VectorFleet, VectorFleet, ScalarFleet)
+    ]
+    gated, full, scalar = fleets
+    for fleet in fleets:
+        for i, (x, y, wx, wy) in enumerate(walkers):
+            fleet.x[i], fleet.y[i], fleet.wx[i], fleet.wy[i] = x, y, wx, wy
+    metro = Metro(extent_m=extent, num_channels=30)
+    commits = commits or {0: (np.arange(n), [_SLACK_RESPONSES[0]] * n)}
+    skipped = after_snapshot = 0
+    for k in range(ticks):
+        if k:
+            for fleet in fleets:
+                fleet.advance(step_m)
+        if k in snapshots:
+            live, _ = snapshot_assigned_aps(snapshots[k])
+            num_aps = 1 + max(ap.ap_id for ap in snapshots[k])
+            for fleet in fleets:
+                fleet.set_snapshot(live, num_aps)
+            if k:
+                after_snapshot += int(np.count_nonzero(gated.slack >= 0))
+        if k in commits:
+            idx, picks = commits[k]
+            qx, qy = gated.cells(100.0)
+            for fleet in fleets:
+                fleet.commit_recheck(idx, qx, qy, 0, fleet.responses.ids(picks))
+        full.slack[:] = -np.inf
+        skipped += int(np.count_nonzero(gated.slack >= 0))
+        ticks_out = [fleet.associate_and_score(metro, 0.0) for fleet in fleets]
+        for got in ticks_out[:2]:
+            for name, a, b in zip(
+                ("connected", "new_ap", "best_col", "handoff_mask"),
+                got,
+                ticks_out[2],
+            ):
+                assert a.tolist() == b.tolist(), (k, name)
+        for fleet in (gated, full):
+            assert fleet.vacations.tolist() == scalar.vacations.tolist(), k
+            assert fleet.handoffs.tolist() == scalar.handoffs.tolist(), k
+            assert fleet.connected.tolist() == scalar.connected.tolist(), k
+        assert gated.disconnected_ticks == scalar.disconnected_ticks
+        if k == 0 and first is not None:
+            assert ticks_out[0][1][: len(walkers)].tolist() == first
+    return gated, scalar, skipped, after_snapshot
+
+
+def _random_commits(rng, n, ticks, every=3, size=40, first=None):
+    """Response commits: everyone at tick 0 (*first* or random picks),
+    then *size* random clients every *every* ticks."""
+    commits = {0: (np.arange(n), first or [rng.choice(_SLACK_RESPONSES) for _ in range(n)])}
+    for k in range(every, ticks, every):
+        idx = np.sort(np.array(rng.sample(range(n), min(size, n))))
+        commits[k] = (idx, [rng.choice(_SLACK_RESPONSES) for _ in idx])
+    return commits
+
+
+#: A bisector pair (0, 1) on x = 500 and a third AP (2) below them,
+#: all on channel 14.
+_BISECTOR_APS = [
+    _ap(0, 300.0, 500.0),
+    _ap(1, 700.0, 500.0),
+    _ap(2, 500.0, 100.0),
+]
+
+
+class TestMotionSlackDifferential:
+    """Slack-gated association against a forced-full twin and the
+    scalar fleet (:func:`_drive`): random walks with response flips and
+    snapshot changes, then hand-placed walkers on the geometry the
+    directional slack and the snapshot diff must get right."""
 
     EXTENT = 1_000.0
     TICKS = 14
@@ -495,70 +588,230 @@ class TestMotionSlackDifferential:
     def test_matches_scalar_and_full_reevaluation(self, seed, step_m):
         import random
 
-        from repro.wsdb.session import ScalarFleet
-        from repro.wsdb.vector import VectorFleet
-
-        n = 240
-        fleets = [
-            kind(spawn_clients(n, seed, "slack", self.EXTENT), self.EXTENT)
-            for kind in (VectorFleet, VectorFleet, ScalarFleet)
-        ]
-        gated, full, scalar = fleets
-        for fleet in fleets:
-            for i, (x, y, wx, wy) in enumerate(_SLACK_WALKERS):
-                fleet.x[i], fleet.y[i], fleet.wx[i], fleet.wy[i] = x, y, wx, wy
-        metro = Metro(extent_m=self.EXTENT, num_channels=30)
         rng = random.Random(seed)
-
-        def snapshot(rebuild: int) -> None:
-            live, _ = snapshot_assigned_aps(_slack_aps(rebuild))
-            for fleet in fleets:
-                fleet.set_snapshot(live, 6)
-
-        def commit(idx: np.ndarray, picks=None) -> None:
-            picks = picks or [rng.choice(_SLACK_RESPONSES) for _ in idx]
-            qx, qy = gated.cells(100.0)
-            for fleet in fleets:
-                fleet.commit_recheck(idx, qx, qy, 0, fleet.responses.ids(picks))
-
-        snapshot(0)
+        n = 240
         walkers = len(_SLACK_WALKERS)
-        commit(np.arange(walkers), [_SLACK_RESPONSES[0]] * walkers)
-        commit(np.arange(walkers, n))
-        skipped = 0
-        for k in range(self.TICKS):
-            if k:
-                for fleet in fleets:
-                    fleet.advance(step_m)
-            if k in self.REBUILD_TICKS:
-                snapshot(self.REBUILD_TICKS[k])
-            if k in self.FLIP_TICKS:
-                commit(np.sort(np.array(rng.sample(range(n), 60))))
-            full.slack[:] = -np.inf
-            skipped += int(np.count_nonzero(gated.slack >= 0))
-            ticks = [fleet.associate_and_score(metro, 0.0) for fleet in fleets]
-            for got in ticks[:2]:
-                for name, a, b in zip(
-                    ("connected", "new_ap", "best_col", "handoff_mask"),
-                    got,
-                    ticks[2],
-                ):
-                    assert a.tolist() == b.tolist(), (k, name)
-            for fleet in (gated, full):
-                assert fleet.vacations.tolist() == scalar.vacations.tolist(), k
-                assert fleet.handoffs.tolist() == scalar.handoffs.tolist(), k
-                assert fleet.connected.tolist() == scalar.connected.tolist(), k
-            assert gated.disconnected_ticks == scalar.disconnected_ticks
-            if k == 0:
-                # Equidistant (walker 0) and co-located (walker 3) APs
-                # resolve to the lower ap_id.
-                assert ticks[0][1][:walkers].tolist() == [0, 0, 1, 2, 0]
-
-        # The walk exercised every branch the gate can skip or take.
+        commits = {
+            0: (
+                np.arange(n),
+                [_SLACK_RESPONSES[0]] * walkers
+                + [rng.choice(_SLACK_RESPONSES) for _ in range(n - walkers)],
+            )
+        }
+        for k in self.FLIP_TICKS:
+            idx = np.sort(np.array(rng.sample(range(n), 60)))
+            commits[k] = (idx, [rng.choice(_SLACK_RESPONSES) for _ in idx])
+        snapshots = {0: _slack_aps(0)}
+        snapshots.update(
+            (k, _slack_aps(rebuild)) for k, rebuild in self.REBUILD_TICKS.items()
+        )
+        gated, scalar, skipped, after = _drive(
+            _SLACK_WALKERS, snapshots, self.TICKS, step_m,
+            extra=n - walkers, seed=seed, commits=commits,
+            # Equidistant (walker 0) and co-located (walker 3) APs
+            # resolve to the lower ap_id.
+            first=[0, 0, 1, 2, 0],
+        )
+        # The walk exercised every branch the gate can skip or take,
+        # and the snapshot diffs kept some clients' slack.
         assert skipped > 0
+        assert after > 0
         assert scalar.vacations.sum() > 0
         assert scalar.handoffs.sum() > 0
         assert scalar.disconnected_ticks > 0
+
+    @pytest.mark.parametrize("step_m", [30.0, 7.3, 0.5])
+    def test_bisector_walkers(self, step_m):
+        # Along the bisector of APs 0 and 1 (exactly, and at offsets
+        # from a nanometre to a metre on either side), straight across
+        # it both ways, obliquely, and along the bisector of APs 0 and 2.
+        walkers = [(500.0 + d, 150.0, 500.0 + d, 950.0)
+                   for d in (0.0, 1e-9, -1e-9, 1e-6, -1e-3, 1.0, -1.0)]
+        walkers += [
+            (380.0, 300.0, 620.0, 300.0),
+            (620.0, 310.0, 380.0, 310.0),
+            (450.0, 200.0, 560.0, 800.0),
+            (300.0, 200.0, 700.0, 600.0),
+        ]
+        gated, scalar, skipped, _ = _drive(
+            walkers, {0: _BISECTOR_APS}, min(1_000, int(900 / step_m)), step_m
+        )
+        assert skipped > 0
+        assert scalar.handoffs[7:].min() > 0  # every crossing walker handed off
+
+    def test_slack_is_the_walk_to_the_bisector(self):
+        # Heading straight at the bisector of APs 0 and 1 from 100 m
+        # away: the slack is that 100 m, less the margins.  Walking
+        # along a parallel or receding from it: no approach, inf.  On
+        # it: re-evaluated every tick.
+        gated, *_ = _drive(
+            [
+                (400.0, 300.0, 900.0, 300.0),
+                (400.0, 150.0, 400.0, 950.0),
+                (250.0, 500.0, 50.0, 500.0),
+                (500.0, 150.0, 500.0, 950.0),
+            ],
+            {0: _BISECTOR_APS[:2]}, 1, 10.0,
+        )
+        assert 100.0 - 1e-3 < gated.slack[0] < 100.0
+        assert gated.slack[1:3].tolist() == [np.inf, np.inf]
+        assert gated.slack[3] < 0
+
+    @pytest.mark.parametrize("step_m", [30.0, 0.5])
+    def test_colocated_aps(self, step_m):
+        # APs 2 and 3 share a point on different channels; walkers pass
+        # through it while flips permit both, one, or the other.
+        import random
+
+        rng = random.Random(7)
+        walkers = [
+            (500.0, 700.0, 500.0, 990.0),
+            (300.0, 900.0, 700.0, 900.0),
+            (520.0, 880.0, 480.0, 920.0),
+        ]
+        pair = [(12, 16), (12,), (16,), (12, 14, 16, 18)]
+        commits = {0: (np.arange(3), [pair[0]] * 3)}
+        for k in range(2, 60, 4):
+            commits[k] = (np.arange(3), [rng.choice(pair) for _ in range(3)])
+        _drive(walkers, {0: _slack_aps(0)}, 60, step_m, commits=commits)
+
+    def test_zero_length_legs_and_mid_tick_crossings(self):
+        # Standing on a waypoint, legs shorter than a step (one crossing
+        # or several in one tick), a waypoint on an AP and one on the
+        # bisector.
+        walkers = [
+            (500.0, 500.0, 500.0, 500.0),
+            (200.0, 200.0, 200.0, 200.0),
+            (495.0, 400.0, 503.0, 401.0),
+            (300.0, 480.0, 300.0, 500.0),
+            (510.0, 520.0, 500.0, 520.0),
+            (499.0, 600.0, 501.0, 600.0),
+        ]
+        gated, scalar, skipped, _ = _drive(
+            walkers, {0: _BISECTOR_APS}, 40, 30.0, extra=60, seed=5
+        )
+        assert skipped > 0
+
+    def test_slow_walker_drifts_within_the_margin(self):
+        # 0.5 m steps for hundreds of ticks on one leg: two walkers
+        # cross the bisector at a shallow angle, two walk parallel to
+        # it at offsets near the lateral-drift margin, and forty cross
+        # it at angles so shallow (nanometres over 800 m) that the
+        # rounding drift of their positions moves the crossing point
+        # by centimetres; without the margins the gate misses some of
+        # those crossings.
+        walkers = [
+            (499.7, 150.0, 500.3, 950.0),
+            (500.3, 150.0, 499.7, 950.0),
+            (500.0 + 2e-6, 150.0, 500.0 + 2e-6, 950.0),
+            (500.0 - 5e-7, 150.0, 500.0 - 5e-7, 950.0),
+        ]
+        walkers += [
+            (500.0 + d, 100.0 + i, 500.0 - 0.9 * d, 900.0 + i)
+            for i, d in enumerate(np.arange(1, 41) * 3e-11)
+        ]
+        gated, scalar, skipped, _ = _drive(
+            walkers, {0: _BISECTOR_APS[:2]}, 900, 0.5
+        )
+        # Both shallow crossers switched AP at the bisector, and the
+        # gate skipped most of their ticks on the way.
+        assert scalar.handoffs[:2].tolist() == [1, 1]
+        assert scalar.handoffs[4:].sum() > 30
+        assert skipped > 900
+
+    def test_far_from_the_origin_the_relative_margin_carries(self):
+        # Two APs a metre apart, a thousand kilometres out: an ulp of a
+        # squared distance (~1e-6 m^2 at 40 km) dwarfs the drift margin
+        # (2e-6 m^2), so only the relative margin keeps the gate from
+        # missing these shallow crossings of their bisector.
+        c = 1e6
+        aps = [_ap(0, c, c), _ap(1, c + 1.0, c)]
+        walkers = [
+            (c + 0.5 + d, c - 4e4 + i, c + 0.5 - 0.9 * d, c + 4e4 + i)
+            for i, d in enumerate(np.arange(1, 41) * 1e-7)
+        ]
+        _, scalar, *_ = _drive(walkers, {0: aps}, 500, 100.0, extent=2 * c)
+        assert scalar.handoffs.sum() >= 40
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_snapshot_diffs(self, seed):
+        # An identical snapshot; walker 2's AP changing channel
+        # (permitted, then denied by its response); walker 3's AP moving
+        # to a channel its response denies (a class flip); an AP going
+        # offline and coming back; and an AP newly permitted with walker
+        # 0 on its bisector with walker 0's AP (a tie the new, lower
+        # column wins) and then with walker 1 on its bisector with AP 0
+        # (a tie AP 0 keeps).
+        import random
+
+        base = [
+            _ap(0, 300.0, 500.0),
+            _ap(1, 700.0, 500.0),
+            _ap(2, 500.0, 100.0, center=16),
+            _ap(3, 850.0, 850.0, center=None),
+            _ap(4, 140.0, 850.0, center=18),
+        ]
+
+        def changed(ap):
+            return [ap if old.ap_id == ap.ap_id else old for old in base]
+
+        snapshots = {
+            0: base,
+            3: list(base),
+            6: changed(_ap(0, 300.0, 500.0, center=16)),
+            9: changed(_ap(0, 300.0, 500.0, center=12)),
+            12: changed(_ap(2, 500.0, 100.0, center=18)),
+            15: changed(_ap(1, 700.0, 500.0, center=None)),
+            18: base,
+            21: changed(_ap(3, 160.0, 850.0, center=14)),
+            24: changed(_ap(3, 300.0, 700.0, center=14)),
+            27: base,
+        }
+        walkers = [
+            (150.0, 780.0, 150.0, 990.0),
+            (300.0, 600.0, 100.0, 600.0),
+            (450.0, 450.0, 450.0, 990.0),
+            (600.0, 200.0, 900.0, 200.0),
+        ]
+        full = (12, 14, 16, 18)
+        rng = random.Random(seed)
+        n, w = 200, len(walkers)
+        commits = {
+            0: (
+                np.arange(n),
+                [full, full, (14, 16, 18), (12, 14, 16)]
+                + [rng.choice(_SLACK_RESPONSES) for _ in range(n - w)],
+            )
+        }
+        for k in range(5, 30, 5):
+            idx = np.sort(np.array(rng.sample(range(w, n), 30)))
+            commits[k] = (idx, [rng.choice(_SLACK_RESPONSES) for _ in idx])
+        gated, scalar, skipped, after = _drive(
+            walkers, snapshots, 30, 3.0, extra=n - w, seed=seed,
+            commits=commits,
+        )
+        assert after > 0
+        assert scalar.vacations[2:4].tolist() == [1, 1]
+        assert scalar.handoffs[:4].tolist()[:2] == [2, 0]
+        assert scalar.handoffs[2:4].min() > 0
+
+    def test_identical_snapshot_is_a_no_op(self):
+        from repro.wsdb.vector import VectorFleet
+
+        fleet = VectorFleet(spawn_clients(50, 3, "t", 1_000.0), 1_000.0)
+        live, _ = snapshot_assigned_aps(_slack_aps())
+        fleet.set_snapshot(live, 6)
+        qx, qy = fleet.cells(100.0)
+        fleet.commit_recheck(
+            np.arange(50), qx, qy, 0, fleet.responses.ids([(12, 14, 16, 18)] * 50)
+        )
+        fleet.associate_and_score(Metro(extent_m=1_000.0, num_channels=30), 0.0)
+        state = [fleet.cls, fleet.best_col, fleet.slack, fleet._resp_class]
+        copies = [a.copy() for a in state]
+        fleet.set_snapshot(snapshot_assigned_aps(_slack_aps())[0], 6)
+        after = [fleet.cls, fleet.best_col, fleet.slack, fleet._resp_class]
+        assert all(a is b for a, b in zip(state, after))
+        assert all(np.array_equal(a, b) for a, b in zip(copies, after))
 
 
 class TestEligibilityClasses:
