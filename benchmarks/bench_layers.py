@@ -29,12 +29,17 @@ this one isolates the service tier's query layers:
   ``SpanRecorder`` request.
 * ``VectorFleet.associate_and_score`` — per client on the
   ``roam-dense`` metro (3 km, one TV site on each of channels 12-29)
-  with 32,000 clients walking at the default 14 m/s, 12 and 48 booted
-  APs, for a steady tick (after three untimed ones) and for the tick
-  right after ``set_snapshot``, which re-evaluates every client.  Each
-  repeat advances the fleet one tick and commits its re-checks before
-  the timed call; the steady row records the share of clients whose
-  motion slack had run out.
+  with 32,000 clients walking at the default 14 m/s, 12, 48 and 192
+  booted APs, for three ticks after three untimed ones: a steady tick;
+  one after ``set_snapshot`` re-applies the same live list (a no-op);
+  and one after a snapshot in which one AP changed channel (the
+  repeats alternate between the two lists).  The snapshot rows time
+  ``set_snapshot`` and the association together.  Each repeat advances
+  the fleet one tick and commits its re-checks before the timed calls;
+  each row records the share of clients whose motion slack had run out
+  before the association and the share it re-evaluated (equal, since
+  class changes, waypoint crossings and snapshot changes all act
+  through the slack).
 * ``VectorFleet.advance`` — per client per tick for the fleets of
   ``roam-sparse`` (2,000 clients on 20 km), ``storm`` (3,000 on 3 km)
   and ``roam-dense`` (32,000 on 3 km), walking at the default 14 m/s,
@@ -109,10 +114,12 @@ STORM_BURST = 300 if SMOKE else 3_000
 STORM_TOKENS = STORM_BURST * 4 // 5
 #: Span recorders the frontend rows run under: none, sampled, unsampled.
 SPAN_SAMPLES = (None, "head-100", "off")
-#: The association rows: the roam-dense fleet at two AP densities.
+#: The association rows: the roam-dense fleet at three AP densities,
+#: and the ticks timed at each.
 FLEET_EXTENT_M = 3_000.0
 FLEET_CLIENTS = 2_000 if SMOKE else 32_000
-FLEET_APS = (12, 48)
+FLEET_APS = (12, 48, 192)
+FLEET_TICKS = ("steady", "identical-snapshot", "one-ap-changed")
 WARM_TICKS = 3
 #: The advance rows: (clients, plane edge) of the roam-sparse, storm
 #: and roam-dense fleets.
@@ -333,16 +340,30 @@ def frontend_row(policy: str, sample: str | None = None) -> dict:
     }
 
 
-def associate_row(num_aps: int, after_snapshot: bool) -> dict:
+def one_ap_changed(live: list) -> list:
+    """*live* with its first AP moved to the channel of the first AP
+    on another channel (a one-channel shift when all share one)."""
+    (ap, spans), rest = live[0], live[1:]
+    other = next((s for _, s in rest if s != spans), None)
+    if other is None:
+        other = frozenset(c + 1 for c in spans)
+    return [(ap, other), *rest]
+
+
+def associate_row(num_aps: int, kind: str) -> dict:
     """``VectorFleet.associate_and_score`` per client on the roam-dense
-    metro with *num_aps* APs; *after_snapshot* times the tick right
-    after a ``set_snapshot`` (every client re-evaluated)."""
+    metro with *num_aps* APs, for a tick of *kind* (``FLEET_TICKS``)."""
     metro = generate_metro(
         OCCUPIED, seed=SEED, extent_m=FLEET_EXTENT_M, sites_per_channel=(1, 1)
     )
     db = WhiteSpaceDatabase(metro)
     aps = boot_aps(db, num_aps, SEED, "roaming-aps")
     live = snapshot_assigned_aps(aps)[0]
+    snapshots = {
+        "steady": None,
+        "identical-snapshot": (live, live),
+        "one-ap-changed": (one_ap_changed(live), live),
+    }[kind]
     fleet = VectorFleet(
         spawn_clients(FLEET_CLIENTS, SEED, "roaming-client", FLEET_EXTENT_M),
         FLEET_EXTENT_M,
@@ -366,21 +387,26 @@ def associate_row(num_aps: int, after_snapshot: bool) -> dict:
     for k in range(WARM_TICKS):
         tick(k)
         fleet.associate_and_score(metro, k * DEFAULT_TICK_US)
-    wall_ns, cpu_ns, expired = [], [], []
+    wall_ns, cpu_ns, expired, reevaluated = [], [], [], []
     for k in range(WARM_TICKS, WARM_TICKS + REPEATS):
         tick(k)
-        if after_snapshot:
-            fleet.set_snapshot(live, num_aps)
-            expired.append(1.0)
-        else:
-            expired.append(np.count_nonzero(fleet.slack < 0) / fleet.n)
+        wall, cpu = 0, 0
+        if snapshots is not None:
+            wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+            fleet.set_snapshot(snapshots[(k - WARM_TICKS) % 2], num_aps)
+            wall, cpu = time.perf_counter_ns() - wall0, time.process_time_ns() - cpu0
+        expired.append(np.count_nonzero(fleet.slack < 0) / fleet.n)
+        before = fleet.reevaluated
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
         fleet.associate_and_score(metro, k * DEFAULT_TICK_US)
-        wall_ns.append((time.perf_counter_ns() - wall0) / fleet.n)
-        cpu_ns.append((time.process_time_ns() - cpu0) / fleet.n)
+        wall += time.perf_counter_ns() - wall0
+        cpu += time.process_time_ns() - cpu0
+        wall_ns.append(wall / fleet.n)
+        cpu_ns.append(cpu / fleet.n)
+        reevaluated.append((fleet.reevaluated - before) / fleet.n)
     return {
         "layer": "VectorFleet.associate_and_score",
-        "tick": "after-snapshot" if after_snapshot else "steady",
+        "tick": kind,
         "aps": num_aps,
         "live_aps": len(live),
         "clients": fleet.n,
@@ -388,6 +414,7 @@ def associate_row(num_aps: int, after_snapshot: bool) -> dict:
         "speed_mps": DEFAULT_SPEED_MPS,
         "repeats": REPEATS,
         "expired_frac": statistics.median(expired),
+        "reevaluated_frac": statistics.median(reevaluated),
         "ns_per_client_median": statistics.median(wall_ns),
         "ns_per_client_min": min(wall_ns),
         "cpu_ns_per_client_median": statistics.median(cpu_ns),
@@ -456,12 +483,13 @@ def test_layers_ns_per_op(record_table):
         stale = row["stale_frac"]
         assert (stale > 0) == (row["policy"] == "serve-stale"), row
     associated = [
-        associate_row(num_aps, after_snapshot)
+        associate_row(num_aps, kind)
         for num_aps in FLEET_APS
-        for after_snapshot in (False, True)
+        for kind in FLEET_TICKS
     ]
     for row in associated:
         assert 0.0 < row["expired_frac"] <= 1.0, row
+        assert row["reevaluated_frac"] == row["expired_frac"], row
     advanced = [advance_row(clients, extent) for clients, extent in ADVANCE_FLEETS]
     entry = {
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -512,12 +540,12 @@ def test_layers_ns_per_op(record_table):
         for r in fronted
     ]
     lines.append(
-        f"{'layer':<42} {'tick':>14} {'APs':>4} {'clients':>8} {'expired':>8} "
+        f"{'layer':<42} {'tick':>18} {'APs':>4} {'clients':>8} {'re-eval':>8} "
         f"{'ns/cl med':>10} {'ns/cl min':>10} {'cpu ns med':>11}"
     )
     lines += [
-        f"{r['layer']:<42} {r['tick']:>14} {r['aps']:>4} {r['clients']:>8} "
-        f"{r['expired_frac']:>8.1%} {r['ns_per_client_median']:>10.0f} "
+        f"{r['layer']:<42} {r['tick']:>18} {r['aps']:>4} {r['clients']:>8} "
+        f"{r['reevaluated_frac']:>8.1%} {r['ns_per_client_median']:>10.0f} "
         f"{r['ns_per_client_min']:>10.0f} {r['cpu_ns_per_client_median']:>11.0f}"
         for r in associated
     ]

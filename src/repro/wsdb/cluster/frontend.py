@@ -318,7 +318,7 @@ class BatchFrontend:
         stats.admitted += k
         stats.shed += n - k
         span_on = self.spans.enabled and span_refs is not None
-        first = slot = owner = np.zeros(0, dtype=np.int64)
+        first = slot = np.zeros(0, dtype=np.int64)
         if k:
             ax, ay = qx[:k], qy[:k]
             y0 = ay.min()
@@ -351,8 +351,6 @@ class BatchFrontend:
             last = np.ones(merged.shape[1], dtype=bool)
             np.not_equal(merged[0, 1:], merged[0, :-1], out=last[:-1])
             self._stale = merged.compress(last, axis=1)
-            if span_on:
-                owner = router.shards_of_cells(unique[:, 0], unique[:, 1])
         stale = self._stale
         if k < n and self.policy == "serve-stale" and stale.shape[1]:
             key = _stale_keys(qx[k:], qy[k:])
@@ -382,7 +380,7 @@ class BatchFrontend:
                         ("coalesced", "frontend", {}, ()),
                     ]
                 j = int(slot[i])
-                site = f"shard{int(owner[j])}"
+                site = f"shard{int(lookup.segment[j])}"
                 return [
                     ("admission", "frontend", {}, ()),
                     lookup_steps(

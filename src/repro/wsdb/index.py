@@ -215,6 +215,10 @@ class GridIndex:
         # Each distinct object once, numbered by first insertion.
         self._objects: list[SpatialEntry] = []
         self._numbers: dict[int, int] = {}
+        # The miss kernel's active_at answers at sim time _asked_at, by
+        # object number; an insertion drops them.
+        self._asked_at: float | None = None
+        self._active: dict[int, bool] = {}
         # The columns, one per row.  A float table holds, per entry:
         #   0-2   x, y, radius;
         #   3-6   the clamped bbox cell range lo_cx, lo_cy, hi_cx, hi_cy;
@@ -274,6 +278,7 @@ class GridIndex:
         new = list(entries)
         if not new:
             return
+        self._asked_at = None
         seg = np.broadcast_to(np.asarray(segment, dtype=np.intp), (len(new),))
         order = seg.argsort(kind="stable")
         new, seg = [new[i] for i in order.tolist()], seg[order]
@@ -408,8 +413,9 @@ class GridIndex:
         is ``np.hypot``, and a pair whose distance lies within
         ``_TIE_BAND`` (relative) of the radius is re-decided by
         :func:`circle_intersects_rect` itself, so each verdict is that
-        predicate's, bit for bit.  ``active_at`` is asked once per pass
-        of each object that intersects some rectangle.
+        predicate's, bit for bit.  ``active_at`` is asked once per sim
+        time of each object that intersects some rectangle (an
+        insertion forgets the answers).
         """
         rects = np.asarray(rects, dtype=float)
         m = len(rects)
@@ -476,14 +482,21 @@ class GridIndex:
                 row = j if rows is None else rows[i, j]
                 x, y, r = self._table[0:3, row].tolist()
                 hit[i, j] = circle_intersects_rect(x, y, r, *rects[i].tolist())
-        # Each object some rectangle hits is asked once (its rows in
-        # several segments share the answer).
+        # Each object some rectangle hits is asked once per sim time
+        # (its rows in several segments, and later passes and calls at
+        # the same time, share the answer).
         alive = np.zeros(len(self._objects), dtype=bool)
         alive[obj[hit] if rows is not None else obj[0][hit.any(0)]] = True
-        dead = [
-            o for o in np.flatnonzero(alive).tolist()
-            if not self._objects[o].active_at(t_us)
-        ]
+        if t_us != self._asked_at:
+            self._asked_at, self._active = t_us, {}
+        active = self._active
+        dead = []
+        for o in np.flatnonzero(alive).tolist():
+            on = active.get(o)
+            if on is None:
+                on = active[o] = self._objects[o].active_at(t_us)
+            if not on:
+                dead.append(o)
         if dead:
             alive.fill(True)
             alive[dead] = False

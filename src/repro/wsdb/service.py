@@ -282,13 +282,16 @@ class Lookup(NamedTuple):
     """One query call's answer, per requested cell in request order.
 
     ``ids`` are response ids into the tier's :class:`ResponseTable`,
-    ``hit`` says whether the cell was a cache hit, and ``scanned`` how
-    many incumbent candidates its miss inspected (0 on a hit).
+    ``hit`` says whether the cell was a cache hit, ``scanned`` how
+    many incumbent candidates its miss inspected (0 on a hit), and
+    ``segment`` which segment answered it (a router's shard; 0 on the
+    database).
     """
 
     ids: np.ndarray
     hit: np.ndarray
     scanned: np.ndarray
+    segment: np.ndarray
 
 
 class AvailabilityService(Protocol):
@@ -610,8 +613,9 @@ class SegmentedService:
         """Batch cell-granular responses as ids into :attr:`responses`.
 
         *cells* is an (n, 2) int array of ``(qx, qy)`` rows; returns a
-        :class:`Lookup` with one id, cache outcome and scan count per
-        row.  The protocol primitive every query path rides.  Each
+        :class:`Lookup` with one id, cache outcome, scan count and
+        answering segment per row.  The protocol primitive every query
+        path rides.  Each
         segment sees its cells in request order, and the batch leaves
         exactly the answers, outcomes, LRU contents and order, and
         counters of a loop of one-cell calls (duplicates included):
@@ -643,6 +647,7 @@ class SegmentedService:
             hit, ids = np.zeros(n, dtype=bool), np.empty_like(miss)
             refs = [(miss, miss)]
         scanned = np.zeros(n, dtype=np.int64)
+        segment = np.repeat(segments, counts)
         # Each touched segment's run of cells, and the misses and scans
         # in each run (cumulative, as Python ints).
         runs = [0, *accumulate(counts)]
@@ -654,7 +659,7 @@ class SegmentedService:
             miss = miss[by_pos]
             answers = np.empty(len(miss), dtype=np.int64)
             answers[by_pos], scanned[miss] = self._compute_misses(
-                cells[miss], np.repeat(segments, counts)[miss], t_us
+                cells[miss], segment[miss], t_us
             )
             for positions, ordinal in refs:
                 ids[positions] = answers[ordinal]
@@ -675,8 +680,10 @@ class SegmentedService:
         if order is not None:  # back to request order
             back = np.empty_like(order)
             back[order] = np.arange(n)
-            ids, hit, scanned = ids[back], hit[back], scanned[back]
-        return Lookup(ids, hit, scanned)
+            ids, hit, scanned, segment = (
+                ids[back], hit[back], scanned[back], segment[back]
+            )
+        return Lookup(ids, hit, scanned, segment)
 
     def _compute_misses(
         self, cells: np.ndarray, segments: np.ndarray, t_us: float

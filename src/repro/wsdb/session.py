@@ -209,7 +209,7 @@ class DatabasePath:
         else:
             qx, qy = fleet.cells(db.cache_resolution_m)
         cells = np.column_stack((qx[due], qy[due]))
-        ids, hit, scanned = db.response_ids_in_cells(cells, t_us)
+        ids, hit, scanned, _ = db.response_ids_in_cells(cells, t_us)
         if self.sp.enabled:
             # The batch's per-cell outcomes, per client in client order;
             # each lookup is a request served at once (zero latency).

@@ -34,40 +34,70 @@ one numpy array each) and batches the per-tick hot path as array ops:
   class id, and a (live APs x classes) table says which APs each class
   denies.  It is rebuilt when the AP snapshot changes and extended
   only when the response table has grown.
-* **Association (motion slack)** — each client keeps its live-AP
-  column ``best_col``, the class ``cls`` it was chosen under, and a
-  ``slack``: half the gap between its nearest and second-nearest
-  eligible AP distances, ``(sqrt(b2) - sqrt(b1)) / 2``, less a relative
-  margin of ``1e-9 * sqrt(b2)`` and an absolute one of 1e-6 m (``inf``
-  with fewer than two eligible APs).  A walker moves at most
-  ``step_m`` a tick, so its nearest AP can only get ``step_m`` nearer
-  or further while every other gets at most that much nearer;
-  :meth:`~VectorFleet.advance` subtracts ``step_m * (1 + 1e-9)`` from
-  every slack.  A tick re-evaluates only the clients whose slack went
-  negative or whose class changed, or every client after
-  :meth:`~VectorFleet.set_snapshot`, in chunks of at most 2^14
-  (rows x live APs) squared distances with the scalar arithmetic,
-  denied APs at ``inf``, and the first column equal to the minimum
-  (ascending ``ap_id``, the scalar tie-break).  Vacation and handoff
-  run on those rows only: an unchanged class still permits the AP it
-  chose.  A steady tick costs a few passes over the fleet plus the
-  re-evaluated clients times the live APs, not every client times
-  every AP.
+* **Association (directional motion slack)** — each client keeps its
+  live-AP column ``best_col``, the class ``cls`` of its current
+  response, and a ``slack``: how far it may walk along its current leg
+  before another eligible AP could be nearer.  Walking ``s`` metres
+  along the unit leg direction ``u`` changes ``f_j = d2_j - d2_best``
+  by exactly ``-2s u.(a_j - a_best)`` (the ``s**2`` terms cancel), so
+  the slack is the least ``(f_j - m) / (2u.(a_j - a_best))`` over the
+  eligible APs *j* the client approaches, with the margin *m* below.
+  An AP it does not approach bounds nothing while ``f_j - m`` is
+  positive; otherwise (and on a zero-length leg) the client is due at
+  the next tick.  With fewer than two eligible APs the slack is
+  ``inf``, and a walker parallel to a bisector never runs out of slack
+  for it.  :meth:`~VectorFleet.advance` subtracts ``step_m * (1 +
+  1e-9)`` from every slack and sends a waypoint crosser's to ``-inf``
+  (a slack holds for one leg); a class change in
+  :meth:`~VectorFleet.commit_recheck` does the same.  A tick
+  re-evaluates only the clients whose slack is negative, in chunks of
+  at most 2^14 (rows x live APs) squared distances with the scalar
+  arithmetic, denied APs at ``inf``, and the first column equal to the
+  minimum (ascending ``ap_id``, the scalar tie-break); the approach
+  rates are one (live APs x 3) @ (3 x rows) product.  Vacation and
+  handoff run on those rows only: an unchanged class still permits
+  the AP it chose.  A steady tick costs a few passes over the fleet
+  plus the re-evaluated clients times the live APs.
+* **Snapshot diffs** — :meth:`~VectorFleet.set_snapshot` compares the
+  live list ``(ap_id, x, y, spans)`` with the last one.  An identical
+  list changes nothing; otherwise ``best_col`` follows each AP to its
+  new column, a client whose AP went away or changed channel is due,
+  and each added or changed AP is folded into the slack of every
+  client whose class permits it (its term from the client's current
+  position, negative when the AP is no further than the client's own,
+  so a tie at a lower column is re-decided).
 * **Compliance** — per active incumbent, a squared-form coverage mask
   (:func:`~repro.wsdb.model.point_in_circle`'s algebra, elementwise)
   ANDed with "the client's AP spans this incumbent's channel".
 
-**The bit-identity contract.**  Every float the hot path produces goes
+**The bit-identity contract.**  Every float an outcome depends on goes
 through +, -, *, /, sqrt, and floor only — all correctly-rounded
 IEEE-754 operations — in the same operand order as the scalar fleet,
 so positions, distances, and cell ids are bit-identical, not merely
-close.  Association skips a client only while its slack proves the
-same AP would win: the relative margin covers the rounding of the
-squared distances, the square roots and the step length (each a few
-ulps, far under 1e-9), and the absolute one the per-tick rounding of
-the coordinates (an ulp of a metro coordinate, ~1e-12 m) and of the
-running slack subtraction, so a re-evaluation at any skipped tick
-would have picked the same column.
+close.  Association skips a client only while its slack proves that
+the same column would win.  The margin is ``m = 1e-9 * 2 * (max |a|^2
++ max(|p|^2, |w|^2)) + 2 * 1e-6 * D`` for live APs *a*, the client's
+position *p* and waypoint *w*, and *D* the diagonal of the live APs'
+bounding box:
+
+* the first term bounds every squared distance the leg can see
+  (``|a - q|^2 <= 2|a|^2 + 2|q|^2``, and ``|q|^2 <= max(|p|^2, |w|^2)``
+  on the segment), so it covers, about 10^6 times over, the few-ulp
+  rounding of the squared distances (now and at any later tick), of
+  the leg direction and the approach rates times the distance walked,
+  and of the slack arithmetic itself;
+* the second covers lateral drift: a leg re-aims at its fixed waypoint
+  every tick, so a walker strays from the leg's line by a few ulps of
+  a coordinate per tick (~1e-12 m on a metro; hundreds of thousands of
+  ticks on one leg stay far under 1e-6 m), and a drift *e* moves
+  ``f_j`` by at most ``2e|a_j - a_best| <= 2eD``;
+* the step decrement's ``1e-9`` covers the rounding of the position
+  update and of the running subtraction.
+
+So a re-evaluation at any skipped tick would find the same AP strictly
+nearest.  The slack's own floats need no operand order (the approach
+rates are a matrix product): they decide only which clients are
+re-evaluated, never what a re-evaluation picks.
 The session reports compare equal (``==``) across the two fleets,
 field for field, including the nested db/frontend/push stats — the
 property ``tests/wsdb/test_vector.py`` sweeps seeds x fleet sizes x
@@ -92,9 +122,9 @@ __all__ = ["VectorFleet"]
 _NO_CELL = np.iinfo(np.int64).min
 
 #: Squared distances (live APs x clients) per chunk of a re-association
-#: pass: at most 128 KiB of float64, so a snapshot rebuild that
-#: re-evaluates every client adds no more to peak memory than a steady
-#: tick, and each chunk stays in cache.
+#: pass: at most 128 KiB of float64, so a tick that re-evaluates every
+#: client (the first) adds no more to peak memory than a steady one,
+#: and each chunk stays in cache.
 _CHUNK = 1 << 14
 
 #: The slack margins (module docstring): relative to the largest
@@ -191,11 +221,11 @@ class VectorFleet:
         re-interned and the per-channel span masks dropped (both are
         pure functions of the snapshot and the response table); each
         client's ``best_col`` follows its AP to its new column, and
-        ``cls`` becomes its current response's new class.  A client whose AP went away or changed
-        channel re-evaluates at the next association; each added or
-        changed AP its class permits is folded into its slack
-        (:meth:`_fold`), which goes negative where that AP is no
-        further than the client's own.
+        ``cls`` becomes its current response's new class.  A client
+        whose AP went away or changed channel re-evaluates at the next
+        association; each added or changed AP its class permits is
+        folded into its slack (:meth:`_fold`), which goes negative
+        where that AP is no further than the client's own.
         """
         live = [(ap.ap_id, ap.x_m, ap.y_m, spans) for ap, spans in live_aps]
         if live == self._live and len(self._col_of) == num_aps + 1:
@@ -478,11 +508,13 @@ class VectorFleet:
         d2[best, np.arange(r)] = np.inf
         # Slack: f_j = d2_j - b1 falls by s * 2u.(a_j - a_best) over s
         # metres of the leg; the first eligible AP to reach the margin
-        # bounds it.  The projections are one (live APs x 3) @ (3 x
-        # rows) product: [ax, ay, 1] . [2ux, 2uy, -2u.a_best].
+        # bounds it.  The approach rates are one (live APs x 3) by
+        # (3 x rows) product, [ax, ay, 1] . [2ux, 2uy, -2u.a_best]
+        # (einsum's own loops: a BLAS call would add its buffers to the
+        # peak memory).
         ux, uy, margin = heading
         lead = np.stack((ux, uy, -(self._ap_x[best] * ux + self._ap_y[best] * uy)))
-        proj = np.matmul(self._ap_rows, lead, out=tmp)
+        proj = np.einsum("jk,kr->jr", self._ap_rows, lead, out=tmp)
         np.maximum(proj, 0.0, out=proj)
         with np.errstate(divide="ignore", invalid="ignore"):
             d2 -= b1 + margin

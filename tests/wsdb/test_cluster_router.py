@@ -20,7 +20,7 @@ from repro.wsdb.service import WhiteSpaceDatabase, free_channels
 def lookup(service, cells, t_us=0.0):
     """The query primitive on ``(qx, qy)`` pairs: each cell's channel
     tuple and ``(cache_hit, candidates_scanned)`` outcome."""
-    ids, hit, scanned = service.response_ids_in_cells(
+    ids, hit, scanned, _ = service.response_ids_in_cells(
         np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
     )
     tuples = service.responses.tuples

@@ -46,7 +46,7 @@ def at(service, x_m, y_m, t_us=0.0):
 def lookup(service, cells, t_us=0.0):
     """The query primitive on ``(qx, qy)`` pairs: the channel tuple of
     every cell, and its ``(cache_hit, candidates_scanned)`` outcome."""
-    ids, hit, scanned = service.response_ids_in_cells(
+    ids, hit, scanned, _ = service.response_ids_in_cells(
         np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
     )
     tuples = service.responses.tuples
@@ -831,10 +831,13 @@ def check_router(capacity: int, ops, num_shards: int = 4):
             assert router.register_mic(op[1]) == ref.register_mic(op[1]), step
         else:
             _, cells, t_us = op
-            ids, hit, scanned = router.response_ids_in_cells(
+            ids, hit, scanned, segment = router.response_ids_in_cells(
                 np.array(cells, dtype=np.int64).reshape(-1, 2), t_us
             )
             responses, outcomes, want_ids = ref.lookup(cells, t_us)
+            assert segment.tolist() == [
+                ref.routing.shard_of_cell(*cell) for cell in cells
+            ], step
             assert [router.responses.tuples[i] for i in ids] == responses, step
             assert list(zip(hit.tolist(), scanned.tolist())) == outcomes, step
             assert ids.tolist() == want_ids, step
