@@ -193,10 +193,7 @@ class VectorFleet:
         self._col_of = np.full(1, -1, dtype=np.int64)
         self._denied = np.zeros((1, 0), dtype=bool)
         self._denies = np.zeros(0, dtype=bool)  # per class: denies any AP
-        self._ranks = np.zeros((0, 1), dtype=np.uint8)  # n_live .. 1
-        # AP coordinates repeated to one chunk's width, and as [x, y, 1]
-        # rows for the slack's projections.
-        self._ap_wide = np.zeros((2, 0, 1))
+        # The live APs as [x, y, 1] rows, for the slack's approach rates.
         self._ap_rows = np.zeros((0, 3))
         self._class_ids: dict[tuple[bool, ...], int] = {}
         self._resp_class = np.zeros(1, dtype=np.int32)
@@ -253,13 +250,6 @@ class VectorFleet:
         self._denied = np.zeros((len(live) + 1, 0), dtype=bool)
         self._resp_class = self._classes(self.responses.sets)
         self._uhf_cols = {}
-        self._ranks = np.arange(
-            len(live), 0, -1, dtype=np.min_scalar_type(len(live))
-        )[:, None]
-        step = max(1, _CHUNK // max(1, len(live)))
-        self._ap_wide = np.repeat(
-            np.stack((self._ap_x, self._ap_y))[:, :, None], step, axis=2
-        )
         self._ap_rows = np.column_stack(
             (self._ap_x, self._ap_y, np.ones(len(live)))
         )
@@ -418,9 +408,10 @@ class VectorFleet:
         self.last_bucket[idx] = bucket
         self.requeries[idx] += 1
 
-    def _heading(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Twice the unit leg direction of the clients *rows* (NaN on a
-        zero-length leg), and the margin of their slack numerators."""
+    def _heading(self, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The positions of the clients *rows*, twice their unit leg
+        direction (NaN on a zero-length leg), and the margin of their
+        slack numerators."""
         x, y = self.x[rows], self.y[rows]
         wx, wy = self.wx[rows], self.wy[rows]
         ex, ey = wx - x, wy - y
@@ -430,7 +421,7 @@ class VectorFleet:
             ey /= half
         reach = np.maximum(x * x + y * y, wx * wx + wy * wy)
         margin = _EPS_REL * 2 * (self._norm2 + reach) + 2 * _EPS_ABS * self._spread
-        return ex, ey, margin
+        return x, y, ex, ey, margin
 
     def _fold(self, col: int) -> None:
         """Fold the newly live AP in column *col* into the slack of each
@@ -444,22 +435,21 @@ class VectorFleet:
         rows = np.flatnonzero(~self._denied[col, self.cls] & (self.slack >= 0))
         if not rows.size:
             return
-        x, y = self.x[rows], self.y[rows]
+        x, y, ux, uy, margin = self._heading(rows)
         best = self.best_col[rows]
         dx, dy = self._ap_x[col] - x, self._ap_y[col] - y
         bx, by = self._ap_x[best] - x, self._ap_y[best] - y
         b1 = np.where(best >= 0, bx * bx + by * by, np.inf)
-        ux, uy, margin = self._heading(rows)
         proj = np.maximum(dx * ux + dy * uy - (bx * ux + by * uy), 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             term = (dx * dx + dy * dy - (b1 + margin)) / proj
-        term[term != term] = -np.inf
+        term[term != term] = -np.inf  # NaN: due at the next tick
         self.slack[rows] = np.minimum(self.slack[rows], term)
 
     def _reassociate(
         self,
         rows: np.ndarray,
-        heading: tuple[np.ndarray, np.ndarray, np.ndarray],
+        heading: tuple[np.ndarray, ...],
         best_col: np.ndarray,
         new_ap: np.ndarray,
         handoff_mask: np.ndarray,
@@ -478,10 +468,12 @@ class VectorFleet:
         """
         row_cls = self.cls[rows]
         prev = self.prev_ap[rows]
-        # Vacation: the previous AP (still assigned this snapshot) whose
-        # spans the current response denies.
-        vacated = self._denied[self._col_of[prev], row_cls]
-        self.vacations[rows[vacated]] += 1
+        denies = self._denies[row_cls].any()
+        if denies:
+            # Vacation: the previous AP (still assigned this snapshot)
+            # whose spans the current response denies.
+            vacated = self._denied[self._col_of[prev], row_cls]
+            self.vacations[rows[vacated]] += 1
 
         n_live = len(self._ap_x)
         if not n_live:
@@ -490,21 +482,18 @@ class VectorFleet:
             self.slack[rows] = np.inf
             return
         # (live APs x rows): each AP's distances are one contiguous row,
-        # so the minima over APs are elementwise passes; the AP
-        # coordinates come pre-broadcast to the chunk width.
+        # so the minima over APs are elementwise passes.
         r = rows.size
-        ax, ay = self._ap_wide[:, :, :r]
-        d2 = ax - self.x[rows]
+        x, y, ux, uy, margin = heading
+        d2 = self._ap_x[:, None] - x
         d2 *= d2
-        tmp = ay - self.y[rows]
+        tmp = self._ap_y[:, None] - y
         tmp *= tmp
         d2 += tmp
-        if self._denies[row_cls].any():
+        if denies:
             np.copyto(d2, np.inf, where=self._denied[:-1].take(row_cls, axis=1))
         b1 = d2.min(axis=0)
-        # The first column at the minimum: the largest of the reversed
-        # column ranks (n_live .. 1) where a row equals it.
-        best = n_live - ((d2 == b1) * self._ranks).max(axis=0).astype(np.intp)
+        best = (d2 == b1).argmax(axis=0)
         d2[best, np.arange(r)] = np.inf
         # Slack: f_j = d2_j - b1 falls by s * 2u.(a_j - a_best) over s
         # metres of the leg; the first eligible AP to reach the margin
@@ -512,8 +501,9 @@ class VectorFleet:
         # (3 x rows) product, [ax, ay, 1] . [2ux, 2uy, -2u.a_best]
         # (einsum's own loops: a BLAS call would add its buffers to the
         # peak memory).
-        ux, uy, margin = heading
-        lead = np.stack((ux, uy, -(self._ap_x[best] * ux + self._ap_y[best] * uy)))
+        lead = np.empty((3, r))
+        lead[0], lead[1] = ux, uy
+        np.negative(self._ap_x[best] * ux + self._ap_y[best] * uy, out=lead[2])
         proj = np.einsum("jk,kr->jr", self._ap_rows, lead, out=tmp)
         np.maximum(proj, 0.0, out=proj)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -568,7 +558,7 @@ class VectorFleet:
             handoff_mask = np.zeros(m, dtype=bool)
             if idx.size:
                 heading = self._heading(idx)
-                step = self._ap_wide.shape[2]
+                step = max(1, _CHUNK // max(1, len(self._ap_x)))
                 for lo in range(0, idx.size, step):
                     part = slice(lo, lo + step)
                     self._reassociate(
