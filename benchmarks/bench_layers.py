@@ -394,7 +394,8 @@ def associate_row(num_aps: int, kind: str) -> dict:
         if snapshots is not None:
             wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
             fleet.set_snapshot(snapshots[(k - WARM_TICKS) % 2], num_aps)
-            wall, cpu = time.perf_counter_ns() - wall0, time.process_time_ns() - cpu0
+            wall = time.perf_counter_ns() - wall0
+            cpu = time.process_time_ns() - cpu0
         expired.append(np.count_nonzero(fleet.slack < 0) / fleet.n)
         before = fleet.reevaluated
         wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()

@@ -615,10 +615,10 @@ class SegmentedService:
         *cells* is an (n, 2) int array of ``(qx, qy)`` rows; returns a
         :class:`Lookup` with one id, cache outcome, scan count and
         answering segment per row.  The protocol primitive every query
-        path rides.  Each
-        segment sees its cells in request order, and the batch leaves
-        exactly the answers, outcomes, LRU contents and order, and
-        counters of a loop of one-cell calls (duplicates included):
+        path rides.  Each segment sees its cells in request order, and
+        the batch leaves exactly the answers, outcomes, LRU contents and
+        order, and counters of a loop of one-cell calls (duplicates
+        included):
 
         1. the batch, grouped by segment, walks the slot table in safe
            prefixes (module docstring);

@@ -95,9 +95,9 @@ bounding box:
   update and of the running subtraction.
 
 So a re-evaluation at any skipped tick would find the same AP strictly
-nearest.  The slack's own floats need no operand order (the approach
-rates are a matrix product): they decide only which clients are
-re-evaluated, never what a re-evaluation picks.
+nearest.  The slack's own floats are not held to the scalar operand
+order (the approach rates are a matrix product): they decide only
+which clients are re-evaluated, never what a re-evaluation picks.
 The session reports compare equal (``==``) across the two fleets,
 field for field, including the nested db/frontend/push stats — the
 property ``tests/wsdb/test_vector.py`` sweeps seeds x fleet sizes x
@@ -420,7 +420,8 @@ class VectorFleet:
             ex /= half
             ey /= half
         reach = np.maximum(x * x + y * y, wx * wx + wy * wy)
-        margin = _EPS_REL * 2 * (self._norm2 + reach) + 2 * _EPS_ABS * self._spread
+        margin = _EPS_REL * 2 * (self._norm2 + reach)
+        margin += 2 * _EPS_ABS * self._spread
         return x, y, ex, ey, margin
 
     def _fold(self, col: int) -> None:
@@ -491,7 +492,8 @@ class VectorFleet:
         tmp *= tmp
         d2 += tmp
         if denies:
-            np.copyto(d2, np.inf, where=self._denied[:-1].take(row_cls, axis=1))
+            denied = self._denied[:-1].take(row_cls, axis=1)
+            np.copyto(d2, np.inf, where=denied)
         b1 = d2.min(axis=0)
         best = (d2 == b1).argmax(axis=0)
         d2[best, np.arange(r)] = np.inf

@@ -553,16 +553,6 @@ def _drive(
     return gated, scalar, skipped, after_snapshot
 
 
-def _random_commits(rng, n, ticks, every=3, size=40, first=None):
-    """Response commits: everyone at tick 0 (*first* or random picks),
-    then *size* random clients every *every* ticks."""
-    commits = {0: (np.arange(n), first or [rng.choice(_SLACK_RESPONSES) for _ in range(n)])}
-    for k in range(every, ticks, every):
-        idx = np.sort(np.array(rng.sample(range(n), min(size, n))))
-        commits[k] = (idx, [rng.choice(_SLACK_RESPONSES) for _ in idx])
-    return commits
-
-
 #: A bisector pair (0, 1) on x = 500 and a third AP (2) below them,
 #: all on channel 14.
 _BISECTOR_APS = [
@@ -637,7 +627,8 @@ class TestMotionSlackDifferential:
             walkers, {0: _BISECTOR_APS}, min(1_000, int(900 / step_m)), step_m
         )
         assert skipped > 0
-        assert scalar.handoffs[7:].min() > 0  # every crossing walker handed off
+        # Every walker that crosses a bisector handed off.
+        assert scalar.handoffs[7:].min() > 0
 
     def test_slack_is_the_walk_to_the_bisector(self):
         # Heading straight at the bisector of APs 0 and 1 from 100 m
@@ -803,7 +794,8 @@ class TestMotionSlackDifferential:
         fleet.set_snapshot(live, 6)
         qx, qy = fleet.cells(100.0)
         fleet.commit_recheck(
-            np.arange(50), qx, qy, 0, fleet.responses.ids([(12, 14, 16, 18)] * 50)
+            np.arange(50), qx, qy, 0,
+            fleet.responses.ids([(12, 14, 16, 18)] * 50),
         )
         fleet.associate_and_score(Metro(extent_m=1_000.0, num_channels=30), 0.0)
         state = [fleet.cls, fleet.best_col, fleet.slack, fleet._resp_class]
