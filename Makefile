@@ -52,9 +52,10 @@ bench-smoke:
 ## 1/8/64/512 on the roam-sparse metro, a 16-shard ShardRouter row with
 ## its shard_calls, ns per request of BatchFrontend.query_batch on a
 ## storm burst under reject and serve-stale (each with no span recorder,
-## a head-100 one and an unsampled one), ns per client of
-## VectorFleet.associate_and_score (12 and 48 APs, steady and after a
-## snapshot) and of VectorFleet.advance per tick (2,000 clients on
+## a head-100 one and an unsampled one), ns per point of synthetic_storm
+## (3,000-point ticks), ns per client of
+## VectorFleet.associate_and_score (12, 48 and 192 APs: steady, after an
+## identical snapshot and after a one-AP change) and of VectorFleet.advance per tick (2,000 clients on
 ## 20 km, 3,000 and 32,000 on 3 km); appends a host-stamped entry to
 ## BENCH_layers.json (its smoke variant runs in bench-smoke and writes
 ## only a -smoke file).

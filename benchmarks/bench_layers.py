@@ -27,6 +27,9 @@ this one isolates the service tier's query layers:
   an unsampled one (every request labelled ``("storm", sequence)``);
   a span row less the no-span row of its policy is the cost of a
   ``SpanRecorder`` request.
+* ``synthetic_storm`` — per point, generating STORM_TICKS ticks of
+  3,000 points each (the ``storm`` workload's offered load at its
+  one-second tick) on the 3 km plane, from a seeded ``random.Random``.
 * ``VectorFleet.associate_and_score`` — per client on the
   ``roam-dense`` metro (3 km, one TV site on each of channels 12-29)
   with 32,000 clients walking at the default 14 m/s, 12, 48 and 192
@@ -77,6 +80,7 @@ import repro
 from repro.telemetry.spans import SpanRecorder
 from repro.wsdb.citywide import boot_aps, snapshot_assigned_aps
 from repro.wsdb.cluster.frontend import SHED_POLICIES, BatchFrontend
+from repro.wsdb.cluster.querystorm import synthetic_storm
 from repro.wsdb.cluster.router import ShardRouter
 from repro.wsdb.mobility import DEFAULT_SPEED_MPS, DEFAULT_TICK_US, spawn_clients
 from repro.wsdb.model import MicRegistration, generate_metro
@@ -112,6 +116,9 @@ ROUTER_CELLS = 512
 #: refills per simulated second): a fifth of each burst is shed.
 STORM_BURST = 300 if SMOKE else 3_000
 STORM_TOKENS = STORM_BURST * 4 // 5
+#: The storm-generation row: ticks per repeat, of 3,000 points each.
+STORM_TICKS = 20 if SMOKE else 200
+STORM_TICK_POINTS = 3_000
 #: Span recorders the frontend rows run under: none, sampled, unsampled.
 SPAN_SAMPLES = (None, "head-100", "off")
 #: The association rows: the roam-dense fleet at three AP densities,
@@ -340,6 +347,35 @@ def frontend_row(policy: str, sample: str | None = None) -> dict:
     }
 
 
+def storm_row() -> dict:
+    """``synthetic_storm`` per point: STORM_TICKS one-second ticks of
+    STORM_TICK_POINTS points each, drained as the session drains them."""
+    wall_ns, cpu_ns = [], []
+    points = STORM_TICKS * STORM_TICK_POINTS
+    for repeat in range(REPEATS):
+        rng = random.Random(f"{SEED}-storm-{repeat}")
+        blocks = synthetic_storm(
+            float(STORM_TICK_POINTS), DEFAULT_TICK_US, STORM_TICKS - 1,
+            STORM_EXTENT_M, rng,
+        )
+        wall0, cpu0 = time.perf_counter_ns(), time.process_time_ns()
+        drawn = sum(len(xy) for _, xy in blocks)
+        wall_ns.append((time.perf_counter_ns() - wall0) / points)
+        cpu_ns.append((time.process_time_ns() - cpu0) / points)
+        assert drawn == points
+    return {
+        "layer": "synthetic_storm",
+        "tick_points": STORM_TICK_POINTS,
+        "ticks": STORM_TICKS,
+        "extent_m": STORM_EXTENT_M,
+        "repeats": REPEATS,
+        "ns_per_point_median": statistics.median(wall_ns),
+        "ns_per_point_min": min(wall_ns),
+        "cpu_ns_per_point_median": statistics.median(cpu_ns),
+        "ns_per_point": wall_ns,
+    }
+
+
 def one_ap_changed(live: list) -> list:
     """*live* with its first AP moved to the channel of the first AP
     on another channel (a one-channel shift when all share one)."""
@@ -483,6 +519,7 @@ def test_layers_ns_per_op(record_table):
         assert row["shed_frac"] == (STORM_BURST - STORM_TOKENS) / STORM_BURST, row
         stale = row["stale_frac"]
         assert (stale > 0) == (row["policy"] == "serve-stale"), row
+    stormed = storm_row()
     associated = [
         associate_row(num_aps, kind)
         for num_aps in FLEET_APS
@@ -507,7 +544,7 @@ def test_layers_ns_per_op(record_table):
         "smoke": SMOKE,
         "layers": [
             rows[0]["layer"], routed["layer"], fronted[0]["layer"],
-            associated[0]["layer"], advanced[0]["layer"],
+            stormed["layer"], associated[0]["layer"], advanced[0]["layer"],
         ],
         "shape": {
             "extent_m": EXTENT_M,
@@ -515,7 +552,7 @@ def test_layers_ns_per_op(record_table):
             "mics": MICS,
             "seed": SEED,
         },
-        "rows": [*rows, *fronted, *associated, *advanced],
+        "rows": [*rows, *fronted, stormed, *associated, *advanced],
     }
     append_log_entry(entry)
     lines = [
@@ -540,6 +577,12 @@ def test_layers_ns_per_op(record_table):
         f"{r['cpu_ns_per_request_median']:>11.0f}"
         for r in fronted
     ]
+    lines.append(
+        f"{stormed['layer']:<42} {stormed['tick_points']:>6} points/tick "
+        f"{stormed['ns_per_point_median']:>8.1f} ns/point med "
+        f"{stormed['ns_per_point_min']:>8.1f} min "
+        f"{stormed['cpu_ns_per_point_median']:>8.1f} cpu"
+    )
     lines.append(
         f"{'layer':<42} {'tick':>18} {'APs':>4} {'clients':>8} {'re-eval':>8} "
         f"{'ns/cl med':>10} {'ns/cl min':>10} {'cpu ns med':>11}"

@@ -269,8 +269,9 @@ class BatchFrontend:
         2. the token bucket admits the prefix of the first ``k``
            requests (:meth:`TokenBucket.admit_many`), so the shed
            requests are always the suffix;
-        3. the admitted cells deduplicate (``np.unique`` on one int64
-           cell key) and go, in first-occurrence order, to the router
+        3. the admitted cells deduplicate (one ``argsort`` of an int64
+           cell key, its runs' first requests by ``np.minimum.reduceat``)
+           and go, in first-occurrence order, to the router
            as one batch — each owning shard gets one call, in ascending
            shard order with its cells in first-occurrence order: the
            cache recency order and stats sequence of a
@@ -318,33 +319,46 @@ class BatchFrontend:
         stats.admitted += k
         stats.shed += n - k
         span_on = self.spans.enabled and span_refs is not None
-        first = slot = np.zeros(0, dtype=np.int64)
+        slot = np.zeros(0, dtype=np.int64)
+        primary = np.zeros(0, dtype=bool)
         if k:
             ax, ay = qx[:k], qy[:k]
             y0 = ay.min()
             key = (ax - ax.min()) * (int(ay.max() - y0) + 1) + (ay - y0)
-            _, first, inverse = np.unique(
-                key, return_index=True, return_inverse=True
-            )
+            # One unstable sort groups the requests by cell; the least
+            # position in each run is its cell's first request, so the
+            # order within a run never shows.
+            order = key.argsort()
+            sorted_key = key.take(order)
+            run = np.empty(k, dtype=bool)
+            run[0] = True
+            np.not_equal(sorted_key[1:], sorted_key[:-1], out=run[1:])
+            starts = np.flatnonzero(run)
+            first = np.minimum.reduceat(order, starts)
             stats.coalesced += k - len(first)
             # The unique cells in first-occurrence order (the order the
             # parallel/sequential contract needs), as one router batch.
-            order = first.argsort()
-            unique = cells[first[order]]
+            primary = np.zeros(k, dtype=bool)
+            primary[first] = True
+            unique = cells[:k].compress(primary, axis=0)
             calls = router.shard_calls
             lookup = router.response_ids_in_cells(unique, t_us)
             stats.shard_batches += router.shard_calls - calls
-            # Each admitted request's position in the router batch.
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            slot = rank[inverse]
-            answers[:k] = lookup.ids[slot]
+            # The router-batch position of each cell's first request,
+            # then each key-ordered cell's answer, repeated over its run.
+            slot = np.zeros(k, dtype=np.int64)
+            slot[primary] = np.arange(len(first))
+            ids = lookup.ids.take(slot.take(first))
+            answers[order] = ids.repeat(np.diff(starts, append=k))
             # Refresh the store: the batch's entries replace the old
-            # ones of their cells (a stable sort puts them last).
+            # ones of their cells.  Both runs are in stale-key order
+            # (cell key order is (qx, qy) order, and every cell the
+            # router answered is packable), so the stable sort is one
+            # merge, and it puts the batch's entry of a cell last.
             fresh = np.stack((
-                _stale_keys(unique[:, 0], unique[:, 1]),
-                np.full(len(unique), now),
-                lookup.ids,
+                _stale_keys(ax.take(first), ay.take(first)),
+                np.full(len(first), now),
+                ids,
             ))
             merged = np.concatenate((self._stale, fresh), axis=1)
             merged = merged.take(merged[0].argsort(kind="stable"), axis=1)
@@ -365,8 +379,6 @@ class BatchFrontend:
             return answers
         served = answers >= 0
         if span_on:
-            primary = np.zeros(k, dtype=bool)
-            primary[first] = True
 
             def steps_of(i: int) -> list[tuple]:
                 # Shed requests serve from the stale store; the first

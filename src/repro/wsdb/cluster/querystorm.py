@@ -75,10 +75,19 @@ def synthetic_storm(
     :class:`~repro.traces.replay.TraceWorkload` yields the same block
     shape, which is all it takes to replay captured traffic through the
     same path.
+
+    A tick's 2n draws come from one ``rng.getrandbits(128 * n)``, not
+    2n ``rng.random()`` calls.  CPython's ``random()`` takes two
+    consecutive 32-bit Mersenne Twister words ``a`` then ``b`` and
+    returns ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``; ``getrandbits``
+    of a multiple of 32 bits draws its words from the same generator
+    and places them least significant first, on either byte order.  So
+    the little-endian bytes of that integer, read as ``<u8``, hold one
+    draw per 64-bit word ``w`` (``a`` in its low half, ``b`` in its
+    high half), the draw is ``((w & 0xFFFFFFFF) >> 5) * 2**26 + (w >>
+    38)`` over ``2**53`` (every step exact in float64), and the
+    ``Random`` ends in exactly the state 2n ``random()`` calls leave.
     """
-    # rng.random() never returns the -1.0 sentinel: an endless stream
-    # of draws, consumed 2n at a time.
-    draws = iter(rng.random, -1.0)
     budget = 0.0
     for k in range(ticks + 1):
         t_us = k * tick_us
@@ -86,8 +95,12 @@ def synthetic_storm(
         n = int(budget)
         budget -= n
         if n:
-            u = np.fromiter(draws, np.float64, 2 * n).reshape(n, 2)
-            yield t_us, 0.0 + (extent_m - 0.0) * u
+            w = np.frombuffer(
+                rng.getrandbits(128 * n).to_bytes(16 * n, "little"), "<u8"
+            )
+            u = ((w & 0xFFFFFFFF) >> 5) * 67108864.0 + (w >> 38)
+            u /= 9007199254740992.0
+            yield t_us, 0.0 + (extent_m - 0.0) * u.reshape(n, 2)
 
 
 class StormFeed:

@@ -244,12 +244,17 @@ class ShardRouter(SegmentedService):
     def _segments_of(self, cells: np.ndarray) -> tuple[np.ndarray, list, list]:
         """Group a batch by owning shard with a stable sort, so each
         shard sees its cells in request order; each shard touched counts
-        one shard call."""
+        one shard call.  The sort runs on the narrowest unsigned type
+        that holds a shard id: up to 16 bits, numpy's stable sort is a
+        radix sort."""
         owner = self.shards_of_cells(cells[:, 0], cells[:, 1])
         counts = np.bincount(owner, minlength=self.num_shards)
         shards = np.flatnonzero(counts)
         self.shard_calls += len(shards)
-        return owner.argsort(kind="stable"), shards.tolist(), counts[shards].tolist()
+        order = owner.astype(np.min_scalar_type(self.num_shards - 1)).argsort(
+            kind="stable"
+        )
+        return order, shards.tolist(), counts[shards].tolist()
 
     # -- updates -------------------------------------------------------------
 

@@ -579,10 +579,8 @@ class VectorFleet:
             violating = np.zeros(m, dtype=bool)
             ap_col = np.clip(best_col, 0, None)
             for entry in (*metro.sites, *metro.registrations):
-                if not entry.active_at(t_us):
-                    continue
                 span_cols = self._spans_cols(entry.uhf_index)
-                if not span_cols.any():
+                if not span_cols.any() or not entry.active_at(t_us):
                     continue
                 cand = np.flatnonzero(connected & span_cols[ap_col])
                 if not cand.size:

@@ -95,6 +95,65 @@ class TestSyntheticStormSeam:
         ]
         assert produced == expected
 
+    @staticmethod
+    def per_draw_oracle(offered_qps, tick_us, ticks, extent_m, rng):
+        """(t_us, x, y) per request from one ``rng.random()`` per coordinate."""
+        out, budget = [], 0.0
+        for tick in range(ticks + 1):
+            budget += offered_qps * tick_us / 1e6
+            n = int(budget)
+            budget -= n
+            for _ in range(n):
+                x = 0.0 + (extent_m - 0.0) * rng.random()
+                out.append((tick * tick_us, x, 0.0 + (extent_m - 0.0) * rng.random()))
+        return out
+
+    @pytest.mark.parametrize(
+        "offered_qps, tick_us",
+        [
+            (1.0, 1e6),  # n = 1 on every tick
+            (0.4, 1e6),  # a request every few ticks
+            (2.5, 1e6),  # alternating n = 2 and n = 3
+            (3_000.0, 1e6),  # a storm-sized tick
+            (7.3, 2.5e5),  # a fractional budget per quarter-second tick
+        ],
+    )
+    def test_points_and_state_match_per_draw_random(self, offered_qps, tick_us):
+        seed = stream_seed(23, "querystorm-load")
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        blocks = list(synthetic_storm(offered_qps, tick_us, 12, 1_234.5, rng))
+        produced = [(t_us, x, y) for t_us, xy in blocks for x, y in xy.tolist()]
+        assert produced == self.per_draw_oracle(
+            offered_qps, tick_us, 12, 1_234.5, oracle_rng
+        )
+        assert all(len(xy) >= 1 for _, xy in blocks)
+        # The generator leaves the Random exactly where 2n random()
+        # calls would: the next draws agree too.
+        assert rng.getstate() == oracle_rng.getstate()
+        assert rng.random() == oracle_rng.random()
+
+    @pytest.mark.parametrize(
+        "word, x, y",
+        [
+            (0, 0.0, 0.0),
+            ((1 << 128) - 1, 1.0 - 2.0**-53, 1.0 - 2.0**-53),
+            # The smallest step from each half of a draw word: its high
+            # half gives the low 26 bits, its low half the top 27.
+            (1 << 38 | 1 << (64 + 5), 2.0**-53, 2.0**-27),
+            # The bits random() discards (b's low 6, a's low 5) give 0.
+            (0x3F << 32 | 0x1F | (0x3F << 32 | 0x1F) << 64, 0.0, 0.0),
+        ],
+    )
+    def test_word_extremes(self, word, x, y):
+        class FixedBits(random.Random):
+            def getrandbits(self, k):
+                assert k == 128  # one request: two 64-bit draw words
+                return word
+
+        ((_, xy),) = synthetic_storm(1.0, 1e6, 0, 1.0, FixedBits())
+        # The low 64-bit word is x, the high one y.
+        assert xy.tolist() == [[x, y]]
+
     def test_storm_feed_drains_in_fence_order(self):
         blocks = [
             (0.0, np.array([[1.0, 1.0], [2.0, 2.0]])),

@@ -366,6 +366,78 @@ class TestArrayQueryBatchEquivalence:
         if policy == "serve-stale":
             assert array_fe.stats.served_stale > 0
 
+    @staticmethod
+    def check_bursts(router_of, params, bursts):
+        """Each (points, t_us) burst through the array path and the
+        reference: answers, stats, stale store, per-shard stats, LRU."""
+        array_fe = BatchFrontend(router_of(), **params)
+        ref_fe = BatchFrontend(router_of(), **params)
+        ref_stale = {}
+        for points, t_us in bursts:
+            got = array_fe.query_batch(np.array(points, dtype=float), t_us)
+            assert got.tolist() == reference_query_batch(
+                ref_fe, ref_stale, points, t_us
+            )
+            assert array_fe.stats == ref_fe.stats
+            assert stale_entries(array_fe) == ref_stale
+            a, b = array_fe.router, ref_fe.router
+            assert a.per_shard_stats() == b.per_shard_stats()
+            for shard in range(a.num_shards):
+                assert a.cached_items(shard) == b.cached_items(shard)
+        return array_fe
+
+    @pytest.mark.parametrize("policy", SHED_POLICIES)
+    def test_storm_sized_bursts(self, policy):
+        # 3,000-request bursts over the 4 km plane: many cells repeat
+        # within a burst, and a fifth of every burst is shed.
+        rng = random.Random(31)
+        bursts = [
+            (
+                [(rng.uniform(0.0, 4_000.0), rng.uniform(0.0, 4_000.0))
+                 for _ in range(3_000)],
+                t_us,
+            )
+            for t_us in (0.0, 1e6, 2e6, 62e6)
+        ]
+        params = dict(rate_limit_qps=2_400.0, burst_size=2_400, policy=policy)
+        fe = self.check_bursts(lambda: dense_router(16), params, bursts)
+        assert fe.stats.coalesced > fe.stats.admitted // 4
+        assert (fe.stats.served_stale > 0) == (policy == "serve-stale")
+
+    @pytest.mark.parametrize("policy", SHED_POLICIES)
+    def test_one_cell_and_one_admitted_bursts(self, policy):
+        one_cell = [(1_234.5, 987.6)] * 50
+        bursts = [
+            (one_cell, 0.0),  # every request in one cell: k = 10
+            ([(3_000.0, 10.0)], 1e6),  # a one-request burst
+            ((one_cell[:1] + [(10.0, 3_900.0)] * 5) * 3, 1.5e6),  # k = 1
+            (one_cell, 2e6),
+        ]
+        params = dict(rate_limit_qps=2.0, burst_size=10, policy=policy)
+        fe = self.check_bursts(dense_router, params, bursts)
+        assert fe.stats.coalesced > 0 and fe.stats.shed > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 2_048, 3_000])
+    def test_cells_at_both_packable_corners(self, k):
+        # Cells at the lowest and the highest packable corners: the
+        # cell key spans 2**52 values, where a key * k position pack
+        # overflows int64 from k = 2048 on.  One square-metre cells on
+        # a plane whose TV site the corners are far from.
+        lo, hi = PACKABLE_CELLS
+        metro = Metro(num_channels=30)
+        corners = [(lo, lo), (lo, hi - 1), (hi - 1, lo), (hi - 1, hi - 1)]
+        rng = random.Random(k)
+        points = [
+            (qx + 0.5, qy + 0.5)
+            for qx, qy in (rng.choice(corners) for _ in range(k))
+        ]
+        points[0] = (hi - 0.5, hi - 0.5)  # the very last packable cell
+        self.check_bursts(
+            lambda: ShardRouter(metro, num_shards=4, cache_resolution_m=1.0),
+            dict(policy="serve-stale"),
+            [(points, 0.0), (points[::-1], 1e6)],
+        )
+
     def test_list_of_pairs_equals_array(self):
         points = [(100.0, 100.0), (2_900.0, 100.0), (100.0, 100.0)]
         from_list = BatchFrontend(dense_router()).query_batch(points, 0.0)

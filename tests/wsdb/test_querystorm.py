@@ -276,3 +276,21 @@ class TestRequestBursts:
             "spawn",
             "storm-gen",
         }
+
+
+def test_session_and_cluster_imports_leave_numpy_random_unloaded():
+    # Importing numpy.random costs about 2.5 MB of resident memory, which
+    # every storm session would carry; the storm draws come from the
+    # stdlib Random instead.
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import repro.wsdb.session, repro.wsdb.cluster\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
