@@ -379,7 +379,6 @@ class BatchFrontend:
             return answers
         served = answers >= 0
         if span_on:
-
             def steps_of(i: int) -> list[tuple]:
                 # Shed requests serve from the stale store; the first
                 # admitted request per cell carries the shard lookup's

@@ -1,6 +1,9 @@
 """Tests for the querystorm driver: storm accounting, determinism,
 admission starvation, and the push-vs-pull violation window."""
 
+import subprocess
+import sys
+
 import pytest
 
 from repro.errors import SimulationError
@@ -282,9 +285,6 @@ def test_session_and_cluster_imports_leave_numpy_random_unloaded():
     # Importing numpy.random costs about 2.5 MB of resident memory, which
     # every storm session would carry; the storm draws come from the
     # stdlib Random instead.
-    import subprocess
-    import sys
-
     probe = (
         "import sys\n"
         "import repro.wsdb.session, repro.wsdb.cluster\n"
