@@ -70,13 +70,20 @@ SHED_POLICIES = ("reject", "serve-stale")
 _STALE_BITS = 26
 
 
+def _pack_stale(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
+    """The stale-store key of every cell, each inside
+    :data:`~repro.wsdb.service.PACKABLE_CELLS`."""
+    lo = PACKABLE_CELLS[0]
+    return (qx - lo) << _STALE_BITS | (qy - lo)
+
+
 def _stale_keys(qx: np.ndarray, qy: np.ndarray) -> np.ndarray:
-    """The stale-store key of every cell; -1 for a cell outside
+    """:func:`_pack_stale` of every cell; -1 for a cell outside
     :data:`~repro.wsdb.service.PACKABLE_CELLS`, which no shard answers
     and so the store never holds."""
     lo, hi = PACKABLE_CELLS
     packable = (qx >= lo) & (qx < hi) & (qy >= lo) & (qy < hi)
-    return np.where(packable, (qx - lo) << _STALE_BITS | (qy - lo), -1)
+    return np.where(packable, _pack_stale(qx, qy), -1)
 
 
 class TokenBucket:
@@ -351,12 +358,13 @@ class BatchFrontend:
             ids = lookup.ids.take(slot.take(first))
             answers[order] = ids.repeat(np.diff(starts, append=k))
             # Refresh the store: the batch's entries replace the old
-            # ones of their cells.  Both runs are in stale-key order
-            # (cell key order is (qx, qy) order, and every cell the
-            # router answered is packable), so the stable sort is one
+            # ones of their cells.  Every cell the router answered is
+            # packable (it raises on any other), so its keys pack
+            # unmasked.  Both runs are in stale-key order (cell key
+            # order is (qx, qy) order), so the stable sort is one
             # merge, and it puts the batch's entry of a cell last.
             fresh = np.stack((
-                _stale_keys(ax.take(first), ay.take(first)),
+                _pack_stale(ax.take(first), ay.take(first)),
                 np.full(len(first), now),
                 ids,
             ))

@@ -12,16 +12,19 @@ cells, and an exact distance check filters bounding-box false
 positives.
 
 The index's only storage is columnar.  At insert each contour's
-position, radius (computed once, not per query), channel and cell range
-are appended to numpy columns, next to the entry object itself, which
-is kept for what the queries yield and for its ``active_at`` schedule.
-"Candidate of a rectangle" is then a range-overlap test over the
-columns, and :meth:`GridIndex.occupied_sets` — the cache-miss kernel of
-both service tiers — resolves a whole batch of rectangles in one array
-pass.  An index can be *stacked*: K segments (a shard router's shards),
-each with its own cell edge and rows, in one set of columns; each
-rectangle then meets only its own segment's rows, so one kernel call
-answers a batch's misses across every shard.
+position, radius and squared-radius band (computed once, not per
+query), channel bit and cell range are appended to numpy columns, next
+to the entry object itself, which is kept for what the queries yield
+and for its ``active_at`` schedule.  "Candidate of a rectangle" is then
+a range-overlap test over the columns, and
+:meth:`GridIndex.occupied_masks` — the cache-miss kernel of both
+service tiers — resolves a whole batch of rectangles to occupied-channel
+bitmasks in one array pass, comparing ``dx*dx + dy*dy`` with the band
+(a pair inside it is re-decided by :func:`circle_intersects_rect`).
+An index can be *stacked*: K segments (a shard router's shards), each
+with its own cell edge and rows, in one set of columns; each rectangle
+then meets only its own segment's rows, so one kernel call answers a
+batch's misses across every shard.
 
 The index keeps two counters — ``queries`` and ``candidates_scanned`` —
 so tests (and benchmarks) can prove the pruning actually happened: for a
@@ -46,11 +49,17 @@ __all__ = [
     "circle_intersects_rect",
 ]
 
-#: Relative band around a contour's radius inside which the kernel's
-#: ``np.hypot`` distance is not trusted to fall on the same side as
-#: ``math.hypot``'s (the two may round differently by an ulp or two);
-#: pairs inside it are re-decided by :func:`circle_intersects_rect`.
+#: Relative band around a contour's squared radius inside which a
+#: squared distance ``dx*dx + dy*dy`` (a few roundings, parts in 1e16,
+#: off the exact square) is not trusted to fall on the same side as
+#: ``math.hypot(dx, dy) <= radius`` (under an ulp off); see _square_band.
 _TIE_BAND = 1e-9
+
+#: The band's absolute floor (squares that underflow lose their relative
+#: precision) and the cap past which its upper edge is +inf (a square
+#: that overflows is surely outside only a far smaller squared radius).
+_SQUARE_FLOOR = float(np.finfo(float).tiny)
+_SQUARE_CAP = float(np.finfo(float).max) / 2
 
 #: Rectangle x entry pairs the kernel evaluates per array pass; larger
 #: batches are cut into passes of this size so memory stays bounded.
@@ -112,6 +121,35 @@ def circle_intersects_cell(
     )
 
 
+def _square_band(radius: np.ndarray) -> np.ndarray:
+    """The (2, n) squared-distance band of contours of *radius*: a
+    point nearer than row 0 (squared) lies surely inside, one farther
+    than row 1 surely outside, one between (or NaN) is undecided.
+
+    ``radius**2`` less or more ``_TIE_BAND`` of itself plus
+    ``_SQUARE_FLOOR``; a negative radius contains nothing, and a NaN or
+    infinite one leaves every pair undecided.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = radius * radius
+        near = square * _TIE_BAND + _SQUARE_FLOOR
+        band = np.array([square - near, square + near])
+    band[:, radius < 0] = -math.inf
+    band[1, band[1] > _SQUARE_CAP] = math.inf
+    return band
+
+
+def _verdicts(offset: np.ndarray, band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(surely inside, surely inside or outside) of nearest-point
+    offsets *offset* ((2, ...): ``dx``, ``dy``; squared in place, inf
+    on overflow) against a :func:`_square_band`'s broadcast rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = np.square(offset, out=offset)
+        distance = np.add(square[0], square[1])
+    inside = distance < band[0]
+    return inside, inside | (distance > band[1])
+
+
 def circle_intersects_cells(
     cx_m: float,
     cy_m: float,
@@ -122,29 +160,23 @@ def circle_intersects_cells(
 ) -> np.ndarray:
     """:func:`circle_intersects_cell` for arrays of cells, as a bool mask.
 
-    The predicate's arithmetic elementwise (cell ``(qx, qy)`` spans
-    ``qx * res`` to ``(qx + 1) * res`` per axis) with ``np.hypot`` for
-    the distance; a cell whose distance lies within ``_TIE_BAND``
-    (relative) of the radius is re-decided by
-    :func:`circle_intersects_cell` itself, so every verdict is that
-    predicate's, bit for bit — the miss kernel's pattern.  The one
-    array form of the zone/cell geometry: service invalidation,
-    stale-store purging and push notification all ride it.
+    The predicate's nearest point elementwise (cell ``(qx, qy)`` spans
+    ``qx * res`` to ``(qx + 1) * res`` per axis) and the miss kernel's
+    squared verdict (:func:`_verdicts`); a cell inside the band is
+    re-decided by :func:`circle_intersects_cell` itself, so every
+    verdict is that predicate's, bit for bit.  The one array form of
+    the zone/cell geometry: service invalidation, stale-store purging
+    and push notification all ride it.
     """
-    x0 = qx * resolution_m
-    y0 = qy * resolution_m
-    x1 = (qx + 1) * resolution_m
-    y1 = (qy + 1) * resolution_m
-    excess = (
-        np.hypot(
-            cx_m - np.minimum(np.maximum(cx_m, x0), x1),
-            cy_m - np.minimum(np.maximum(cy_m, y0), y1),
-        )
-        - radius_m
+    cells = np.stack((qx, qy))
+    center = np.array([[cx_m], [cy_m]])
+    nearest = np.minimum(
+        np.maximum(center, cells * resolution_m), (cells + 1) * resolution_m
     )
-    near = abs(radius_m) * _TIE_BAND
-    touches = excess <= -near
-    for i in np.flatnonzero((excess <= near) & ~touches).tolist():
+    touches, decided = _verdicts(
+        center - nearest, _square_band(np.array([radius_m]))
+    )
+    for i in np.flatnonzero(~decided).tolist():
         touches[i] = circle_intersects_cell(
             cx_m, cy_m, radius_m, int(qx[i]), int(qy[i]), resolution_m
         )
@@ -183,7 +215,7 @@ class GridIndex:
             edges makes a *stacked* index of one segment per edge: K
             indexes in one set of columns.  Segment *s* holds the rows
             :meth:`extend` gives it, cell ranges in its own edge, and
-            :meth:`occupied_in_rects` answers each rectangle against
+            :meth:`occupied_masks` answers each rectangle against
             its own segment's rows only.  The point queries,
             :meth:`covering_rect` and :meth:`cell_of` see the index as
             one segment (``cell_m`` and ``cells_per_side`` are segment
@@ -192,7 +224,7 @@ class GridIndex:
     An entry inserted twice into a segment lies twice in its cells: it
     counts twice in ``len``, :meth:`candidates` and :meth:`covering`,
     while the area queries (:meth:`covering_rect`,
-    :meth:`occupied_in_rects`) dedupe by identity and scan it once.
+    :meth:`occupied_masks`) dedupe by identity and scan it once.
     """
 
     def __init__(self, extent_m: float, cell_m: float | Sequence[float] = 1_000.0):
@@ -216,22 +248,23 @@ class GridIndex:
         self._objects: list[SpatialEntry] = []
         self._numbers: dict[int, int] = {}
         # The miss kernel's active_at answers at sim time _asked_at, by
-        # object number; an insertion drops them.
+        # object number (-1: not asked yet); an insertion drops them.
         self._asked_at: float | None = None
-        self._active: dict[int, bool] = {}
+        self._active = np.zeros(0, dtype=np.int8)
         # The columns, one per row.  A float table holds, per entry:
-        #   0-2   x, y, radius;
-        #   3-6   the clamped bbox cell range lo_cx, lo_cy, hi_cx, hi_cy;
-        #   7-10  the same range in the form the area queries test,
-        #         ``bounds <= (hi_cy, hi_cx, -lo_cy, -lo_cx)`` of the
-        #         query: lo_cy, lo_cx, -hi_cy, -hi_cx, with a border side
-        #         left open (-inf) so unclamped query cells test as
-        #         clamped ones, and +inf for a repeat insertion of an
-        #         object (never a candidate: area queries dedupe by
-        #         identity);
-        #   11    the tie band around the radius (see _TIE_BAND);
-        # and an int table the channel and the object's number.
-        self._table = np.empty((12, 0))
+        #   0-1   x, y;
+        #   2-5   the clamped bbox cell range in the form the area
+        #         queries test, ``bounds <= (hi_cy, hi_cx, -lo_cy,
+        #         -lo_cx)`` of the query: lo_cy, lo_cx, -hi_cy, -hi_cx,
+        #         with a border side left open (-inf) so unclamped query
+        #         cells test as clamped ones, and +inf for a repeat
+        #         insertion of an object (never a candidate: area
+        #         queries dedupe by identity);
+        #   6-7   the squared-radius band (_square_band);
+        #   8-12  the radius and the clamped bbox cell range lo_cx,
+        #         lo_cy, hi_cx, hi_cy (the miss kernel reads rows 0-7);
+        # and an int table the channel's bit and the object's number.
+        self._table = np.empty((13, 0))
         self._ints = np.empty((2, 0), dtype=np.int64)
         self._width = 0  # the most rows of any segment
         self._set_views()
@@ -248,11 +281,9 @@ class GridIndex:
         # The live rows, sliced once per insert rather than per query.
         n = len(self._entries)
         self._centers = self._table[0:2, :n]
-        self._radius = self._table[2, :n]
-        self._cell = self._table[3:7, :n]
-        self._bound = self._table[7:11, :n]
-        self._near = self._table[11, :n]
-        self._uhf = self._ints[0, :n]
+        self._bound = self._table[2:6, :n]
+        self._radius = self._table[8, :n]
+        self._cell = self._table[9:13, :n]
 
     def _axis_cell(self, coord_m: float) -> int:
         return min(self.cells_per_side - 1, max(0, int(coord_m // self.cell_m)))
@@ -283,27 +314,27 @@ class GridIndex:
         order = seg.argsort(kind="stable")
         new, seg = [new[i] for i in order.tolist()], seg[order]
         edge, side = self._edges[seg], np.array(self._sides)[seg]
-        rows = np.empty((12, len(new)))
-        rows[0:3] = np.array([(e.x_m, e.y_m, e.radius_m) for e in new]).T
-        centers, radius = rows[0:2], rows[2]
-        cells = rows[3:7]
+        rows = np.empty((13, len(new)))
+        rows[[0, 1, 8]] = np.array([(e.x_m, e.y_m, e.radius_m) for e in new]).T
+        centers, radius = rows[0:2], rows[8]
+        cells = rows[9:13]
         np.floor_divide(centers - radius, edge, out=cells[0:2])
         np.floor_divide(centers + radius, edge, out=cells[2:4])
         np.minimum(np.maximum(cells, 0, out=cells), side - 1, out=cells)
         # (lo_cy, lo_cx) and (hi_cy, hi_cx), open on the plane's border.
         lo, hi = cells[1::-1], cells[:1:-1]
-        rows[7:9] = np.where(lo == 0, -math.inf, lo)
-        rows[9:11] = -np.where(hi == side - 1, math.inf, hi)
-        rows[11] = np.abs(radius) * _TIE_BAND
+        rows[2:4] = np.where(lo == 0, -math.inf, lo)
+        rows[4:6] = -np.where(hi == side - 1, math.inf, hi)
+        rows[6:8] = _square_band(radius)
         for j, (s, entry) in enumerate(zip(seg.tolist(), new)):
             if (s, id(entry)) in self._ids:
-                rows[7:11, j] = math.inf
+                rows[2:6, j] = math.inf
             self._ids.add((s, id(entry)))
             if id(entry) not in self._numbers:
                 self._numbers[id(entry)] = len(self._objects)
                 self._objects.append(entry)
         ints = [
-            [entry.uhf_index for entry in new],
+            [1 << entry.uhf_index for entry in new],
             [self._numbers[id(entry)] for entry in new],
         ]
         at = self._starts[seg + 1]
@@ -316,16 +347,16 @@ class GridIndex:
         self._set_views()
 
     def _candidates_of(self, cells: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """(m, w) mask: column j of *bound* is a candidate of area query i.
+        """(w, m) mask: row j of *bound* is a candidate of area query i.
 
         *cells* is (m, 4): the query's cell range ``lo_cx, lo_cy,
         hi_cx, hi_cy``, clamped or not; *bound* is the area-query bound
-        rows, (4, 1, w) or one row set per query (4, m, w).  A
+        rows, (4, w, 1) or one row set per query (4, w, m).  A
         candidate's own range overlaps the query's, and the row is its
         object's first insertion.
         """
         query = np.ascontiguousarray((cells[:, ::-1] * _QUERY_SIGN).T)
-        return np.logical_and.reduce(bound <= query[:, :, None], 0)
+        return np.logical_and.reduce(bound <= query[:, None], 0)
 
     def _rows_at(self, x_m: float, y_m: float) -> list[int]:
         """Rows (repeats included) whose cell range holds (x, y)'s cell."""
@@ -367,7 +398,7 @@ class GridIndex:
         cells = np.array(
             [[*self.cell_of(x0_m, y0_m), *self.cell_of(x1_m, y1_m)]], dtype=float
         )
-        rows = np.flatnonzero(self._candidates_of(cells, self._bound[:, None])[0])
+        rows = np.flatnonzero(self._candidates_of(cells, self._bound[:, :, None])[:, 0])
         self.queries += 1
         self.candidates_scanned += rows.size
         x, y = self._centers[:, rows].tolist()
@@ -380,15 +411,15 @@ class GridIndex:
     def occupied_in_rects(
         self, rects: np.ndarray, t_us: float, segments: np.ndarray | None = None
     ) -> tuple[list[frozenset[int]], list[int]]:
-        """:meth:`occupied_sets` as one frozenset and one candidate count
-        per rectangle (rectangles with the same set share one
-        frozenset)."""
-        sets, which, scanned = self.occupied_sets(rects, t_us, segments)
-        return [sets[i] for i in which.tolist()], scanned.tolist()
+        """:meth:`occupied_masks` as one channel set and one candidate
+        count per rectangle."""
+        masks, scanned = self.occupied_masks(rects, t_us, segments)
+        sets = [frozenset(c for c in range(63) if k >> c & 1) for k in masks.tolist()]
+        return sets, scanned.tolist()
 
-    def occupied_sets(
+    def occupied_masks(
         self, rects: np.ndarray, t_us: float, segments: np.ndarray | None = None
-    ) -> tuple[list[frozenset[int]], np.ndarray, np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The cache-miss kernel: the occupied channels of many rectangles.
 
         *rects* is (m, 4): ``x0, y0, x1, y1`` per row, with ``x0 <= x1``
@@ -396,10 +427,9 @@ class GridIndex:
         (None: segment 0).  A rectangle's occupied channels are those of
         its segment's entries active at *t_us* whose contour intersects
         it — the entries :meth:`covering_rect` yields, filtered by
-        ``active_at``.  Returns the occupied sets in order of first
-        occurrence (rectangles of one segment hit by the same entries
-        share one), each rectangle's index into them and each
-        rectangle's candidate count.  ``queries`` and
+        ``active_at``.  Returns each rectangle's occupied channels as an
+        int64 bitmask (bit *c* set: channel *c* occupied; channels
+        0..62) and its candidate count.  ``queries`` and
         ``candidates_scanned`` move exactly as m :meth:`covering_rect`
         calls would move them.
 
@@ -409,118 +439,79 @@ class GridIndex:
         on a one-segment index the columns are used in place.  The cell
         floor is :meth:`cell_of`'s in the segment's edge
         (``np.floor_divide`` is Python's float ``//``; the clamp is
-        folded into the open border ranges); the nearest-point distance
-        is ``np.hypot``, and a pair whose distance lies within
-        ``_TIE_BAND`` (relative) of the radius is re-decided by
-        :func:`circle_intersects_rect` itself, so each verdict is that
-        predicate's, bit for bit.  ``active_at`` is asked once per sim
-        time of each object that intersects some rectangle (an
-        insertion forgets the answers).
+        folded into the open border ranges); the nearest point's
+        squared distance meets the row's band (:func:`_verdicts`), and
+        a pair inside it is re-decided by :func:`circle_intersects_rect`
+        itself, so each verdict is that predicate's, bit for bit.  A
+        mask ors the channel bits of the hit rows whose object is
+        active; ``active_at`` is asked once per sim time of each object
+        that intersects some rectangle (an insertion forgets the
+        answers).
         """
         rects = np.asarray(rects, dtype=float)
         m = len(rects)
         self.queries += m
+        masks = np.zeros(m, dtype=np.int64)
+        scanned = np.zeros(m, dtype=np.int64)
+        if not (m and self._width):
+            return masks, scanned
         if segments is None:
             segments = np.zeros(m, dtype=np.intp)
-        width = self._width
-        if not (m and width):
-            empty = np.zeros(m, dtype=np.int64)
-            return [frozenset()], empty, empty
-        sets: list[frozenset[int]] = []
-        which: list[int] = []
-        scanned: list[np.ndarray] = []
-        step = max(1, _PAIRS_PER_PASS // width)
+        if t_us != self._asked_at:
+            self._asked_at = t_us
+            self._active = np.full(len(self._objects), -1, dtype=np.int8)
+        step = max(1, _PAIRS_PER_PASS // self._width)
         for lo in range(0, m, step):
-            self._occupied_pass(
-                rects[lo : lo + step], segments[lo : lo + step], t_us,
-                sets, which, scanned,
+            part = slice(lo, lo + step)
+            masks[part], scanned[part] = self._occupied_pass(
+                rects[part], segments[part], t_us
             )
-        counts = np.concatenate(scanned)
-        self.candidates_scanned += int(counts.sum())
-        return sets, np.array(which, dtype=np.intp), counts
+        self.candidates_scanned += int(scanned.sum())
+        return masks, scanned
 
     def _occupied_pass(
-        self,
-        rects: np.ndarray,
-        segments: np.ndarray,
-        t_us: float,
-        sets: list[frozenset[int]],
-        which: list[int],
-        scanned: list[np.ndarray],
-    ) -> None:
-        m, n = len(rects), len(self._entries)
+        self, rects: np.ndarray, segments: np.ndarray, t_us: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # Pair arrays are (w, m), rows by rectangles: the rectangles run
+        # along the contiguous axis, so each ufunc loop is a long one.
+        bits, obj = self._ints
         if len(self._sides) == 1:
             # Every rectangle meets every row: the columns in place.
-            rows, table, (uhf, obj) = None, self._table[:, None], self._ints[:, None]
-            candidate = self._candidates_of(
-                np.floor_divide(rects, self.cell_m), table[7:11]
-            )
+            rows, table = None, self._table[:8, :, None]
+            cells = np.floor_divide(rects, self.cell_m)
         else:
             lo = self._starts[segments]
             count = self._starts[segments + 1] - lo
-            span = np.arange(count.max())
-            rows = np.minimum(lo[:, None] + span, n - 1)
-            table = self._table.take(rows, axis=1)
-            uhf, obj = self._ints.take(rows, axis=1)
-            candidate = self._candidates_of(
-                np.floor_divide(rects, self._edges[segments][:, None]),
-                table[7:11],
-            )
-            candidate &= span < count[:, None]
-        centers, radius, near = table[0:2], table[2], table[11]
-        # (2, m, w): each center minus its nearest point of each rectangle.
-        bounds = rects.T[:, :, None]
+            span = np.arange(count.max())[:, None]
+            rows = np.minimum(lo + span, len(self._entries) - 1)
+            table = self._table[:8].take(rows, axis=1)
+            cells = np.floor_divide(rects, self._edges[segments][:, None])
+        candidate = self._candidates_of(cells, table[2:6])
+        if rows is not None:
+            candidate &= span < count
+        # (2, w, m): each center minus its nearest point of each rectangle.
+        centers = table[0:2]
+        bounds = np.ascontiguousarray(rects.T)[:, None]
         offset = np.maximum(centers, bounds[:2])
         np.minimum(offset, bounds[2:], out=offset)
         np.subtract(centers, offset, out=offset)
-        excess = np.hypot(offset[0], offset[1]) - radius
-        inside = excess <= -near
+        inside, decided = _verdicts(offset, table[6:8])
         hit = candidate & inside
-        within_band = excess <= near
-        if within_band.tobytes() != inside.tobytes():
-            for i, j in zip(*np.nonzero(candidate & within_band & ~inside)):
-                row = j if rows is None else rows[i, j]
-                x, y, r = self._table[0:3, row].tolist()
-                hit[i, j] = circle_intersects_rect(x, y, r, *rects[i].tolist())
+        if not decided.all():
+            for j, i in zip(*np.nonzero(candidate & ~decided)):
+                row = j if rows is None else rows[j, i]
+                x, y, r = self._table[(0, 1, 8), row].tolist()
+                hit[j, i] = circle_intersects_rect(x, y, r, *rects[i].tolist())
         # Each object some rectangle hits is asked once per sim time
         # (its rows in several segments, and later passes and calls at
-        # the same time, share the answer).
-        alive = np.zeros(len(self._objects), dtype=bool)
-        alive[obj[hit] if rows is not None else obj[0][hit.any(0)]] = True
-        if t_us != self._asked_at:
-            self._asked_at, self._active = t_us, {}
+        # the same time, share the answer); a row's bit counts only
+        # while its object is active.
         active = self._active
-        dead = []
-        for o in np.flatnonzero(alive).tolist():
-            on = active.get(o)
-            if on is None:
-                on = active[o] = self._objects[o].active_at(t_us)
-            if not on:
-                dead.append(o)
-        if dead:
-            alive.fill(True)
-            alive[dead] = False
-            hit &= alive[obj]
-        # Rectangles of one segment hit by the same rows share one set:
-        # the rectangle's hit row (after its segment's bytes, on a
-        # stacked index) is the key.
-        keyed = hit
-        if rows is not None:
-            keyed = np.empty((m, 8 + hit.shape[1]), dtype=np.uint8)
-            keyed[:, :8] = segments.astype(np.int64).view(np.uint8).reshape(m, 8)
-            keyed[:, 8:] = hit
-        step, raw = keyed.shape[1], keyed.tobytes()
-        number: dict[bytes, int] = {}
-        first = []
-        for i, lo in enumerate(range(0, len(raw), step)):
-            key = raw[lo : lo + step]
-            k = number.get(key)
-            if k is None:
-                k = number[key] = len(sets) + len(first)
-                first.append(i)
-            which.append(k)
-        rect, col = hit[first].nonzero()
-        channels = (uhf[0, col] if rows is None else uhf[first][rect, col]).tolist()
-        ends = np.bincount(rect, minlength=len(first)).cumsum().tolist()
-        sets += [frozenset(channels[a:b]) for a, b in zip([0, *ends], ends)]
-        scanned.append(np.add.reduce(candidate, 1))
+        ask = np.zeros(len(active), dtype=bool)
+        ask[obj[hit.any(1)] if rows is None else obj[rows[hit]]] = True
+        for o in np.flatnonzero(ask & (active < 0)).tolist():
+            active[o] = self._objects[o].active_at(t_us)
+        live = np.where(active[obj] > 0, bits, 0)
+        live = live[:, None] if rows is None else live.take(rows)
+        masks = np.bitwise_or.reduce(np.where(hit, live, 0), axis=0)
+        return masks, np.add.reduce(candidate, 0)

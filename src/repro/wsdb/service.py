@@ -18,7 +18,7 @@ scan count per cell out).  A response is the channels free throughout
 each square (a channel is denied when any active incumbent's protected
 contour intersects the square — the conservative area semantics a
 protection regime requires), every miss of a call computed in one
-batched index pass (:meth:`GridIndex.occupied_sets`), and cached
+batched index pass (:meth:`GridIndex.occupied_masks`), and cached
 under the (cell, TTL bucket) key.  :func:`free_channels` is the one
 point-shaped, tuple-valued form: it quantizes coordinates and rides
 the primitive, which is why dense or mobile deployments hit the cache
@@ -27,7 +27,10 @@ instead of recomputing per coordinate.
 **Response ids.**  Responses are interned in a :class:`ResponseTable`:
 each distinct channel tuple gets one small int id, id 0 being the empty
 response ``()``.  The cache stores ids, and a fleet keeps the ids it
-was answered with, so neither side hashes a tuple per cell.
+was answered with, so neither side hashes a tuple per cell.  Misses
+come back as occupied-channel bitmasks (so at most 63 channels), mapped
+to ids by one ``np.searchsorted`` into the masks seen; unseen masks are
+interned in order of first occurrence.
 
 **One slot table, in segments.**  Both service tiers are a
 :class:`SegmentedService`: the cache of K *segments* — a database is
@@ -355,6 +358,10 @@ class SegmentedService:
             raise SpectrumMapError(
                 f"cache_capacity must be >= 0, got {cache_capacity!r}"
             )
+        if metro.num_channels > 63:
+            raise SpectrumMapError(
+                f"{metro.num_channels} channels do not fit 63-channel masks"
+            )
         self.metro = metro
         self.ttl_us = ttl_us
         self.cache_resolution_m = cache_resolution_m
@@ -369,11 +376,9 @@ class SegmentedService:
         self._clock = 0  # the stamp of the next call's first cell
         self._latest = [0] * segments  # each segment's newest bucket
         self._counts = np.zeros((segments, len(fields(WsdbStats))), dtype=np.int64)
-        # Every channel of the dial, and the response id of each
-        # occupied set seen, for turning the miss kernel's occupied
-        # sets into response ids.
-        self._channels = frozenset(range(metro.num_channels))
-        self._free_ids: dict[frozenset[int], int] = {}
+        # The miss kernel's masks seen, sorted, over their response ids
+        # (-1 first, so a lookup never meets an empty column).
+        self._masks = np.array([[-1], [-1]], dtype=np.int64)
 
     # -- cache plumbing ------------------------------------------------------
 
@@ -622,7 +627,7 @@ class SegmentedService:
 
         1. the batch, grouped by segment, walks the slot table in safe
            prefixes (module docstring);
-        2. one :meth:`GridIndex.occupied_sets` call computes every
+        2. one :meth:`GridIndex.occupied_masks` call computes every
            miss, in ascending segment and then request order (the order
            new responses are interned in); each answer lands in its
            slot if the slot still holds the miss's pending id.
@@ -697,18 +702,20 @@ class SegmentedService:
         """
         res = self.cache_resolution_m
         corner = cells * res
-        sets, which, scanned = self.index.occupied_sets(
+        masks, scanned = self.index.occupied_masks(
             np.concatenate((corner, corner + res), axis=1), t_us, segments
         )
-        free_ids = self._free_ids
-        answers = []
-        for occ in sets:
-            rid = free_ids.get(occ)
-            if rid is None:
-                free = tuple(sorted(self._channels - occ))
-                rid = free_ids[occ] = int(self.responses.ids((free,))[0])
-            answers.append(rid)
-        return np.array(answers, dtype=np.int64)[which], scanned
+        known = self._masks
+        at = known[0].searchsorted(masks)
+        new = masks[known[0].take(at, mode="clip") != masks]
+        if len(new):
+            new = list(dict.fromkeys(new.tolist()))
+            dial = range(self.metro.num_channels)
+            free = [tuple(c for c in dial if not k >> c & 1) for k in new]
+            known = np.concatenate((known, [new, self.responses.ids(free)]), axis=1)
+            self._masks = known = known.take(known[0].argsort(), axis=1)
+            at = known[0].searchsorted(masks)
+        return known[1].take(at), scanned
 
     # -- updates -------------------------------------------------------------
 

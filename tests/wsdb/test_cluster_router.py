@@ -297,11 +297,11 @@ class TestBatchCellRouting:
         batched, sequential = storm_router(), storm_router()
         kernel = []
 
-        def counted(rects, t_us, segments=None, _inner=batched.index.occupied_sets):
+        def counted(rects, t_us, segments=None, _inner=batched.index.occupied_masks):
             kernel.append(len(rects))
             return _inner(rects, t_us, segments)
 
-        batched.index.occupied_sets = counted
+        batched.index.occupied_masks = counted
         rng = random.Random(512)
         points = [
             (rng.uniform(-50.0, 3_050.0), rng.uniform(-50.0, 3_050.0))

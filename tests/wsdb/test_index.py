@@ -532,3 +532,239 @@ class TestCircleIntersectsCellsDifferential:
     def test_empty(self):
         empty = np.zeros(0, dtype=np.int64)
         assert circle_intersects_cells(0.0, 0.0, 1.0, empty, empty, 1.0).size == 0
+
+
+def _bit_set(mask):
+    return frozenset(c for c in range(63) if mask >> c & 1)
+
+
+class TestSquaredVerdicts:
+    """The kernel's squared-distance verdicts equal ``circle_intersects_rect``
+    on the pairs a squared comparison is most likely to get wrong:
+    exact tangents, radii one ulp either side of the distance, radius 0,
+    squares that underflow (coordinates near 1e-160) and large ones
+    (near 1e150), on a one-segment and a stacked index."""
+
+    @staticmethod
+    def pairs(scale):
+        """(rect, [(x, y, radius), ...]) at *scale*: each contour's
+        distance to the rectangle is exact or one ulp off its radius."""
+        x0, y0, x1, y1 = 1.0 * scale, 2.0 * scale, 1.5 * scale, 2.5 * scale
+        circles = []
+        for cx, cy, distance in (
+            (x1 + 0.25 * scale, 2.2 * scale, 0.25 * scale),  # east edge
+            (1.2 * scale, y0 - 0.5 * scale, 0.5 * scale),  # south edge
+            (x1 + 0.375 * scale, y1 + 0.5 * scale, 0.625 * scale),  # 3-4-5 corner
+            (x0 - 0.3 * scale, y0 - 0.7 * scale, None),  # inexact corner
+        ):
+            if distance is None:
+                distance = math.hypot(cx - x0, cy - y0)
+            for radius in (
+                distance,
+                math.nextafter(distance, 0.0),
+                math.nextafter(distance, math.inf),
+            ):
+                circles.append((cx, cy, radius))
+        # Radius 0: a center on the edge touches, one just off does not.
+        circles += [
+            (x1, 2.2 * scale, 0.0),
+            (math.nextafter(x1, math.inf), 2.2 * scale, 0.0),
+            (x0, y0, 0.0),
+            (x0, y0, -0.0),
+            (1.2 * scale, 2.2 * scale, 0.0),
+        ]
+        return (x0, y0, x1, y1), circles
+
+    @staticmethod
+    def check(rect, circles, extent, edge, stacked):
+        entries = [
+            _mic(k % 63, cx, cy, r, [(0.0, 10.0)])
+            for k, (cx, cy, r) in enumerate(circles)
+        ]
+        for entry in entries:
+            want = circle_intersects_rect(
+                entry.x_m, entry.y_m, entry.radius_m, *rect
+            )
+            index = GridIndex(extent, [edge, edge] if stacked else edge)
+            index.extend([entry], 1 if stacked else 0)
+            segments = np.array([1 if stacked else 0])
+            masks, scanned = index.occupied_masks(np.array([rect]), 5.0, segments)
+            assert masks.tolist() == [(1 << entry.uhf_index) if want else 0], (
+                entry, rect
+            )
+            assert scanned.tolist() == [1]
+        # All of them in one index: the same verdicts, batched.
+        index = GridIndex(extent, [edge, edge] if stacked else edge)
+        index.extend(entries, 1 if stacked else 0)
+        segments = np.array([1 if stacked else 0])
+        masks, _ = index.occupied_masks(np.array([rect]), 5.0, segments)
+        want = {
+            e.uhf_index for e in entries
+            if circle_intersects_rect(e.x_m, e.y_m, e.radius_m, *rect)
+        }
+        assert _bit_set(int(masks[0])) == want
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-160, 1e150])
+    def test_adversarial_pairs(self, scale, stacked):
+        rect, circles = self.pairs(scale)
+        self.check(rect, circles, 10.0 * scale, 0.7 * scale, stacked)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e-160, 1e150])
+    def test_cells_form_agrees(self, scale):
+        # The zone/cell form shares the verdict: the same circles
+        # against the cells around the rectangle's.
+        res = 0.5 * scale
+        _, circles = self.pairs(scale)
+        cells = [(qx, qy) for qx in range(1, 5) for qy in range(3, 7)]
+        for cx, cy, radius in circles:
+            TestCircleIntersectsCellsDifferential.check(cx, cy, radius, cells, res)
+
+    def test_underflowing_and_overflowing_squares(self):
+        # Offsets whose squares underflow to zero or overflow to inf.
+        rect = (0.0, 0.0, 1e-200, 1e-200)
+        circles = [
+            (3e-200, 0.5e-200, 2e-200),
+            (3e-200, 0.5e-200, math.nextafter(2e-200, 0.0)),
+            (3e-200, 0.5e-200, 0.0),
+            (2e-300, 2e-300, 1e-300),
+        ]
+        self.check(rect, circles, 1e-190, 1e-199, False)
+        # Subnormal squares: dx*dx + dy*dy rounds below radius*radius
+        # although the distance is one ulp past the radius.
+        rect = (-1e-150, -1e-150, 0.0, 0.0)
+        circles = [
+            (5.147948438789446e-162, 1.2461585757707413e-161, 1.3483044638549961e-161),
+            (1.1821377045123083e-161, 9.786826163935155e-162, 1.534688638147975e-161),
+        ]
+        for cx, cy, r in circles:
+            assert cx * cx + cy * cy < r * r
+            assert not circle_intersects_rect(cx, cy, r, *rect)
+        self.check(rect, circles, 1e-140, 1e-150, False)
+        self.check(rect, circles, 1e-140, 1e-150, True)
+        rect = (0.0, 0.0, 1.0, 1.0)
+        circles = [
+            (1e200, 0.5, 1e200),
+            (1e200, 0.5, math.nextafter(1e200 - 1.0, 0.0)),
+            (1e200, 0.5, 2e200),
+            (-1e300, 1e300, 1e300),
+        ]
+        self.check(rect, circles, 1e301, 1e299, False)
+
+
+class TestOccupiedMasks:
+    """Kernel masks against ``covering_rect`` filtered by ``active_at``."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_masks_are_covering_rect_filtered_by_active_at(self, stacked):
+        rng = random.Random(25_63)
+        for _ in range(30):
+            extent = rng.uniform(2_000.0, 20_000.0)
+            edge = rng.uniform(200.0, 4_000.0)
+            entries = [
+                small_site(rng.randrange(63), rng.uniform(0.0, extent),
+                           rng.uniform(0.0, extent))
+                for _ in range(rng.randrange(1, 12))
+            ] + [
+                _mic(
+                    rng.randrange(63),
+                    rng.uniform(0.0, extent),
+                    rng.uniform(0.0, extent),
+                    rng.uniform(50.0, 3_000.0),
+                    [(0.0, 40.0), (60.0, 90.0)],
+                )
+                for _ in range(rng.randrange(0, 8))
+            ]
+            if stacked:
+                index = GridIndex(extent, [edge, edge * 1.5])
+                index.extend(entries, 1)
+                ref = GridIndex(extent, edge * 1.5)
+                ref.extend(entries)
+            else:
+                index = ref = GridIndex(extent, edge)
+                index.extend(entries)
+            rects = []
+            for _ in range(rng.randrange(1, 60)):
+                x0 = rng.uniform(-0.1 * extent, extent)
+                y0 = rng.uniform(-0.1 * extent, extent)
+                side = rng.uniform(1.0, 500.0)
+                rects.append((x0, y0, x0 + side, y0 + side))
+            segments = np.full(len(rects), 1 if stacked else 0)
+            for t_us in (10.0, 50.0, 70.0):
+                masks, scanned = index.occupied_masks(
+                    np.array(rects), t_us, segments
+                )
+                for rect, mask in zip(rects, masks.tolist()):
+                    want = 0
+                    for entry in ref.covering_rect(*rect):
+                        if entry.active_at(t_us):
+                            want |= 1 << entry.uhf_index
+                    assert mask == want
+                assert masks.dtype == np.int64 and (masks >= 0).all()
+
+    def test_channel_62_is_the_top_bit(self):
+        index = GridIndex(10_000.0, 1_000.0)
+        index.extend([small_site(62, 5_000.0, 5_000.0), small_site(0, 5_100.0, 5_000.0)])
+        masks, _ = index.occupied_masks(np.array([(5_000.0, 5_000.0, 5_100.0, 5_100.0)]), 0.0)
+        assert masks.tolist() == [(1 << 62) | 1]
+        assert index.occupied_in_rects(
+            np.array([(5_000.0, 5_000.0, 5_100.0, 5_100.0)]), 0.0
+        )[0] == [frozenset({0, 62})]
+
+
+class TestMaskInterning:
+    """Masks map to response ids through the service's known-mask column;
+    new masks are interned in order of first occurrence."""
+
+    @staticmethod
+    def metro():
+        # Channel 5 occupies the west of the plane, channel 1 the east.
+        return Metro(
+            extent_m=20_000.0,
+            num_channels=8,
+            registrations=(
+                _mic(5, 2_000.0, 10_000.0, 500.0, [(0.0, 100.0)]),
+                _mic(1, 18_000.0, 10_000.0, 500.0, [(0.0, 100.0)]),
+            ),
+        )
+
+    @pytest.mark.parametrize("capacity", [0, 8_192])
+    def test_known_and_new_masks_intern_in_first_occurrence_order(self, capacity):
+        db = WhiteSpaceDatabase(self.metro(), cache_capacity=capacity)
+        free = (5_000 // 100, 10_000 // 100)  # nothing occupied
+        west = (2_000 // 100, 10_000 // 100)  # mask 1 << 5
+        east = (18_000 // 100, 10_000 // 100)  # mask 1 << 1
+        first = db.response_ids_in_cells(np.array([free]), 1.0).ids
+        assert db.responses.tuples[1:] == [tuple(range(8))]
+        # A known mask, then the larger new mask before the smaller one.
+        ids = db.response_ids_in_cells(
+            np.array([free, west, east, free, west, (east[0] + 1, east[1])]), 1.0
+        ).ids
+        assert db.responses.tuples[2:] == [
+            (0, 1, 2, 3, 4, 6, 7),
+            (0, 2, 3, 4, 5, 6, 7),
+        ]
+        assert ids.tolist() == [first[0], 2, 3, first[0], 2, 3]
+        # A fresh service asked one cell at a time agrees id for id.
+        loop = WhiteSpaceDatabase(self.metro(), cache_capacity=capacity)
+        loop.response_ids_in_cells(np.array([free]), 1.0)
+        for cell, rid in zip([free, west, east, free, west], ids.tolist()):
+            assert loop.response_ids_in_cells(np.array([cell]), 1.0).ids.tolist() == [rid]
+        assert loop.responses.tuples == db.responses.tuples
+
+    def test_more_than_63_channels_raises(self):
+        from repro.wsdb.cluster.router import ShardRouter
+
+        for cls, args in ((WhiteSpaceDatabase, ()), (ShardRouter, (4,))):
+            with pytest.raises(SpectrumMapError, match="63"):
+                cls(Metro(extent_m=10_000.0, num_channels=64), *args)
+            cls(Metro(extent_m=10_000.0, num_channels=63), *args)
+
+    def test_sixty_three_channels_answer(self):
+        site = small_site(62, 5_000.0, 5_000.0)
+        db = WhiteSpaceDatabase(
+            Metro(extent_m=10_000.0, num_channels=63, sites=(site,))
+        )
+        near, far = free_channels(db, [(5_000.0, 5_000.0), (500.0, 500.0)])
+        assert near == tuple(range(62))
+        assert far == tuple(range(63))
